@@ -26,8 +26,9 @@ from .config import RunConfig, build_config
 from .errors import InputError, MacSortError
 from .geometry import Detection
 from .metrics import TrackSequence, evaluate
-from .mot_io import (
+from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfbench
     MotRecord,
+    _load_prompt_file,
     read_embeddings,
     read_mot,
     read_mot_lines,
@@ -83,8 +84,8 @@ def cmd_filter(args, cfg: RunConfig) -> int:
         memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
         records: list[MotRecord] = []
         embs: list[np.ndarray] = []
+        stats = []
         dim = 1
-        lines = [f"[filter] {seq_dir}"]
         for frame in sorted(dump):
             general, include, exclude = dump[frame]
             dim = max(dim, general.dim)
@@ -95,16 +96,15 @@ def cmd_filter(args, cfg: RunConfig) -> int:
                     MotRecord.from_bbox(frame, -1, box, float(final.scores[i]))
                 )
                 embs.append(final.features[i])
-            s = res.stats
-            lines.append(
-                f"frame={frame} general={s.n_general} ie_tps={s.n_ie_tps} "
-                f"dropped={s.n_dropped} rescued={s.n_rescued} "
-                f"rejected={s.n_rejected} final={len(final)}"
-            )
+            stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)
         emb_matrix = np.stack(embs) if embs else np.zeros((0, dim))
         write_detections(out / "filtered.txt", out / "filtered.emb", records, emb_matrix)
-        return "\n".join(lines)
+        counts = " ".join(
+            f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
+            for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
+        )
+        return f"[filter] {seq_dir} frames={len(stats)} {counts} final={len(records)}"
 
     for report in _run_sequences(cfg, args.seq_dirs, one):
         print(report)
@@ -114,22 +114,13 @@ def cmd_filter(args, cfg: RunConfig) -> int:
 def _load_detections(seq_dir: Path, cfg: RunConfig, which: str):
     if which == "auto":
         which = "filtered" if (seq_dir / "filtered.txt").exists() else "general"
-    csv_path = seq_dir / f"{which}.txt"
-    if not csv_path.exists():
-        raise InputError(f"detection file {csv_path} not found")
-    records = read_mot_lines(csv_path)
-    embs = read_embeddings(seq_dir / f"{which}.emb")
-    if len(records) != len(embs):
-        from .errors import SidecarMismatch
-
-        raise SidecarMismatch(
-            f"{csv_path}: {len(records)} rows vs {len(embs)} embedding rows"
-        )
+    loaded = _load_prompt_file(seq_dir, which, required=False)
+    if loaded is None:
+        raise InputError(f"detection file {seq_dir / which}.txt not found")
     per_frame: dict[int, list[Detection]] = {}
-    for rec, emb in zip(records, embs):
-        conf = min(max(rec.conf, 0.0), 1.0)
+    for rec, emb in zip(*loaded):
         per_frame.setdefault(rec.frame, []).append(
-            Detection(rec.frame, rec.bbox(), conf, emb)
+            Detection(rec.frame, rec.bbox(), rec.conf, emb)
         )
     return which, per_frame
 

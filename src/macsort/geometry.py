@@ -85,16 +85,22 @@ def box_edges(boxes: list[BBox]) -> np.ndarray:
     return np.array([[b.left, b.top, b.right, b.bottom] for b in boxes]).reshape(-1, 4)
 
 
+def iou_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise IoU of (left, top, right, bottom) edge arrays: the last
+    axis holds the edges, the leading axes broadcast."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.minimum(inter / (area_a + area_b - inter), 1.0)
+
+
 def iou_matrix_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of two (left, top, right, bottom) edge arrays."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)))
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return np.minimum(inter / (area_a[:, None] + area_b[None, :] - inter), 1.0)
+    return iou_edges(a[:, None, :], b[None, :, :])
 
 
 def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:

@@ -13,12 +13,13 @@ detection and association accuracies over thresholds 0.05..0.95.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FrameMismatch
-from .geometry import BBox, iou_matrix
+from .geometry import BBox, box_edges, iou_edges, iou_matrix
 from .tracker import linear_assignment
 
 MT_COVERAGE = 0.8
@@ -32,12 +33,17 @@ class TrackSequence:
 
     frames: dict[int, list[tuple[int, BBox]]] = field(default_factory=dict)
     n_frames: int | None = None
+    _ids: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ids = {f: {i for i, _ in items} for f, items in self.frames.items()}
 
     def add(self, frame: int, obj_id: int, box: BBox) -> None:
-        items = self.frames.setdefault(frame, [])
-        if any(existing == obj_id for existing, _ in items):
+        ids = self._ids.setdefault(frame, set())
+        if obj_id in ids:
             raise ValueError(f"duplicate id {obj_id} in frame {frame}")
-        items.append((obj_id, box))
+        ids.add(obj_id)
+        self.frames.setdefault(frame, []).append((obj_id, box))
 
     def at(self, frame: int) -> list[tuple[int, BBox]]:
         return self.frames.get(frame, [])
@@ -93,7 +99,9 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        # JSON has no infinities: an undefined score is written as null
+        values = {k: v if math.isfinite(v) else None for k, v in self.to_dict().items()}
+        return json.dumps(values, indent=2, sort_keys=True, allow_nan=False)
 
     def to_text(self) -> str:
         lines = [
@@ -121,14 +129,22 @@ def match_frame(
     gt_by_id = dict(gt_frame)
     pred_by_id = dict(pred_frame)
     matches: dict[int, int] = {}
+    used: set[int] = set()
     if prev_matches:
-        for g, p in prev_matches.items():
-            if g in gt_by_id and p in pred_by_id and p not in matches.values():
-                pair = iou_matrix([gt_by_id[g]], [pred_by_id[p]])[0, 0]
-                if pair >= iou_threshold:
+        carried = [
+            (g, p) for g, p in prev_matches.items() if g in gt_by_id and p in pred_by_id
+        ]
+        if carried:
+            ious = iou_edges(
+                box_edges([gt_by_id[g] for g, _ in carried]),
+                box_edges([pred_by_id[p] for _, p in carried]),
+            )
+            for (g, p), pair in zip(carried, ious):
+                if pair >= iou_threshold and p not in used:
                     matches[g] = p
+                    used.add(p)
     rem_g = [g for g, _ in gt_frame if g not in matches]
-    rem_p = [p for p, _ in pred_frame if p not in matches.values()]
+    rem_p = [p for p, _ in pred_frame if p not in used]
     if rem_g and rem_p:
         ious = iou_matrix([gt_by_id[g] for g in rem_g], [pred_by_id[p] for p in rem_p])
         cost = np.where(ious >= iou_threshold, 1.0 - ious, np.inf)

@@ -12,6 +12,7 @@ line i of the companion CSV.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,24 +80,34 @@ def _parse_line(line: str, lineno: int) -> MotRecord:
         vals = [float(c) for c in cols[2:]]
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"line {lineno}: non-finite value in {line!r}")
     if frame < 1:
         raise ParseError(f"line {lineno}: frame must be >= 1, got {frame}")
     left, top, width, height, conf = vals[:5]
     if width <= 0 or height <= 0:
         raise NonPositiveBox(f"line {lineno}: w={width}, h={height}")
+    if obj_id == DETECTION_ID and not 0.0 <= conf <= 1.0:
+        raise ParseError(f"line {lineno}: detection confidence {conf} outside [0, 1]")
     rest = vals[5:] + [-1.0] * (5 - len(vals))
     return MotRecord(frame, obj_id, left, top, width, height, conf, *rest[:3])
 
 
 def read_mot_lines(path: str | Path) -> list[MotRecord]:
-    """Records in file order (needed for sidecar row alignment)."""
+    """Records in file order (needed for sidecar row alignment).
+
+    Raises ParseError or NonPositiveBox naming the file and line.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            records.append(_parse_line(line, lineno))
+            try:
+                records.append(_parse_line(line, lineno))
+            except (ParseError, NonPositiveBox) as exc:
+                raise type(exc)(f"{path} {exc}") from exc
     return records
 
 
@@ -190,73 +201,49 @@ def _load_prompt_file(
     return records, embs
 
 
-def _select_frame(
-    loaded: tuple[list[MotRecord], np.ndarray] | None,
-    frame: int,
-    threshold: float,
-    dim: int,
-) -> PromptDetections:
-    if loaded is None:
-        return PromptDetections.empty(dim)
-    records, embs = loaded
-    idx = [
-        i
-        for i, rec in enumerate(records)
-        if rec.frame == frame and rec.conf >= threshold
-    ]
-    if not idx:
-        return PromptDetections.empty(embs.shape[1] if len(embs) else dim)
-    boxes = [records[i].bbox() for i in idx]
-    feats = embs[idx]
-    scores = np.array([records[i].conf for i in idx])
-    return PromptDetections(boxes, feats, scores)
-
-
-def read_prompt_dump(
-    seq_dir: str | Path, frame: int, detection_threshold: float = 0.2
-) -> tuple[PromptDetections, PromptDetections, PromptDetections]:
-    """Load the general/include/exclude detections of one frame.
-
-    Absent include/exclude files mean empty prompt sets; scores below the
-    detection threshold are dropped.
-    """
-    seq_dir = Path(seq_dir)
-    general = _load_prompt_file(seq_dir, "general", required=True)
-    include = _load_prompt_file(seq_dir, "include", required=False)
-    exclude = _load_prompt_file(seq_dir, "exclude", required=False)
-    dim = general[1].shape[1] if len(general[1]) else 1
-    return (
-        _select_frame(general, frame, detection_threshold, dim),
-        _select_frame(include, frame, detection_threshold, dim),
-        _select_frame(exclude, frame, detection_threshold, dim),
-    )
+def _rows_by_frame(records: list[MotRecord], threshold: float) -> dict[int, list[int]]:
+    """Indices of the rows scoring at least ``threshold``, grouped by frame
+    in file order; every frame with a row has a key, kept rows or not."""
+    groups: dict[int, list[int]] = {}
+    for i, rec in enumerate(records):
+        rows = groups.setdefault(rec.frame, [])
+        if rec.conf >= threshold:
+            rows.append(i)
+    return groups
 
 
 def read_prompt_dump_all(
     seq_dir: str | Path, detection_threshold: float = 0.2
 ) -> dict[int, tuple[PromptDetections, PromptDetections, PromptDetections]]:
-    """Load a whole prompt dump, grouped per frame (single pass over files).
+    """Load a whole prompt dump as general/include/exclude sets per frame.
 
     Frames run 1..max frame seen in any prompt file; frames with no rows
-    get empty sets so that downstream memory windows still advance.
+    get empty sets so that downstream memory windows still advance. Absent
+    include/exclude files mean empty prompt sets; scores below the
+    detection threshold are dropped.
     """
     seq_dir = Path(seq_dir)
     general = _load_prompt_file(seq_dir, "general", required=True)
-    include = _load_prompt_file(seq_dir, "include", required=False)
-    exclude = _load_prompt_file(seq_dir, "exclude", required=False)
     dim = general[1].shape[1] if len(general[1]) else 1
+    absent = ([], np.zeros((0, dim)))
+    files = [general] + [
+        _load_prompt_file(seq_dir, stem, required=False) or absent
+        for stem in ("include", "exclude")
+    ]
+    groups = [_rows_by_frame(records, detection_threshold) for records, _ in files]
+    last = max((max(g, default=0) for g in groups), default=0)
 
-    frames = {rec.frame for rec in general[0]}
-    for loaded in (include, exclude):
-        if loaded is not None:
-            frames.update(rec.frame for rec in loaded[0])
-    last = max(frames) if frames else 0
-
-    out = {}
-    for frame in range(1, last + 1):
-        out[frame] = (
-            _select_frame(general, frame, detection_threshold, dim),
-            _select_frame(include, frame, detection_threshold, dim),
-            _select_frame(exclude, frame, detection_threshold, dim),
-        )
-    return out
+    per_file = []
+    for (records, embs), rows_at in zip(files, groups):
+        empty_dim = embs.shape[1] if len(embs) else dim
+        sets = []
+        for frame in range(1, last + 1):
+            idx = rows_at.get(frame)
+            if idx:
+                boxes = [records[i].bbox() for i in idx]
+                scores = np.array([records[i].conf for i in idx])
+                sets.append(PromptDetections(boxes, embs[idx], scores))
+            else:
+                sets.append(PromptDetections.empty(empty_dim))
+        per_file.append(sets)
+    return dict(enumerate(zip(*per_file), start=1))

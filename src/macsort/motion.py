@@ -95,12 +95,12 @@ class ObservationHistory:
         return self.entries[-1]
 
 
-def kf_init(det: Detection) -> KalmanState:
+def kf_init(det: Detection, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:
     """Fresh filter state at a detection: zero velocity, large velocity
     uncertainty."""
     u, v, s, r = bbox_to_xysr(det.bbox)
     x = np.array([u, v, s, r, 0.0, 0.0, 0.0])
-    return KalmanState(x, DEFAULT_MOTION.p0())
+    return KalmanState(x, config.p0())
 
 
 def kf_predict(state: KalmanState, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:

@@ -291,7 +291,7 @@ class MacSort:
         self.last_breakdown: CostBreakdown | None = None
 
     def _new_track(self, det: Detection, frame: int) -> Track:
-        state = kf_init(det)
+        state = kf_init(det, self.motion)
         history = ObservationHistory()
         history.append(frame, det.bbox)
         emb = np.asarray(det.embedding, dtype=np.float64)

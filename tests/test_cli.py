@@ -78,11 +78,46 @@ class TestFilterCommand:
         embs = read_embeddings(seq / "filtered.emb")
         assert embs.shape == (2, 4)
 
+    def test_one_summary_line_per_sequence(self, synth_seq, capsys):
+        assert main(["filter", str(synth_seq)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"[filter] {synth_seq} frames=12 general=")
+        rows = len(read_mot_lines(synth_seq / "filtered.txt"))
+        assert lines[0].endswith(f"final={rows}")
+
+    @pytest.mark.parametrize("column", [2, 4])  # left, width
+    def test_non_finite_value_exits_2(self, synth_seq, capsys, column):
+        lines = (synth_seq / "general.txt").read_text().splitlines()
+        cols = lines[1].split(",")
+        cols[column] = "nan"
+        lines[1] = ",".join(cols)
+        (synth_seq / "general.txt").write_text("\n".join(lines) + "\n")
+        assert main(["filter", str(synth_seq)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"ParseError: {synth_seq / 'general.txt'} line 2: ")
+        assert not (synth_seq / "filtered.txt").exists()
+
     def test_missing_general_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["filter", str(empty)]) == 2
         assert "MissingGeneralFile" in capsys.readouterr().err
+
+
+class TestConfidenceRule:
+    @pytest.mark.parametrize("command", ["filter", "track"])
+    def test_confidence_above_one_exits_2(self, synth_seq, capsys, command):
+        lines = (synth_seq / "general.txt").read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[6] = "1.7"
+        lines[2] = ",".join(cols)
+        (synth_seq / "general.txt").write_text("\n".join(lines) + "\n")
+        assert main([command, str(synth_seq)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"ParseError: {synth_seq / 'general.txt'} line 3: ")
 
 
 class TestTrackCommand:

@@ -1,10 +1,14 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
+import macsort.metrics
 from macsort.errors import FrameMismatch
-from macsort.geometry import BBox
+from macsort.geometry import BBox, iou_matrix
 from macsort.metrics import MetricsReport, TrackSequence, evaluate, match_frame
+from macsort.tracker import linear_assignment
 
 
 def seq(items, n_frames=None):
@@ -215,3 +219,105 @@ class TestEdgeCases:
         report = evaluate(gt, gt)
         assert '"hota": 1.0' in report.to_json()
         assert "MOTA" in report.to_text()
+
+    def test_undefined_mota_serializes_as_null(self):
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        report = evaluate(TrackSequence(n_frames=1), seq([(1, 1, (0, 0, 10, 10))]))
+        assert report.mota == float("-inf")
+        values = json.loads(report.to_json(), parse_constant=reject)
+        assert values["mota"] is None and values["fp"] == 1
+
+
+def per_pair_match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None):
+    """match_frame with one 1x1 IoU call per carried-over pair."""
+    gt_by_id = dict(gt_frame)
+    pred_by_id = dict(pred_frame)
+    matches = {}
+    if prev_matches:
+        for g, p in prev_matches.items():
+            if g in gt_by_id and p in pred_by_id and p not in matches.values():
+                pair = iou_matrix([gt_by_id[g]], [pred_by_id[p]])[0, 0]
+                if pair >= iou_threshold:
+                    matches[g] = p
+    rem_g = [g for g, _ in gt_frame if g not in matches]
+    rem_p = [p for p, _ in pred_frame if p not in matches.values()]
+    if rem_g and rem_p:
+        ious = iou_matrix([gt_by_id[g] for g in rem_g], [pred_by_id[p] for p in rem_p])
+        cost = np.where(ious >= iou_threshold, 1.0 - ious, np.inf)
+        pairs, _, _ = linear_assignment(cost)
+        for gi, pi in pairs:
+            matches[rem_g[gi]] = rem_p[pi]
+    return matches
+
+
+def grid_case(rng, n_frames=20, n_objects=5):
+    """Boxes on an integer grid, so that touching boxes (IoU 0) and IoUs of
+    exactly 1/3 (half-width shift) and 1/2 (half-height box inside) occur."""
+    gt, pred = TrackSequence(), TrackSequence()
+    lefts = rng.integers(0, 40, n_objects)
+    ids = list(range(1, n_objects + 1))
+    for t in range(1, n_frames + 1):
+        lefts = lefts + rng.integers(-1, 2, n_objects) * 5
+        if rng.uniform() < 0.2:  # an identity switch between two predictions
+            i, j = rng.choice(n_objects, 2, replace=False)
+            ids[i], ids[j] = ids[j], ids[i]
+        for k in range(n_objects):
+            left, top = float(lefts[k]), 20.0 * (k % 2)
+            gt.add(t, k + 1, BBox(left + 5, top + 5, 10, 10))
+            kind = rng.integers(0, 5)
+            if kind == 0:
+                continue  # missed
+            if kind == 1:
+                box = BBox(left + 5, top + 5, 10, 10)
+            elif kind == 2:  # half-width shift: IoU exactly 1/3
+                box = BBox(left + 5 + rng.choice([-5, 5]), top + 5, 10, 10)
+            elif kind == 3:  # top or bottom half: IoU exactly 1/2
+                box = BBox(left + 5, top + rng.choice([2.5, 7.5]), 10, 5)
+            else:  # touching on one side: IoU 0
+                box = BBox(left + 5 + rng.choice([-10, 10]), top + 5, 10, 10)
+            pred.add(t, ids[k] + 100, box)
+    return gt, pred
+
+
+class TestCarryOverOracle:
+    THRESHOLDS = (0.5, 1 / 3, 0.3)
+
+    def test_match_frame_equals_per_pair(self):
+        rng = np.random.default_rng(7)
+        at_threshold = touching = 0
+        for _ in range(20):
+            gt, pred = grid_case(rng)
+            for thr in self.THRESHOLDS:
+                prev = {}
+                for t in range(1, gt.last_frame + 1):
+                    gts, preds = gt.at(t), pred.at(t)
+                    # the chained matching, and arbitrary (even non-injective)
+                    # carry-over maps
+                    pids = [p for p, _ in preds] or [0]
+                    rand = {g: int(rng.choice(pids)) for g, _ in gts if rng.uniform() < 0.7}
+                    for carry in (prev, rand):
+                        got = match_frame(gts, preds, thr, carry)
+                        want = per_pair_match_frame(gts, preds, thr, carry)
+                        assert list(got.items()) == list(want.items())
+                    prev = match_frame(gts, preds, thr, prev)
+                    if gts and preds:
+                        ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
+                        at_threshold += int((ious == thr).sum())
+                        edges = np.array([[b.left, b.right] for _, b in preds])
+                        touching += sum(
+                            int(((edges[:, 0] == b.right) | (edges[:, 1] == b.left)).sum())
+                            for _, b in gts
+                        )
+        assert at_threshold > 0 and touching > 0
+
+    def test_evaluate_equals_per_pair(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        cases = [grid_case(rng) for _ in range(10)]
+        for thr in self.THRESHOLDS:
+            got = [evaluate(g, p, thr) for g, p in cases]
+            with monkeypatch.context() as m:
+                m.setattr(macsort.metrics, "match_frame", per_pair_match_frame)
+                want = [evaluate(g, p, thr) for g, p in cases]
+            assert got == want

@@ -6,6 +6,7 @@ import pytest
 from macsort.geometry import BBox, Detection, bbox_to_xysr
 from macsort.motion import (
     DEFAULT_MOTION,
+    MotionConfig,
     ObservationHistory,
     kf_init,
     kf_predict,
@@ -33,6 +34,11 @@ class TestInit:
         a = kf_init(det(0, 3, 4, 5, 6))
         b = kf_init(det(0, 3, 4, 5, 6))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
+
+    def test_initial_covariance_follows_config(self):
+        state = kf_init(det(0, 10, 10), MotionConfig(p0_pos=1, p0_vel=2))
+        assert np.array_equal(np.diag(state.P), [1, 1, 1, 1, 2, 2, 2])
+        assert np.array_equal(kf_init(det(0, 10, 10)).P, DEFAULT_MOTION.p0())
 
     def test_readout_round_trip(self):
         box = BBox(12.5, -3.0, 7.0, 3.5)

@@ -6,7 +6,7 @@ import pytest
 
 from macsort.errors import NonMonotonicFrame
 from macsort.geometry import BBox, Detection
-from macsort.motion import ObservationHistory, kf_init, kf_predict
+from macsort.motion import MotionConfig, ObservationHistory, kf_init, kf_predict
 from macsort.tracker import (
     AssocConfig,
     MacSort,
@@ -217,6 +217,11 @@ class TestLinearAssignment:
 
 
 class TestTrackerStep:
+    def test_new_track_uses_tracker_motion_config(self):
+        tracker = MacSort(motion=MotionConfig(p0_pos=1, p0_vel=1))
+        tracker.step([det(1, 10, 10)], 1)
+        assert np.array_equal(tracker.tracks[0].state.P, np.eye(7))
+
     def test_cold_start_creates_tracks(self):
         tracker = MacSort()
         out = tracker.step([det(1, 10, 10), det(1, 60, 10)], 1)
