@@ -15,15 +15,13 @@ import argparse
 
 from macsort.metrics import TrackSequence, evaluate
 from macsort.synth import ScenarioSpec, generate
-from macsort.tracker import AssocConfig, MacSort
+from macsort.tracker import AssocConfig, track_sequence
 
 
 def run(scenario, cfg):
-    tracker = MacSort(cfg)
     pred = TrackSequence()
-    for frame in sorted(scenario.detections):
-        for tid, box in tracker.step(scenario.detections[frame], frame):
-            pred.add(frame, tid, box)
+    for frame, tid, box in track_sequence(scenario.detections, cfg):
+        pred.add(frame, tid, box)
     return evaluate(scenario.gt, pred)
 
 

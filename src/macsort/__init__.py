@@ -22,18 +22,15 @@ from .prompt_filter import (
     ie_classify,
     lsm_classify,
     lsm_similarity_profile,
-    memory_update,
     tpod_frame,
 )
 from .motion import (
     KalmanState,
     MotionConfig,
-    ObservationHistory,
     kf_init,
     kf_predict,
     kf_update,
     ocr_reupdate,
-    velocity_direction_cost,
 )
 from .tracker import (
     AssocConfig,
@@ -44,6 +41,7 @@ from .tracker import (
     build_cost_matrix,
     compute_mu_det,
     linear_assignment,
+    track_sequence,
 )
 from .metrics import MetricsReport, TrackSequence, evaluate, match_frame
 from .synth import Scenario, ScenarioSpec, SplitMix64, generate, parse_spec, read_spec, write_spec

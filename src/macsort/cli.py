@@ -6,8 +6,8 @@ are processed in parallel (worker count = CPU cores, capped by the
 MACSORT_THREADS environment variable); each sequence itself runs strictly
 sequentially, so outputs do not depend on the worker count.
 
-Exit codes: 0 ok, 1 runtime error, 2 input error. Errors print one
-machine-parseable "ErrorName: detail" line on stderr.
+Exit codes: 0 ok, 1 runtime error or stdout closed by its reader, 2 input
+error. Errors print one machine-parseable "ErrorName: detail" line on stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .captions import load_annotation, parse_caption
-from .config import RunConfig, build_config
+from .config import RunConfig, build_config, config_key
 from .errors import InputError, MacSortError
 from .geometry import Detection
 from .metrics import TrackSequence, evaluate
@@ -38,7 +39,7 @@ from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfben
 )
 from .prompt_filter import MemoryBank, tpod_frame
 from .synth import generate, read_spec, write_spec
-from .tracker import MacSort
+from .tracker import track_sequence
 
 
 def _worker_count() -> int:
@@ -130,20 +131,16 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
     def one(seq_dir: Path) -> str:
         which, per_frame = _load_detections(seq_dir, cfg, args.detections)
-        tracker = MacSort(assoc_cfg)
-        results: list[MotRecord] = []
         start = time.perf_counter()
-        last = max(per_frame, default=0)
-        for frame in range(1, last + 1):
-            outputs = tracker.step(per_frame.get(frame, []), frame)
-            results.extend(
-                MotRecord.from_bbox(frame, tid, box, 1.0) for tid, box in outputs
-            )
+        results = [
+            MotRecord.from_bbox(frame, tid, box, 1.0)
+            for frame, tid, box in track_sequence(per_frame, assoc_cfg)
+        ]
         elapsed = time.perf_counter() - start
         out = _out_dir(cfg, seq_dir)
         write_mot(results, out / "results.txt")
         return (
-            f"[track] {seq_dir} detections={which} frames={last} "
+            f"[track] {seq_dir} detections={which} frames={max(per_frame, default=0)} "
             f"rows={len(results)} time={elapsed:.3f}s"
         )
 
@@ -224,54 +221,32 @@ def cmd_parse_captions(args, cfg: RunConfig) -> int:
     return 0
 
 
+# flags that are not "--" + the config key: they turn a true default off
+_FLAG_SPELLINGS = {
+    "use_appearance": "--disable-appearance",
+    "use_direction": "--disable-direction",
+    "cold_start_passthrough": "--no-cold-start-passthrough",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One override flag per RunConfig field. A bool flag takes no value and
+    sets the opposite of the default; every other flag takes the raw string
+    that build_config parses, as it parses a config file's."""
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     g = parser.add_argument_group("config overrides")
-    g.add_argument("--lambda", dest="lam", type=float, metavar="X")
-    g.add_argument("--theta-deg", type=float, metavar="DEG")
-    g.add_argument("--iou-gate", type=float, metavar="X")
-    g.add_argument("--max-age", type=int, metavar="N")
-    g.add_argument("--min-hits", type=int, metavar="N")
-    g.add_argument("--ema-alpha", type=float, metavar="X")
-    g.add_argument("--disable-appearance", action="store_true")
-    g.add_argument("--disable-direction", action="store_true")
-    g.add_argument("--fixed-w-aaw", type=float, metavar="X")
-    g.add_argument("--kappa1", type=int, metavar="N")
-    g.add_argument("--kappa2", type=int, metavar="N")
-    g.add_argument("--detection-threshold", type=float, metavar="X")
-    g.add_argument("--overlap-threshold", type=float, metavar="X")
-    g.add_argument("--no-cold-start-passthrough", action="store_true")
-    g.add_argument("--memory-from-ie-only", action="store_true")
-    g.add_argument("--iou-threshold", type=float, metavar="X")
-    g.add_argument("--hota-sweep", action="store_true")
-    g.add_argument("--input-dir", metavar="DIR")
-    g.add_argument("--output-dir", metavar="DIR")
-    g.add_argument("--annotation-file", metavar="FILE")
+    for f in fields(RunConfig):
+        flag = _FLAG_SPELLINGS.get(f.name, "--" + config_key(f.name).replace("_", "-"))
+        if f.type == "bool":
+            g.add_argument(flag, dest=f.name, action="store_const", const=not f.default)
+        else:
+            g.add_argument(flag, dest=f.name)
 
 
 def _overrides_from_args(args) -> dict:
-    overrides = {}
-    direct = [
-        "lam", "theta_deg", "iou_gate", "max_age", "min_hits", "ema_alpha",
-        "fixed_w_aaw", "kappa1", "kappa2", "detection_threshold",
-        "overlap_threshold", "iou_threshold", "input_dir", "output_dir",
-        "annotation_file",
-    ]
-    for name in direct:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "disable_appearance", False):
-        overrides["use_appearance"] = False
-    if getattr(args, "disable_direction", False):
-        overrides["use_direction"] = False
-    if getattr(args, "no_cold_start_passthrough", False):
-        overrides["cold_start_passthrough"] = False
-    if getattr(args, "memory_from_ie_only", False):
-        overrides["memory_from_ie_only"] = True
-    if getattr(args, "hota_sweep", False):
-        overrides["hota_sweep"] = True
-    return overrides
+    """The config flags given; an absent flag overrides nothing."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,12 +293,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Send further writes to stdout, and its flush at exit, to devnull once
+    the reader has gone (``macsort eval ... | head``)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream with no descriptor
+        sys.stdout = open(os.devnull, "w")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args.config, _overrides_from_args(args))
-        return args.fn(args, cfg)
+        code = args.fn(args, cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
     except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

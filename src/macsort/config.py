@@ -1,76 +1,81 @@
 """Run configuration: defaults, key=value config files, flag overrides.
 
 Precedence is flags > config file > defaults; unknown keys are rejected.
+Each knob is declared once, on the dataclass of the stage it belongs to
+(``AssocConfig``, ``TpodConfig`` or ``CliConfig``), which also checks its
+range; ``RunConfig`` is the flat union of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .prompt_filter import TpodConfig
 from .tracker import AssocConfig
 
-# dataclass attribute -> config file / flag key (only where they differ)
+# dataclass attribute -> config file key (only where they differ)
 _KEY_ALIASES = {"lam": "lambda"}
 
 
 @dataclass
-class RunConfig:
-    """Flat bag of every knob the CLI exposes."""
+class CliConfig:
+    """Evaluation and path settings of the command line."""
 
-    # association
-    lam: float = 0.2
-    theta_deg: float = 45.0
-    iou_gate: float = 0.1
-    max_age: int = 30
-    min_hits: int = 3
-    ema_alpha: float = 0.9
-    use_appearance: bool = True
-    use_direction: bool = True
-    fixed_w_aaw: float | None = None
-    # detection filtering
-    kappa1: int = 9
-    kappa2: int = 3
-    detection_threshold: float = 0.2
-    overlap_threshold: float = 0.0
-    cold_start_passthrough: bool = True
-    memory_from_ie_only: bool = False
-    # metrics
     iou_threshold: float = 0.5
     hota_sweep: bool = False
-    # paths
     input_dir: str = ""
     output_dir: str = ""
     annotation_file: str = ""
 
-    def assoc_config(self) -> AssocConfig:
-        return AssocConfig(
-            lam=self.lam,
-            theta_deg=self.theta_deg,
-            iou_gate=self.iou_gate,
-            max_age=self.max_age,
-            min_hits=self.min_hits,
-            ema_alpha=self.ema_alpha,
-            use_appearance=self.use_appearance,
-            use_direction=self.use_direction,
-            fixed_w_aaw=self.fixed_w_aaw,
-        )
+    def __post_init__(self):
+        if not (0.0 < self.iou_threshold < 1.0):
+            raise ValueError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
 
-    def tpod_config(self) -> TpodConfig:
-        return TpodConfig(
-            kappa1=self.kappa1,
-            kappa2=self.kappa2,
-            detection_threshold=self.detection_threshold,
-            overlap_threshold=self.overlap_threshold,
-            cold_start_passthrough=self.cold_start_passthrough,
-            memory_from_ie_only=self.memory_from_ie_only,
-        )
+
+_SECTIONS = (AssocConfig, TpodConfig, CliConfig)
+
+
+def _section(cfg, cls):
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
+
+def _check_ranges(self) -> None:
+    for cls in _SECTIONS:
+        _section(self, cls)
+
+
+def _assoc_config(self) -> AssocConfig:
+    return _section(self, AssocConfig)
+
+
+def _tpod_config(self) -> TpodConfig:
+    return _section(self, TpodConfig)
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default)) for cls in _SECTIONS for f in fields(cls)],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Flat bag of every knob the CLI exposes: the fields of "
+        "AssocConfig, TpodConfig and CliConfig, range-checked on construction.",
+        "__post_init__": _check_ranges,
+        "assoc_config": _assoc_config,
+        "tpod_config": _tpod_config,
+    },
+)
+
+
+def config_key(name: str) -> str:
+    """Config file key of a RunConfig field."""
+    return _KEY_ALIASES.get(name, name)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
-_KEY_TO_FIELD = {_KEY_ALIASES.get(name, name): name for name in _FIELDS}
+_KEY_TO_FIELD = {config_key(name): name for name in _FIELDS}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -83,20 +88,18 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 
 def _coerce(field_name: str, raw: str):
-    key = _KEY_ALIASES.get(field_name, field_name)
+    key = config_key(field_name)
     ftype = _FIELDS[field_name].type
-    if field_name == "fixed_w_aaw":
-        return float(raw) if raw.strip() else None
     if ftype == "bool":
         return _parse_bool(key, raw)
+    if ftype == "float | None":  # empty means unset
+        if not raw.strip():
+            return None
+        ftype = "float"
     try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
+        return _PARSERS[ftype](raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    return raw
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -124,22 +127,20 @@ def build_config(
 ) -> RunConfig:
     """Assemble a RunConfig from defaults, an optional file, and overrides.
 
-    Override values may be already-typed (from CLI flags) or raw strings.
+    Override values may be already-typed or raw strings; keys may be field
+    names or config keys.
     """
-    cfg = RunConfig()
+    values = {}
     if config_path is not None:
         for key, raw in read_config_file(config_path).items():
             name = _KEY_TO_FIELD[key]
-            setattr(cfg, name, _coerce(name, raw))
+            values[name] = _coerce(name, raw)
     for key, value in (overrides or {}).items():
         name = _KEY_TO_FIELD.get(key, key)
         if name not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(value, str):
-            value = _coerce(name, value)
-        setattr(cfg, name, value)
+        values[name] = _coerce(name, value) if isinstance(value, str) else value
     try:
-        cfg.assoc_config()  # validates ranges
+        return RunConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg

@@ -28,7 +28,7 @@ from .errors import (
     TruncatedBody,
 )
 from .geometry import BBox
-from .prompt_filter import PromptDetections
+from .prompt_filter import PromptDetections, TpodConfig
 
 EMB_MAGIC = b"EMB1"
 DETECTION_ID = -1
@@ -213,7 +213,7 @@ def _rows_by_frame(records: list[MotRecord], threshold: float) -> dict[int, list
 
 
 def read_prompt_dump_all(
-    seq_dir: str | Path, detection_threshold: float = 0.2
+    seq_dir: str | Path, detection_threshold: float = TpodConfig.detection_threshold
 ) -> dict[int, tuple[PromptDetections, PromptDetections, PromptDetections]]:
     """Load a whole prompt dump as general/include/exclude sets per frame.
 

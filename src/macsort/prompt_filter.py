@@ -34,6 +34,20 @@ class TpodConfig:
     cold_start_passthrough: bool = True
     memory_from_ie_only: bool = False
 
+    def __post_init__(self):
+        if self.kappa1 < 1 or self.kappa2 < 1:
+            raise ValueError(
+                f"kappa1 and kappa2 must be >= 1, got {self.kappa1} and {self.kappa2}"
+            )
+        if not (0.0 <= self.detection_threshold <= 1.0):
+            raise ValueError(
+                f"detection_threshold must be in [0, 1], got {self.detection_threshold}"
+            )
+        if not (0.0 <= self.overlap_threshold < 1.0):
+            raise ValueError(
+                f"overlap_threshold must be in [0, 1), got {self.overlap_threshold}"
+            )
+
 
 @dataclass
 class PromptDetections:
@@ -112,8 +126,8 @@ class MemoryBank:
     the short band keeps the top kappa2 scores from the last three frames.
     """
 
-    kappa1: int = 9
-    kappa2: int = 3
+    kappa1: int = TpodConfig.kappa1
+    kappa2: int = TpodConfig.kappa2
     long: list[MemoryEntry] = field(default_factory=list)
     short: list[MemoryEntry] = field(default_factory=list)
     window: list[tuple[int, list[MemoryEntry]]] = field(default_factory=list)
@@ -142,10 +156,6 @@ class MemoryBank:
         pool = [e for _, batch in self.window for e in batch]
         self.short = _top_k(pool, self.kappa2)
         return self
-
-
-def memory_update(memory: MemoryBank, accepted_tps: PromptDetections, frame: int) -> MemoryBank:
-    return memory.update(accepted_tps, frame)
 
 
 @dataclass
@@ -178,7 +188,7 @@ def ie_classify(
     general: PromptDetections,
     include: PromptDetections,
     exclude: PromptDetections,
-    overlap_threshold: float = 0.0,
+    overlap_threshold: float = TpodConfig.overlap_threshold,
 ) -> tuple[PromptDetections, PromptDetections]:
     """Classify general-prompt boxes by include/exclude overlap.
 

@@ -33,7 +33,6 @@ from .motion import (
     DEFAULT_MOTION,
     KalmanState,
     MotionConfig,
-    ObservationHistory,
     kf_init,
     kf_predict_batch,
     kf_update_batch,
@@ -62,8 +61,12 @@ class AssocConfig:
     def __post_init__(self):
         if not (0.0 < self.theta_deg <= 90.0):
             raise ValueError(f"theta_deg must be in (0, 90], got {self.theta_deg}")
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if self.fixed_w_aaw is not None and not math.isfinite(self.fixed_w_aaw):
+            raise ValueError(f"fixed_w_aaw must be finite, got {self.fixed_w_aaw}")
+        if self.max_age < 0:
+            raise ValueError(f"max_age must be >= 0, got {self.max_age}")
         if not (0.0 <= self.iou_gate <= 1.0):
             raise ValueError(f"iou_gate must be in [0, 1], got {self.iou_gate}")
         if not (0.0 <= self.ema_alpha <= 1.0):
@@ -105,8 +108,9 @@ class Track:
     id: int
     state: KalmanState
     checkpoint: KalmanState  # filter state as of the last matched observation
-    history: ObservationHistory
+    last_box: BBox  # the last matched observation
     appearance: np.ndarray
+    prev_center: tuple[float, float] | None = None  # (u, v) of the match before it
     hits: int = 1
     age: int = 0
     time_since_update: int = 0
@@ -146,18 +150,20 @@ def _track_edges(tracks: list[Track]) -> np.ndarray:
 def _direction_costs(
     tracks: list[Track], centers: np.ndarray, lam: float
 ) -> np.ndarray:
-    """lam * heading gap / pi for every track/detection pair; rows of tracks
-    with fewer than two observations stay zero."""
+    """lam * heading gap / pi for every track/detection pair.
+
+    The heading gap, in [0, pi], is the angle between a track's heading over
+    its last two observations and the heading from its last observation
+    toward a detection center (rows of ``centers``). Rows of tracks with
+    fewer than two observations stay zero.
+    """
     m, n = len(tracks), len(centers)
     out = np.zeros((m, n))
-    rows = [i for i, t in enumerate(tracks) if len(t.history) >= 2]
+    rows = [i for i, t in enumerate(tracks) if t.prev_center is not None]
     if not rows or n == 0:
         return out
     pts = np.array(
-        [
-            (e[-2][1].u, e[-2][1].v, e[-1][1].u, e[-1][1].v)
-            for e in (tracks[i].history.entries for i in rows)
-        ]
+        [(*tracks[i].prev_center, tracks[i].last_box.u, tracks[i].last_box.v) for i in rows]
     )
     prev, last = pts[:, :2], pts[:, 2:]
     theta_track = np.arctan2(last[:, 1] - prev[:, 1], last[:, 0] - prev[:, 0])
@@ -290,10 +296,8 @@ class MacSort:
         self._last_frame: int | None = None
         self.last_breakdown: CostBreakdown | None = None
 
-    def _new_track(self, det: Detection, frame: int) -> Track:
+    def _new_track(self, det: Detection) -> Track:
         state = kf_init(det, self.motion)
-        history = ObservationHistory()
-        history.append(frame, det.bbox)
         emb = np.asarray(det.embedding, dtype=np.float64)
         norm = np.linalg.norm(emb)
         appearance = emb / norm if norm >= ZERO_NORM_EPS else emb.copy()
@@ -301,7 +305,7 @@ class MacSort:
             id=self._next_id,
             state=state,
             checkpoint=state.copy(),
-            history=history,
+            last_box=det.bbox,
             appearance=appearance,
             status=CONFIRMED if self.config.min_hits <= 1 else TENTATIVE,
         )
@@ -323,7 +327,6 @@ class MacSort:
         self,
         matches: list[tuple[int, int]],
         detections: list[Detection],
-        frame: int,
         det_embs_unit: np.ndarray,
     ) -> None:
         fresh = [(m, n) for m, n in matches if self.tracks[m].time_since_update == 1]
@@ -338,7 +341,7 @@ class MacSort:
         for m, n in gapped:
             trk = self.tracks[m]
             trk.state = ocr_reupdate(
-                trk.checkpoint, trk.history, detections[n], trk.time_since_update,
+                trk.checkpoint, trk.last_box, detections[n], trk.time_since_update,
                 self.motion,
             )
 
@@ -362,7 +365,8 @@ class MacSort:
             # states are replaced wholesale, never mutated in place, so the
             # checkpoint can alias the posterior state
             trk.checkpoint = trk.state
-            trk.history.append(frame, detections[n].bbox)
+            trk.prev_center = (trk.last_box.u, trk.last_box.v)
+            trk.last_box = detections[n].bbox
             trk.hits += 1
             trk.time_since_update = 0
             if trk.hits >= cfg.min_hits:
@@ -395,10 +399,10 @@ class MacSort:
             matches, unmatched_dets = [], list(range(len(detections)))
             self.last_breakdown = None
 
-        self._apply_updates(matches, detections, frame, det_embs_unit)
+        self._apply_updates(matches, detections, det_embs_unit)
 
         for n in unmatched_dets:
-            self.tracks.append(self._new_track(detections[n], frame))
+            self.tracks.append(self._new_track(detections[n]))
 
         outputs = [
             (trk.id, trk.state.bbox())
@@ -415,3 +419,20 @@ class MacSort:
                 survivors.append(trk)
         self.tracks = survivors
         return outputs
+
+
+def track_sequence(
+    per_frame: dict[int, list[Detection]],
+    config: AssocConfig | None = None,
+    motion: MotionConfig = DEFAULT_MOTION,
+) -> list[tuple[int, int, BBox]]:
+    """Track one sequence through frames 1..max(per_frame), feeding an empty
+    detection list to frames absent from ``per_frame``; returns the
+    (frame, track id, box) rows of every frame in order."""
+    tracker = MacSort(config, motion)
+    rows = []
+    for frame in range(1, max(per_frame, default=0) + 1):
+        rows.extend(
+            (frame, tid, box) for tid, box in tracker.step(per_frame.get(frame, []), frame)
+        )
+    return rows

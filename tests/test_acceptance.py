@@ -34,7 +34,7 @@ from macsort.tracker import (
     compute_mu_det,
     linear_assignment,
 )
-from macsort.motion import ObservationHistory, kf_init, kf_predict
+from macsort.motion import kf_init, kf_predict
 
 
 def _passed(n, text):
@@ -51,15 +51,13 @@ def _random_tracks_and_dets(rng, m, n, dim=8, positive_embs=False):
             rng.standard_normal(dim),
         )
         state = kf_predict(kf_init(d))
-        history = ObservationHistory()
-        history.append(0, d.bbox)
         emb = np.asarray(d.embedding)
         tracks.append(
             Track(
                 id=i + 1,
                 state=state,
                 checkpoint=state.copy(),
-                history=history,
+                last_box=d.bbox,
                 appearance=emb / np.linalg.norm(emb),
             )
         )

@@ -1,11 +1,21 @@
+import argparse
+import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macsort.cli import main
+from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, main
+from macsort.config import RunConfig, build_config, config_key
 from macsort.mot_io import MotRecord, read_embeddings, read_mot_lines, write_detections, write_embeddings
 from macsort.synth import ScenarioSpec, write_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -247,3 +257,122 @@ class TestPathConfig:
         out = tmp_path / "elsewhere"
         assert main(["track", str(synth_seq), "--output-dir", str(out)]) == 0
         assert (out / "results.txt").exists()
+
+
+class TestConfigValuesExit2:
+    def _one_config_error_line(self, capsys, seq, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: "), err
+        assert not (seq / "filtered.txt").exists()
+        assert not (seq / "results.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("filter", "--overlap-threshold", "1.5"),
+            ("filter", "--overlap-threshold", "1.0"),
+            ("track", "--lambda", "nan"),
+            ("track", "--lambda", "inf"),
+            ("track", "--fixed-w-aaw", "nan"),
+            ("filter", "--detection-threshold", "nan"),
+            ("filter", "--detection-threshold", "1.5"),
+            ("track", "--max-age", "-5"),
+            ("filter", "--kappa1", "-1"),
+            ("filter", "--kappa2", "0"),
+            ("track", "--iou-threshold", "nan"),
+            ("track", "--min-hits", "1.5"),
+        ],
+    )
+    def test_bad_flag_value(self, synth_seq, capsys, command, flag, value):
+        self._one_config_error_line(capsys, synth_seq, [command, str(synth_seq), flag, value])
+
+    def test_bad_config_file_value(self, synth_seq, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fixed_w_aaw=abc\n")
+        argv = ["track", str(synth_seq), "--config", str(cfg)]
+        self._one_config_error_line(capsys, synth_seq, argv)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self, synth_seq, capsys, monkeypatch):
+        gt = str(synth_seq / "gt.txt")
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["eval", gt, gt]) == 1
+        assert sys.stdout.name == os.devnull
+        print("later output")
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
+
+    def test_real_pipe_closed_by_reader(self, synth_seq):
+        gt = str(synth_seq / "gt.txt")
+        path = [str(SRC), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "macsort.cli", "eval", gt, gt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader goes away before any output
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
+
+
+# the override flags, in declaration order, plus --config
+FLAGS = [
+    "--config", "--lambda", "--theta-deg", "--iou-gate", "--max-age", "--min-hits",
+    "--ema-alpha", "--disable-appearance", "--disable-direction", "--fixed-w-aaw",
+    "--kappa1", "--kappa2", "--detection-threshold", "--overlap-threshold",
+    "--no-cold-start-passthrough", "--memory-from-ie-only", "--iou-threshold",
+    "--hota-sweep", "--input-dir", "--output-dir", "--annotation-file",
+]
+# a non-default value of every field, as a config file writes it
+NON_DEFAULT = {
+    "lam": "0.7", "theta_deg": "30", "iou_gate": "0.3", "max_age": "4", "min_hits": "2",
+    "ema_alpha": "0.5", "use_appearance": "false", "use_direction": "false",
+    "fixed_w_aaw": "1.25", "kappa1": "5", "kappa2": "2", "detection_threshold": "0.4",
+    "overlap_threshold": "0.25", "cold_start_passthrough": "false",
+    "memory_from_ie_only": "true", "iou_threshold": "0.6", "hota_sweep": "true",
+    "input_dir": "in", "output_dir": "out", "annotation_file": "a.json",
+}
+
+
+def _config_flags():
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(parser)
+    return parser, {opt: a.dest for a in parser._actions for opt in a.option_strings}
+
+
+class TestConfigSchema:
+    def test_flag_list_is_pinned(self):
+        assert list(_config_flags()[1]) == FLAGS
+
+    def test_every_field_has_one_flag_and_one_key(self, tmp_path):
+        parser, dests = _config_flags()
+        assert sorted(NON_DEFAULT) == sorted(f.name for f in fields(RunConfig))
+        for name, raw in NON_DEFAULT.items():
+            flags = [opt for opt, dest in dests.items() if dest == name]
+            assert len(flags) == 1, (name, flags)
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text(f"{config_key(name)}={raw}\n")
+            from_file = getattr(build_config(cfg_file), name)
+            assert from_file != getattr(RunConfig(), name)
+            argv = [flags[0]] if isinstance(from_file, bool) else [flags[0], raw]
+            args = parser.parse_args(argv)
+            assert _overrides_from_args(args) == {name: getattr(args, name)}
+            from_flag = getattr(build_config(None, _overrides_from_args(args)), name)
+            assert from_flag == from_file, name
+
+    def test_absent_flags_override_nothing(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("lambda=0.7\nuse_direction=false\n")
+        args = _build_parser().parse_args(["track", "seq", "--config", str(cfg_file)])
+        assert _overrides_from_args(args) == {}
+        cfg = build_config(args.config, _overrides_from_args(args))
+        assert cfg.lam == 0.7 and cfg.use_direction is False

@@ -1,7 +1,15 @@
-import pytest
+import math
+import re
+import string
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
-from macsort.config import RunConfig, build_config
-from macsort.errors import ConfigError
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from macsort.config import RunConfig, build_config, config_key
+from macsort.errors import ConfigError, InputError
 
 
 class TestBuildConfig:
@@ -67,3 +75,50 @@ class TestBuildConfig:
         cfg = build_config(None, {"lam": 0.3, "kappa1": 5})
         assert cfg.assoc_config().lam == 0.3
         assert cfg.tpod_config().kappa1 == 5
+
+
+class TestRangeChecks:
+    def test_run_config_checks_on_construction(self):
+        with pytest.raises(ValueError):
+            RunConfig(kappa1=0)
+
+
+_KEYS = sorted(config_key(f.name) for f in fields(RunConfig))
+_JUNK = ["nan", "inf", "-inf", "-1", "abc", "", "0", "1", "0.5", "1.5", "1e309", "true", "no"]
+
+
+def _config_lines():
+    value = st.one_of(st.sampled_from(_JUNK), st.text(string.printable.strip(), max_size=6))
+    key = st.one_of(st.sampled_from(_KEYS), st.sampled_from(["warp", "lam", "Lambda", ""]))
+    pair = st.builds(lambda k, v: f"{k}={v}", key, value)
+    return st.lists(st.one_of(pair, st.sampled_from(["# note", "junk", "=1"])), max_size=6)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_config_lines())
+    @example(["fixed_w_aaw=abc"])
+    def test_value_or_input_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "run.cfg"
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                cfg = build_config(p)
+            except InputError:
+                return
+        assert isinstance(cfg, RunConfig)
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if isinstance(value, float):
+                assert math.isfinite(value), f.name
+
+
+class TestReadmeTable:
+    def test_table_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        assert keys == set(_KEYS)

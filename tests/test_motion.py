@@ -7,16 +7,14 @@ from macsort.geometry import BBox, Detection, bbox_to_xysr
 from macsort.motion import (
     DEFAULT_MOTION,
     MotionConfig,
-    ObservationHistory,
     kf_init,
     kf_predict,
     kf_predict_batch,
     kf_update,
     kf_update_batch,
     ocr_reupdate,
-    velocity_direction_cost,
-    velocity_direction_costs,
 )
+from macsort.tracker import Track, _direction_costs
 
 EMB = np.array([1.0, 0.0])
 
@@ -179,95 +177,92 @@ class TestPsdProperty:
 class TestOcrReupdate:
     def _burned_in(self, speed=2.0, n=10):
         state = kf_init(det(0, 0, 0))
-        hist = ObservationHistory()
-        hist.append(0, BBox(0.0001, 0, 10, 10))
+        last = BBox(0.0001, 0, 10, 10)
         for t in range(1, n + 1):
             d = det(t, speed * t, 0)
             state = kf_update(kf_predict(state), d)
-            hist.append(t, d.bbox)
-        return state, hist
+            last = d.bbox
+        return state, last
 
     def test_gap_one_equals_plain_cycle(self):
-        state, hist = self._burned_in()
+        state, last = self._burned_in()
         d = det(11, 22, 0)
-        via_ocr = ocr_reupdate(state.copy(), hist, d, gap=1)
+        via_ocr = ocr_reupdate(state.copy(), last, d, gap=1)
         plain = kf_update(kf_predict(state.copy()), d)
         assert via_ocr.x == pytest.approx(plain.x)
         assert via_ocr.P == pytest.approx(plain.P)
 
     def test_velocity_recovered_after_occlusion(self):
-        state, hist = self._burned_in(speed=2.0)
+        state, last = self._burned_in(speed=2.0)
         # frames 11..15 occluded, reappears at 16 => gap 6
         d = det(16, 32.0, 0)
-        out = ocr_reupdate(state, hist, d, gap=6)
+        out = ocr_reupdate(state, last, d, gap=6)
         assert abs(out.x[4] - 2.0) / 2.0 < 0.10
         assert out.bbox().u == pytest.approx(32.0, abs=0.5)
 
     def test_stationary_object_keeps_zero_velocity(self):
         state = kf_init(det(0, 50, 50))
-        hist = ObservationHistory()
-        hist.append(0, BBox(50, 50, 10, 10))
+        last = BBox(50, 50, 10, 10)
         for t in range(1, 11):
             d = det(t, 50, 50)
             state = kf_update(kf_predict(state), d)
-            hist.append(t, d.bbox)
-        out = ocr_reupdate(state, hist, det(16, 50, 50), gap=6)
+            last = d.bbox
+        out = ocr_reupdate(state, last, det(16, 50, 50), gap=6)
         assert abs(out.x[4]) + abs(out.x[5]) < 1e-3
 
     def test_bad_gap_rejected(self):
-        state, hist = self._burned_in()
+        state, last = self._burned_in()
         with pytest.raises(ValueError):
-            ocr_reupdate(state, hist, det(11, 22, 0), gap=0)
+            ocr_reupdate(state, last, det(11, 22, 0), gap=0)
 
 
 class TestVelocityDirectionCost:
+    """The heading gap, in [0, pi], of tracker._direction_costs at lam = 1."""
+
     def _history(self, *points):
-        hist = ObservationHistory()
-        for f, (u, v) in enumerate(points):
-            hist.append(f, BBox(u, v, 10, 10))
-        return hist
+        d = det(len(points) - 1, *points[-1])
+        state = kf_init(d)
+        prev = tuple(points[-2]) if len(points) >= 2 else None
+        return Track(1, state, state, d.bbox, EMB, prev_center=prev)
+
+    def _gap(self, track, d):
+        centers = np.array([[d.bbox.u, d.bbox.v]])
+        return _direction_costs([track], centers, 1.0)[0, 0] * math.pi
 
     def test_collinear_motion_is_zero(self):
         hist = self._history((0, 0), (1, 0))
-        assert velocity_direction_cost(hist, det(2, 2, 0)) == pytest.approx(0.0)
+        assert self._gap(hist, det(2, 2, 0)) == pytest.approx(0.0)
 
     def test_45_degree_turn(self):
         hist = self._history((0, 0), (1, 0))
-        got = velocity_direction_cost(hist, det(2, 1 + math.sqrt(0.5), math.sqrt(0.5)))
+        got = self._gap(hist, det(2, 1 + math.sqrt(0.5), math.sqrt(0.5)))
         assert got == pytest.approx(math.pi / 4)
 
     def test_reversal_is_pi(self):
         hist = self._history((0, 0), (1, 0))
-        assert velocity_direction_cost(hist, det(2, 0, 0)) == pytest.approx(math.pi)
+        assert self._gap(hist, det(2, 0, 0)) == pytest.approx(math.pi)
 
     def test_single_entry_history_inert(self):
         hist = self._history((0, 0))
-        assert velocity_direction_cost(hist, det(1, 50, 50)) == 0.0
+        assert self._gap(hist, det(1, 50, 50)) == 0.0
 
     def test_range_and_invariances(self, rng):
         for _ in range(200):
             pts = rng.uniform(-50, 50, (3, 2))
             hist = self._history(pts[0], pts[1])
             d = det(2, *pts[2])
-            base = velocity_direction_cost(hist, d)
+            base = self._gap(hist, d)
             assert 0.0 <= base <= math.pi
             # translation invariance
             off = rng.uniform(-100, 100, 2)
             hist_t = self._history(pts[0] + off, pts[1] + off)
             d_t = det(2, *(pts[2] + off))
-            assert velocity_direction_cost(hist_t, d_t) == pytest.approx(base, abs=1e-9)
+            assert self._gap(hist_t, d_t) == pytest.approx(base, abs=1e-9)
             # positive uniform scaling invariance
             k = rng.uniform(0.1, 10)
             hist_s = self._history(pts[0] * k, pts[1] * k)
             d_s = det(2, *(pts[2] * k))
-            assert velocity_direction_cost(hist_s, d_s) == pytest.approx(base, abs=1e-7)
-
-    def test_batch_matches_scalar(self, rng):
-        hist = self._history((0, 0), (3, 4))
-        centers = rng.uniform(-20, 20, (6, 2))
-        batch = velocity_direction_costs(hist, centers)
-        for i, c in enumerate(centers):
-            assert batch[i] == pytest.approx(velocity_direction_cost(hist, det(2, *c)))
+            assert self._gap(hist_s, d_s) == pytest.approx(base, abs=1e-7)
 
 
 class TestBurnInResidual:
@@ -281,21 +276,6 @@ class TestBurnInResidual:
                 if t > 20:
                     errs.append(abs(state.x[0] - speed * t))
             assert max(errs) < 0.5
-
-
-class TestObservationHistory:
-    def test_frames_strictly_increasing(self):
-        hist = ObservationHistory()
-        hist.append(1, BBox(0, 0, 1, 1))
-        with pytest.raises(ValueError):
-            hist.append(1, BBox(0, 0, 1, 1))
-
-    def test_capacity_bound(self):
-        hist = ObservationHistory(capacity=5)
-        for f in range(20):
-            hist.append(f, BBox(f, 0, 1, 1))
-        assert len(hist) == 5
-        assert hist.last[0] == 19
 
 
 class TestDegenerateUpdate:

@@ -10,7 +10,6 @@ from macsort.prompt_filter import (
     ie_classify,
     lsm_classify,
     lsm_similarity_profile,
-    memory_update,
     tpod_frame,
 )
 
@@ -166,7 +165,7 @@ class TestMemoryBank:
     def test_top_k_selection(self, rng):
         memory = MemoryBank(kappa1=9, kappa2=3)
         scores = rng.permutation(np.linspace(0.1, 0.9, 12))
-        memory_update(memory, dets(spaced_boxes(12), [E1] * 12, scores), 0)
+        memory.update(dets(spaced_boxes(12), [E1] * 12, scores), 0)
         assert len(memory.long) == 9
         assert len(memory.short) == 3
         top = sorted(scores, reverse=True)

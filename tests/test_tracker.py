@@ -6,7 +6,7 @@ import pytest
 
 from macsort.errors import NonMonotonicFrame
 from macsort.geometry import BBox, Detection
-from macsort.motion import MotionConfig, ObservationHistory, kf_init, kf_predict
+from macsort.motion import MotionConfig, kf_init, kf_predict
 from macsort.tracker import (
     AssocConfig,
     MacSort,
@@ -15,6 +15,7 @@ from macsort.tracker import (
     build_cost_matrix,
     compute_mu_det,
     linear_assignment,
+    track_sequence,
 )
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -27,19 +28,18 @@ def det(frame, u, v, w=12.0, h=12.0, emb=E1, conf=0.9):
 
 
 def make_track(tid, d, history_points=()):
+    """A predicted track whose observations were at ``history_points``
+    (centers), or at ``d`` alone."""
     state = kf_predict(kf_init(d))
-    history = ObservationHistory()
-    for f, (u, v) in enumerate(history_points):
-        history.append(f, BBox(u, v, d.bbox.w, d.bbox.h))
-    if not history_points:
-        history.append(0, d.bbox)
+    last = BBox(*history_points[-1], d.bbox.w, d.bbox.h) if history_points else d.bbox
     emb = np.asarray(d.embedding, float)
     return Track(
         id=tid,
         state=state,
         checkpoint=state.copy(),
-        history=history,
+        last_box=last,
         appearance=emb / np.linalg.norm(emb),
+        prev_center=history_points[-2] if len(history_points) >= 2 else None,
     )
 
 
@@ -336,3 +336,27 @@ class TestErrorPaths:
         from macsort.errors import DimensionMismatch
         with pytest.raises(DimensionMismatch):
             build_cost_matrix([track], [bad], AssocConfig())
+
+
+class TestTrackSequence:
+    def test_equals_stepping_every_frame(self):
+        # frame 3 has no key: it is stepped with no detections, so the
+        # track coasts through it and frame 4's match is a gap of 2
+        per_frame = {
+            1: [det(1, 50, 50)],
+            2: [det(2, 52, 50)],
+            4: [det(4, 56, 50)],
+            5: [det(5, 58, 50), det(5, 300, 300)],
+        }
+        cfg = AssocConfig(min_hits=1)
+        tracker = MacSort(cfg)
+        expected = [
+            (frame, tid, box)
+            for frame in range(1, 6)
+            for tid, box in tracker.step(per_frame.get(frame, []), frame)
+        ]
+        assert track_sequence(per_frame, cfg) == expected
+        assert [row[0] for row in expected] == [1, 2, 4, 5, 5]
+
+    def test_empty_input(self):
+        assert track_sequence({}) == []
