@@ -87,11 +87,11 @@ def parse_annotation(raw: bytes | str) -> GmotAnnotation:
     Missing attribute arrays default to empty; class_name and caption are
     mandatory and non-empty.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise JsonError(f"malformed annotation JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("root", "annotation JSON must be an object")

@@ -2,9 +2,10 @@
 
 Subcommands: filter, track, eval, synth, parse-captions. Configuration
 precedence is flags > config file > defaults. Multiple sequence directories
-are processed in parallel (worker count = CPU cores, capped by the
-MACSORT_THREADS environment variable); each sequence itself runs strictly
-sequentially, so outputs do not depend on the worker count.
+run on a thread pool of one worker, or of as many as the MACSORT_THREADS
+environment variable sets (the work holds the GIL, so more threads are
+rarely faster); each sequence itself runs strictly sequentially, so
+outputs do not depend on the worker count.
 
 Exit codes: 0 ok, 1 runtime error or stdout closed by its reader, 2 input
 error. Errors print one machine-parseable "ErrorName: detail" line on stderr.
@@ -43,13 +44,13 @@ from .tracker import track_sequence
 
 
 def _worker_count() -> int:
-    cap = os.environ.get("MACSORT_THREADS", "")
-    if cap.strip():
+    count = os.environ.get("MACSORT_THREADS", "")
+    if count.strip():
         try:
-            return max(1, int(cap))
+            return max(1, int(count))
         except ValueError:
-            raise InputError(f"MACSORT_THREADS must be an integer, got {cap!r}")
-    return os.cpu_count() or 1
+            raise InputError(f"MACSORT_THREADS must be an integer, got {count!r}")
+    return 1
 
 
 def _out_dir(cfg: RunConfig, seq_dir: Path) -> Path:

@@ -105,7 +105,10 @@ def _coerce(field_name: str, raw: str):
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Raw key=value pairs; unknown or duplicate keys are rejected."""
     pairs: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -8,16 +8,21 @@ global min-cost assignment between ground-truth and predicted ids over the
 whole sequence. Higher-order accuracy is computed at a single IoU
 threshold by default (hand-checkable); an optional sweep averages the
 detection and association accuracies over thresholds 0.05..0.95.
+
+``evaluate`` reads each frame once; the identity overlaps and every
+threshold's higher-order matching come from one IoU matrix per frame.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import CliConfig
 from .errors import FrameMismatch
 from .geometry import BBox, box_edges, iou_edges, iou_matrix
 from .tracker import linear_assignment
@@ -82,21 +87,7 @@ class MetricsReport:
     fn: int
 
     def to_dict(self) -> dict:
-        return {
-            "hota": self.hota,
-            "deta": self.deta,
-            "assa": self.assa,
-            "mota": self.mota,
-            "idf1": self.idf1,
-            "idp": self.idp,
-            "idr": self.idr,
-            "id_switches": self.id_switches,
-            "mostly_tracked": self.mostly_tracked,
-            "mostly_lost": self.mostly_lost,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         # JSON has no infinities: an undefined score is written as null
@@ -111,6 +102,14 @@ class MetricsReport:
             f"MT {self.mostly_tracked}   ML {self.mostly_lost}",
         ]
         return "\n".join(lines)
+
+
+def _max_iou_pairs(ious: np.ndarray, threshold: float) -> list[tuple[int, int]]:
+    """(row, col) pairs of the maximum-total-IoU matching among the cells
+    with IoU >= threshold, sorted by row."""
+    cost = np.where(ious >= threshold, 1.0 - ious, np.inf)
+    pairs, _, _ = linear_assignment(cost)
+    return pairs
 
 
 def match_frame(
@@ -147,47 +146,15 @@ def match_frame(
     rem_p = [p for p, _ in pred_frame if p not in used]
     if rem_g and rem_p:
         ious = iou_matrix([gt_by_id[g] for g in rem_g], [pred_by_id[p] for p in rem_p])
-        cost = np.where(ious >= iou_threshold, 1.0 - ious, np.inf)
-        pairs, _, _ = linear_assignment(cost)
-        for gi, pi in pairs:
+        for gi, pi in _max_iou_pairs(ious, iou_threshold):
             matches[rem_g[gi]] = rem_p[pi]
     return matches
 
 
-def _max_iou_matching(
-    gt_frame: list[tuple[int, BBox]],
-    pred_frame: list[tuple[int, BBox]],
-    iou_threshold: float,
-) -> list[tuple[int, int]]:
-    """Maximum-IoU matching without carry-over (per-frame, id-agnostic)."""
-    if not gt_frame or not pred_frame:
-        return []
-    ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
-    cost = np.where(ious >= iou_threshold, 1.0 - ious, np.inf)
-    pairs, _, _ = linear_assignment(cost)
-    return [(gt_frame[gi][0], pred_frame[pi][0]) for gi, pi in pairs]
-
-
 def _identity_scores(
-    gt: TrackSequence, pred: TrackSequence, frames: range, iou_threshold: float
+    gt_len: Counter, pred_len: Counter, overlap: Counter
 ) -> tuple[float, float, float]:
     """(idf1, idp, idr) via one global id-to-id assignment."""
-    gt_len: dict[int, int] = {}
-    pred_len: dict[int, int] = {}
-    overlap: dict[tuple[int, int], int] = {}
-    for f in frames:
-        gts = gt.at(f)
-        preds = pred.at(f)
-        for g, _ in gts:
-            gt_len[g] = gt_len.get(g, 0) + 1
-        for p, _ in preds:
-            pred_len[p] = pred_len.get(p, 0) + 1
-        if gts and preds:
-            ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
-            hit = ious >= iou_threshold
-            for gi, pi in zip(*np.nonzero(hit)):
-                key = (gts[gi][0], preds[pi][0])
-                overlap[key] = overlap.get(key, 0) + 1
     total_gt = sum(gt_len.values())
     total_pred = sum(pred_len.values())
     if total_gt == 0 and total_pred == 0:
@@ -201,59 +168,37 @@ def _identity_scores(
     for i, g in enumerate(gt_ids):
         cost[i, np_:] = gt_len[g]  # leave g unmatched: all its boxes are misses
         for j, p in enumerate(pred_ids):
-            ov = overlap.get((g, p), 0)
-            cost[i, j] = gt_len[g] + pred_len[p] - 2 * ov
+            cost[i, j] = gt_len[g] + pred_len[p] - 2 * overlap[g, p]
     for j, p in enumerate(pred_ids):
         cost[ng:, j] = pred_len[p]
     pairs, _, _ = linear_assignment(cost)
-    idtp = sum(
-        overlap.get((gt_ids[i], pred_ids[j]), 0)
-        for i, j in pairs
-        if i < ng and j < np_
-    )
+    idtp = sum(overlap[gt_ids[i], pred_ids[j]] for i, j in pairs if i < ng and j < np_)
     idp = idtp / total_pred if total_pred else 1.0
     idr = idtp / total_gt if total_gt else 1.0
     idf1 = 2.0 * idtp / (total_gt + total_pred)
     return idf1, idp, idr
 
 
-def _hota_at(
-    gt: TrackSequence, pred: TrackSequence, frames: range, alpha: float
-) -> tuple[float, float]:
-    """(deta, assa) at one IoU threshold."""
-    tp = fp = fn = 0
-    pair_count: dict[tuple[int, int], int] = {}
-    gt_present: dict[int, int] = {}
-    pred_present: dict[int, int] = {}
-    for f in frames:
-        gts = gt.at(f)
-        preds = pred.at(f)
-        for g, _ in gts:
-            gt_present[g] = gt_present.get(g, 0) + 1
-        for p, _ in preds:
-            pred_present[p] = pred_present.get(p, 0) + 1
-        pairs = _max_iou_matching(gts, preds, alpha)
-        tp += len(pairs)
-        fn += len(gts) - len(pairs)
-        fp += len(preds) - len(pairs)
-        for g, p in pairs:
-            pair_count[(g, p)] = pair_count.get((g, p), 0) + 1
-    if tp + fn + fp == 0:
+def _hota_at(pair_count: Counter, gt_len: Counter, pred_len: Counter) -> tuple[float, float]:
+    """(deta, assa) at one IoU threshold, from its matched-pair counts."""
+    tp = sum(pair_count.values())
+    total = sum(gt_len.values()) + sum(pred_len.values()) - tp  # tp + fn + fp
+    if total == 0:
         return 1.0, 1.0
-    deta = tp / (tp + fn + fp)
+    deta = tp / total
     if tp == 0:
         return deta, 0.0
     ass_sum = 0.0
     for (g, p), count in pair_count.items():
-        ass_sum += count * (count / (gt_present[g] + pred_present[p] - count))
+        ass_sum += count * (count / (gt_len[g] + pred_len[p] - count))
     return deta, ass_sum / tp
 
 
 def evaluate(
     gt: TrackSequence,
     pred: TrackSequence,
-    iou_threshold: float = 0.5,
-    hota_sweep: bool = False,
+    iou_threshold: float = CliConfig.iou_threshold,
+    hota_sweep: bool = CliConfig.hota_sweep,
 ) -> MetricsReport:
     """Score a prediction sequence against ground truth.
 
@@ -266,30 +211,43 @@ def evaluate(
         raise FrameMismatch(
             f"prediction frames {sorted(bad)} outside ground-truth range 1..{last}"
         )
-    frames = range(1, last + 1)
+    alphas = SWEEP_THRESHOLDS if hota_sweep else [iou_threshold]
 
-    # CLEAR pass: TP/FP/FN, id switches, per-object coverage
-    tp = fp = fn = idsw = 0
+    gt_len: Counter = Counter()  # boxes per gt id
+    pred_len: Counter = Counter()  # boxes per predicted id
+    covered: Counter = Counter()  # CLEAR matches per gt id
+    overlap: Counter = Counter()  # frames where (gt id, pred id) clear the threshold
+    pair_counts = [Counter() for _ in alphas]  # HOTA matches per (gt id, pred id)
+    tp = idsw = 0
     prev: dict[int, int] = {}
     last_match: dict[int, int] = {}
-    gt_count: dict[int, int] = {}
-    cover_count: dict[int, int] = {}
-    for f in frames:
+    for f in range(1, last + 1):
         gts = gt.at(f)
         preds = pred.at(f)
-        for g, _ in gts:
-            gt_count[g] = gt_count.get(g, 0) + 1
+        gt_len.update(g for g, _ in gts)
+        pred_len.update(p for p, _ in preds)
+
         matches = match_frame(gts, preds, iou_threshold, prev)
         tp += len(matches)
-        fn += len(gts) - len(matches)
-        fp += len(preds) - len(matches)
+        covered.update(matches.keys())
         for g, p in matches.items():
-            if g in last_match and last_match[g] != p:
+            if last_match.get(g, p) != p:
                 idsw += 1
             last_match[g] = p
-            cover_count[g] = cover_count.get(g, 0) + 1
         prev = matches
 
+        if gts and preds:
+            ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
+            gt_ids = [g for g, _ in gts]
+            pred_ids = [p for p, _ in preds]
+            hit = zip(*np.nonzero(ious >= iou_threshold))
+            overlap.update((gt_ids[gi], pred_ids[pi]) for gi, pi in hit)
+            for counts, alpha in zip(pair_counts, alphas):
+                pairs = _max_iou_pairs(ious, alpha)
+                counts.update((gt_ids[gi], pred_ids[pi]) for gi, pi in pairs)
+
+    fn = sum(gt_len.values()) - tp
+    fp = sum(pred_len.values()) - tp
     gt_total = gt.total_boxes()
     if gt_total:
         mota = 1.0 - (fn + fp + idsw) / gt_total
@@ -297,35 +255,21 @@ def evaluate(
         mota = 1.0 if (fp + idsw) == 0 else float("-inf")
 
     mt = ml = 0
-    for g, count in gt_count.items():
-        coverage = cover_count.get(g, 0) / count
+    for g, count in gt_len.items():
+        coverage = covered[g] / count
         if coverage >= MT_COVERAGE:
             mt += 1
         elif coverage <= ML_COVERAGE:
             ml += 1
 
-    idf1, idp, idr = _identity_scores(gt, pred, frames, iou_threshold)
+    idf1, idp, idr = _identity_scores(gt_len, pred_len, overlap)
 
-    if hota_sweep:
-        pairs = [_hota_at(gt, pred, frames, a) for a in SWEEP_THRESHOLDS]
-        deta = float(np.mean([d for d, _ in pairs]))
-        assa = float(np.mean([a for _, a in pairs]))
-    else:
-        deta, assa = _hota_at(gt, pred, frames, iou_threshold)
+    scores = [_hota_at(counts, gt_len, pred_len) for counts in pair_counts]
+    deta = float(np.mean([d for d, _ in scores]))
+    assa = float(np.mean([a for _, a in scores]))
     hota = float(np.sqrt(deta * assa))
 
     return MetricsReport(
-        hota=hota,
-        deta=deta,
-        assa=assa,
-        mota=mota,
-        idf1=idf1,
-        idp=idp,
-        idr=idr,
-        id_switches=idsw,
-        mostly_tracked=mt,
-        mostly_lost=ml,
-        tp=tp,
-        fp=fp,
-        fn=fn,
+        hota=hota, deta=deta, assa=assa, mota=mota, idf1=idf1, idp=idp, idr=idr,
+        id_switches=idsw, mostly_tracked=mt, mostly_lost=ml, tp=tp, fp=fp, fn=fn,
     )

@@ -99,12 +99,15 @@ def read_mot_lines(path: str | Path) -> list[MotRecord]:
     Raises ParseError or NonPositiveBox naming the file and line.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 read as U+FFFD, so the error can name the line
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if "\ufffd" in line:
+                    raise ParseError(f"line {lineno}: not UTF-8 text")
                 records.append(_parse_line(line, lineno))
             except (ParseError, NonPositiveBox) as exc:
                 raise type(exc)(f"{path} {exc}") from exc

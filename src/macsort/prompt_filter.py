@@ -106,7 +106,6 @@ class PromptDetections:
 
 @dataclass(frozen=True)
 class MemoryEntry:
-    box: BBox
     feature: np.ndarray
     score: float
     frame: int
@@ -145,8 +144,7 @@ class MemoryBank:
     def update(self, accepted: PromptDetections, frame: int) -> "MemoryBank":
         """Fold one frame's accepted true positives into both bands."""
         entries = [
-            MemoryEntry(accepted.boxes[i], accepted.features[i],
-                        float(accepted.scores[i]), frame, i)
+            MemoryEntry(accepted.features[i], float(accepted.scores[i]), frame, i)
             for i in range(len(accepted))
         ]
         self.long = _top_k(self.long + entries, self.kappa1)

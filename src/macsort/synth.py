@@ -295,4 +295,8 @@ def parse_spec(text: str) -> ScenarioSpec:
 
 
 def read_spec(path: str | Path) -> ScenarioSpec:
-    return parse_spec(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+    return parse_spec(text)

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, main
+from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, _worker_count, main
 from macsort.config import RunConfig, build_config, config_key
+from macsort.errors import InputError
 from macsort.mot_io import MotRecord, read_embeddings, read_mot_lines, write_detections, write_embeddings
 from macsort.synth import ScenarioSpec, write_spec
 
@@ -224,6 +225,15 @@ class TestConfigPlumbing:
         assert main(["track", str(synth_seq), "--config", str(cfg)]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    def test_one_worker_unless_env_sets_count(self, monkeypatch):
+        monkeypatch.delenv("MACSORT_THREADS", raising=False)
+        assert _worker_count() == 1
+        monkeypatch.setenv("MACSORT_THREADS", "3")
+        assert _worker_count() == 3
+        monkeypatch.setenv("MACSORT_THREADS", "three")
+        with pytest.raises(InputError):
+            _worker_count()
+
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "case.spec"
         write_spec(ScenarioSpec(seed=11, n_objects=2, n_frames=10), spec_path)
@@ -292,6 +302,61 @@ class TestConfigValuesExit2:
         cfg.write_text("fixed_w_aaw=abc\n")
         argv = ["track", str(synth_seq), "--config", str(cfg)]
         self._one_config_error_line(capsys, synth_seq, argv)
+
+
+def _corrupt_line(path, lineno):
+    """Put a byte that is not UTF-8 at the end of line ``lineno`` (1-based)."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].rstrip(b"\n") + b"\xff\n"
+    path.write_bytes(b"".join(lines))
+
+
+class TestNonUtf8InputExits2:
+    def _one_error_line(self, capsys, argv, name):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{name}: "), err
+        return err[0], captured.out
+
+    @pytest.mark.parametrize("command", ["filter", "track", "eval"])
+    def test_mot_csv(self, synth_seq, capsys, command):
+        name = "gt.txt" if command == "eval" else "general.txt"
+        _corrupt_line(synth_seq / name, 3)
+        if command == "eval":
+            argv = ["eval", str(synth_seq / "gt.txt"), str(synth_seq / "gt.txt")]
+        else:
+            argv = [command, str(synth_seq)]
+        line, _ = self._one_error_line(capsys, argv, "ParseError")
+        assert line.startswith(f"ParseError: {synth_seq / name} line 3: ")
+
+    def test_config_file(self, synth_seq, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"min_hits=1\nlambda=0.1\xff\n")
+        argv = ["track", str(synth_seq), "--config", str(cfg)]
+        line, _ = self._one_error_line(capsys, argv, "ConfigError")
+        assert str(cfg) in line
+        assert not (synth_seq / "results.txt").exists()
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "case.spec"
+        spec.write_bytes(b"seed=1\n\xffn_objects=2\n")
+        argv = ["synth", str(spec), str(tmp_path / "x")]
+        line, _ = self._one_error_line(capsys, argv, "SpecError")
+        assert str(spec) in line
+        assert not (tmp_path / "x").exists()
+
+    def test_annotation_json(self, tmp_path, capsys):
+        good = {"class_name": "car", "caption": "Track cars"}
+        (tmp_path / "a.json").write_bytes(b'{"class_name": "car\xff", "caption": "Track cars"}')
+        (tmp_path / "b.json").write_text(json.dumps(good))
+        (tmp_path / "c.json").write_bytes(b"\xfe\xff" + json.dumps(good).encode())
+        argv = ["parse-captions", str(tmp_path)]
+        _, out = self._one_error_line(capsys, argv, "CaptionValidation")
+        errors = [line for line in out.splitlines() if line.startswith("ERROR")]
+        assert [line.split(":")[0] for line in errors] == ["ERROR a.json", "ERROR c.json"]
+        assert all(": JsonError: " in line for line in errors)
+        assert "OK b.json" in out
 
 
 class _ClosedPipe(io.StringIO):

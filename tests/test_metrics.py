@@ -321,3 +321,166 @@ class TestCarryOverOracle:
                 m.setattr(macsort.metrics, "match_frame", per_pair_match_frame)
                 want = [evaluate(g, p, thr) for g, p in cases]
             assert got == want
+
+
+def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
+    """evaluate as three passes over the frames (CLEAR, identity, and one
+    higher-order pass per threshold), each building its own IoU matrices."""
+    last = gt.last_frame
+    bad = [f for f in pred.frames if f < 1 or f > last]
+    if bad:
+        raise FrameMismatch(f"prediction frames {sorted(bad)} outside 1..{last}")
+    frames = range(1, last + 1)
+
+    def max_iou_matching(gts, preds, thr):
+        if not gts or not preds:
+            return []
+        ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
+        cost = np.where(ious >= thr, 1.0 - ious, np.inf)
+        pairs, _, _ = linear_assignment(cost)
+        return [(gts[gi][0], preds[pi][0]) for gi, pi in pairs]
+
+    def identity_scores():
+        gt_len, pred_len, overlap = {}, {}, {}
+        for f in frames:
+            gts, preds = gt.at(f), pred.at(f)
+            for g, _ in gts:
+                gt_len[g] = gt_len.get(g, 0) + 1
+            for p, _ in preds:
+                pred_len[p] = pred_len.get(p, 0) + 1
+            if gts and preds:
+                ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
+                for gi, pi in zip(*np.nonzero(ious >= iou_threshold)):
+                    key = (gts[gi][0], preds[pi][0])
+                    overlap[key] = overlap.get(key, 0) + 1
+        total_gt, total_pred = sum(gt_len.values()), sum(pred_len.values())
+        if total_gt == 0 and total_pred == 0:
+            return 1.0, 1.0, 1.0
+        gt_ids, pred_ids = sorted(gt_len), sorted(pred_len)
+        ng, np_ = len(gt_ids), len(pred_ids)
+        cost = np.zeros((ng + np_, ng + np_))
+        for i, g in enumerate(gt_ids):
+            cost[i, np_:] = gt_len[g]
+            for j, p in enumerate(pred_ids):
+                cost[i, j] = gt_len[g] + pred_len[p] - 2 * overlap.get((g, p), 0)
+        for j, p in enumerate(pred_ids):
+            cost[ng:, j] = pred_len[p]
+        pairs, _, _ = linear_assignment(cost)
+        idtp = sum(
+            overlap.get((gt_ids[i], pred_ids[j]), 0)
+            for i, j in pairs
+            if i < ng and j < np_
+        )
+        idp = idtp / total_pred if total_pred else 1.0
+        idr = idtp / total_gt if total_gt else 1.0
+        return 2.0 * idtp / (total_gt + total_pred), idp, idr
+
+    def hota_at(alpha):
+        tp = fp = fn = 0
+        pair_count, gt_present, pred_present = {}, {}, {}
+        for f in frames:
+            gts, preds = gt.at(f), pred.at(f)
+            for g, _ in gts:
+                gt_present[g] = gt_present.get(g, 0) + 1
+            for p, _ in preds:
+                pred_present[p] = pred_present.get(p, 0) + 1
+            pairs = max_iou_matching(gts, preds, alpha)
+            tp += len(pairs)
+            fn += len(gts) - len(pairs)
+            fp += len(preds) - len(pairs)
+            for pair in pairs:
+                pair_count[pair] = pair_count.get(pair, 0) + 1
+        if tp + fn + fp == 0:
+            return 1.0, 1.0
+        deta = tp / (tp + fn + fp)
+        if tp == 0:
+            return deta, 0.0
+        ass_sum = 0.0
+        for (g, p), count in pair_count.items():
+            ass_sum += count * (count / (gt_present[g] + pred_present[p] - count))
+        return deta, ass_sum / tp
+
+    tp = fp = fn = idsw = 0
+    prev, last_match, gt_count, cover_count = {}, {}, {}, {}
+    for f in frames:
+        gts, preds = gt.at(f), pred.at(f)
+        for g, _ in gts:
+            gt_count[g] = gt_count.get(g, 0) + 1
+        matches = match_frame(gts, preds, iou_threshold, prev)
+        tp += len(matches)
+        fn += len(gts) - len(matches)
+        fp += len(preds) - len(matches)
+        for g, p in matches.items():
+            if g in last_match and last_match[g] != p:
+                idsw += 1
+            last_match[g] = p
+            cover_count[g] = cover_count.get(g, 0) + 1
+        prev = matches
+    gt_total = gt.total_boxes()
+    if gt_total:
+        mota = 1.0 - (fn + fp + idsw) / gt_total
+    else:
+        mota = 1.0 if (fp + idsw) == 0 else float("-inf")
+    mt = ml = 0
+    for g, count in gt_count.items():
+        coverage = cover_count.get(g, 0) / count
+        if coverage >= 0.8:
+            mt += 1
+        elif coverage <= 0.2:
+            ml += 1
+    idf1, idp, idr = identity_scores()
+    if hota_sweep:
+        scores = [hota_at(round(0.05 * k, 2)) for k in range(1, 20)]
+        deta = float(np.mean([d for d, _ in scores]))
+        assa = float(np.mean([a for _, a in scores]))
+    else:
+        deta, assa = hota_at(iou_threshold)
+    return MetricsReport(
+        hota=float(np.sqrt(deta * assa)), deta=deta, assa=assa, mota=mota,
+        idf1=idf1, idp=idp, idr=idr, id_switches=idsw, mostly_tracked=mt,
+        mostly_lost=ml, tp=tp, fp=fp, fn=fn,
+    )
+
+
+def sparse_case(rng, n_frames=12, n_ids=6):
+    """Frames that are empty, gt-only, pred-only or both, on an integer grid,
+    with a declared length that may run past the last box."""
+    gt, pred = TrackSequence(), TrackSequence()
+    for t in range(1, n_frames + 1):
+        kind = rng.integers(0, 4)  # 0 empty, 1 gt only, 2 pred only, 3 both
+        for obj in range(1, n_ids + 1):
+            left, top = 5.0 * rng.integers(0, 6), 5.0 * rng.integers(0, 3)
+            if kind in (1, 3) and rng.uniform() < 0.7:
+                gt.add(t, obj, BBox(left + 5, top + 5, 10, 10))
+            if kind in (2, 3) and rng.uniform() < 0.7:
+                du, dv = 5.0 * rng.integers(-1, 2, 2)
+                pid = int(rng.integers(1, 3)) * 10 + obj  # ids switch at random
+                pred.add(t, pid, BBox(left + 5 + du, top + 5 + dv, 10, 10))
+    gt.n_frames = n_frames + int(rng.integers(0, 3))
+    return gt, pred
+
+
+class TestOnePassOracle:
+    THRESHOLDS = (0.05, 0.3, 1 / 3, 0.5, 0.95)
+
+    def test_evaluate_equals_three_pass(self):
+        rng = np.random.default_rng(2024)
+        cases = [grid_case(rng, n_frames=8) for _ in range(6)]
+        cases += [sparse_case(rng) for _ in range(14)]
+        cases += [(TrackSequence(n_frames=4), TrackSequence())]
+        # a gt box outside 1..last counts for MOTA's denominator only
+        cases += [(seq([(0, 1, (0, 0, 10, 10)), (1, 1, (0, 0, 10, 10))]), seq([]))]
+        for gt, pred in cases:
+            for thr in self.THRESHOLDS:
+                for sweep in (False, True):
+                    got = evaluate(gt, pred, thr, sweep)
+                    assert got == three_pass_evaluate(gt, pred, thr, sweep)
+
+    def test_to_dict_lists_every_field_in_order(self):
+        gt, pred = grid_case(np.random.default_rng(5), n_frames=6)
+        report = evaluate(gt, pred)
+        assert list(report.to_dict()) == [
+            "hota", "deta", "assa", "mota", "idf1", "idp", "idr", "id_switches",
+            "mostly_tracked", "mostly_lost", "tp", "fp", "fn",
+        ]
+        assert report.to_dict() == {k: getattr(report, k) for k in report.to_dict()}

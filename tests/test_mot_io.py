@@ -1,12 +1,15 @@
+import math
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from macsort.errors import (
     BadMagic,
+    InputError,
     MissingGeneralFile,
     NonPositiveBox,
     ParseError,
@@ -290,3 +293,68 @@ class TestPromptDumpOracle:
                     assert got.features.shape == feats.shape
                     assert np.array_equal(got.features, feats)
                     assert got.scores.tolist() == scores
+
+
+_CELLS = ["1", "-1", "0", "3", "2.5", "-0.5", "0.9", "1.7", "nan", "inf", "1e309", "", " ", "x"]
+
+
+def _mot_files():
+    """CSV-ish lines of 7 to 11 cells mixed with lines of raw bytes."""
+    cell = st.one_of(st.sampled_from(_CELLS), st.text("0123456789.-+e ", max_size=5))
+    csv_line = st.lists(cell, min_size=7, max_size=11).map(lambda c: ",".join(c).encode())
+    line = st.one_of(csv_line, csv_line, st.binary(max_size=12))
+    return st.lists(line, max_size=6).map(b"\n".join)
+
+
+@st.composite
+def _sidecars(draw):
+    """Whole or cut EMB1-like headers with any dim and row count, and a body
+    that is either the declared size or arbitrary bytes."""
+    magic = draw(st.one_of(st.just(b"EMB1"), st.binary(max_size=4)))
+    dim = draw(st.one_of(st.integers(-2, 4), st.integers(-(2**31), 2**31 - 1)))
+    rows = draw(st.one_of(st.integers(-2, 4), st.integers(-(2**63), 2**63 - 1)))
+    header = magic + struct.pack("<i", dim) + struct.pack("<q", rows)
+    header = header[: draw(st.integers(0, len(header)))] if draw(st.booleans()) else header
+    size = rows * dim * 4
+    if 0 <= size <= 256 and draw(st.booleans()):
+        body = draw(st.binary(min_size=size, max_size=size))
+    else:
+        body = draw(st.binary(max_size=64))
+    return header + body
+
+
+class TestReaderFuzz:
+    """Any bytes give a value or an InputError, never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mot_files())
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1\n\xff\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1\r2,-1,0,0,10,10,\xe2\x80,-1,-1")
+    def test_read_mot_lines(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "fuzz.txt"
+            p.write_bytes(data)
+            try:
+                records = read_mot_lines(p)
+            except InputError as exc:
+                assert str(p) in str(exc)
+                return
+        for rec in records:
+            assert rec.frame >= 1 and rec.width > 0 and rec.height > 0
+            assert all(map(math.isfinite, (rec.left, rec.top, rec.conf, rec.x, rec.y, rec.z)))
+            assert rec.id != -1 or 0.0 <= rec.conf <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_sidecars(), st.binary(max_size=40)))
+    @example(b"EMB1" + struct.pack("<i", 2**31 - 1) + struct.pack("<q", 0))
+    def test_read_embeddings(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "fuzz.emb"
+            p.write_bytes(data)
+            try:
+                embs = read_embeddings(p)
+            except InputError as exc:
+                assert str(p) in str(exc)
+                return
+        dim, rows = struct.unpack("<i", data[4:8])[0], struct.unpack("<q", data[8:16])[0]
+        assert embs.shape == (rows, dim) and embs.dtype == np.float64
