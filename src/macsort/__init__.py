@@ -36,7 +36,7 @@ from .tracker import (
     AssocConfig,
     CostBreakdown,
     MacSort,
-    Track,
+    Tracks,
     adaptive_weights,
     build_cost_matrix,
     compute_mu_det,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .captions import load_annotation, parse_caption
 from .config import RunConfig, build_config, config_key
-from .errors import InputError, MacSortError
+from .errors import InputError, MacSortError, ParseError
 from .geometry import Detection
 from .metrics import TrackSequence, evaluate
 from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfbench
@@ -150,9 +150,16 @@ def cmd_track(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _read_track_file(path) -> TrackSequence:
+    try:
+        return TrackSequence.from_mot(read_mot(path))
+    except ValueError as exc:  # a (frame, id) pair repeats
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def cmd_eval(args, cfg: RunConfig) -> int:
-    gt = TrackSequence.from_mot(read_mot(args.gt))
-    pred = TrackSequence.from_mot(read_mot(args.results))
+    gt = _read_track_file(args.gt)
+    pred = _read_track_file(args.results)
     report = evaluate(
         gt, pred, iou_threshold=cfg.iou_threshold, hota_sweep=cfg.hota_sweep
     )

@@ -86,6 +86,10 @@ class TruncatedBody(InputError):
     """Embedding sidecar body length disagrees with its header."""
 
 
+class NonFiniteEmbedding(InputError):
+    """Embedding sidecar holds a NaN or infinite value."""
+
+
 class MissingGeneralFile(InputError):
     """Prompt dump directory lacks the mandatory general detections file."""
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     MissingGeneralFile,
+    NonFiniteEmbedding,
     NonPositiveBox,
     ParseError,
     SidecarMismatch,
@@ -146,7 +147,11 @@ def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
-    """Read an EMB1 sidecar into a (R, D) float64 array."""
+    """Read an EMB1 sidecar into a (R, D) float64 array.
+
+    Raises NonFiniteEmbedding naming the first (1-based) row that holds a
+    NaN or an infinity.
+    """
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != EMB_MAGIC:
         raise BadMagic(f"{path}: not an EMB1 sidecar")
@@ -158,8 +163,11 @@ def read_embeddings(path: str | Path) -> np.ndarray:
     body = data[16:]
     if len(body) != expected:
         raise TruncatedBody(f"{path}: body has {len(body)} bytes, expected {expected}")
-    arr = np.frombuffer(body, dtype="<f4").reshape(rows, dim)
-    return arr.astype(np.float64)
+    arr = np.frombuffer(body, dtype="<f4").reshape(rows, dim).astype(np.float64)
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise NonFiniteEmbedding(f"{path}: row {int(np.argmax(bad)) + 1} is not finite")
+    return arr
 
 
 def write_detections(
@@ -194,6 +202,11 @@ def _load_prompt_file(
             raise MissingGeneralFile(f"{csv_path} not found")
         return None
     records = read_mot_lines(csv_path)
+    bad = next((i for i, rec in enumerate(records) if not 0.0 <= rec.conf <= 1.0), None)
+    if bad is not None:  # id -1 rows are checked as they are parsed
+        raise ParseError(
+            f"{csv_path} row {bad + 1}: detection confidence {records[bad].conf} outside [0, 1]"
+        )
     if not emb_path.exists():
         raise SidecarMismatch(f"{emb_path} missing for {csv_path}")
     embs = read_embeddings(emb_path)

@@ -88,6 +88,10 @@ class ScenarioSpec:
     embedding_swap_frame: int | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise SpecError(f"{f.name} must be finite, got {val}")
         if self.n_objects < 1 or self.n_frames < 1 or self.embedding_dim < 1:
             raise SpecError("n_objects, n_frames, embedding_dim must be >= 1")
         if self.motion not in MOTION_MODELS:
@@ -218,6 +222,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
 # -- spec (de)serialization: plain key=value text ----------------------------
 
 _SPEC_FIELDS = {f.name: f for f in fields(ScenarioSpec)}
+_INT_FIELDS = ("seed", "n_objects", "n_frames", "embedding_dim", "crossing_stagger",
+               "embedding_swap_frame")
 
 
 def _format_value(name: str, value) -> str:
@@ -277,9 +283,9 @@ def parse_spec(text: str) -> ScenarioSpec:
             kwargs[key] = _parse_windows(raw)
         elif key == "motion":
             kwargs[key] = raw
-        elif key == "embedding_swap_frame":
-            kwargs[key] = int(raw) if raw else None
-        elif key in ("seed", "n_objects", "n_frames", "embedding_dim", "crossing_stagger"):
+        elif key == "embedding_swap_frame" and not raw:
+            kwargs[key] = None
+        elif key in _INT_FIELDS:
             try:
                 kwargs[key] = int(raw)
             except ValueError as exc:

@@ -24,10 +24,10 @@ from .geometry import (
     BBox,
     Detection,
     ZERO_NORM_EPS,
-    bbox_to_xysr,
     cosine_matrix,
     iou_matrix_edges,
     unit_rows,
+    xysr_to_bbox,
 )
 from .motion import (
     DEFAULT_MOTION,
@@ -38,11 +38,6 @@ from .motion import (
     kf_update_batch,
     ocr_reupdate,
 )
-
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
-REMOVED = "removed"
-
 
 @dataclass
 class AssocConfig:
@@ -101,20 +96,52 @@ def adaptive_weights(mu_det: float, theta_deg: float) -> tuple[float, float]:
     return w_aaw, 2.0 - w_aaw
 
 
-@dataclass
-class Track:
-    """One live trajectory."""
+@dataclass(eq=False)
+class Tracks:
+    """The live tracks as one table of parallel arrays, one row per track,
+    rows in birth order. Boxes are (u, v, w, h)."""
 
-    id: int
-    state: KalmanState
-    checkpoint: KalmanState  # filter state as of the last matched observation
-    last_box: BBox  # the last matched observation
-    appearance: np.ndarray
-    prev_center: tuple[float, float] | None = None  # (u, v) of the match before it
-    hits: int = 1
-    age: int = 0
-    time_since_update: int = 0
-    status: str = TENTATIVE
+    ids: np.ndarray  # (m,)
+    x: np.ndarray  # (m, 7) filter means
+    P: np.ndarray  # (m, 7, 7) filter covariances
+    checkpoint_x: np.ndarray  # (m, 7) filter state as of the last matched observation
+    checkpoint_P: np.ndarray  # (m, 7, 7)
+    last_box: np.ndarray  # (m, 4) the last matched observation
+    prev_center: np.ndarray  # (m, 2) (u, v) of the match before it; NaN until then
+    appearance: np.ndarray  # (m, d) unit EMA of the matched embeddings
+    hits: np.ndarray  # (m,)
+    time_since_update: np.ndarray  # (m,)
+    confirmed: np.ndarray  # (m,) bool, set for good at min_hits matches
+
+    @classmethod
+    def born(cls, first_id: int, states: list[KalmanState], boxes: np.ndarray,
+             appearance: np.ndarray, confirmed: bool) -> "Tracks":
+        """New rows with consecutive ids, one hit each and the checkpoint at
+        the initial state."""
+        k = len(states)
+        x = np.array([s.x for s in states]).reshape(k, 7)
+        P = np.array([s.P for s in states]).reshape(k, 7, 7)
+        return cls(
+            np.arange(first_id, first_id + k), x, P, x.copy(), P.copy(), boxes,
+            np.full((k, 2), np.nan), appearance, np.ones(k, dtype=np.int64),
+            np.zeros(k, dtype=np.int64), np.full(k, confirmed),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray) -> "Tracks":
+        """The rows selected by an index array or boolean mask."""
+        return Tracks(*(col[rows] for col in vars(self).values()))
+
+    def concat(self, other: "Tracks") -> "Tracks":
+        """This table with the rows of ``other`` after its own; an empty
+        table, whose appearance dimension is not yet known, gives ``other``."""
+        if not len(self):
+            return other
+        return Tracks(
+            *(np.concatenate([a, b]) for a, b in zip(vars(self).values(), vars(other).values()))
+        )
 
 
 @dataclass
@@ -131,11 +158,9 @@ class CostBreakdown:
     total: np.ndarray
 
 
-def _track_edges(tracks: list[Track]) -> np.ndarray:
+def _track_edges(tracks: Tracks) -> np.ndarray:
     """Predicted-box edges of all tracks, raising on nonphysical scale."""
-    if not tracks:
-        return np.zeros((0, 4))
-    xs = np.stack([t.state.x for t in tracks])
+    xs = tracks.x
     s, r = xs[:, 2], xs[:, 3]
     if np.any(s <= 0.0) or np.any(r <= 0.0):
         raise InvalidState("predicted track has nonphysical scale or ratio")
@@ -147,9 +172,7 @@ def _track_edges(tracks: list[Track]) -> np.ndarray:
     )
 
 
-def _direction_costs(
-    tracks: list[Track], centers: np.ndarray, lam: float
-) -> np.ndarray:
+def _direction_costs(tracks: Tracks, centers: np.ndarray, lam: float) -> np.ndarray:
     """lam * heading gap / pi for every track/detection pair.
 
     The heading gap, in [0, pi], is the angle between a track's heading over
@@ -159,13 +182,10 @@ def _direction_costs(
     """
     m, n = len(tracks), len(centers)
     out = np.zeros((m, n))
-    rows = [i for i, t in enumerate(tracks) if t.prev_center is not None]
-    if not rows or n == 0:
+    rows = np.flatnonzero(~np.isnan(tracks.prev_center[:, 0]))
+    if not len(rows) or n == 0:
         return out
-    pts = np.array(
-        [(*tracks[i].prev_center, tracks[i].last_box.u, tracks[i].last_box.v) for i in rows]
-    )
-    prev, last = pts[:, :2], pts[:, 2:]
+    prev, last = tracks.prev_center[rows], tracks.last_box[rows, :2]
     theta_track = np.arctan2(last[:, 1] - prev[:, 1], last[:, 0] - prev[:, 0])
     theta_new = np.arctan2(
         centers[None, :, 1] - last[:, 1, None], centers[None, :, 0] - last[:, 0, None]
@@ -175,46 +195,47 @@ def _direction_costs(
     return out
 
 
-def _det_geometry(detections: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, centers) of the detection boxes in one pass."""
+def _det_arrays(detections: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v, w, h) boxes (n, 4) and unit embeddings (n, d) of detections."""
     if not detections:
-        return np.zeros((0, 4)), np.zeros((0, 2))
+        return np.zeros((0, 4)), np.zeros((0, 1))
     uvwh = np.array([(d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h) for d in detections])
-    half = uvwh[:, 2:] / 2.0
-    edges = np.concatenate([uvwh[:, :2] - half, uvwh[:, :2] + half], axis=1)
-    return edges, uvwh[:, :2]
+    return uvwh, unit_rows(np.stack([d.embedding for d in detections]))
+
+
+def _xysr(uvwh: np.ndarray) -> np.ndarray:
+    """Rows of (u, v, w, h) as (u, v, s, r), as geometry.bbox_to_xysr."""
+    w, h = uvwh[:, 2], uvwh[:, 3]
+    return np.stack([uvwh[:, 0], uvwh[:, 1], w * h, w / h], axis=1)
 
 
 def build_cost_matrix(
-    tracks: list[Track],
+    tracks: Tracks,
     detections: list[Detection],
     cfg: AssocConfig,
-    det_embs_unit: np.ndarray | None = None,
+    det_arrays: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CostBreakdown:
     """Assemble the weighted cost matrix for already-predicted tracks.
 
-    ``det_embs_unit`` may carry the detections' already-row-normalized
-    embeddings to avoid recomputation; semantics are identical without it.
+    ``det_arrays`` may carry the detections' ``_det_arrays`` (boxes and
+    unit embeddings) to avoid reading them again; semantics are identical
+    without it.
     """
     m, n = len(tracks), len(detections)
-    if det_embs_unit is None:
-        det_embs_unit = unit_rows(
-            np.stack([d.embedding for d in detections])
-            if n
-            else np.zeros((0, 1))
-        )
-    det_edges, det_centers = _det_geometry(detections)
+    det_uvwh, det_embs_unit = det_arrays or _det_arrays(detections)
+    half = det_uvwh[:, 2:] / 2.0
+    det_edges = np.concatenate([det_uvwh[:, :2] - half, det_uvwh[:, :2] + half], axis=1)
 
     iou = iou_matrix_edges(_track_edges(tracks), det_edges)
     iou_term = 1.0 - iou
 
     if cfg.use_direction and m and n:
-        velocity_term = _direction_costs(tracks, det_centers, cfg.lam)
+        velocity_term = _direction_costs(tracks, det_uvwh[:, :2], cfg.lam)
     else:
         velocity_term = np.zeros((m, n))
 
     if cfg.use_appearance and m and n:
-        apps = np.stack([t.appearance for t in tracks])
+        apps = tracks.appearance
         if apps.shape[1] != det_embs_unit.shape[1]:
             raise DimensionMismatch(
                 f"track appearance dim {apps.shape[1]} vs "
@@ -290,65 +311,33 @@ class MacSort:
     ):
         self.config = config or AssocConfig()
         self.motion = motion
-        self.tracks: list[Track] = []
+        self.tracks = Tracks.born(1, [], np.zeros((0, 4)), np.zeros((0, 0)), False)
         self._next_id = 1
         self._frames_seen = 0
         self._last_frame: int | None = None
         self.last_breakdown: CostBreakdown | None = None
 
-    def _new_track(self, det: Detection) -> Track:
-        state = kf_init(det, self.motion)
-        emb = np.asarray(det.embedding, dtype=np.float64)
-        norm = np.linalg.norm(emb)
-        appearance = emb / norm if norm >= ZERO_NORM_EPS else emb.copy()
-        track = Track(
-            id=self._next_id,
-            state=state,
-            checkpoint=state.copy(),
-            last_box=det.bbox,
-            appearance=appearance,
-            status=CONFIRMED if self.config.min_hits <= 1 else TENTATIVE,
-        )
-        self._next_id += 1
-        return track
-
-    def _predict_all(self) -> None:
-        if not self.tracks:
-            return
-        xs = np.stack([t.state.x for t in self.tracks])
-        Ps = np.stack([t.state.P for t in self.tracks])
-        xs, Ps = kf_predict_batch(xs, Ps, self.motion)
-        for i, trk in enumerate(self.tracks):
-            trk.state = KalmanState(xs[i], Ps[i])
-            trk.age += 1
-            trk.time_since_update += 1
-
-    def _apply_updates(
-        self,
-        matches: list[tuple[int, int]],
-        detections: list[Detection],
-        det_embs_unit: np.ndarray,
-    ) -> None:
-        fresh = [(m, n) for m, n in matches if self.tracks[m].time_since_update == 1]
-        gapped = [(m, n) for m, n in matches if self.tracks[m].time_since_update > 1]
-        if fresh:
-            xs = np.stack([self.tracks[m].state.x for m, _ in fresh])
-            Ps = np.stack([self.tracks[m].state.P for m, _ in fresh])
-            zs = np.array([bbox_to_xysr(detections[n].bbox) for _, n in fresh])
-            xs, Ps = kf_update_batch(xs, Ps, zs, self.motion)
-            for i, (m, _) in enumerate(fresh):
-                self.tracks[m].state = KalmanState(xs[i], Ps[i])
-        for m, n in gapped:
-            trk = self.tracks[m]
-            trk.state = ocr_reupdate(
-                trk.checkpoint, trk.last_box, detections[n], trk.time_since_update,
-                self.motion,
+    def _apply_updates(self, matches: list[tuple[int, int]], detections: list[Detection],
+                       det_uvwh: np.ndarray, det_embs_unit: np.ndarray) -> None:
+        trk = self.tracks
+        rows = np.array([m for m, _ in matches], dtype=np.intp)
+        cols = np.array([n for _, n in matches], dtype=np.intp)
+        gaps = trk.time_since_update[rows]
+        fresh_r, fresh_c = rows[gaps == 1], cols[gaps == 1]
+        if len(fresh_r):
+            trk.x[fresh_r], trk.P[fresh_r] = kf_update_batch(
+                trk.x[fresh_r], trk.P[fresh_r], _xysr(det_uvwh[fresh_c]), self.motion
             )
+        for m, n, gap in zip(rows[gaps > 1], cols[gaps > 1], gaps[gaps > 1]):
+            state = ocr_reupdate(
+                KalmanState(trk.checkpoint_x[m], trk.checkpoint_P[m]),
+                BBox(*trk.last_box[m].tolist()), detections[n], int(gap), self.motion,
+            )
+            trk.x[m], trk.P[m] = state.x, state.P
 
         # EMA appearance refresh, batched over the matched pairs
-        if matches:
-            apps = np.stack([self.tracks[m].appearance for m, _ in matches])
-            embs = det_embs_unit[[n for _, n in matches]]
+        if len(rows):
+            apps, embs = trk.appearance[rows], det_embs_unit[cols]
             live = np.einsum("ij,ij->i", embs, embs) >= ZERO_NORM_EPS
             alpha = self.config.ema_alpha
             blended = alpha * apps + (1.0 - alpha) * embs
@@ -356,68 +345,57 @@ class MacSort:
                 blended = np.where(live[:, None], blended, apps)
             norms = np.linalg.norm(blended, axis=1, keepdims=True)
             blended /= np.where(norms < ZERO_NORM_EPS, 1.0, norms)
-            for i, (m, _) in enumerate(matches):
-                self.tracks[m].appearance = blended[i]
+            trk.appearance[rows] = blended
 
-        cfg = self.config
-        for m, n in matches:
-            trk = self.tracks[m]
-            # states are replaced wholesale, never mutated in place, so the
-            # checkpoint can alias the posterior state
-            trk.checkpoint = trk.state
-            trk.prev_center = (trk.last_box.u, trk.last_box.v)
-            trk.last_box = detections[n].bbox
-            trk.hits += 1
-            trk.time_since_update = 0
-            if trk.hits >= cfg.min_hits:
-                trk.status = CONFIRMED
+        trk.checkpoint_x[rows], trk.checkpoint_P[rows] = trk.x[rows], trk.P[rows]
+        trk.prev_center[rows] = trk.last_box[rows, :2]
+        trk.last_box[rows] = det_uvwh[cols]
+        trk.hits[rows] += 1
+        trk.time_since_update[rows] = 0
+        trk.confirmed[rows] |= trk.hits[rows] >= self.config.min_hits
 
-    def step(
-        self, detections: list[Detection], frame: int
-    ) -> list[tuple[int, BBox]]:
+    def step(self, detections: list[Detection], frame: int) -> list[tuple[int, BBox]]:
         """Advance one frame; returns (track id, box) for reportable tracks."""
         if self._last_frame is not None and frame <= self._last_frame:
-            raise NonMonotonicFrame(
-                f"frame {frame} after frame {self._last_frame}"
-            )
+            raise NonMonotonicFrame(f"frame {frame} after frame {self._last_frame}")
         self._last_frame = frame
         self._frames_seen += 1
-        cfg = self.config
+        cfg, trk = self.config, self.tracks
 
-        self._predict_all()
+        if len(trk):
+            trk.x, trk.P = kf_predict_batch(trk.x, trk.P, self.motion)
+            trk.time_since_update += 1
 
-        det_embs_unit = unit_rows(
-            np.stack([d.embedding for d in detections])
-            if detections
-            else np.zeros((0, 1))
-        )
-        if self.tracks and detections:
-            breakdown = build_cost_matrix(self.tracks, detections, cfg, det_embs_unit)
+        det_uvwh, det_embs_unit = _det_arrays(detections)
+        if len(trk) and detections:
+            breakdown = build_cost_matrix(trk, detections, cfg, (det_uvwh, det_embs_unit))
             matches, _, unmatched_dets = linear_assignment(breakdown.total)
             self.last_breakdown = breakdown
         else:
             matches, unmatched_dets = [], list(range(len(detections)))
             self.last_breakdown = None
 
-        self._apply_updates(matches, detections, det_embs_unit)
+        self._apply_updates(matches, detections, det_uvwh, det_embs_unit)
 
-        for n in unmatched_dets:
-            self.tracks.append(self._new_track(detections[n]))
+        if unmatched_dets:
+            born = np.array(unmatched_dets, dtype=np.intp)
+            states = [kf_init(detections[n], self.motion) for n in unmatched_dets]
+            trk = trk.concat(Tracks.born(
+                self._next_id, states, det_uvwh[born], det_embs_unit[born],
+                cfg.min_hits <= 1,
+            ))
+            self._next_id += len(born)
 
+        reported = (trk.time_since_update == 0) & (
+            trk.confirmed | (self._frames_seen <= cfg.min_hits)
+        )
         outputs = [
-            (trk.id, trk.state.bbox())
-            for trk in self.tracks
-            if trk.time_since_update == 0
-            and (trk.status == CONFIRMED or self._frames_seen <= cfg.min_hits)
+            (int(trk.ids[i]), xysr_to_bbox(*trk.x[i, :4]))
+            for i in np.flatnonzero(reported)
         ]
 
-        survivors = []
-        for trk in self.tracks:
-            if trk.time_since_update > cfg.max_age:
-                trk.status = REMOVED
-            else:
-                survivors.append(trk)
-        self.tracks = survivors
+        alive = trk.time_since_update <= cfg.max_age
+        self.tracks = trk if alive.all() else trk.take(alive)
         return outputs
 
 

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import make_tracks
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
 from macsort.geometry import BBox, Detection
@@ -28,7 +29,6 @@ from macsort.synth import ScenarioSpec, generate, write_spec
 from macsort.tracker import (
     AssocConfig,
     MacSort,
-    Track,
     adaptive_weights,
     build_cost_matrix,
     compute_mu_det,
@@ -52,15 +52,7 @@ def _random_tracks_and_dets(rng, m, n, dim=8, positive_embs=False):
         )
         state = kf_predict(kf_init(d))
         emb = np.asarray(d.embedding)
-        tracks.append(
-            Track(
-                id=i + 1,
-                state=state,
-                checkpoint=state.copy(),
-                last_box=d.bbox,
-                appearance=emb / np.linalg.norm(emb),
-            )
-        )
+        tracks.append((i + 1, state, d.bbox, emb / np.linalg.norm(emb), None))
     dets = []
     for _ in range(n):
         emb = rng.standard_normal(dim)
@@ -74,7 +66,7 @@ def _random_tracks_and_dets(rng, m, n, dim=8, positive_embs=False):
                 emb,
             )
         )
-    return tracks, dets
+    return make_tracks(tracks), dets
 
 
 def test_criterion_1_assignment_oracle():
@@ -310,7 +302,7 @@ def test_criterion_8_occlusion_recovery():
             pred.add(frame, tid, box)
         if frame == 25:
             assert [tid for tid, _ in out] == [1]  # same identity, reported
-            velocity_after = float(tracker.tracks[0].state.x[4])
+            velocity_after = float(tracker.tracks.x[0, 4])
     assert velocity_after is not None
     assert abs(velocity_after - 2.0) / 2.0 < 0.10
     report = evaluate(scenario.gt, pred)

@@ -131,6 +131,71 @@ class TestConfidenceRule:
         assert err[0].startswith(f"ParseError: {synth_seq / 'general.txt'} line 3: ")
 
 
+class TestInputContract:
+    """Each malformed input exits 2 with one "ErrorName: detail" line."""
+
+    def _one_error_line(self, capsys, argv, prefix):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
+
+    @pytest.mark.parametrize("argv", [["filter"], ["track", "--detections", "general"]])
+    def test_non_finite_embedding(self, synth_seq, capsys, argv):
+        emb = synth_seq / "general.emb"
+        embs = read_embeddings(emb)
+        embs[1::2] = np.nan
+        write_embeddings(embs, emb)
+        self._one_error_line(
+            capsys, [argv[0], str(synth_seq), *argv[1:]], f"NonFiniteEmbedding: {emb}: row 2 "
+        )
+        assert not (synth_seq / "filtered.emb").exists()
+        assert not (synth_seq / "results.txt").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "track"])
+    def test_confidence_outside_unit_on_any_detection_row(self, synth_seq, capsys, command):
+        general = synth_seq / "general.txt"
+        lines = general.read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[1], cols[6] = "7", "1.5"
+        lines[2] = ",".join(cols)
+        general.write_text("\n".join(lines) + "\n")
+        self._one_error_line(capsys, [command, str(synth_seq)], f"ParseError: {general} row 3: ")
+
+    def test_result_files_keep_any_confidence(self, synth_seq, capsys):
+        gt = synth_seq / "gt.txt"
+        gt.write_text(gt.read_text().replace(",1.0000,", ",1.5000,", 1))
+        assert main(["eval", str(gt), str(gt)]) == 0
+
+    @pytest.mark.parametrize("which", ["gt", "results", "detections"])
+    def test_eval_repeated_frame_id(self, synth_seq, capsys, which):
+        gt = synth_seq / "gt.txt"
+        results = synth_seq / "results.txt"
+        results.write_bytes(gt.read_bytes())
+        if which == "detections":
+            results = synth_seq / "general.txt"
+        else:
+            bad = gt if which == "gt" else results
+            lines = bad.read_text().splitlines()
+            bad.write_text("\n".join([lines[0], *lines]) + "\n")
+        bad = gt if which == "gt" else results
+        frame, obj_id = bad.read_text().split(",")[:2]
+        self._one_error_line(
+            capsys, ["eval", str(gt), str(results)],
+            f"ParseError: {bad}: duplicate id {obj_id} in frame {frame}",
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        ["embedding_swap_frame=abc", "speed_px=nan", "field_w=nan", "box_size_px=inf"],
+    )
+    def test_synth_spec_value(self, tmp_path, capsys, line):
+        spec = tmp_path / "case.spec"
+        spec.write_text(f"seed=1\n{line}\n")
+        out = tmp_path / "x"
+        self._one_error_line(capsys, ["synth", str(spec), str(out)], "SpecError: ")
+        assert not out.exists()
+
+
 class TestTrackCommand:
     def test_track_synth_sequence(self, synth_seq, capsys):
         assert main(["track", str(synth_seq)]) == 0

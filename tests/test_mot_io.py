@@ -358,3 +358,4 @@ class TestReaderFuzz:
                 return
         dim, rows = struct.unpack("<i", data[4:8])[0], struct.unpack("<q", data[8:16])[0]
         assert embs.shape == (rows, dim) and embs.dtype == np.float64
+        assert np.isfinite(embs).all()

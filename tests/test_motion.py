@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_tracks
 from macsort.geometry import BBox, Detection, bbox_to_xysr
 from macsort.motion import (
     DEFAULT_MOTION,
@@ -14,7 +15,7 @@ from macsort.motion import (
     kf_update_batch,
     ocr_reupdate,
 )
-from macsort.tracker import Track, _direction_costs
+from macsort.tracker import _direction_costs
 
 EMB = np.array([1.0, 0.0])
 
@@ -223,11 +224,11 @@ class TestVelocityDirectionCost:
         d = det(len(points) - 1, *points[-1])
         state = kf_init(d)
         prev = tuple(points[-2]) if len(points) >= 2 else None
-        return Track(1, state, state, d.bbox, EMB, prev_center=prev)
+        return make_tracks([(1, state, d.bbox, EMB, prev)])
 
     def _gap(self, track, d):
         centers = np.array([[d.bbox.u, d.bbox.v]])
-        return _direction_costs([track], centers, 1.0)[0, 0] * math.pi
+        return _direction_costs(track, centers, 1.0)[0, 0] * math.pi
 
     def test_collinear_motion_is_zero(self):
         hist = self._history((0, 0), (1, 0))

@@ -1,16 +1,33 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from conftest import make_tracks
 from macsort.errors import NonMonotonicFrame
-from macsort.geometry import BBox, Detection
-from macsort.motion import MotionConfig, kf_init, kf_predict
+from macsort.geometry import (
+    BBox,
+    Detection,
+    ZERO_NORM_EPS,
+    bbox_to_xysr,
+    iou_matrix_edges,
+    unit_rows,
+)
+from macsort.motion import (
+    DEFAULT_MOTION,
+    KalmanState,
+    MotionConfig,
+    kf_init,
+    kf_predict,
+    kf_predict_batch,
+    kf_update_batch,
+    ocr_reupdate,
+)
 from macsort.tracker import (
     AssocConfig,
     MacSort,
-    Track,
     adaptive_weights,
     build_cost_matrix,
     compute_mu_det,
@@ -29,18 +46,12 @@ def det(frame, u, v, w=12.0, h=12.0, emb=E1, conf=0.9):
 
 def make_track(tid, d, history_points=()):
     """A predicted track whose observations were at ``history_points``
-    (centers), or at ``d`` alone."""
+    (centers), or at ``d`` alone, as a make_tracks row."""
     state = kf_predict(kf_init(d))
     last = BBox(*history_points[-1], d.bbox.w, d.bbox.h) if history_points else d.bbox
     emb = np.asarray(d.embedding, float)
-    return Track(
-        id=tid,
-        state=state,
-        checkpoint=state.copy(),
-        last_box=last,
-        appearance=emb / np.linalg.norm(emb),
-        prev_center=history_points[-2] if len(history_points) >= 2 else None,
-    )
+    prev = history_points[-2] if len(history_points) >= 2 else None
+    return (tid, state, last, emb / np.linalg.norm(emb), prev)
 
 
 class TestMuDet:
@@ -100,13 +111,13 @@ class TestBuildCostMatrix:
     def test_perfect_match_is_zero(self):
         d = det(1, 50, 50)
         track = make_track(1, d)
-        bd = build_cost_matrix([track], [d], AssocConfig())
+        bd = build_cost_matrix(make_tracks([track]), [d], AssocConfig())
         assert bd.total[0, 0] == 0.0
 
     def test_homogeneous_frame_zeroes_appearance(self):
         d1, d2 = det(1, 50, 50), det(1, 200, 50)
         tracks = [make_track(1, d1), make_track(2, d2)]
-        bd = build_cost_matrix(tracks, [d1, d2], AssocConfig())
+        bd = build_cost_matrix(make_tracks(tracks), [d1, d2], AssocConfig())
         assert bd.mu_det == pytest.approx(1.0)
         assert bd.w_aaw == pytest.approx(0.0)
         assert bd.w_amc == pytest.approx(2.0)
@@ -120,7 +131,7 @@ class TestBuildCostMatrix:
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 60, 52, emb=E2)
         tracks = [make_track(1, det(0, 49, 50, emb=E1)),
                   make_track(2, det(0, 61, 51, emb=E2))]
-        bd_fixed = build_cost_matrix([*tracks], [d1, d2], AssocConfig(fixed_w_aaw=1.0))
+        bd_fixed = build_cost_matrix(make_tracks(tracks), [d1, d2], AssocConfig(fixed_w_aaw=1.0))
         manual = bd_fixed.iou_term + bd_fixed.velocity_term + bd_fixed.appearance_term
         finite = np.isfinite(bd_fixed.total)
         assert bd_fixed.total[finite] == pytest.approx(manual[finite], abs=1e-12)
@@ -128,23 +139,23 @@ class TestBuildCostMatrix:
     def test_gate_blocks_distant_pairs(self):
         track = make_track(1, det(0, 0, 0))
         far = det(1, 500, 500)
-        bd = build_cost_matrix([track], [far], AssocConfig(iou_gate=0.1))
+        bd = build_cost_matrix(make_tracks([track]), [far], AssocConfig(iou_gate=0.1))
         assert np.isinf(bd.total[0, 0])
 
     def test_direction_term_needs_two_observations(self):
         d = det(1, 50, 50)
         track = make_track(1, d)  # single-entry history
-        bd = build_cost_matrix([track], [det(1, 52, 50)], AssocConfig())
+        bd = build_cost_matrix(make_tracks([track]), [det(1, 52, 50)], AssocConfig())
         assert np.all(bd.velocity_term == 0.0)
 
     def test_direction_term_value(self):
         d = det(2, 70, 50)
         track = make_track(1, d, history_points=[(40, 50), (55, 50)])
         ahead = det(2, 70, 50)
-        bd = build_cost_matrix([track], [ahead], AssocConfig())
+        bd = build_cost_matrix(make_tracks([track]), [ahead], AssocConfig())
         assert bd.velocity_term[0, 0] == pytest.approx(0.0)
         track2 = make_track(1, d, history_points=[(70, 20), (70, 35)])
-        bd2 = build_cost_matrix([track2], [det(2, 70, 20)], AssocConfig(iou_gate=0.0))
+        bd2 = build_cost_matrix(make_tracks([track2]), [det(2, 70, 20)], AssocConfig(iou_gate=0.0))
         # heading reversal: cost = lambda * pi/pi = lambda
         assert bd2.velocity_term[0, 0] == pytest.approx(0.2)
 
@@ -152,7 +163,7 @@ class TestBuildCostMatrix:
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 56, 50, emb=E2)
         track = make_track(1, det(0, 52, 50, emb=E1), history_points=[(40, 50), (46, 50)])
         off = AssocConfig(use_appearance=False, use_direction=False)
-        bd = build_cost_matrix([track], [d1, d2], off)
+        bd = build_cost_matrix(make_tracks([track]), [d1, d2], off)
         assert np.all(bd.appearance_term == 0.0)
         assert np.all(bd.velocity_term == 0.0)
 
@@ -161,7 +172,7 @@ class TestBuildCostMatrix:
             dets = [
                 det(1, 50 + 30 * i, 50, emb=rng.standard_normal(4)) for i in range(3)
             ]
-            tracks = [make_track(i + 1, det(0, 50 + 30 * i, 49)) for i in range(3)]
+            tracks = make_tracks([make_track(i + 1, det(0, 50 + 30 * i, 49)) for i in range(3)])
             bd1 = build_cost_matrix(tracks, dets, AssocConfig())
             scaled = [
                 Detection(d.frame, d.bbox, d.confidence, d.embedding * k) for d in dets
@@ -220,13 +231,13 @@ class TestTrackerStep:
     def test_new_track_uses_tracker_motion_config(self):
         tracker = MacSort(motion=MotionConfig(p0_pos=1, p0_vel=1))
         tracker.step([det(1, 10, 10)], 1)
-        assert np.array_equal(tracker.tracks[0].state.P, np.eye(7))
+        assert np.array_equal(tracker.tracks.P[0], np.eye(7))
 
     def test_cold_start_creates_tracks(self):
         tracker = MacSort()
         out = tracker.step([det(1, 10, 10), det(1, 60, 10)], 1)
         assert len(tracker.tracks) == 2
-        assert all(t.status == "tentative" for t in tracker.tracks)
+        assert not tracker.tracks.confirmed.any()
         # young-sequence emission: matched tracks report from frame 1
         assert {tid for tid, _ in out} == {1, 2}
 
@@ -269,7 +280,7 @@ class TestTrackerStep:
         tracker.step([det(1, 10, 10)], 1)
         for t in range(2, 7):
             tracker.step([], t)
-        assert tracker.tracks == []
+        assert len(tracker.tracks) == 0
 
     def test_ids_never_reused(self):
         tracker = MacSort(AssocConfig(max_age=1))
@@ -277,7 +288,7 @@ class TestTrackerStep:
         tracker.step([], 2)
         tracker.step([], 3)  # first track removed
         tracker.step([det(4, 10, 10)], 4)
-        assert [t.id for t in tracker.tracks] == [2]
+        assert tracker.tracks.ids.tolist() == [2]
 
     def test_non_monotonic_frame_rejected(self):
         tracker = MacSort()
@@ -294,8 +305,7 @@ class TestTrackerStep:
         # a confirmed track re-found after the gap reports immediately
         out = tracker.step([det(16, 32.0, 30)], 16)
         assert [tid for tid, _ in out] == [1]
-        trk = tracker.tracks[0]
-        assert trk.state.x[4] == pytest.approx(2.0, rel=0.10)
+        assert tracker.tracks.x[0, 4] == pytest.approx(2.0, rel=0.10)
 
     def test_deterministic_given_stream(self, rng):
         frames = []
@@ -323,7 +333,7 @@ class TestTrackerStep:
         tracker = MacSort(AssocConfig(ema_alpha=0.9))
         tracker.step([det(1, 10, 10, emb=E1)], 1)
         tracker.step([det(2, 10, 10, emb=E2)], 2)
-        app = tracker.tracks[0].appearance
+        app = tracker.tracks.appearance[0]
         expected = 0.9 * E1 + 0.1 * E2
         expected /= np.linalg.norm(expected)
         assert app == pytest.approx(expected)
@@ -335,7 +345,7 @@ class TestErrorPaths:
         bad = det(1, 50, 50, emb=np.array([1.0, 0.0]))
         from macsort.errors import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            build_cost_matrix([track], [bad], AssocConfig())
+            build_cost_matrix(make_tracks([track]), [bad], AssocConfig())
 
 
 class TestTrackSequence:
@@ -360,3 +370,197 @@ class TestTrackSequence:
 
     def test_empty_input(self):
         assert track_sequence({}) == []
+
+
+# -- the Track-list tracker the track table replaced, kept as a test oracle --
+
+
+@dataclass
+class _RefTrack:
+    id: int
+    state: KalmanState
+    checkpoint: KalmanState
+    last_box: BBox
+    appearance: np.ndarray
+    prev_center: tuple[float, float] | None = None
+    hits: int = 1
+    time_since_update: int = 0
+    confirmed: bool = False
+
+
+def _ref_cost(tracks, detections, cfg, det_embs_unit):
+    m, n = len(tracks), len(detections)
+    xs = np.stack([t.state.x for t in tracks])
+    w, h = np.sqrt(xs[:, 2] * xs[:, 3]), np.sqrt(xs[:, 2] / xs[:, 3])
+    trk_edges = np.stack(
+        [xs[:, 0] - w / 2, xs[:, 1] - h / 2, xs[:, 0] + w / 2, xs[:, 1] + h / 2], axis=1
+    )
+    uvwh = np.array([(d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h) for d in detections])
+    half = uvwh[:, 2:] / 2.0
+    iou = iou_matrix_edges(
+        trk_edges, np.concatenate([uvwh[:, :2] - half, uvwh[:, :2] + half], axis=1)
+    )
+    velocity = np.zeros((m, n))
+    rows = [i for i, t in enumerate(tracks) if t.prev_center is not None]
+    if cfg.use_direction and rows:
+        pts = np.array(
+            [(*tracks[i].prev_center, tracks[i].last_box.u, tracks[i].last_box.v) for i in rows]
+        )
+        prev, last, centers = pts[:, :2], pts[:, 2:], uvwh[:, :2]
+        theta_track = np.arctan2(last[:, 1] - prev[:, 1], last[:, 0] - prev[:, 0])
+        theta_new = np.arctan2(
+            centers[None, :, 1] - last[:, 1, None], centers[None, :, 0] - last[:, 0, None]
+        )
+        delta = np.abs(np.mod(theta_track[:, None] - theta_new + math.pi, 2 * math.pi) - math.pi)
+        velocity[rows] = cfg.lam * delta / math.pi
+    appearance = np.zeros((m, n))
+    if cfg.use_appearance:
+        apps = np.stack([t.appearance for t in tracks])
+        appearance = (1.0 - np.clip(apps @ det_embs_unit.T, -1.0, 1.0)) / 2.0
+    if cfg.fixed_w_aaw is not None:
+        w_aaw, w_amc = cfg.fixed_w_aaw, 2.0 - cfg.fixed_w_aaw
+    else:
+        w_aaw, w_amc = adaptive_weights(compute_mu_det(det_embs_unit, cfg.theta_deg), cfg.theta_deg)
+    total = w_amc * (1.0 - iou) + velocity + w_aaw * appearance
+    total[iou < cfg.iou_gate] = np.inf
+    return total
+
+
+def _reference_sequence(per_frame, cfg, counts):
+    """(frame, id, box) rows of the Track-list tracker; ``counts`` tallies
+    births, gapped matches and deaths."""
+    motion, tracks, next_id, rows = DEFAULT_MOTION, [], 1, []
+    for seen, frame in enumerate(range(1, max(per_frame, default=0) + 1), start=1):
+        detections = per_frame.get(frame, [])
+        if tracks:
+            xs, Ps = kf_predict_batch(
+                np.stack([t.state.x for t in tracks]), np.stack([t.state.P for t in tracks]), motion
+            )
+            for i, trk in enumerate(tracks):
+                trk.state = KalmanState(xs[i], Ps[i])
+                trk.time_since_update += 1
+        embs = unit_rows(np.stack([d.embedding for d in detections]) if detections else np.zeros((0, 1)))
+        matches, unmatched = [], list(range(len(detections)))
+        if tracks and detections:
+            matches, _, unmatched = linear_assignment(_ref_cost(tracks, detections, cfg, embs))
+        fresh = [(m, n) for m, n in matches if tracks[m].time_since_update == 1]
+        if fresh:
+            xs, Ps = kf_update_batch(
+                np.stack([tracks[m].state.x for m, _ in fresh]),
+                np.stack([tracks[m].state.P for m, _ in fresh]),
+                np.array([bbox_to_xysr(detections[n].bbox) for _, n in fresh]),
+                motion,
+            )
+            for i, (m, _) in enumerate(fresh):
+                tracks[m].state = KalmanState(xs[i], Ps[i])
+        for m, n in matches:
+            trk = tracks[m]
+            if trk.time_since_update > 1:
+                counts["gapped"] += 1
+                trk.state = ocr_reupdate(
+                    trk.checkpoint, trk.last_box, detections[n], trk.time_since_update, motion
+                )
+        if matches:
+            apps = np.stack([tracks[m].appearance for m, _ in matches])
+            new = embs[[n for _, n in matches]]
+            live = np.einsum("ij,ij->i", new, new) >= ZERO_NORM_EPS
+            blended = cfg.ema_alpha * apps + (1.0 - cfg.ema_alpha) * new
+            if not live.all():
+                blended = np.where(live[:, None], blended, apps)
+            norms = np.linalg.norm(blended, axis=1, keepdims=True)
+            blended /= np.where(norms < ZERO_NORM_EPS, 1.0, norms)
+            for i, (m, _) in enumerate(matches):
+                tracks[m].appearance = blended[i]
+        for m, n in matches:
+            trk = tracks[m]
+            trk.checkpoint = trk.state
+            trk.prev_center = (trk.last_box.u, trk.last_box.v)
+            trk.last_box = detections[n].bbox
+            trk.hits += 1
+            trk.time_since_update = 0
+            trk.confirmed |= trk.hits >= cfg.min_hits
+        for n in unmatched:
+            counts["births"] += 1
+            d = detections[n]
+            state = kf_init(d, motion)
+            norm = np.linalg.norm(d.embedding)
+            app = d.embedding / norm if norm >= ZERO_NORM_EPS else d.embedding.copy()
+            tracks.append(
+                _RefTrack(next_id, state, state.copy(), d.bbox, app, confirmed=cfg.min_hits <= 1)
+            )
+            next_id += 1
+        rows.extend(
+            (frame, t.id, t.state.bbox())
+            for t in tracks
+            if t.time_since_update == 0 and (t.confirmed or seen <= cfg.min_hits)
+        )
+        counts["deaths"] += sum(t.time_since_update > cfg.max_age for t in tracks)
+        tracks = [t for t in tracks if t.time_since_update <= cfg.max_age]
+    return rows
+
+
+def _random_stream(rng, n_frames=40, dim=4):
+    """Objects born and dying at random frames, moving linearly with noise,
+    missed singly or for several frames, plus clutter, zero embeddings and
+    empty or absent frames."""
+    n_obj = int(rng.integers(1, 7))
+    start = rng.integers(1, n_frames // 2, n_obj)
+    end = start + rng.integers(3, n_frames, n_obj)
+    pos = rng.uniform(40, 260, (n_obj, 2))
+    vel = rng.uniform(-4, 4, (n_obj, 2))
+    size = rng.uniform(10, 30, (n_obj, 2))
+    embs = rng.standard_normal((n_obj, dim))
+    hidden = np.zeros(n_obj, dtype=int)
+    per_frame = {}
+    for frame in range(1, n_frames + 1):
+        if rng.random() < 0.08:
+            continue  # absent frame: stepped with no detections
+        dets = []
+        for k in range(n_obj):
+            if not start[k] <= frame <= end[k]:
+                continue
+            if hidden[k] == 0 and rng.random() < 0.1:
+                hidden[k] = int(rng.integers(1, 6))
+            if hidden[k]:
+                hidden[k] -= 1
+                continue
+            u, v = pos[k] + vel[k] * (frame - start[k]) + rng.normal(0, 0.8, 2)
+            emb = np.zeros(dim) if rng.random() < 0.05 else embs[k] + rng.normal(0, 0.3, dim)
+            dets.append(Detection(frame, BBox(u, v, *size[k]), 0.9, emb))
+        for _ in range(rng.poisson(0.3)):
+            dets.append(
+                Detection(frame, BBox(*rng.uniform(0, 300, 2), *rng.uniform(8, 30, 2)), 0.5,
+                          rng.standard_normal(dim))
+            )
+        per_frame[frame] = [dets[i] for i in rng.permutation(len(dets))]
+    return per_frame
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        AssocConfig(),
+        AssocConfig(max_age=0),
+        AssocConfig(max_age=1, min_hits=1),
+        AssocConfig(min_hits=1),
+        AssocConfig(use_appearance=False),
+        AssocConfig(use_direction=False),
+        AssocConfig(use_appearance=False, use_direction=False, max_age=1),
+        AssocConfig(fixed_w_aaw=0.5),
+    ],
+    ids=lambda c: f"age{c.max_age}-hits{c.min_hits}-app{int(c.use_appearance)}"
+    f"-dir{int(c.use_direction)}-w{c.fixed_w_aaw}",
+)
+def test_track_table_equals_track_list_tracker(cfg):
+    rng = np.random.default_rng(20240518)
+    counts = {"births": 0, "gapped": 0, "deaths": 0}
+    for _ in range(25):
+        per_frame = _random_stream(rng)
+        expected = _reference_sequence(per_frame, cfg, counts)
+        got = track_sequence(per_frame, cfg)
+        assert [(f, tid) for f, tid, _ in got] == [(f, tid) for f, tid, _ in expected]
+        assert [(b.u, b.v, b.w, b.h) for _, _, b in got] == [
+            (b.u, b.v, b.w, b.h) for _, _, b in expected
+        ]
+    assert counts["births"] and counts["deaths"]
+    assert counts["gapped"] or cfg.max_age <= 1
