@@ -26,19 +26,20 @@ import numpy as np
 from .captions import load_annotation, parse_caption
 from .config import RunConfig, build_config, config_key
 from .errors import InputError, MacSortError, ParseError
-from .geometry import Detection
+from .geometry import BBox
 from .metrics import TrackSequence, evaluate
 from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfbench
-    MotRecord,
+    DETECTION_ID,
+    MotTable,
     _load_prompt_file,
+    detection_sets,
     read_embeddings,
-    read_mot,
     read_mot_lines,
     read_prompt_dump_all,
     write_detections,
     write_mot,
 )
-from .prompt_filter import MemoryBank, tpod_frame
+from .prompt_filter import MemoryBank, PromptDetections, tpod_frame
 from .synth import generate, read_spec, write_spec
 from .tracker import track_sequence
 
@@ -84,29 +85,24 @@ def cmd_filter(args, cfg: RunConfig) -> int:
     def one(seq_dir: Path) -> str:
         dump = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
         memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
-        records: list[MotRecord] = []
-        embs: list[np.ndarray] = []
-        stats = []
+        kept, stats = {}, []
         dim = 1
         for frame in sorted(dump):
             general, include, exclude = dump[frame]
             dim = max(dim, general.dim)
             res = tpod_frame(general, include, exclude, memory, frame, tpod_cfg)
-            final = res.final_tps
-            for i, box in enumerate(final.boxes):
-                records.append(
-                    MotRecord.from_bbox(frame, -1, box, float(final.scores[i]))
-                )
-                embs.append(final.features[i])
+            kept[frame] = res.final_tps
             stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)
-        emb_matrix = np.stack(embs) if embs else np.zeros((0, dim))
-        write_detections(out / "filtered.txt", out / "filtered.emb", records, emb_matrix)
+        rows = PromptDetections.concat(*kept.values(), PromptDetections.empty(dim))
+        frames = np.repeat(list(kept), [len(s) for s in kept.values()])
+        table = MotTable.from_uvwh(frames, DETECTION_ID, rows.boxes, rows.scores)
+        write_detections(out / "filtered.txt", out / "filtered.emb", table, rows.features)
         counts = " ".join(
             f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
             for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
         )
-        return f"[filter] {seq_dir} frames={len(stats)} {counts} final={len(records)}"
+        return f"[filter] {seq_dir} frames={len(stats)} {counts} final={len(table)}"
 
     for report in _run_sequences(cfg, args.seq_dirs, one):
         print(report)
@@ -119,12 +115,13 @@ def _load_detections(seq_dir: Path, cfg: RunConfig, which: str):
     loaded = _load_prompt_file(seq_dir, which, required=False)
     if loaded is None:
         raise InputError(f"detection file {seq_dir / which}.txt not found")
-    per_frame: dict[int, list[Detection]] = {}
-    for rec, emb in zip(*loaded):
-        per_frame.setdefault(rec.frame, []).append(
-            Detection(rec.frame, rec.bbox(), rec.conf, emb)
-        )
-    return which, per_frame
+    return which, detection_sets(*loaded)
+
+
+def _track_table(rows: list[tuple[int, int, BBox]]) -> MotTable:
+    """(frame, id, box) rows as a table with confidence 1."""
+    frames, ids, boxes = zip(*rows) if rows else ((), (), ())
+    return MotTable.from_uvwh(frames, ids, boxes, 1.0)
 
 
 def cmd_track(args, cfg: RunConfig) -> int:
@@ -133,16 +130,13 @@ def cmd_track(args, cfg: RunConfig) -> int:
     def one(seq_dir: Path) -> str:
         which, per_frame = _load_detections(seq_dir, cfg, args.detections)
         start = time.perf_counter()
-        results = [
-            MotRecord.from_bbox(frame, tid, box, 1.0)
-            for frame, tid, box in track_sequence(per_frame, assoc_cfg)
-        ]
+        rows = track_sequence(per_frame, assoc_cfg)
         elapsed = time.perf_counter() - start
         out = _out_dir(cfg, seq_dir)
-        write_mot(results, out / "results.txt")
+        write_mot(_track_table(rows), out / "results.txt")
         return (
             f"[track] {seq_dir} detections={which} frames={max(per_frame, default=0)} "
-            f"rows={len(results)} time={elapsed:.3f}s"
+            f"rows={len(rows)} time={elapsed:.3f}s"
         )
 
     for report in _run_sequences(cfg, args.seq_dirs, one):
@@ -152,7 +146,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 def _read_track_file(path) -> TrackSequence:
     try:
-        return TrackSequence.from_mot(read_mot(path))
+        return TrackSequence.from_mot(read_mot_lines(path))
     except ValueError as exc:  # a (frame, id) pair repeats
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -178,27 +172,20 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    gt_records = [
-        MotRecord.from_bbox(frame, obj_id, box, 1.0)
-        for frame in sorted(scenario.gt.frames)
-        for obj_id, box in scenario.gt.at(frame)
-    ]
-    write_mot(gt_records, out / "gt.txt")
+    gt = [(f, obj_id, box) for f in sorted(scenario.gt.frames) for obj_id, box in scenario.gt.at(f)]
+    write_mot(_track_table(gt), out / "gt.txt")
 
-    det_records: list[MotRecord] = []
-    embs: list[np.ndarray] = []
-    for frame in sorted(scenario.detections):
-        for det in scenario.detections[frame]:
-            det_records.append(
-                MotRecord.from_bbox(frame, -1, det.bbox, det.confidence)
-            )
-            embs.append(det.embedding)
-    emb_matrix = np.stack(embs) if embs else np.zeros((0, spec.embedding_dim))
-    write_detections(out / "general.txt", out / "general.emb", det_records, emb_matrix)
+    dets = [(f, det) for f in sorted(scenario.detections) for det in scenario.detections[f]]
+    table = MotTable.from_uvwh(
+        [f for f, _ in dets], DETECTION_ID, [d.bbox for _, d in dets],
+        [d.confidence for _, d in dets],
+    )
+    embs = np.stack([d.embedding for _, d in dets]) if dets else np.zeros((0, spec.embedding_dim))
+    write_detections(out / "general.txt", out / "general.emb", table, embs)
     write_spec(spec, out / "scenario.spec")
     print(
         f"[synth] {args.out_dir}: {spec.n_objects} objects x {spec.n_frames} frames, "
-        f"{len(det_records)} detections"
+        f"{len(table)} detections"
     )
     return 0
 

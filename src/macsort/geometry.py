@@ -80,9 +80,19 @@ def iou(a: BBox, b: BBox) -> float:
     return min(inter / (a.area + b.area - inter), 1.0)
 
 
-def box_edges(boxes: list[BBox]) -> np.ndarray:
-    """(n, 4) array of (left, top, right, bottom)."""
-    return np.array([[b.left, b.top, b.right, b.bottom] for b in boxes]).reshape(-1, 4)
+def uvwh_array(boxes) -> np.ndarray:
+    """(n, 4) float64 array of (u, v, w, h) from a list of BBox or from rows
+    that already hold (u, v, w, h)."""
+    if len(boxes) and isinstance(boxes[0], BBox):
+        boxes = [(b.u, b.v, b.w, b.h) for b in boxes]
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def uvwh_edges(uvwh: np.ndarray) -> np.ndarray:
+    """(n, 4) array of (left, top, right, bottom) of (u, v, w, h) rows,
+    computed as BBox computes its edges."""
+    half = uvwh[:, 2:] / 2.0
+    return np.concatenate([uvwh[:, :2] - half, uvwh[:, :2] + half], axis=1)
 
 
 def iou_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,7 +115,7 @@ def iou_matrix_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
     """Pairwise IoU, shape (len(boxes_a), len(boxes_b))."""
-    return iou_matrix_edges(box_edges(boxes_a), box_edges(boxes_b))
+    return iou_matrix_edges(uvwh_edges(uvwh_array(boxes_a)), uvwh_edges(uvwh_array(boxes_b)))
 
 
 def cosine_similarity(x1: np.ndarray, x2: np.ndarray) -> float:

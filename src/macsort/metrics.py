@@ -19,12 +19,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import starmap
 
 import numpy as np
 
 from .config import CliConfig
 from .errors import FrameMismatch
-from .geometry import BBox, box_edges, iou_edges, iou_matrix
+from .geometry import BBox, iou_matrix
 from .tracker import linear_assignment
 
 MT_COVERAGE = 0.8
@@ -62,11 +63,21 @@ class TrackSequence:
         return sum(len(v) for v in self.frames.values())
 
     @classmethod
-    def from_mot(cls, grouped: dict[int, list]) -> "TrackSequence":
-        seq = cls()
-        for frame, records in grouped.items():
-            for rec in records:
-                seq.add(frame, rec.id, rec.bbox())
+    def from_mot(cls, table) -> "TrackSequence":
+        """The rows of a MotTable, frames ascending, file order within a
+        frame; raises ValueError on a repeated (frame, id)."""
+        order, frames = table.by_frame()
+        table = table.take(order)
+        uvwh = table.uvwh()
+        seq = cls({
+            frame: list(zip(table.id[rows].tolist(), starmap(BBox, uvwh[rows].tolist())))
+            for frame, rows in frames.items()
+        })
+        for frame, items in seq.frames.items():
+            if len(seq._ids[frame]) < len(items):
+                check = cls()
+                for obj_id, box in items:
+                    check.add(frame, obj_id, box)  # raises at the first repeat
         return seq
 
 
@@ -117,36 +128,36 @@ def match_frame(
     pred_frame: list[tuple[int, BBox]],
     iou_threshold: float,
     prev_matches: dict[int, int] | None = None,
+    ious: np.ndarray | None = None,
 ) -> dict[int, int]:
     """One frame's gt-id -> pred-id matching.
 
     Pairs matched in the previous frame are kept while their IoU still
     clears the threshold; the remainder is matched by maximum total IoU.
+    ``ious`` may carry the frame's gt x pred IoU matrix, rows and columns in
+    frame order; without it the matrix is computed here.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    gt_by_id = dict(gt_frame)
-    pred_by_id = dict(pred_frame)
+    if not gt_frame or not pred_frame:
+        return {}
+    if ious is None:
+        ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
+    # a repeated id stands for its last box, as in a dict of the frame
+    gt_row = {g: i for i, (g, _) in enumerate(gt_frame)}
+    pred_col = {p: j for j, (p, _) in enumerate(pred_frame)}
     matches: dict[int, int] = {}
     used: set[int] = set()
-    if prev_matches:
-        carried = [
-            (g, p) for g, p in prev_matches.items() if g in gt_by_id and p in pred_by_id
-        ]
-        if carried:
-            ious = iou_edges(
-                box_edges([gt_by_id[g] for g, _ in carried]),
-                box_edges([pred_by_id[p] for _, p in carried]),
-            )
-            for (g, p), pair in zip(carried, ious):
-                if pair >= iou_threshold and p not in used:
-                    matches[g] = p
-                    used.add(p)
+    for g, p in (prev_matches or {}).items():
+        if g in gt_row and p in pred_col and p not in used:
+            if ious[gt_row[g], pred_col[p]] >= iou_threshold:
+                matches[g] = p
+                used.add(p)
     rem_g = [g for g, _ in gt_frame if g not in matches]
     rem_p = [p for p, _ in pred_frame if p not in used]
     if rem_g and rem_p:
-        ious = iou_matrix([gt_by_id[g] for g in rem_g], [pred_by_id[p] for p in rem_p])
-        for gi, pi in _max_iou_pairs(ious, iou_threshold):
+        rem = ious[np.ix_([gt_row[g] for g in rem_g], [pred_col[p] for p in rem_p])]
+        for gi, pi in _max_iou_pairs(rem, iou_threshold):
             matches[rem_g[gi]] = rem_p[pi]
     return matches
 
@@ -227,7 +238,8 @@ def evaluate(
         gt_len.update(g for g, _ in gts)
         pred_len.update(p for p, _ in preds)
 
-        matches = match_frame(gts, preds, iou_threshold, prev)
+        ious = iou_matrix([b for _, b in gts], [b for _, b in preds]) if gts and preds else None
+        matches = match_frame(gts, preds, iou_threshold, prev, ious)
         tp += len(matches)
         covered.update(matches.keys())
         for g, p in matches.items():
@@ -236,8 +248,7 @@ def evaluate(
             last_match[g] = p
         prev = matches
 
-        if gts and preds:
-            ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
+        if ious is not None:
             gt_ids = [g for g, _ in gts]
             pred_ids = [p for p, _ in preds]
             hit = zip(*np.nonzero(ious >= iou_threshold))

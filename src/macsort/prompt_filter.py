@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, EmptyMemory
-from .geometry import BBox, cosine_matrix, iou_matrix
+from .geometry import BBox, Detection, cosine_matrix, iou_matrix_edges, uvwh_array, uvwh_edges
 
 SHORT_WINDOW_FRAMES = 3
 
@@ -51,13 +51,17 @@ class TpodConfig:
 
 @dataclass
 class PromptDetections:
-    """Parallel boxes / features / scores of one prompt's detections."""
+    """One frame's detections of one prompt as parallel arrays: boxes (n, 4)
+    as (u, v, w, h), features (n, d) and scores (n,). It is also the frame's
+    detection table that MacSort.step reads. Boxes may be given as a list
+    of BBox."""
 
-    boxes: list[BBox]
+    boxes: np.ndarray
     features: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self):
+        self.boxes = uvwh_array(self.boxes)
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
         self.scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if len(self.boxes) == 0 and self.features.size == 0:
@@ -79,29 +83,44 @@ class PromptDetections:
 
     @classmethod
     def empty(cls, dim: int = 1) -> "PromptDetections":
-        return cls([], np.zeros((0, max(dim, 1))), np.zeros(0))
+        return cls(np.zeros((0, 4)), np.zeros((0, max(dim, 1))), np.zeros(0))
+
+    @classmethod
+    def of(cls, detections: "PromptDetections | list[Detection]") -> "PromptDetections":
+        """A detection table as it is, or the table of a list of Detection."""
+        if isinstance(detections, PromptDetections):
+            return detections
+        if not detections:
+            return cls.empty()
+        return cls(
+            [d.bbox for d in detections],
+            np.stack([d.embedding for d in detections]),
+            [d.confidence for d in detections],
+        )
+
+    def detection(self, i: int, frame: int) -> Detection:
+        """Row ``i`` as a Detection of ``frame``."""
+        return Detection(frame, BBox(*self.boxes[i].tolist()), float(self.scores[i]),
+                         self.features[i])
 
     def subset(self, indices) -> "PromptDetections":
         indices = np.asarray(indices, dtype=int)
         return PromptDetections(
-            [self.boxes[i] for i in indices],
-            self.features[indices] if len(indices) else np.zeros((0, self.dim)),
-            self.scores[indices],
+            self.boxes[indices], self.features[indices], self.scores[indices]
         )
 
     @staticmethod
-    def concat(a: "PromptDetections", b: "PromptDetections") -> "PromptDetections":
-        if len(a) == 0:
-            return b
-        if len(b) == 0:
-            return a
-        if a.dim != b.dim:
-            raise DimensionMismatch(f"feature dims differ: {a.dim} vs {b.dim}")
-        return PromptDetections(
-            a.boxes + b.boxes,
-            np.vstack([a.features, b.features]),
-            np.concatenate([a.scores, b.scores]),
-        )
+    def concat(*sets: "PromptDetections") -> "PromptDetections":
+        """The rows of all sets in order; an empty set adds nothing, and when
+        all are empty the last one is returned."""
+        full = [s for s in sets if len(s)]
+        if len(full) <= 1:
+            return full[0] if full else sets[-1]
+        if len({s.dim for s in full}) > 1:
+            dims = " vs ".join(str(s.dim) for s in full)
+            raise DimensionMismatch(f"feature dims differ: {dims}")
+        return PromptDetections(*(np.concatenate([getattr(s, col) for s in full])
+                                  for col in ("boxes", "features", "scores")))
 
 
 @dataclass(frozen=True)
@@ -200,15 +219,12 @@ def ie_classify(
     n = len(general)
     if n == 0:
         return general, general
-    max_inc = (
-        iou_matrix(general.boxes, include.boxes).max(axis=1)
-        if len(include)
+    edges = uvwh_edges(general.boxes)
+    max_inc, max_exc = (
+        iou_matrix_edges(edges, uvwh_edges(prompt.boxes)).max(axis=1)
+        if len(prompt)
         else np.zeros(n)
-    )
-    max_exc = (
-        iou_matrix(general.boxes, exclude.boxes).max(axis=1)
-        if len(exclude)
-        else np.zeros(n)
+        for prompt in (include, exclude)
     )
     inc_hit = max_inc > overlap_threshold
     exc_hit = max_exc > overlap_threshold

@@ -27,6 +27,7 @@ from .geometry import (
     cosine_matrix,
     iou_matrix_edges,
     unit_rows,
+    uvwh_edges,
     xysr_to_bbox,
 )
 from .motion import (
@@ -38,6 +39,7 @@ from .motion import (
     kf_update_batch,
     ocr_reupdate,
 )
+from .prompt_filter import PromptDetections
 
 @dataclass
 class AssocConfig:
@@ -195,14 +197,6 @@ def _direction_costs(tracks: Tracks, centers: np.ndarray, lam: float) -> np.ndar
     return out
 
 
-def _det_arrays(detections: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v, w, h) boxes (n, 4) and unit embeddings (n, d) of detections."""
-    if not detections:
-        return np.zeros((0, 4)), np.zeros((0, 1))
-    uvwh = np.array([(d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h) for d in detections])
-    return uvwh, unit_rows(np.stack([d.embedding for d in detections]))
-
-
 def _xysr(uvwh: np.ndarray) -> np.ndarray:
     """Rows of (u, v, w, h) as (u, v, s, r), as geometry.bbox_to_xysr."""
     w, h = uvwh[:, 2], uvwh[:, 3]
@@ -211,22 +205,15 @@ def _xysr(uvwh: np.ndarray) -> np.ndarray:
 
 def build_cost_matrix(
     tracks: Tracks,
-    detections: list[Detection],
+    detections: PromptDetections | list[Detection],
     cfg: AssocConfig,
-    det_arrays: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CostBreakdown:
-    """Assemble the weighted cost matrix for already-predicted tracks.
+    """Assemble the weighted cost matrix for already-predicted tracks."""
+    dets = PromptDetections.of(detections)
+    m, n = len(tracks), len(dets)
+    det_uvwh, det_embs_unit = dets.boxes, unit_rows(dets.features)
 
-    ``det_arrays`` may carry the detections' ``_det_arrays`` (boxes and
-    unit embeddings) to avoid reading them again; semantics are identical
-    without it.
-    """
-    m, n = len(tracks), len(detections)
-    det_uvwh, det_embs_unit = det_arrays or _det_arrays(detections)
-    half = det_uvwh[:, 2:] / 2.0
-    det_edges = np.concatenate([det_uvwh[:, :2] - half, det_uvwh[:, :2] + half], axis=1)
-
-    iou = iou_matrix_edges(_track_edges(tracks), det_edges)
+    iou = iou_matrix_edges(_track_edges(tracks), uvwh_edges(det_uvwh))
     iou_term = 1.0 - iou
 
     if cfg.use_direction and m and n:
@@ -317,9 +304,9 @@ class MacSort:
         self._last_frame: int | None = None
         self.last_breakdown: CostBreakdown | None = None
 
-    def _apply_updates(self, matches: list[tuple[int, int]], detections: list[Detection],
-                       det_uvwh: np.ndarray, det_embs_unit: np.ndarray) -> None:
-        trk = self.tracks
+    def _apply_updates(self, matches: list[tuple[int, int]], dets: PromptDetections,
+                       det_embs_unit: np.ndarray, frame: int) -> None:
+        trk, det_uvwh = self.tracks, dets.boxes
         rows = np.array([m for m, _ in matches], dtype=np.intp)
         cols = np.array([n for _, n in matches], dtype=np.intp)
         gaps = trk.time_since_update[rows]
@@ -331,7 +318,7 @@ class MacSort:
         for m, n, gap in zip(rows[gaps > 1], cols[gaps > 1], gaps[gaps > 1]):
             state = ocr_reupdate(
                 KalmanState(trk.checkpoint_x[m], trk.checkpoint_P[m]),
-                BBox(*trk.last_box[m].tolist()), detections[n], int(gap), self.motion,
+                BBox(*trk.last_box[m].tolist()), dets.detection(n, frame), int(gap), self.motion,
             )
             trk.x[m], trk.P[m] = state.x, state.P
 
@@ -354,8 +341,11 @@ class MacSort:
         trk.time_since_update[rows] = 0
         trk.confirmed[rows] |= trk.hits[rows] >= self.config.min_hits
 
-    def step(self, detections: list[Detection], frame: int) -> list[tuple[int, BBox]]:
-        """Advance one frame; returns (track id, box) for reportable tracks."""
+    def step(
+        self, detections: PromptDetections | list[Detection], frame: int
+    ) -> list[tuple[int, BBox]]:
+        """Advance one frame's detection table, or list of Detection;
+        returns (track id, box) for reportable tracks."""
         if self._last_frame is not None and frame <= self._last_frame:
             raise NonMonotonicFrame(f"frame {frame} after frame {self._last_frame}")
         self._last_frame = frame
@@ -366,22 +356,23 @@ class MacSort:
             trk.x, trk.P = kf_predict_batch(trk.x, trk.P, self.motion)
             trk.time_since_update += 1
 
-        det_uvwh, det_embs_unit = _det_arrays(detections)
-        if len(trk) and detections:
-            breakdown = build_cost_matrix(trk, detections, cfg, (det_uvwh, det_embs_unit))
+        dets = PromptDetections.of(detections)
+        det_embs_unit = unit_rows(dets.features)
+        if len(trk) and len(dets):
+            breakdown = build_cost_matrix(trk, dets, cfg)
             matches, _, unmatched_dets = linear_assignment(breakdown.total)
             self.last_breakdown = breakdown
         else:
-            matches, unmatched_dets = [], list(range(len(detections)))
+            matches, unmatched_dets = [], list(range(len(dets)))
             self.last_breakdown = None
 
-        self._apply_updates(matches, detections, det_uvwh, det_embs_unit)
+        self._apply_updates(matches, dets, det_embs_unit, frame)
 
         if unmatched_dets:
             born = np.array(unmatched_dets, dtype=np.intp)
-            states = [kf_init(detections[n], self.motion) for n in unmatched_dets]
+            states = [kf_init(dets.detection(n, frame), self.motion) for n in unmatched_dets]
             trk = trk.concat(Tracks.born(
-                self._next_id, states, det_uvwh[born], det_embs_unit[born],
+                self._next_id, states, dets.boxes[born], det_embs_unit[born],
                 cfg.min_hits <= 1,
             ))
             self._next_id += len(born)
@@ -400,12 +391,12 @@ class MacSort:
 
 
 def track_sequence(
-    per_frame: dict[int, list[Detection]],
+    per_frame: dict[int, PromptDetections | list[Detection]],
     config: AssocConfig | None = None,
     motion: MotionConfig = DEFAULT_MOTION,
 ) -> list[tuple[int, int, BBox]]:
-    """Track one sequence through frames 1..max(per_frame), feeding an empty
-    detection list to frames absent from ``per_frame``; returns the
+    """Track one sequence through frames 1..max(per_frame), feeding no
+    detections to frames absent from ``per_frame``; returns the
     (frame, track id, box) rows of every frame in order."""
     tracker = MacSort(config, motion)
     rows = []

@@ -202,7 +202,7 @@ def test_criterion_5_lsm_partition_and_bounds():
     res = tpod_frame(
         general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
     )
-    assert [b.u for b in res.final_tps.boxes] == [0]
+    assert res.final_tps.boxes[:, 0].tolist() == [0]
     assert res.stats.n_rescued == 1 and res.stats.n_rejected == 1
     _passed(5, "partition, memory bounds, and rescue all hold")
 

@@ -184,6 +184,35 @@ class TestInputContract:
             f"ParseError: {bad}: duplicate id {obj_id} in frame {frame}",
         )
 
+    @pytest.mark.parametrize("stem", ["include", "exclude"])
+    def test_prompt_embedding_dimension_differs(self, tmp_path, capsys, stem):
+        # the prompt file's only row is in a frame with no general row, so
+        # no frame ever combines the two dimensions
+        seq = _prompt_dump(tmp_path)
+        write_detections(
+            seq / f"{stem}.txt", seq / f"{stem}.emb",
+            [MotRecord(2, -1, 0, 0, 10, 10, 0.9)], np.eye(1, 8),
+        )
+        self._one_error_line(
+            capsys, ["filter", str(seq)],
+            f"SidecarMismatch: {seq / stem}.emb: embedding dimension 8 differs from general's 4",
+        )
+        assert not (seq / "filtered.txt").exists()
+
+    @pytest.mark.parametrize("command", [["filter"], ["track", "--detections", "general"]])
+    @pytest.mark.parametrize("column, value", [(0, "99999999999999999999"), (1, "-9223372036854775809")])
+    def test_frame_or_id_beyond_int64(self, synth_seq, capsys, command, column, value):
+        general = synth_seq / "general.txt"
+        lines = general.read_text().splitlines()
+        cols = lines[4].split(",")
+        cols[column] = value
+        lines[4] = ",".join(cols)
+        general.write_text("\n".join(lines) + "\n")
+        self._one_error_line(
+            capsys, [command[0], str(synth_seq), *command[1:]],
+            f"ParseError: {general} line 5: frame or id outside the int64 range",
+        )
+
     @pytest.mark.parametrize(
         "line",
         ["embedding_swap_frame=abc", "speed_px=nan", "field_w=nan", "box_size_px=inf"],

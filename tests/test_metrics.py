@@ -230,8 +230,9 @@ class TestEdgeCases:
         assert values["mota"] is None and values["fp"] == 1
 
 
-def per_pair_match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None):
-    """match_frame with one 1x1 IoU call per carried-over pair."""
+def per_pair_match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None, ious=None):
+    """match_frame with one 1x1 IoU call per carried-over pair; a frame
+    IoU matrix passed in is ignored, every IoU is computed here."""
     gt_by_id = dict(gt_frame)
     pred_by_id = dict(pred_frame)
     matches = {}

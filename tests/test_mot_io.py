@@ -16,8 +16,11 @@ from macsort.errors import (
     SidecarMismatch,
     TruncatedBody,
 )
+from macsort.geometry import BBox
 from macsort.mot_io import (
     MotRecord,
+    MotTable,
+    _parse_line,
     read_embeddings,
     read_mot,
     read_mot_lines,
@@ -289,7 +292,7 @@ class TestPromptDumpOracle:
             for frame, triple in dump.items():
                 for stem, got in zip(("general", "include", "exclude"), triple):
                     boxes, feats, scores = _select_frame_oracle(seq / stem, frame, general_dim)
-                    assert got.boxes == boxes
+                    assert got.boxes.tolist() == [[b.u, b.v, b.w, b.h] for b in boxes]
                     assert got.features.shape == feats.shape
                     assert np.array_equal(got.features, feats)
                     assert got.scores.tolist() == scores
@@ -359,3 +362,202 @@ class TestReaderFuzz:
         dim, rows = struct.unpack("<i", data[4:8])[0], struct.unpack("<q", data[8:16])[0]
         assert embs.shape == (rows, dim) and embs.dtype == np.float64
         assert np.isfinite(embs).all()
+
+
+class TestInt64Bound:
+    @pytest.mark.parametrize(
+        "frame, obj_id",
+        [("99999999999999999999", "1"), ("9223372036854775808", "1"),
+         ("1", "9223372036854775808"), ("1", "-9223372036854775809")],
+    )
+    def test_frame_or_id_beyond_int64(self, tmp_path, frame, obj_id):
+        p = tmp_path / "big.txt"
+        p.write_text(f"1,1,0,0,10,10,0.5,-1,-1,-1\n{frame},{obj_id},0,0,10,10,0.5,-1,-1,-1\n")
+        with pytest.raises(ParseError, match=r"big\.txt line 2: frame or id outside the int64 range"):
+            read_mot_lines(p)
+
+    def test_int64_extremes_are_read(self, tmp_path):
+        p = tmp_path / "edge.txt"
+        p.write_text("9223372036854775807,-9223372036854775808,0,0,10,10,0.5,-1,-1,-1\n")
+        table = read_mot_lines(p)
+        assert table.frame.tolist() == [2**63 - 1] and table.id.tolist() == [-(2**63)]
+
+
+# -- the per-line reader and per-record writer the columnar ones replaced, kept
+# -- as their oracles
+
+
+def _line_loop_reader(path):
+    records = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if "\ufffd" in line:
+                    raise ParseError(f"line {lineno}: not UTF-8 text")
+                records.append(_parse_line(line, lineno))
+            except (ParseError, NonPositiveBox) as exc:
+                raise type(exc)(f"{path} {exc}") from exc
+    return records
+
+
+def format_record(rec: MotRecord) -> str:
+    return (
+        f"{rec.frame},{rec.id},{rec.left:.2f},{rec.top:.2f},"
+        f"{rec.width:.2f},{rec.height:.2f},{rec.conf:.4f},"
+        f"{int(rec.x)},{int(rec.y)},{int(rec.z)}"
+    )
+
+
+def _read_outcome(reader, path):
+    """Dtype, shape and raw bytes of each column of what ``reader`` reads,
+    so that equal means bit-equal (-0.0 included), or the error raised."""
+    try:
+        table = MotTable.from_records(reader(path))
+    except InputError as exc:
+        return type(exc), str(exc)
+    return [(col.dtype.str, col.shape, col.tobytes()) for col in vars(table).values()]
+
+
+_ODD_INTS = ["+3", "1_0", "٣", "0012", "７"]  # accepted by int()
+_ODD_FLOATS = ["1_0.5", "+2.5", "-0.0", "١٠", "2.675", "1e-400", "5.", ".5"]
+_BAD_INTS = ["0", "-1", "9223372036854775808", "99999999999999999999",
+             "-9223372036854775809", "1.0", "", "x", "1\x00", "\ufffd"]
+_BAD_FLOATS = ["nan", "inf", "-inf", "1e309", "x", "", "0x10", "1e", "2.5\x00"]
+_PADS = [" ", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@st.composite
+def _mot_text(draw):
+    """MOT CSV bytes: valid rows in 9 or 10 columns, with per-file odds of
+    odd but valid spellings, whitespace padding, bad values, wrong column
+    counts, blank lines, any newline convention and non-UTF-8 bytes."""
+    odd, pad, bad = (draw(st.integers(0, 2)) == 0 for _ in range(3))
+    width = draw(st.sampled_from([9, 10, None]))  # None: mixed per line
+    text = ""
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            line = draw(st.sampled_from(["", " ", "\t", "\x1c", "\x85 "]))
+        else:
+            cols = [str(draw(st.integers(1, 30))), draw(st.sampled_from(["-1", "-1", "4"]))]
+            cols += [draw(st.sampled_from(["0", "12.5", "-3.25", "100", "0.015"])) for _ in "lt"]
+            cols += [draw(st.sampled_from(["10", "0.5", "24.75", "3"])) for _ in "wh"]
+            cols.append(draw(st.sampled_from(["0.9", "0", "1", "0.1234", "1.7"])))
+            n_xyz = (width or draw(st.sampled_from([9, 10]))) - 7
+            cols += [draw(st.sampled_from(["-1", "-1.5", "2.7", "1e300"])) for _ in range(n_xyz)]
+            i = draw(st.integers(0, len(cols) - 1))
+            if odd:
+                cols[i] = draw(st.sampled_from(_ODD_INTS if i < 2 else _ODD_FLOATS))
+            if bad and draw(st.booleans()):
+                cols[i] = draw(st.sampled_from(_BAD_INTS if i < 2 else _BAD_FLOATS))
+            if pad:
+                cols[i] = draw(st.sampled_from(_PADS)) + cols[i] + draw(st.sampled_from(_PADS))
+            if bad and draw(st.integers(0, 3)) == 0:
+                cols = cols[:-1] if draw(st.booleans()) else cols + ["-1"]
+            line = ",".join(cols)
+        text += line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    data = text.encode()
+    if bad and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe2\x80", b"\xc3"])) + data[at:]
+    return data
+
+
+class TestColumnarReaderOracle:
+    """read_mot_lines gives bit-equal columns to the per-line loop, or the
+    same error type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mot_text())
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,\x1c-1\n2,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,\x85-1\r\n\r2,4,0,0,10,10,1.7,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1\n2,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1_0,-1,-0.0,+1,\xd9\xa1,10,0.9,2.7,-1.5,1e300\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,-1\n99999999999999999999,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,1e309,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,0,0,10,10,nan,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,0,0,\xef\xbf\xbd,10,0.9,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,0,0,10,10,0.9,-1,-1,\xff\n")
+    def test_equals_line_loop(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.txt"
+            p.write_bytes(data)
+            assert _read_outcome(read_mot_lines, p) == _read_outcome(_line_loop_reader, p)
+
+    def test_table_reads_as_records(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("2,-1,1,2,3,4,0.5,-1,-1\n1,7,5,6,7,8,0.25,1,2,3\n")
+        table = read_mot_lines(p)
+        records = _line_loop_reader(p)
+        assert list(table) == records
+        assert [table[i] for i in range(len(table))] == records
+        assert table[-1] == records[-1]
+
+
+# values at and around two-decimal ties, signed zeros, and x/y/z that int()
+# truncates or prints in full
+_TIE_FLOATS = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda k: k / 1000),  # .xx5 among them
+    st.sampled_from([0.0, -0.0, 0.125, -0.125, 2.675, 1.005, 0.015, -0.005, 1e-9, -1e-9]),
+    st.floats(-1e4, 1e4, allow_nan=False),
+)
+_XYZ = st.one_of(st.sampled_from([-1.0, -0.0, -0.5, 0.999, 2.7, -2.7, 1e300, -1e300]),
+                 st.floats(-1e20, 1e20, allow_nan=False))
+_records = st.lists(
+    st.builds(
+        MotRecord, st.integers(1, 40), st.integers(-1, 9), _TIE_FLOATS, _TIE_FLOATS,
+        _TIE_FLOATS, _TIE_FLOATS, st.floats(0, 1), _XYZ, _XYZ, _XYZ,
+    ),
+    max_size=30,
+)
+
+
+class TestColumnarWriterOracle:
+    """The columnar writers give the bytes of the per-record formatter."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records)
+    def test_write_mot_and_detections(self, records):
+        want = "".join(format_record(r) + "\n" for r in sorted(records, key=lambda r: r.frame))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "out.txt"
+            for given_as in (records, MotTable.from_records(records)):
+                write_mot(given_as, p)
+                assert p.read_text(encoding="utf-8") == want
+                write_detections(p, Path(tmp) / "out.emb", given_as, np.zeros((len(records), 1)))
+                assert p.read_text(encoding="utf-8") == "".join(
+                    format_record(r) + "\n" for r in records
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_TIE_FLOATS, _TIE_FLOATS, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                    max_size=30))
+    def test_center_boxes_write_left_as_bbox(self, rows):
+        boxes = [BBox(*row) for row in rows]
+        table = MotTable.from_uvwh(3, -1, np.array(rows).reshape(-1, 4), 0.5)
+        assert list(table) == [MotRecord.from_bbox(3, -1, b, 0.5) for b in boxes]
+        assert table.uvwh().tobytes() == np.array(
+            [(r.bbox().u, r.bbox().v, r.bbox().w, r.bbox().h) for r in table]
+        ).reshape(-1, 4).tobytes()
+
+    def test_filter_rewrites_left_from_center(self, tmp_path):
+        # left 0.005 prints as 0.01 but (l + w/2) - w/2 as 0.00 when w = 3,
+        # and 0.015 as 0.01 against 0.02 when w = 0.5: the filtered rows are
+        # written from the box centre, not copied
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        (seq / "general.txt").write_text(
+            "1,-1,0.005,1.005,3,3,0.9,-1,-1,-1\n1,-1,0.015,2.675,0.5,0.25,0.8,-1,-1,-1\n"
+        )
+        write_embeddings(np.eye(2), seq / "general.emb")
+        from macsort.cli import main
+        assert main(["filter", str(seq)]) == 0
+        general = read_mot_lines(seq / "general.txt")
+        want = "".join(
+            format_record(MotRecord.from_bbox(r.frame, -1, r.bbox(), r.conf)) + "\n"
+            for r in general
+        )
+        assert (seq / "filtered.txt").read_text() == want
+        assert want != "".join(format_record(r) + "\n" for r in general)

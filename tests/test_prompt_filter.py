@@ -35,8 +35,8 @@ class TestIeClassify:
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
         tps, uncl = ie_classify(general, include, exclude)
-        assert [b.u for b in tps.boxes] == [0]
-        assert [b.u for b in uncl.boxes] == [200]
+        assert tps.boxes[:, 0].tolist() == [0]
+        assert uncl.boxes[:, 0].tolist() == [200]
 
     def test_empty_prompts_leave_all_unclassified(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
@@ -85,7 +85,7 @@ class TestIeClassify:
             general = mk(n_g)
             tps, uncl = ie_classify(general, mk(n_i), mk(n_e))
             assert len(tps) + len(uncl) <= len(general)
-            got = {b for b in tps.boxes} | {b for b in uncl.boxes}
+            got = {tuple(b) for b in tps.boxes.tolist()} | {tuple(b) for b in uncl.boxes.tolist()}
             assert len(got) == len(tps) + len(uncl)  # disjoint subsets
 
 
@@ -150,8 +150,8 @@ class TestLsmClassify:
         uncl = dets(spaced_boxes(2), [E1, E2])
         profile = lsm_similarity_profile(memory, uncl)
         tps, fps = lsm_classify(profile, uncl)
-        assert [b.u for b in tps.boxes] == [0]
-        assert [b.u for b in fps.boxes] == [100]
+        assert tps.boxes[:, 0].tolist() == [0]
+        assert fps.boxes[:, 0].tolist() == [100]
 
     def test_shared_feature_all_tp(self):
         memory = full_memory()
@@ -229,7 +229,7 @@ class TestTpodFrame:
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
         res = tpod_frame(general, include, exclude, MemoryBank(), 0)
-        assert [b.u for b in res.final_tps.boxes] == [0]
+        assert res.final_tps.boxes[:, 0].tolist() == [0]
         assert res.stats.n_dropped == 1
 
     def test_rescue_scenario(self):
@@ -247,7 +247,7 @@ class TestTpodFrame:
         res = tpod_frame(
             general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
         )
-        assert [b.u for b in res.final_tps.boxes] == [0]
+        assert res.final_tps.boxes[:, 0].tolist() == [0]
         assert res.stats.n_rescued == 1
         assert res.stats.n_rejected == 1
 
