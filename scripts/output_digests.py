@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Byte-identity check for refactors: the sha256 of every input and output
+of one benchmark workload.
+
+Generates the workload's sequences as the benchmark's set-up does
+(``perfbench/workloads.py``), runs ``filter``, ``track`` and ``eval`` on
+them through ``macsort.cli.main`` in a temporary directory, and prints one
+``<sha256>  <sequence>/<file>`` line per file. Run it on two checkouts and
+diff the output: a change that claims to alter no output prints the same
+lines.
+
+Usage: python scripts/output_digests.py --workload crowd_dense --seed 0
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# this checkout's program and workloads; BLAS on one thread, as the benchmark runs it
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import macsort.cli  # noqa: E402
+
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+from perfbench.workloads import WORKLOADS, generate  # noqa: E402
+
+FILES = ("gt.txt", "general.txt", "general.emb", "filtered.txt", "filtered.emb",
+         "results.txt", "results.txt.metrics.json")
+
+
+def _cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = macsort.cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"macsort {' '.join(argv)} exited {code}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    workload = WORKLOADS[args.workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        seqs = generate(workload.specs(args.seed), Path(tmp), workload.prompts)
+        dirs = [str(seq) for seq in seqs]
+        _cli("filter", *dirs)
+        _cli("track", *dirs)
+        for seq in seqs:
+            _cli("eval", str(seq / "gt.txt"), str(seq / "results.txt"))
+        for seq in seqs:
+            for name in FILES:
+                digest = hashlib.sha256((seq / name).read_bytes()).hexdigest()
+                print(f"{digest}  {seq.name}/{name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ from macsort.tracker import AssocConfig, track_sequence
 
 def run(scenario, cfg):
     pred = TrackSequence()
-    for frame, tid, box in track_sequence(scenario.detections, cfg):
+    for frame, tid, box in track_sequence(scenario.frame_sets(), cfg):
         pred.add(frame, tid, box)
     return evaluate(scenario.gt, pred)
 

@@ -102,7 +102,7 @@ def cmd_filter(args, cfg: RunConfig) -> int:
             f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
             for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
         )
-        return f"[filter] {seq_dir} frames={len(stats)} {counts} final={len(table)}"
+        return f"[filter] {seq_dir} frames={max(dump, default=0)} {counts} final={len(table)}"
 
     for report in _run_sequences(cfg, args.seq_dirs, one):
         print(report)
@@ -171,21 +171,13 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     scenario = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    gt = [(f, obj_id, box) for f in sorted(scenario.gt.frames) for obj_id, box in scenario.gt.at(f)]
-    write_mot(_track_table(gt), out / "gt.txt")
-
-    dets = [(f, det) for f in sorted(scenario.detections) for det in scenario.detections[f]]
-    table = MotTable.from_uvwh(
-        [f for f, _ in dets], DETECTION_ID, [d.bbox for _, d in dets],
-        [d.confidence for _, d in dets],
-    )
-    embs = np.stack([d.embedding for _, d in dets]) if dets else np.zeros((0, spec.embedding_dim))
-    write_detections(out / "general.txt", out / "general.emb", table, embs)
+    write_mot(scenario.gt_table(), out / "gt.txt")
+    write_detections(out / "general.txt", out / "general.emb", scenario.detection_table(),
+                     scenario.embeddings)
     write_spec(spec, out / "scenario.spec")
     print(
         f"[synth] {args.out_dir}: {spec.n_objects} objects x {spec.n_frames} frames, "
-        f"{len(table)} detections"
+        f"{len(scenario.det_frame)} detections"
     )
     return 0
 

@@ -31,7 +31,7 @@ from .errors import (
     TruncatedBody,
 )
 from .geometry import BBox, uvwh_array
-from .prompt_filter import PromptDetections, TpodConfig
+from .prompt_filter import SHORT_WINDOW_FRAMES, PromptDetections, TpodConfig
 
 EMB_MAGIC = b"EMB1"
 DETECTION_ID = -1
@@ -328,7 +328,8 @@ def read_prompt_dump_all(
     """Load a whole prompt dump as general/include/exclude sets per frame.
 
     Frames run 1..max frame seen in any prompt file; frames with no rows
-    get empty sets so that downstream memory windows still advance. Absent
+    get empty sets so that downstream memory windows still advance, up to
+    SHORT_WINDOW_FRAMES of them in a row: later ones are left out. Absent
     include/exclude files mean empty prompt sets; scores below the
     detection threshold are dropped. Prompt files that hold rows must share
     the general file's embedding dimension (SidecarMismatch otherwise).
@@ -347,15 +348,20 @@ def read_prompt_dump_all(
                 f"differs from general's {dim}"
             )
         files.append((table, embs))
-    last = max((int(table.frame.max()) for table, _ in files if len(table)), default=0)
+    with_rows = np.unique(np.concatenate([table.frame for table, _ in files])).tolist()
+    last = with_rows[-1] if with_rows else 0
+    # a frame is left out after SHORT_WINDOW_FRAMES frames without rows (from
+    # frame 0 on): those emptied the short memory band, so it changes nothing
+    frames = sorted({f + k for f in [0, *with_rows] for k in range(SHORT_WINDOW_FRAMES + 1)
+                     if 1 <= f + k <= last})
 
     per_file = []
     for table, embs in files:
         empty = PromptDetections.empty(embs.shape[1] if len(embs) else dim)
         kept = table.conf >= detection_threshold
         sets = detection_sets(table.take(kept), embs[kept])
-        per_file.append([sets.get(frame, empty) for frame in range(1, last + 1)])
-    return dict(enumerate(zip(*per_file), start=1))
+        per_file.append([sets.get(frame, empty) for frame in frames])
+    return dict(zip(frames, zip(*per_file)))
 
 
 def detection_sets(table: MotTable, embs: np.ndarray) -> dict[int, PromptDetections]:

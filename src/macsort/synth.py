@@ -4,7 +4,9 @@ Generates ground-truth trajectories plus noisy detections with appearance
 embeddings whose homogeneity is controllable, the desk-scale test bed for
 the filter/tracker/metrics stack. Randomness comes from a self-contained
 splitmix64 generator so identical specs reproduce identical outputs on any
-platform.
+platform. Splitmix64 is counter-based (draw i is mix(seed + (i + 1) *
+gamma)), so ``generate`` computes its draws by stream position, whole
+blocks at a time, in the layout its docstring gives.
 
 Motion models:
   linear    parallel lanes, constant velocity
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,23 +32,31 @@ import numpy as np
 from .errors import SpecError
 from .geometry import BBox, Detection
 from .metrics import TrackSequence
+from .mot_io import DETECTION_ID, MotTable
+from .prompt_filter import PromptDetections
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 MOTION_MODELS = ("linear", "crossing", "circular")
 
 
+def _mix(z):
+    """splitmix64's output function, on an int or a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
-    """splitmix64 PRNG; one 64-bit state, portable across languages."""
+    """splitmix64 PRNG; one 64-bit state, portable across languages. The
+    scalar reference of the draws that ``generate`` computes by position."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self.state = (self.state + _GAMMA) & _MASK64
+        return _mix(self.state)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
@@ -64,6 +75,49 @@ class SplitMix64:
             vec[0] = 1.0
             return vec
         return vec / norm
+
+
+def _u64_at(seed: int, index):
+    """SplitMix64(seed)'s draw at 0-based stream position ``index``, an int
+    or a uint64 array of positions."""
+    return _mix(((seed & _MASK64) + (index + 1) * _GAMMA) & _MASK64)
+
+
+def _uniform_at(seed: int, index):
+    return (_u64_at(seed, index) >> 11) * 2.0**-53
+
+
+def _per_value(fn, a) -> np.ndarray:
+    """The math function ``fn`` on each value of array ``a``: numpy's own
+    log and cos may differ from it in the last bit."""
+    return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """SplitMix64.normal of arrays of uniform pairs, bit for bit."""
+    log = _per_value(math.log, np.maximum(u1, 2.0**-53))
+    return np.sqrt(-2.0 * log) * _per_value(math.cos, (2.0 * math.pi) * u2)
+
+
+def _unit_vectors(normals: np.ndarray) -> np.ndarray:
+    """Rows normalised as SplitMix64.unit_vector does it. The norm runs per
+    row, as a BLAS dot; norm(axis=1) may sum in another order."""
+    norms = np.array([np.linalg.norm(row) for row in normals]).reshape(-1, 1)
+    tiny = norms < 1e-12
+    return np.where(tiny, np.eye(1, normals.shape[1]), normals / np.where(tiny, 1.0, norms))
+
+
+def _uniforms_at(seed: int, starts: list[int], count: int) -> np.ndarray:
+    """(len(starts), count) uniforms; row r is drawn from stream position
+    starts[r] on."""
+    pos = np.add.outer(np.array(starts, dtype=np.uint64), np.arange(count, dtype=np.uint64))
+    return _uniform_at(seed, pos)
+
+
+def _unit_vectors_at(seed: int, starts: list[int], dim: int) -> np.ndarray:
+    """SplitMix64.unit_vector(dim) drawn from each stream position of ``starts``."""
+    u = _uniforms_at(seed, starts, 2 * dim)
+    return _unit_vectors(_box_muller(u[:, 0::2], u[:, 1::2]))
 
 
 @dataclass
@@ -111,35 +165,73 @@ class ScenarioSpec:
                 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
+    """One generated sequence as columns, rows in frame order and boxes as
+    (u, v, w, h). Ground-truth row i is object ``gt_id[i]`` at frame
+    ``gt_frame[i]``; detection row i has embedding ``embeddings[i]``.
+    ``gt`` and ``detections`` view the rows as objects."""
+
     spec: ScenarioSpec
-    gt: TrackSequence
-    detections: dict[int, list[Detection]]
+    gt_frame: np.ndarray  # (m,) int
+    gt_id: np.ndarray  # (m,) int
+    gt_boxes: np.ndarray  # (m, 4)
+    det_frame: np.ndarray  # (r,) int
+    det_boxes: np.ndarray  # (r, 4)
+    det_conf: np.ndarray  # (r,)
+    embeddings: np.ndarray  # (r, embedding_dim)
+
+    def gt_table(self) -> MotTable:
+        return MotTable.from_uvwh(self.gt_frame, self.gt_id, self.gt_boxes, 1.0)
+
+    def detection_table(self) -> MotTable:
+        return MotTable.from_uvwh(self.det_frame, DETECTION_ID, self.det_boxes, self.det_conf)
+
+    def frame_sets(self) -> dict[int, PromptDetections]:
+        """Each frame's detections as one table, frames 1..n_frames; the
+        tables view the columns."""
+        ends = np.searchsorted(self.det_frame, np.arange(self.spec.n_frames + 1), "right")
+        return {
+            frame: PromptDetections(self.det_boxes[a:b], self.embeddings[a:b], self.det_conf[a:b])
+            for frame, (a, b) in enumerate(zip(ends.tolist(), ends[1:].tolist()), start=1)
+        }
+
+    @cached_property
+    def gt(self) -> TrackSequence:
+        seq = TrackSequence(n_frames=self.spec.n_frames)
+        for frame, obj_id, box in zip(self.gt_frame.tolist(), self.gt_id.tolist(),
+                                      self.gt_boxes.tolist()):
+            seq.add(frame, obj_id, BBox(*box))
+        return seq
+
+    @cached_property
+    def detections(self) -> dict[int, list[Detection]]:
+        return {frame: [dets.detection(i, frame) for i in range(len(dets))]
+                for frame, dets in self.frame_sets().items()}
 
 
-def _trajectory(spec: ScenarioSpec, obj: int, frame: int) -> tuple[float, float]:
-    """Ground-truth center of 0-based object ``obj`` at 1-based ``frame``."""
+def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth centers (x, y), each (n_frames, n_objects): 1-based
+    frames down, 0-based objects across."""
+    n, obj = spec.n_objects, np.arange(spec.n_objects)
+    t = np.arange(1, spec.n_frames + 1)[:, None]
     cx, cy = spec.field_w / 2.0, spec.field_h / 2.0
     if spec.motion == "linear":
-        y = spec.field_h * (obj + 1) / (spec.n_objects + 1)
-        x = spec.field_w * 0.15 + spec.speed_px * (frame - 1)
-        return x, y
+        x = spec.field_w * 0.15 + spec.speed_px * (t - 1)
+        y = spec.field_h * (obj + 1) / (n + 1)
+        return np.broadcast_to(x, (len(t), n)), np.broadcast_to(y, (len(t), n))
     if spec.motion == "crossing":
-        phi = math.pi * obj / spec.n_objects
-        t_cross = spec.n_frames // 2 + (obj - spec.n_objects // 2) * spec.crossing_stagger
-        d = spec.speed_px * (frame - t_cross)
-        return cx + d * math.cos(phi), cy + d * math.sin(phi)
+        phi = math.pi * obj / n
+        t_cross = spec.n_frames // 2 + (obj - n // 2) * spec.crossing_stagger
+        d = spec.speed_px * (t - t_cross)
+        return cx + d * _per_value(math.cos, phi), cy + d * _per_value(math.sin, phi)
     radius = min(spec.field_w, spec.field_h) / 4.0 + obj * spec.box_size_px
-    omega = spec.speed_px / radius
-    phase = 2.0 * math.pi * obj / spec.n_objects
-    angle = omega * (frame - 1) + phase
-    return cx + radius * math.cos(angle), cy + radius * math.sin(angle)
+    angle = spec.speed_px / radius * (t - 1) + 2.0 * math.pi * obj / n
+    return cx + radius * _per_value(math.cos, angle), cy + radius * _per_value(math.sin, angle)
 
 
-def _object_embeddings(spec: ScenarioSpec, rng: SplitMix64) -> np.ndarray:
-    shared = rng.unit_vector(spec.embedding_dim)
-    bases = np.stack([rng.unit_vector(spec.embedding_dim) for _ in range(spec.n_objects)])
+def _object_embeddings(spec: ScenarioSpec, units: np.ndarray) -> np.ndarray:
+    shared, bases = units[0], units[1:]
     h = spec.appearance_homogeneity
     mixed = h * shared[None, :] + (1.0 - h) * bases
     norms = np.linalg.norm(mixed, axis=1, keepdims=True)
@@ -155,68 +247,71 @@ def generate(spec: ScenarioSpec) -> Scenario:
     With zero noise, miss and clutter rates the detections equal the ground
     truth exactly. Occlusion windows drop detections only; the ground-truth
     trajectory continues through them.
+
+    Draw layout of the SplitMix64(seed) stream, the reproducibility
+    contract: first (n_objects + 1) * embedding_dim normals (the shared
+    unit vector, then one per object); then per frame 6 * n_objects draws,
+    per object two normals (noise_u, noise_v) and two uniforms (miss_u,
+    conf_u), drawn for every object so that scenario variants share
+    geometry; then n_objects clutter slots of one uniform each, each slot
+    that makes a clutter box followed by its cx, cy and confidence uniforms
+    and its embedding_dim unit-vector normals. A normal takes two draws.
     """
     spec.validate()
-    rng = SplitMix64(spec.seed)
-    embeddings = _object_embeddings(spec, rng)
-    occluded = {
-        (obj, f)
-        for obj, start, end in spec.occlusion_windows
-        for f in range(start, end + 1)
-    }
+    n, dim, n_frames, seed = spec.n_objects, spec.embedding_dim, spec.n_frames, spec.seed
+    units = _unit_vectors_at(seed, range(0, (n + 1) * 2 * dim, 2 * dim), dim)
+    embeddings = _object_embeddings(spec, units)
 
-    gt = TrackSequence(n_frames=spec.n_frames)
-    detections: dict[int, list[Detection]] = {}
-    size = spec.box_size_px
-    for frame in range(1, spec.n_frames + 1):
-        dets: list[Detection] = []
-        for obj in range(spec.n_objects):
-            x, y = _trajectory(spec, obj, frame)
-            gt.add(frame, obj + 1, BBox(x, y, size, size))
-            # draw all per-object randoms unconditionally so scenario
-            # variants (occlusion, swap, homogeneity) share geometry
-            noise_u = rng.normal()
-            noise_v = rng.normal()
-            miss_u = rng.uniform()
-            conf_u = rng.uniform()
-            if (obj + 1, frame) in occluded:
-                continue
-            if spec.miss_rate > 0.0 and miss_u < spec.miss_rate:
-                continue
-            emb_obj = obj
-            if (
-                spec.embedding_swap_frame is not None
-                and frame >= spec.embedding_swap_frame
-            ):
-                emb_obj = spec.n_objects - 1 - obj
-            dets.append(
-                Detection(
-                    frame=frame,
-                    bbox=BBox(
-                        x + spec.detection_noise_px * noise_u,
-                        y + spec.detection_noise_px * noise_v,
-                        size,
-                        size,
-                    ),
-                    confidence=0.55 + 0.4 * conf_u,
-                    embedding=embeddings[emb_obj].copy(),
-                )
-            )
-        for _ in range(spec.n_objects):
-            clutter_u = rng.uniform()
-            if spec.clutter_rate > 0.0 and clutter_u < spec.clutter_rate:
-                cx = size / 2.0 + rng.uniform() * (spec.field_w - size)
-                cy = size / 2.0 + rng.uniform() * (spec.field_h - size)
-                dets.append(
-                    Detection(
-                        frame=frame,
-                        bbox=BBox(cx, cy, size, size),
-                        confidence=0.25 + 0.35 * rng.uniform(),
-                        embedding=rng.unit_vector(spec.embedding_dim),
-                    )
-                )
-        detections[frame] = dets
-    return Scenario(spec=spec, gt=gt, detections=detections)
+    # only the clutter slots walk the stream one draw at a time: whether a
+    # slot makes a box decides where every later draw sits
+    starts, clutter_at, clutter_frame = [], [], []
+    pos = (n + 1) * 2 * dim
+    for frame in range(1, n_frames + 1):
+        starts.append(pos)
+        pos += 6 * n
+        for _ in range(n):
+            pos += 1
+            if spec.clutter_rate > 0.0 and _uniform_at(seed, pos - 1) < spec.clutter_rate:
+                clutter_at.append(pos)
+                clutter_frame.append(frame)
+                pos += 3 + 2 * dim
+
+    draws = _uniforms_at(seed, starts, 6 * n).reshape(n_frames, n, 6)
+    noise_u = _box_muller(draws[..., 0], draws[..., 1])
+    noise_v = _box_muller(draws[..., 2], draws[..., 3])
+    keep = np.ones((n_frames, n), dtype=bool)
+    for obj, start, end in spec.occlusion_windows:
+        keep[start - 1:end, obj - 1] = False
+    if spec.miss_rate > 0.0:
+        keep &= draws[..., 4] >= spec.miss_rate
+    emb_obj = np.tile(np.arange(n), (n_frames, 1))
+    if spec.embedding_swap_frame is not None:
+        swapped = np.arange(1, n_frames + 1) >= spec.embedding_swap_frame
+        emb_obj[swapped] = n - 1 - emb_obj[swapped]
+
+    x, y = _trajectories(spec)
+    size, noise = spec.box_size_px, spec.detection_noise_px
+    rows, cols = np.nonzero(keep)  # frame-major, objects ascending
+    clutter = _uniforms_at(seed, clutter_at, 3)
+    frames = np.concatenate([rows + 1, np.array(clutter_frame, dtype=int)])
+    order = np.argsort(frames, kind="stable")  # a frame's objects, then its clutter
+    u = np.concatenate([x[rows, cols] + noise * noise_u[rows, cols],
+                        size / 2.0 + clutter[:, 0] * (spec.field_w - size)])
+    v = np.concatenate([y[rows, cols] + noise * noise_v[rows, cols],
+                        size / 2.0 + clutter[:, 1] * (spec.field_h - size)])
+    conf = np.concatenate([0.55 + 0.4 * draws[rows, cols, 5], 0.25 + 0.35 * clutter[:, 2]])
+    sources = np.concatenate([embeddings, _unit_vectors_at(seed, [c + 3 for c in clutter_at], dim)])
+    source_row = np.concatenate([emb_obj[rows, cols], n + np.arange(len(clutter_at))])
+    return Scenario(
+        spec=spec,
+        gt_frame=np.repeat(np.arange(1, n_frames + 1), n),
+        gt_id=np.tile(np.arange(1, n + 1), n_frames),
+        gt_boxes=np.column_stack([x.ravel(), y.ravel(), np.full((x.size, 2), size)]),
+        det_frame=frames[order],
+        det_boxes=np.column_stack([u, v, np.full((len(u), 2), size)])[order],
+        det_conf=conf[order],
+        embeddings=sources[source_row[order]],
+    )
 
 
 # -- spec (de)serialization: plain key=value text ----------------------------

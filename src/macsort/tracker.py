@@ -13,6 +13,7 @@ scenes lean on appearance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -304,6 +305,12 @@ class MacSort:
         self._last_frame: int | None = None
         self.last_breakdown: CostBreakdown | None = None
 
+    @property
+    def idle(self) -> bool:
+        """True when a frame without detections would change nothing: no
+        track is live and the sequence is past its min_hits waiver."""
+        return not len(self.tracks) and self._frames_seen > self.config.min_hits
+
     def _apply_updates(self, matches: list[tuple[int, int]], dets: PromptDetections,
                        det_embs_unit: np.ndarray, frame: int) -> None:
         trk, det_uvwh = self.tracks, dets.boxes
@@ -397,11 +404,16 @@ def track_sequence(
 ) -> list[tuple[int, int, BBox]]:
     """Track one sequence through frames 1..max(per_frame), feeding no
     detections to frames absent from ``per_frame``; returns the
-    (frame, track id, box) rows of every frame in order."""
+    (frame, track id, box) rows of every frame in order. While the tracker
+    is idle, absent frames are skipped: stepping them would change nothing."""
     tracker = MacSort(config, motion)
-    rows = []
-    for frame in range(1, max(per_frame, default=0) + 1):
+    given = sorted(per_frame)
+    rows, frame = [], 1
+    while given and frame <= given[-1]:
+        if frame not in per_frame and tracker.idle:
+            frame = given[bisect.bisect(given, frame)]
         rows.extend(
             (frame, tid, box) for tid, box in tracker.step(per_frame.get(frame, []), frame)
         )
+        frame += 1
     return rows

@@ -13,7 +13,16 @@ import pytest
 from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, _worker_count, main
 from macsort.config import RunConfig, build_config, config_key
 from macsort.errors import InputError
-from macsort.mot_io import MotRecord, read_embeddings, read_mot_lines, write_detections, write_embeddings
+from macsort.mot_io import (
+    MotRecord,
+    MotTable,
+    read_embeddings,
+    read_mot_lines,
+    read_prompt_dump_all,
+    write_detections,
+    write_embeddings,
+)
+from macsort.prompt_filter import MemoryBank, PromptDetections, tpod_frame
 from macsort.synth import ScenarioSpec, write_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -535,3 +544,78 @@ class TestConfigSchema:
         assert _overrides_from_args(args) == {}
         cfg = build_config(args.config, _overrides_from_args(args))
         assert cfg.lam == 0.7 and cfg.use_direction is False
+
+
+def _run_cli(*argv):
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "macsort.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def _sparse_dump(seq, rng):
+    """Prompt files with rows at 25 frames, gaps of up to 8 frames between
+    them; include/exclude rows overlap some general rows, some frames
+    have include or exclude rows only, and confidences straddle the
+    detection threshold."""
+    frames = np.cumsum(rng.integers(1, 9, 25))
+    for stem, share in (("general", 0.9), ("include", 0.4), ("exclude", 0.3)):
+        rows, embs = [], []
+        for frame in frames[rng.random(len(frames)) < share]:
+            for _ in range(rng.integers(1, 4)):
+                left = float(rng.choice([0, 40, 80])) + rng.uniform(-3, 3)
+                conf = float(rng.choice([0.1, 0.5, 0.9]))
+                rows.append(MotRecord(int(frame), -1, round(left, 2), 0.0, 20.0, 20.0, conf))
+                embs.append(rng.standard_normal(3))
+        write_detections(seq / f"{stem}.txt", seq / f"{stem}.emb", rows, np.reshape(embs, (-1, 3)))
+
+
+def _filter_every_frame(seq):
+    """The filter run over every frame 1..last, as its report and files:
+    the frames that read_prompt_dump_all leaves out are given empty sets."""
+    dump = read_prompt_dump_all(seq, RunConfig().detection_threshold)
+    last = max(dump)
+    empty = tuple(PromptDetections.empty(s.dim) for s in dump[1])
+    memory, kept, stats = MemoryBank(), [], []
+    for frame in range(1, last + 1):
+        res = tpod_frame(*dump.get(frame, empty), memory, frame, RunConfig().tpod_config())
+        kept.append(res.final_tps)
+        stats.append(res.stats)
+    rows = PromptDetections.concat(*kept)
+    frames = np.repeat(np.arange(1, last + 1), [len(s) for s in kept])
+    table = MotTable.from_uvwh(frames, -1, rows.boxes, rows.scores)
+    counts = " ".join(
+        f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
+        for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
+    )
+    return f"frames={last} {counts} final={len(table)}", table.to_text(), rows.features, len(dump)
+
+
+class TestSparseFrames:
+    """Frames without rows are skipped only where stepping them changes
+    nothing, so outputs equal a run that steps every frame."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_filter_equals_stepping_every_frame(self, tmp_path, capsys, seed):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        _sparse_dump(seq, np.random.default_rng(seed))
+        report, text, features, n_stepped = _filter_every_frame(seq)
+        assert main(["filter", str(seq)]) == 0
+        assert capsys.readouterr().out == f"[filter] {seq} {report}\n"
+        assert (seq / "filtered.txt").read_text() == text
+        assert np.array_equal(read_embeddings(seq / "filtered.emb"),
+                              features.astype(np.float32).astype(np.float64))
+        assert n_stepped < int(report.split()[0].split("=")[1])  # some frames were left out
+
+    def test_far_frame_finishes(self, tmp_path):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        rows = [MotRecord(1, -1, 0, 0, 10, 10, 0.9), MotRecord(10**12, -1, 0, 0, 10, 10, 0.9)]
+        write_detections(seq / "general.txt", seq / "general.emb", rows, np.eye(2))
+        proc = _run_cli("filter", str(seq))
+        assert proc.returncode == 0, proc.stderr
+        assert f"frames={10**12} general=2 " in proc.stdout
+        proc = _run_cli("track", str(seq), "--detections", "general")
+        assert proc.returncode == 0, proc.stderr
+        assert read_mot_lines(seq / "results.txt").frame.tolist() == [1]

@@ -21,6 +21,9 @@ SPEC = ScenarioSpec(
 )
 
 GOLDEN = {
+    "gt.txt": "c3b2a69f6a7671e6e841e1a18e25c4216034f47a2488f1bdde81ce68ab41465d",
+    "general.txt": "813e7b4da57ac0862183e60cb92d2acdac44892919fe870cbb5e875c739b1e0d",
+    "general.emb": "af54e29f97c636292108b0e4010d92d1438c660623e715ee8668b5009e1b2022",
     "filtered.txt": "a0ca0a6fea8f39ddd8d9164f12b3251da416600d9d625c75c8a676558a1000d5",
     "filtered.emb": "18b51f2d0bbda8fcb74a213204be43ee38f28a74a843e1089d629a6ed964ad16",
     "results.txt": "e2bf06914bdad20e9f52cdbad987d89fda4d991b6ab27d7d4b8cedacf4fe195d",
@@ -36,17 +39,22 @@ def _prompt_dump(seq, stem, rows):
     write_embeddings(read_embeddings(seq / "general.emb")[rows], seq / f"{stem}.emb")
 
 
+def _digests(seq, names):
+    return {name: hashlib.sha256((seq / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_pipeline_outputs_are_pinned(tmp_path):
     spec_path = tmp_path / "golden.spec"
     write_spec(SPEC, spec_path)
     seq = tmp_path / "seq"
+    inputs = ("gt.txt", "general.txt", "general.emb")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", str(spec_path), str(seq)]) == 0
+        assert _digests(seq, inputs) == {name: GOLDEN[name] for name in inputs}
         n = len((seq / "general.txt").read_bytes().splitlines())
         _prompt_dump(seq, "include", np.arange(0, n, 3))
         _prompt_dump(seq, "exclude", np.arange(1, n, 7))
         assert main(["filter", str(seq)]) == 0
         assert main(["track", str(seq)]) == 0
         assert main(["eval", str(seq / "gt.txt"), str(seq / "results.txt")]) == 0
-    digests = {name: hashlib.sha256((seq / name).read_bytes()).hexdigest() for name in GOLDEN}
-    assert digests == GOLDEN
+    assert _digests(seq, GOLDEN) == GOLDEN

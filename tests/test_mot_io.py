@@ -29,6 +29,7 @@ from macsort.mot_io import (
     write_embeddings,
     write_mot,
 )
+from macsort.prompt_filter import SHORT_WINDOW_FRAMES
 
 
 class TestMotCsv:
@@ -287,7 +288,13 @@ class TestPromptDumpOracle:
 
             dump = read_prompt_dump_all(seq, THRESHOLD)
 
-            assert sorted(dump) == list(range(1, max(frames, default=0) + 1))
+            # frames 1..last, less each frame without rows that follows
+            # SHORT_WINDOW_FRAMES such frames (frame 0 counts as one with rows)
+            with_rows = frames | {0}
+            assert sorted(dump) == [
+                f for f in range(1, max(frames, default=0) + 1)
+                if any(f - k in with_rows for k in range(SHORT_WINDOW_FRAMES + 1))
+            ]
             general_dim = dim if general else 1
             for frame, triple in dump.items():
                 for stem, got in zip(("general", "include", "exclude"), triple):

@@ -564,3 +564,38 @@ def test_track_table_equals_track_list_tracker(cfg):
         ]
     assert counts["births"] and counts["deaths"]
     assert counts["gapped"] or cfg.max_age <= 1
+
+
+def _spread(rng, per_frame):
+    """The same frames in order, a third of them after a run of up to 80
+    absent frames."""
+    spread, frame = {}, 0
+    for f in sorted(per_frame):
+        frame += 1 + (int(rng.integers(0, 81)) if rng.random() < 0.3 else 0)
+        spread[frame] = per_frame[f]
+    return spread
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [AssocConfig(), AssocConfig(max_age=0), AssocConfig(max_age=2, min_hits=1),
+     AssocConfig(max_age=1, min_hits=6)],
+    ids=lambda c: f"age{c.max_age}-hits{c.min_hits}",
+)
+def test_sparse_frames_equal_stepping_every_frame(cfg, monkeypatch):
+    """track_sequence skips absent frames only while the tracker is idle,
+    where a step would change nothing."""
+    rng = np.random.default_rng(99)
+    step, stepped = MacSort.step, []
+    monkeypatch.setattr(MacSort, "step", lambda self, dets, frame: (
+        stepped.append(frame), step(self, dets, frame))[1])
+    skipped = 0
+    for _ in range(20):
+        per_frame = _spread(rng, _random_stream(rng))
+        last, tracker = max(per_frame), MacSort(cfg)
+        expected = [(frame, tid, box) for frame in range(1, last + 1)
+                    for tid, box in step(tracker, per_frame.get(frame, []), frame)]
+        stepped.clear()
+        assert track_sequence(per_frame, cfg) == expected
+        skipped += last - len(stepped)
+    assert skipped > 0
