@@ -16,9 +16,7 @@ from macsort.tracker import AssocConfig, track_sequence
 
 
 def run(scenario, cfg):
-    pred = TrackSequence()
-    for frame, tid, box in track_sequence(scenario.frame_sets(), cfg):
-        pred.add(frame, tid, box)
+    pred = TrackSequence.from_rows(track_sequence(scenario.frame_sets(), cfg))
     return evaluate(scenario.gt, pred)
 
 

@@ -9,8 +9,9 @@ whole sequence. Higher-order accuracy is computed at a single IoU
 threshold by default (hand-checkable); an optional sweep averages the
 detection and association accuracies over thresholds 0.05..0.95.
 
-``evaluate`` reads each frame once; the identity overlaps and every
-threshold's higher-order matching come from one IoU matrix per frame.
+``evaluate`` reads each frame that holds rows once, as slices of the
+sequences' columns; the identity overlaps and every threshold's
+higher-order matching come from one IoU matrix per frame.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from .config import CliConfig
 from .errors import FrameMismatch
-from .geometry import BBox, iou_matrix
+from .geometry import BBox, iou_matrix, uvwh_array
+from .mot_io import by_frame
 from .tracker import linear_assignment
 
 MT_COVERAGE = 0.8
@@ -33,52 +35,59 @@ ML_COVERAGE = 0.2
 SWEEP_THRESHOLDS = [round(0.05 * k, 2) for k in range(1, 20)]
 
 
-@dataclass
+@dataclass(eq=False)
 class TrackSequence:
-    """Per-frame (object id, box) lists for one sequence (gt or results)."""
+    """One sequence's rows (gt or results) as columns, stably sorted by
+    frame: int64 ``frame`` and ``id``, and (n, 4) (u, v, w, h) ``boxes``,
+    which may be given as a list of BBox. ``frame_rows`` holds each frame's
+    rows as a slice. Raises ValueError on a repeated (frame, id)."""
 
-    frames: dict[int, list[tuple[int, BBox]]] = field(default_factory=dict)
+    frame: np.ndarray
+    id: np.ndarray
+    boxes: np.ndarray
     n_frames: int | None = None
-    _ids: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+    frame_rows: dict[int, slice] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._ids = {f: {i for i, _ in items} for f, items in self.frames.items()}
+        frame = np.asarray(self.frame, dtype=np.int64)
+        order, self.frame_rows = by_frame(frame)
+        self.frame = frame[order]
+        self.id = np.asarray(self.id, dtype=np.int64)[order]
+        self.boxes = uvwh_array(self.boxes)[order]
+        # a repeated pair is named at its first repeat in frame order
+        key = np.lexsort((self.id, self.frame))
+        frame, ids = self.frame[key], self.id[key]
+        repeats = key[1:][(frame[1:] == frame[:-1]) & (ids[1:] == ids[:-1])]
+        if len(repeats):
+            r = repeats.min()
+            raise ValueError(f"duplicate id {self.id[r]} in frame {self.frame[r]}")
 
-    def add(self, frame: int, obj_id: int, box: BBox) -> None:
-        ids = self._ids.setdefault(frame, set())
-        if obj_id in ids:
-            raise ValueError(f"duplicate id {obj_id} in frame {frame}")
-        ids.add(obj_id)
-        self.frames.setdefault(frame, []).append((obj_id, box))
-
-    def at(self, frame: int) -> list[tuple[int, BBox]]:
-        return self.frames.get(frame, [])
-
-    @property
-    def last_frame(self) -> int:
-        declared = self.n_frames or 0
-        return max(max(self.frames, default=0), declared)
-
-    def total_boxes(self) -> int:
-        return sum(len(v) for v in self.frames.values())
+    @classmethod
+    def from_rows(cls, rows, n_frames: int | None = None) -> "TrackSequence":
+        """(frame, id, box) rows in any order, boxes as BBox or (u, v, w, h)."""
+        frames, ids, boxes = list(zip(*rows)) or ((), (), ())
+        return cls(frames, ids, boxes, n_frames)
 
     @classmethod
     def from_mot(cls, table) -> "TrackSequence":
-        """The rows of a MotTable, frames ascending, file order within a
-        frame; raises ValueError on a repeated (frame, id)."""
-        order, frames = table.by_frame()
-        table = table.take(order)
-        uvwh = table.uvwh()
-        seq = cls({
-            frame: list(zip(table.id[rows].tolist(), starmap(BBox, uvwh[rows].tolist())))
-            for frame, rows in frames.items()
-        })
-        for frame, items in seq.frames.items():
-            if len(seq._ids[frame]) < len(items):
-                check = cls()
-                for obj_id, box in items:
-                    check.add(frame, obj_id, box)  # raises at the first repeat
-        return seq
+        """The rows of a MotTable, file order within a frame."""
+        return cls(table.frame, table.id, table.uvwh())
+
+    def rows_at(self, frame: int) -> tuple[list[int], np.ndarray]:
+        """A frame's ids and (n, 4) boxes."""
+        rows = self.frame_rows.get(frame, slice(0))
+        return self.id[rows].tolist(), self.boxes[rows]
+
+    def at(self, frame: int) -> list[tuple[int, BBox]]:
+        ids, boxes = self.rows_at(frame)
+        return list(zip(ids, starmap(BBox, boxes.tolist())))
+
+    @property
+    def last_frame(self) -> int:
+        return max(int(self.frame[-1]) if len(self.frame) else 0, self.n_frames or 0)
+
+    def total_boxes(self) -> int:
+        return len(self.frame)
 
 
 @dataclass(frozen=True)
@@ -124,13 +133,14 @@ def _max_iou_pairs(ious: np.ndarray, threshold: float) -> list[tuple[int, int]]:
 
 
 def match_frame(
-    gt_frame: list[tuple[int, BBox]],
-    pred_frame: list[tuple[int, BBox]],
+    gt_frame: list[tuple[int, BBox | np.ndarray]],
+    pred_frame: list[tuple[int, BBox | np.ndarray]],
     iou_threshold: float,
     prev_matches: dict[int, int] | None = None,
     ious: np.ndarray | None = None,
 ) -> dict[int, int]:
-    """One frame's gt-id -> pred-id matching.
+    """One frame's gt-id -> pred-id matching; boxes are BBox or (u, v, w, h)
+    rows.
 
     Pairs matched in the previous frame are kept while their IoU still
     clears the threshold; the remainder is matched by maximum total IoU.
@@ -217,12 +227,17 @@ def evaluate(
     frame range.
     """
     last = gt.last_frame
-    bad = [f for f in pred.frames if f < 1 or f > last]
-    if bad:
+    bad = pred.frame[(pred.frame < 1) | (pred.frame > last)]
+    if len(bad):
         raise FrameMismatch(
-            f"prediction frames {sorted(bad)} outside ground-truth range 1..{last}"
+            f"prediction frames {np.unique(bad).tolist()} outside ground-truth range 1..{last}"
         )
     alphas = SWEEP_THRESHOLDS if hota_sweep else [iou_threshold]
+    # a frame without rows only clears the carried-over matches, so of a run
+    # of them only the first is walked
+    with_rows = np.union1d(gt.frame, pred.frame)
+    walk = np.union1d(with_rows, with_rows + 1)
+    walk = walk[(walk >= 1) & (walk <= last)]
 
     gt_len: Counter = Counter()  # boxes per gt id
     pred_len: Counter = Counter()  # boxes per predicted id
@@ -232,14 +247,15 @@ def evaluate(
     tp = idsw = 0
     prev: dict[int, int] = {}
     last_match: dict[int, int] = {}
-    for f in range(1, last + 1):
-        gts = gt.at(f)
-        preds = pred.at(f)
-        gt_len.update(g for g, _ in gts)
-        pred_len.update(p for p, _ in preds)
+    for f in walk.tolist():
+        gt_ids, gt_boxes = gt.rows_at(f)
+        pred_ids, pred_boxes = pred.rows_at(f)
+        gt_len.update(gt_ids)
+        pred_len.update(pred_ids)
 
-        ious = iou_matrix([b for _, b in gts], [b for _, b in preds]) if gts and preds else None
-        matches = match_frame(gts, preds, iou_threshold, prev, ious)
+        ious = iou_matrix(gt_boxes, pred_boxes) if gt_ids and pred_ids else None
+        matches = match_frame(list(zip(gt_ids, gt_boxes)), list(zip(pred_ids, pred_boxes)),
+                              iou_threshold, prev, ious)
         tp += len(matches)
         covered.update(matches.keys())
         for g, p in matches.items():
@@ -249,8 +265,6 @@ def evaluate(
         prev = matches
 
         if ious is not None:
-            gt_ids = [g for g, _ in gts]
-            pred_ids = [p for p, _ in preds]
             hit = zip(*np.nonzero(ious >= iou_threshold))
             overlap.update((gt_ids[gi], pred_ids[pi]) for gi, pi in hit)
             for counts, alpha in zip(pair_counts, alphas):

@@ -126,23 +126,24 @@ class MotTable:
         wh = self.ltwh[:, 2:]
         return np.concatenate([self.ltwh[:, :2] + wh / 2.0, wh], axis=1)
 
-    def by_frame(self) -> tuple[slice | np.ndarray, dict[int, slice]]:
-        """The stable row order by frame, and each frame's rows as a slice of
-        the rows in that order, frames ascending. The order is a slice when
-        the rows already are in frame order, so taking it copies nothing."""
-        sorted_ = (self.frame[1:] >= self.frame[:-1]).all()
-        order = slice(None) if sorted_ else np.argsort(self.frame, kind="stable")
-        frames, starts = np.unique(self.frame[order], return_index=True)
-        ends = np.append(starts[1:], len(self))
-        bounds = zip(frames.tolist(), starts.tolist(), ends.tolist())
-        return order, {f: slice(a, b) for f, a, b in bounds}
-
     def to_text(self) -> str:
         """The rows in canonical form, in table order: boxes with two
         decimals, confidence with four, x/y/z truncated by int()."""
         xyz = ([int(v) for v in col] for col in self.xyz.T.tolist())
         cols = self.frame.tolist(), self.id.tolist(), *self.ltwh.T.tolist(), self.conf.tolist()
         return (_LINE * len(self)) % tuple(chain.from_iterable(zip(*cols, *xyz)))
+
+
+def by_frame(frame: np.ndarray) -> tuple[slice | np.ndarray, dict[int, slice]]:
+    """The stable row order of a frame column, and each frame's rows as a
+    slice of the rows in that order, frames ascending. The order is a slice
+    when the rows already are in frame order, so taking it copies nothing."""
+    sorted_ = (frame[1:] >= frame[:-1]).all()
+    order = slice(None) if sorted_ else np.argsort(frame, kind="stable")
+    frames, starts = np.unique(frame[order], return_index=True)
+    ends = np.append(starts[1:], len(frame))
+    bounds = zip(frames.tolist(), starts.tolist(), ends.tolist())
+    return order, {f: slice(a, b) for f, a, b in bounds}
 
 
 def _parse_line(line: str, lineno: int) -> MotRecord:
@@ -224,7 +225,7 @@ def read_mot_lines(path: str | Path) -> MotTable:
 def read_mot(path: str | Path) -> dict[int, list[MotRecord]]:
     """Records grouped by frame, frames ascending, file order within frame."""
     table = read_mot_lines(path)
-    order, frames = table.by_frame()
+    order, frames = by_frame(table.frame)
     table = table.take(order)
     return {f: list(table.take(rows)) for f, rows in frames.items()}
 
@@ -235,7 +236,7 @@ def write_mot(records, path: str | Path) -> None:
     if isinstance(records, dict):
         records = [r for f in sorted(records) for r in records[f]]
     table = MotTable.from_records(records)
-    table = table.take(table.by_frame()[0])
+    table = table.take(by_frame(table.frame)[0])
     Path(path).write_text(table.to_text(), encoding="utf-8")
 
 
@@ -368,7 +369,7 @@ def detection_sets(table: MotTable, embs: np.ndarray) -> dict[int, PromptDetecti
     """One detection table per frame that has rows, frames ascending, file
     order within a frame; ``embs`` holds the rows' embeddings. The tables
     view the rows of a frame-sorted file rather than copy them."""
-    order, frames = table.by_frame()
+    order, frames = by_frame(table.frame)
     table, embs = table.take(order), embs[order]
     uvwh = table.uvwh()
     return {

@@ -123,17 +123,10 @@ class PromptDetections:
                                   for col in ("boxes", "features", "scores")))
 
 
-@dataclass(frozen=True)
-class MemoryEntry:
-    feature: np.ndarray
-    score: float
-    frame: int
-    index: int
-
-
-def _top_k(entries: list[MemoryEntry], k: int) -> list[MemoryEntry]:
-    # ties broken by earlier frame, then lower in-frame index
-    return sorted(entries, key=lambda e: (-e.score, e.frame, e.index))[:k]
+def _top_k(rows: PromptDetections, k: int) -> PromptDetections:
+    """The k highest-scoring rows; a stable sort keeps equal scores in row
+    order."""
+    return rows.subset(np.argsort(-rows.scores, kind="stable")[:k])
 
 
 @dataclass
@@ -141,37 +134,28 @@ class MemoryBank:
     """Long/short bands of high-confidence true positives.
 
     The long band keeps the top kappa1 scores since the start of tracking;
-    the short band keeps the top kappa2 scores from the last three frames.
+    the short band keeps the top kappa2 scores from the last three frames
+    (``window``, the accepted tables of the last three updates). Bands are
+    ranked by score, ties broken by earlier frame, then lower in-frame
+    index: rows enter in that order, and the ranking is stable.
     """
 
     kappa1: int = TpodConfig.kappa1
     kappa2: int = TpodConfig.kappa2
-    long: list[MemoryEntry] = field(default_factory=list)
-    short: list[MemoryEntry] = field(default_factory=list)
-    window: list[tuple[int, list[MemoryEntry]]] = field(default_factory=list)
+    long: PromptDetections = field(default_factory=PromptDetections.empty)
+    short: PromptDetections = field(default_factory=PromptDetections.empty)
+    window: list[PromptDetections] = field(default_factory=list)
 
     @property
     def usable(self) -> bool:
         return bool(self.long) and bool(self.short)
 
-    def long_features(self) -> np.ndarray:
-        return np.vstack([e.feature for e in self.long])
-
-    def short_features(self) -> np.ndarray:
-        return np.vstack([e.feature for e in self.short])
-
     def update(self, accepted: PromptDetections, frame: int) -> "MemoryBank":
-        """Fold one frame's accepted true positives into both bands."""
-        entries = [
-            MemoryEntry(accepted.features[i], float(accepted.scores[i]), frame, i)
-            for i in range(len(accepted))
-        ]
-        self.long = _top_k(self.long + entries, self.kappa1)
-        self.window.append((frame, entries))
-        if len(self.window) > SHORT_WINDOW_FRAMES:
-            self.window = self.window[-SHORT_WINDOW_FRAMES:]
-        pool = [e for _, batch in self.window for e in batch]
-        self.short = _top_k(pool, self.kappa2)
+        """Fold one frame's accepted true positives into both bands; frames
+        are to come in ascending order."""
+        self.long = _top_k(PromptDetections.concat(self.long, accepted), self.kappa1)
+        self.window = [*self.window, accepted][-SHORT_WINDOW_FRAMES:]
+        self.short = _top_k(PromptDetections.concat(*self.window), self.kappa2)
         return self
 
 
@@ -247,8 +231,8 @@ def lsm_similarity_profile(
         raise EmptyMemory("both memory bands must be non-empty")
     if len(unclassified) == 0:
         raise EmptyInput("no unclassified boxes to profile")
-    sim_long = cosine_matrix(memory.long_features(), unclassified.features).mean(axis=0)
-    sim_short = cosine_matrix(memory.short_features(), unclassified.features).mean(axis=0)
+    sim_long = cosine_matrix(memory.long.features, unclassified.features).mean(axis=0)
+    sim_short = cosine_matrix(memory.short.features, unclassified.features).mean(axis=0)
     return LsmSimilarityProfile(
         sim_long=sim_long,
         sim_short=sim_short,

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecError
-from .geometry import BBox, Detection
+from .geometry import Detection
 from .metrics import TrackSequence
 from .mot_io import DETECTION_ID, MotTable
 from .prompt_filter import PromptDetections
@@ -198,11 +198,7 @@ class Scenario:
 
     @cached_property
     def gt(self) -> TrackSequence:
-        seq = TrackSequence(n_frames=self.spec.n_frames)
-        for frame, obj_id, box in zip(self.gt_frame.tolist(), self.gt_id.tolist(),
-                                      self.gt_boxes.tolist()):
-            seq.add(frame, obj_id, BBox(*box))
-        return seq
+        return TrackSequence(self.gt_frame, self.gt_id, self.gt_boxes, self.spec.n_frames)
 
     @cached_property
     def detections(self) -> dict[int, list[Detection]]:

@@ -337,9 +337,7 @@ class MacSort:
             blended = alpha * apps + (1.0 - alpha) * embs
             if not live.all():
                 blended = np.where(live[:, None], blended, apps)
-            norms = np.linalg.norm(blended, axis=1, keepdims=True)
-            blended /= np.where(norms < ZERO_NORM_EPS, 1.0, norms)
-            trk.appearance[rows] = blended
+            trk.appearance[rows] = unit_rows(blended)
 
         trk.checkpoint_x[rows], trk.checkpoint_P[rows] = trk.x[rows], trk.P[rows]
         trk.prev_center[rows] = trk.last_box[rows, :2]

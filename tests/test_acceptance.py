@@ -212,29 +212,24 @@ def test_criterion_6_metrics_oracle():
     hota = sqrt(deta * assa) within 1e-9 on every report."""
     reports = []
 
-    gt = TrackSequence()
-    for t in range(1, 11):
-        gt.add(t, 7, BBox(2.0 * t, 0, 10, 10))
+    gt = TrackSequence.from_rows([(t, 7, BBox(2.0 * t, 0, 10, 10)) for t in range(1, 11)])
     perfect = evaluate(gt, gt)
     reports.append(perfect)
     assert perfect.mota == 1.0 and perfect.idf1 == 1.0 and perfect.hota == 1.0
     assert perfect.id_switches == 0
 
-    gt2 = TrackSequence()
-    pred2 = TrackSequence()
-    for t in (1, 2):
-        for obj, u in ((1, 0.0), (2, 50.0)):
-            gt2.add(t, obj, BBox(u + 2 * t, 0, 10, 10))
-            if not (t == 2 and obj == 2):
-                pred2.add(t, obj, BBox(u + 2 * t, 0, 10, 10))
+    rows2 = [(t, obj, BBox(u + 2 * t, 0, 10, 10)) for t in (1, 2)
+             for obj, u in ((1, 0.0), (2, 50.0))]
+    gt2 = TrackSequence.from_rows(rows2)
+    pred2 = TrackSequence.from_rows([r for r in rows2 if r[:2] != (2, 2)])
     one_fn = evaluate(gt2, pred2)
     reports.append(one_fn)
     assert one_fn.fn == 1 and one_fn.fp == 0
     assert one_fn.mota == pytest.approx(0.75, abs=1e-12)
 
-    pred3 = TrackSequence()
-    for t in range(1, 11):
-        pred3.add(t, 1 if t <= 5 else 2, BBox(2.0 * t, 0, 10, 10))
+    pred3 = TrackSequence.from_rows(
+        [(t, 1 if t <= 5 else 2, BBox(2.0 * t, 0, 10, 10)) for t in range(1, 11)]
+    )
     flip = evaluate(gt, pred3)
     reports.append(flip)
     assert flip.id_switches == 1
@@ -248,11 +243,9 @@ def test_criterion_6_metrics_oracle():
 
 def _run_tracker(scenario, cfg):
     tracker = MacSort(cfg)
-    pred = TrackSequence()
-    for frame in sorted(scenario.detections):
-        for tid, box in tracker.step(scenario.detections[frame], frame):
-            pred.add(frame, tid, box)
-    return tracker, pred
+    rows = [(frame, tid, box) for frame in sorted(scenario.detections)
+            for tid, box in tracker.step(scenario.detections[frame], frame)]
+    return tracker, TrackSequence.from_rows(rows)
 
 
 def test_criterion_7_crossing_stress():
@@ -294,18 +287,17 @@ def test_criterion_8_occlusion_recovery():
     )
     scenario = generate(spec)
     tracker = MacSort(AssocConfig())
-    pred = TrackSequence()
+    rows = []
     velocity_after = None
     for frame in sorted(scenario.detections):
         out = tracker.step(scenario.detections[frame], frame)
-        for tid, box in out:
-            pred.add(frame, tid, box)
+        rows += [(frame, tid, box) for tid, box in out]
         if frame == 25:
             assert [tid for tid, _ in out] == [1]  # same identity, reported
             velocity_after = float(tracker.tracks.x[0, 4])
     assert velocity_after is not None
     assert abs(velocity_after - 2.0) / 2.0 < 0.10
-    report = evaluate(scenario.gt, pred)
+    report = evaluate(scenario.gt, TrackSequence.from_rows(rows))
     assert report.id_switches == 0
     _passed(8, f"id kept through the gap, velocity {velocity_after:.4f}")
 

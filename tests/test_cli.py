@@ -21,6 +21,7 @@ from macsort.mot_io import (
     read_prompt_dump_all,
     write_detections,
     write_embeddings,
+    write_mot,
 )
 from macsort.prompt_filter import MemoryBank, PromptDetections, tpod_frame
 from macsort.synth import ScenarioSpec, write_spec
@@ -192,6 +193,26 @@ class TestInputContract:
             capsys, ["eval", str(gt), str(results)],
             f"ParseError: {bad}: duplicate id {obj_id} in frame {frame}",
         )
+
+    def test_eval_names_the_first_repeat(self, tmp_path, capsys):
+        # rows in random frame order, several (frame, id) pairs repeated: the
+        # repeat named is the first met adding rows frame by frame, frames
+        # ascending and file order within a frame
+        rng = np.random.default_rng(3)
+        gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+        gt.write_text("1,1,0,0,10,10,1,-1,-1,-1\n")
+        for _ in range(5):
+            rows = [MotRecord(int(f), int(i), 0, 0, 10, 10, 1.0)
+                    for f, i in zip(rng.integers(1, 5, 12), rng.integers(1, 4, 12))]
+            results.write_text(MotTable.from_records(rows).to_text())
+            seen, frame, obj_id = set(), None, None
+            for r in sorted(rows, key=lambda r: r.frame):
+                if (r.frame, r.id) in seen:
+                    frame, obj_id = r.frame, r.id
+                    break
+                seen.add((r.frame, r.id))
+            self._one_error_line(capsys, ["eval", str(gt), str(results)],
+                                 f"ParseError: {results}: duplicate id {obj_id} in frame {frame}")
 
     @pytest.mark.parametrize("stem", ["include", "exclude"])
     def test_prompt_embedding_dimension_differs(self, tmp_path, capsys, stem):
@@ -619,3 +640,11 @@ class TestSparseFrames:
         proc = _run_cli("track", str(seq), "--detections", "general")
         assert proc.returncode == 0, proc.stderr
         assert read_mot_lines(seq / "results.txt").frame.tolist() == [1]
+
+    def test_far_frame_eval_finishes(self, tmp_path):
+        rows = [MotRecord(1, 1, 0, 0, 10, 10, 1.0), MotRecord(10**12, 1, 0, 0, 10, 10, 1.0)]
+        write_mot(rows, tmp_path / "gt.txt")
+        proc = _run_cli("eval", str(tmp_path / "gt.txt"), str(tmp_path / "gt.txt"))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "gt.txt.metrics.json").read_text())
+        assert report["tp"] == 2 and report["hota"] == 1.0

@@ -8,15 +8,13 @@ import macsort.metrics
 from macsort.errors import FrameMismatch
 from macsort.geometry import BBox, iou_matrix
 from macsort.metrics import MetricsReport, TrackSequence, evaluate, match_frame
+from macsort.mot_io import MotTable
 from macsort.tracker import linear_assignment
 
 
 def seq(items, n_frames=None):
     """items: iterable of (frame, obj_id, (u, v, w, h))."""
-    s = TrackSequence(n_frames=n_frames)
-    for frame, obj_id, box in items:
-        s.add(frame, obj_id, BBox(*box))
-    return s
+    return TrackSequence.from_rows([(f, i, BBox(*box)) for f, i, box in items], n_frames)
 
 
 def moving_gt(obj_id=7, frames=range(1, 11)):
@@ -171,11 +169,9 @@ class TestInvariants:
     def test_prediction_id_relabeling_invariance(self, rng):
         gt, pred = self._random_case(rng, flip=True)
         mapping = {}
-        relabeled = TrackSequence()
-        for frame, items in pred.frames.items():
-            for pid, box in items:
-                new = mapping.setdefault(pid, 1000 + 7 * len(mapping))
-                relabeled.add(frame, new, box)
+        relabeled = TrackSequence(pred.frame, [
+            mapping.setdefault(pid, 1000 + 7 * len(mapping)) for pid in pred.id.tolist()
+        ], pred.boxes)
         a = evaluate(gt, pred)
         b = evaluate(gt, relabeled)
         assert a == b
@@ -205,14 +201,12 @@ class TestEdgeCases:
             evaluate(gt, pred)
 
     def test_empty_everything_is_perfect(self):
-        report = evaluate(TrackSequence(n_frames=3), TrackSequence())
+        report = evaluate(TrackSequence.from_rows([], 3), TrackSequence.from_rows([]))
         assert report.hota == 1.0 and report.mota == 1.0 and report.idf1 == 1.0
 
     def test_duplicate_id_in_frame_rejected(self):
-        s = TrackSequence()
-        s.add(1, 5, BBox(0, 0, 10, 10))
-        with pytest.raises(ValueError):
-            s.add(1, 5, BBox(30, 0, 10, 10))
+        with pytest.raises(ValueError, match="duplicate id 5 in frame 1"):
+            seq([(1, 5, (0, 0, 10, 10)), (2, 5, (0, 0, 10, 10)), (1, 5, (30, 0, 10, 10))])
 
     def test_report_serialization(self):
         gt = seq(moving_gt())
@@ -224,7 +218,7 @@ class TestEdgeCases:
         def reject(token):
             raise ValueError(f"non-finite JSON constant {token}")
 
-        report = evaluate(TrackSequence(n_frames=1), seq([(1, 1, (0, 0, 10, 10))]))
+        report = evaluate(seq([], n_frames=1), seq([(1, 1, (0, 0, 10, 10))]))
         assert report.mota == float("-inf")
         values = json.loads(report.to_json(), parse_constant=reject)
         assert values["mota"] is None and values["fp"] == 1
@@ -256,7 +250,7 @@ def per_pair_match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None,
 def grid_case(rng, n_frames=20, n_objects=5):
     """Boxes on an integer grid, so that touching boxes (IoU 0) and IoUs of
     exactly 1/3 (half-width shift) and 1/2 (half-height box inside) occur."""
-    gt, pred = TrackSequence(), TrackSequence()
+    gt, pred = [], []
     lefts = rng.integers(0, 40, n_objects)
     ids = list(range(1, n_objects + 1))
     for t in range(1, n_frames + 1):
@@ -266,7 +260,7 @@ def grid_case(rng, n_frames=20, n_objects=5):
             ids[i], ids[j] = ids[j], ids[i]
         for k in range(n_objects):
             left, top = float(lefts[k]), 20.0 * (k % 2)
-            gt.add(t, k + 1, BBox(left + 5, top + 5, 10, 10))
+            gt.append((t, k + 1, BBox(left + 5, top + 5, 10, 10)))
             kind = rng.integers(0, 5)
             if kind == 0:
                 continue  # missed
@@ -278,8 +272,8 @@ def grid_case(rng, n_frames=20, n_objects=5):
                 box = BBox(left + 5, top + rng.choice([2.5, 7.5]), 10, 5)
             else:  # touching on one side: IoU 0
                 box = BBox(left + 5 + rng.choice([-10, 10]), top + 5, 10, 10)
-            pred.add(t, ids[k] + 100, box)
-    return gt, pred
+            pred.append((t, ids[k] + 100, box))
+    return TrackSequence.from_rows(gt), TrackSequence.from_rows(pred)
 
 
 class TestCarryOverOracle:
@@ -328,9 +322,9 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
     """evaluate as three passes over the frames (CLEAR, identity, and one
     higher-order pass per threshold), each building its own IoU matrices."""
     last = gt.last_frame
-    bad = [f for f in pred.frames if f < 1 or f > last]
+    bad = sorted({f for f in pred.frame.tolist() if f < 1 or f > last})
     if bad:
-        raise FrameMismatch(f"prediction frames {sorted(bad)} outside 1..{last}")
+        raise FrameMismatch(f"prediction frames {bad} outside 1..{last}")
     frames = range(1, last + 1)
 
     def max_iou_matching(gts, preds, thr):
@@ -446,19 +440,19 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
 def sparse_case(rng, n_frames=12, n_ids=6):
     """Frames that are empty, gt-only, pred-only or both, on an integer grid,
     with a declared length that may run past the last box."""
-    gt, pred = TrackSequence(), TrackSequence()
+    gt, pred = [], []
     for t in range(1, n_frames + 1):
         kind = rng.integers(0, 4)  # 0 empty, 1 gt only, 2 pred only, 3 both
         for obj in range(1, n_ids + 1):
             left, top = 5.0 * rng.integers(0, 6), 5.0 * rng.integers(0, 3)
             if kind in (1, 3) and rng.uniform() < 0.7:
-                gt.add(t, obj, BBox(left + 5, top + 5, 10, 10))
+                gt.append((t, obj, BBox(left + 5, top + 5, 10, 10)))
             if kind in (2, 3) and rng.uniform() < 0.7:
                 du, dv = 5.0 * rng.integers(-1, 2, 2)
                 pid = int(rng.integers(1, 3)) * 10 + obj  # ids switch at random
-                pred.add(t, pid, BBox(left + 5 + du, top + 5 + dv, 10, 10))
-    gt.n_frames = n_frames + int(rng.integers(0, 3))
-    return gt, pred
+                pred.append((t, pid, BBox(left + 5 + du, top + 5 + dv, 10, 10)))
+    n_frames += int(rng.integers(0, 3))
+    return TrackSequence.from_rows(gt, n_frames), TrackSequence.from_rows(pred)
 
 
 class TestOnePassOracle:
@@ -468,9 +462,14 @@ class TestOnePassOracle:
         rng = np.random.default_rng(2024)
         cases = [grid_case(rng, n_frames=8) for _ in range(6)]
         cases += [sparse_case(rng) for _ in range(14)]
-        cases += [(TrackSequence(n_frames=4), TrackSequence())]
+        cases += [(seq([], n_frames=4), seq([]))]
         # a gt box outside 1..last counts for MOTA's denominator only
         cases += [(seq([(0, 1, (0, 0, 10, 10)), (1, 1, (0, 0, 10, 10))]), seq([]))]
+        # frame 1 matches gt 1 to pred 5 (IoU 0.6); empty frames 2-3 drop the
+        # pair, so at frame 4 the better pred 6 wins: one switch
+        cases += [(seq([(1, 1, (0, 0, 10, 10)), (4, 1, (0, 0, 10, 10))]),
+                   seq([(1, 5, (2.5, 0, 10, 10)), (4, 5, (2.5, 0, 10, 10)),
+                        (4, 6, (0, 0, 10, 10))]))]
         for gt, pred in cases:
             for thr in self.THRESHOLDS:
                 for sweep in (False, True):
@@ -485,3 +484,69 @@ class TestOnePassOracle:
             "mostly_tracked", "mostly_lost", "tp", "fp", "fn",
         ]
         assert report.to_dict() == {k: getattr(report, k) for k in report.to_dict()}
+
+
+def shift_after(sequence, frame, by):
+    """The sequence with every row after ``frame`` moved ``by`` frames on."""
+    later = sequence.frame > frame
+    n_frames = sequence.n_frames and sequence.n_frames + by * (sequence.n_frames > frame)
+    return TrackSequence(sequence.frame + by * later, sequence.id, sequence.boxes, n_frames)
+
+
+class TestFrameWalk:
+    def test_far_gap_after_an_empty_frame_changes_nothing(self):
+        rng = np.random.default_rng(31)
+        shifted = 0
+        for _ in range(20):
+            gt, pred = sparse_case(rng)
+            with_rows = set(gt.frame.tolist()) | set(pred.frame.tolist())
+            empty = [f for f in range(1, max(with_rows, default=0)) if f not in with_rows]
+            if not empty:
+                continue
+            far_gt, far_pred = (shift_after(s, empty[0], 10**12) for s in (gt, pred))
+            for thr in (0.3, 0.5):
+                for sweep in (False, True):
+                    assert evaluate(far_gt, far_pred, thr, sweep) == evaluate(gt, pred, thr, sweep)
+            shifted += 1
+        assert shifted >= 5
+
+
+def mot_table(rng, frame, ids):
+    """Rows of the given frame and id columns, with random boxes."""
+    n = len(frame)
+    ltwh = np.column_stack([rng.uniform(0, 50, (n, 2)), rng.uniform(1, 20, (n, 2))])
+    return MotTable(frame, ids, ltwh, np.ones(n), np.full((n, 3), -1.0))
+
+
+def first_repeat(table):
+    """The (frame, id) at which adding rows frame by frame (frames
+    ascending, file order within a frame) first meets a pair again."""
+    seen = set()
+    for record in sorted(table, key=lambda r: r.frame):
+        if (record.frame, record.id) in seen:
+            return record.frame, record.id
+        seen.add((record.frame, record.id))
+    return None
+
+
+class TestTrackSequence:
+    def test_from_mot_groups_as_dict_of_bbox(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            table = mot_table(rng, rng.integers(1, 10, 40), rng.permutation(40) + 1)
+            want: dict[int, list] = {}
+            for record in table:
+                want.setdefault(record.frame, []).append((record.id, record.bbox()))
+            sequence = TrackSequence.from_mot(table)
+            got = {f: sequence.at(f) for f in sequence.frame_rows}
+            assert list(got.items()) == sorted(want.items())
+            assert sequence.at(0) == [] and sequence.at(10) == []
+            assert sequence.total_boxes() == len(table)
+
+    def test_repeat_named_as_adding_row_by_row(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            table = mot_table(rng, rng.integers(1, 7, 30), rng.integers(1, 6, 30))
+            frame, obj_id = first_repeat(table)
+            with pytest.raises(ValueError, match=f"^duplicate id {obj_id} in frame {frame}$"):
+                TrackSequence.from_mot(table)

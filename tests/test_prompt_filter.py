@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from macsort.errors import DimensionMismatch, EmptyInput, EmptyMemory
 from macsort.geometry import BBox
 from macsort.prompt_filter import (
     MemoryBank,
+    SHORT_WINDOW_FRAMES,
     PromptDetections,
     TpodConfig,
     ie_classify,
@@ -161,6 +164,44 @@ class TestLsmClassify:
         assert len(tps) == 4 and len(fps) == 0
 
 
+def tagged(frame, scores):
+    """A frame's detections whose features read (frame, in-frame index)."""
+    feats = [(frame, i, 1.0, 0.0) for i in range(len(scores))]
+    return dets(spaced_boxes(len(scores)), feats, scores)
+
+
+def frame_index(band):
+    return [tuple(row) for row in band.features[:, :2].astype(int).tolist()]
+
+
+@dataclass(frozen=True)
+class RefEntry:
+    feature: np.ndarray
+    score: float
+    frame: int
+    index: int
+
+
+class RefMemoryBank:
+    """The memory bank as lists of entries, each band re-sorted by
+    (-score, frame, index) on every update; kept as a test oracle."""
+
+    def __init__(self, kappa1, kappa2):
+        self.kappa1, self.kappa2 = kappa1, kappa2
+        self.long, self.short, self.window = [], [], []
+
+    @staticmethod
+    def _top_k(entries, k):
+        return sorted(entries, key=lambda e: (-e.score, e.frame, e.index))[:k]
+
+    def update(self, accepted, frame):
+        entries = [RefEntry(accepted.features[i], float(accepted.scores[i]), frame, i)
+                   for i in range(len(accepted))]
+        self.long = self._top_k(self.long + entries, self.kappa1)
+        self.window = (self.window + [entries])[-SHORT_WINDOW_FRAMES:]
+        self.short = self._top_k([e for batch in self.window for e in batch], self.kappa2)
+
+
 class TestMemoryBank:
     def test_top_k_selection(self, rng):
         memory = MemoryBank(kappa1=9, kappa2=3)
@@ -169,29 +210,29 @@ class TestMemoryBank:
         assert len(memory.long) == 9
         assert len(memory.short) == 3
         top = sorted(scores, reverse=True)
-        assert [e.score for e in memory.long] == pytest.approx(top[:9])
-        assert [e.score for e in memory.short] == pytest.approx(top[:3])
+        assert memory.long.scores.tolist() == pytest.approx(top[:9])
+        assert memory.short.scores.tolist() == pytest.approx(top[:3])
 
     def test_short_window_eviction(self):
         memory = MemoryBank()
-        memory.update(dets([(0, 0, 5, 5)], [E1], [0.99]), 0)
+        memory.update(tagged(0, [0.99]), 0)
         for f in (1, 2, 3):
-            memory.update(dets([(0, 0, 5, 5)], [E1], [0.5]), f)
-        assert all(e.frame >= 1 for e in memory.short)
-        assert any(e.frame == 0 for e in memory.long)  # long keeps the best
+            memory.update(tagged(f, [0.5]), f)
+        assert all(f >= 1 for f, _ in frame_index(memory.short))
+        assert (0, 0) in frame_index(memory.long)  # long keeps the best
 
     def test_long_stable_when_full_of_better(self):
         memory = MemoryBank(kappa1=3)
-        memory.update(dets(spaced_boxes(3), [E1] * 3, [0.9, 0.8, 0.7]), 0)
-        before = [(e.score, e.frame, e.index) for e in memory.long]
-        memory.update(dets([(0, 0, 5, 5)], [E1], [0.1]), 1)
-        assert [(e.score, e.frame, e.index) for e in memory.long] == before
+        memory.update(tagged(0, [0.9, 0.8, 0.7]), 0)
+        before = memory.long.scores.tolist(), frame_index(memory.long)
+        memory.update(tagged(1, [0.1]), 1)
+        assert (memory.long.scores.tolist(), frame_index(memory.long)) == before
 
     def test_tie_break_earlier_frame_lower_index(self):
         memory = MemoryBank(kappa1=2)
-        memory.update(dets(spaced_boxes(2), [E1, E2], [0.5, 0.5]), 3)
-        memory.update(dets([(9, 9, 5, 5)], [E2], [0.5]), 4)
-        assert [(e.frame, e.index) for e in memory.long] == [(3, 0), (3, 1)]
+        memory.update(tagged(3, [0.5, 0.5]), 3)
+        memory.update(tagged(4, [0.5]), 4)
+        assert frame_index(memory.long) == [(3, 0), (3, 1)]
 
     def test_bounds_always_hold(self, rng):
         memory = MemoryBank(kappa1=9, kappa2=3)
@@ -203,9 +244,24 @@ class TestMemoryBank:
             )
             assert len(memory.long) <= 9
             assert len(memory.short) <= 3
-            assert [e.score for e in memory.long] == sorted(
-                (e.score for e in memory.long), reverse=True
-            )
+            scores = memory.long.scores.tolist()
+            assert scores == sorted(scores, reverse=True)
+
+    def test_equals_entry_lists_on_tied_scores(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            kappa1, kappa2 = (int(k) for k in rng.integers(1, 8, 2))
+            memory, ref = MemoryBank(kappa1, kappa2), RefMemoryBank(kappa1, kappa2)
+            for frame in range(1, 25):
+                n = int(rng.choice([0, 0, 1, 2, 4, 6]))  # empty frames are common
+                accepted = dets(spaced_boxes(n), rng.standard_normal((n, 3)),
+                                rng.choice([0.3, 0.6, 0.9], n))
+                memory.update(accepted, frame)
+                ref.update(accepted, frame)
+                for band, want in ((memory.long, ref.long), (memory.short, ref.short)):
+                    assert band.scores.tolist() == [e.score for e in want]
+                    assert np.array_equal(band.features.reshape(-1, 3),
+                                          np.array([e.feature for e in want]).reshape(-1, 3))
 
 
 class TestTpodFrame:
