@@ -3,9 +3,11 @@
 of one benchmark workload.
 
 Generates the workload's sequences as the benchmark's set-up does
-(``perfbench/workloads.py``), runs ``filter``, ``track`` and ``eval`` on
-them through ``macsort.cli.main`` in a temporary directory, and prints one
-``<sha256>  <sequence>/<file>`` line per file. Run it on two checkouts and
+(``perfbench/workloads.py``: one spec file per sequence, read back by
+``macsort synth``, which writes it again as ``scenario.spec``), runs
+``filter``, ``track`` and ``eval`` on them through ``macsort.cli.main`` in
+a temporary directory, and prints one ``<sha256>  <sequence>/<file>`` line
+per file. Run it on two checkouts and
 diff the output: a change that claims to alter no output prints the same
 lines.
 
@@ -32,8 +34,8 @@ import macsort.cli  # noqa: E402
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 from perfbench.workloads import WORKLOADS, generate  # noqa: E402
 
-FILES = ("gt.txt", "general.txt", "general.emb", "filtered.txt", "filtered.emb",
-         "results.txt", "results.txt.metrics.json")
+FILES = ("scenario.spec", "gt.txt", "general.txt", "general.emb", "filtered.txt",
+         "filtered.emb", "results.txt", "results.txt.metrics.json")
 
 
 def _cli(*argv: str) -> None:

@@ -310,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory given for a file, a file for a directory, ...
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except MacSortError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import parse_key_values, read_utf8
 from .errors import SpecError
 from .geometry import Detection
 from .metrics import TrackSequence
@@ -154,8 +155,9 @@ class ScenarioSpec:
             val = getattr(self, name)
             if not (0.0 <= val <= 1.0):
                 raise SpecError(f"{name} must be in [0,1], got {val}")
-        if self.detection_noise_px < 0 or self.speed_px < 0 or self.box_size_px <= 0:
-            raise SpecError("noise/speed must be >= 0 and box size > 0")
+        # the MOT files hold boxes at two decimals: a size that prints as 0.00 is no box
+        if self.detection_noise_px < 0 or self.speed_px < 0 or round(self.box_size_px, 2) <= 0:
+            raise SpecError("noise/speed must be >= 0 and box size >= 0.005")
         for obj, start, end in self.occlusion_windows:
             if not (1 <= obj <= self.n_objects):
                 raise SpecError(f"occlusion window object {obj} out of range")
@@ -206,6 +208,12 @@ class Scenario:
                 for frame, dets in self.frame_sets().items()}
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise SpecError("box positions overflow float64: speed_px, detection_noise_px, "
+                        "box_size_px or the field size is too large")
+
+
 def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth centers (x, y), each (n_frames, n_objects): 1-based
     frames down, 0-based objects across."""
@@ -223,6 +231,7 @@ def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
         return cx + d * _per_value(math.cos, phi), cy + d * _per_value(math.sin, phi)
     radius = min(spec.field_w, spec.field_h) / 4.0 + obj * spec.box_size_px
     angle = spec.speed_px / radius * (t - 1) + 2.0 * math.pi * obj / n
+    _check_finite(angle)  # math.cos fails on inf
     return cx + radius * _per_value(math.cos, angle), cy + radius * _per_value(math.sin, angle)
 
 
@@ -237,6 +246,7 @@ def _object_embeddings(spec: ScenarioSpec, units: np.ndarray) -> np.ndarray:
     return mixed / norms
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises SpecError instead
 def generate(spec: ScenarioSpec) -> Scenario:
     """Produce ground truth plus detections/embeddings for a spec.
 
@@ -298,6 +308,9 @@ def generate(spec: ScenarioSpec) -> Scenario:
     conf = np.concatenate([0.55 + 0.4 * draws[rows, cols, 5], 0.25 + 0.35 * clutter[:, 2]])
     sources = np.concatenate([embeddings, _unit_vectors_at(seed, [c + 3 for c in clutter_at], dim)])
     source_row = np.concatenate([emb_obj[rows, cols], n + np.arange(len(clutter_at))])
+    # left = u - w/2 and top = v - h/2, as the MOT files hold them
+    for centers in (x, y, u, v):
+        _check_finite(centers - size / 2.0)
     return Scenario(
         spec=spec,
         gt_frame=np.repeat(np.arange(1, n_frames + 1), n),
@@ -310,21 +323,13 @@ def generate(spec: ScenarioSpec) -> Scenario:
     )
 
 
-# -- spec (de)serialization: plain key=value text ----------------------------
-
-_SPEC_FIELDS = {f.name: f for f in fields(ScenarioSpec)}
-_INT_FIELDS = ("seed", "n_objects", "n_frames", "embedding_dim", "crossing_stagger",
-               "embedding_swap_frame")
+# -- spec (de)serialization: plain key=value text, read by config's reader --
 
 
 def _format_value(name: str, value) -> str:
     if name == "occlusion_windows":
         return ";".join(f"{o}:{s}:{e}" for o, s, e in value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def write_spec(spec: ScenarioSpec, path: str | Path) -> None:
@@ -336,64 +341,25 @@ def write_spec(spec: ScenarioSpec, path: str | Path) -> None:
 
 
 def _parse_windows(text: str) -> list[tuple[int, int, int]]:
+    """``occlusion_windows``' value: obj:start:end windows joined by ``;``."""
     windows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise SpecError(f"bad occlusion window {chunk!r}, want obj:start:end")
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         try:
-            windows.append(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise SpecError(f"bad occlusion window {chunk!r}: {exc}") from exc
+            obj, start, end = map(int, chunk.split(":"))
+        except ValueError:
+            raise ValueError(f"bad occlusion window {chunk!r}, want obj:start:end") from None
+        windows.append((obj, start, end))
     return windows
 
 
-def parse_spec(text: str) -> ScenarioSpec:
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SpecError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _SPEC_FIELDS:
-            raise SpecError(f"line {lineno}: unknown spec key {key!r}")
-        if key in values:
-            raise SpecError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = raw
-
-    kwargs = {}
-    for key, raw in values.items():
-        if key == "occlusion_windows":
-            kwargs[key] = _parse_windows(raw)
-        elif key == "motion":
-            kwargs[key] = raw
-        elif key == "embedding_swap_frame" and not raw:
-            kwargs[key] = None
-        elif key in _INT_FIELDS:
-            try:
-                kwargs[key] = int(raw)
-            except ValueError as exc:
-                raise SpecError(f"{key}: expected integer, got {raw!r}") from exc
-        else:
-            try:
-                kwargs[key] = float(raw)
-            except ValueError as exc:
-                raise SpecError(f"{key}: expected number, got {raw!r}") from exc
-    spec = ScenarioSpec(**kwargs)
+def parse_spec(text: str, where: str = "") -> ScenarioSpec:
+    """A spec from key=value text; ``where`` names its file in errors."""
+    values = parse_key_values(text, ScenarioSpec, SpecError, where,
+                              parsers={"occlusion_windows": _parse_windows})
+    spec = ScenarioSpec(**values)
     spec.validate()
     return spec
 
 
 def read_spec(path: str | Path) -> ScenarioSpec:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
-    return parse_spec(text)
+    return parse_spec(read_utf8(path, SpecError), str(path))

@@ -42,6 +42,15 @@ from .motion import (
 )
 from .prompt_filter import PromptDetections
 
+
+def _check_theta(theta_deg: float) -> None:
+    """theta must lie in (0, 90] degrees, and its cosine must fall below 1.0
+    in float64 (it rounds to 1.0 below about 6e-7 degrees), or w_aaw would
+    divide by zero."""
+    if not (0.0 < theta_deg <= 90.0) or math.cos(math.radians(theta_deg)) == 1.0:
+        raise ValueError(f"theta_deg must be in (0, 90] with cos(theta) < 1, got {theta_deg}")
+
+
 @dataclass
 class AssocConfig:
     """Association and lifecycle knobs."""
@@ -57,8 +66,7 @@ class AssocConfig:
     fixed_w_aaw: float | None = None  # freeze both weights (ablations)
 
     def __post_init__(self):
-        if not (0.0 < self.theta_deg <= 90.0):
-            raise ValueError(f"theta_deg must be in (0, 90], got {self.theta_deg}")
+        _check_theta(self.theta_deg)
         if not (0.0 <= self.lam < math.inf):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.fixed_w_aaw is not None and not math.isfinite(self.fixed_w_aaw):
@@ -93,8 +101,7 @@ def compute_mu_det(embeddings: np.ndarray, theta_deg: float) -> float:
 def adaptive_weights(mu_det: float, theta_deg: float) -> tuple[float, float]:
     """Appearance weight w_aaw = (1 - mu_det)/(1 - cos theta), motion weight
     w_amc = 2 - w_aaw; they always sum to 2."""
-    if not (0.0 < theta_deg <= 90.0):
-        raise ValueError(f"theta_deg must be in (0, 90], got {theta_deg}")
+    _check_theta(theta_deg)
     w_aaw = (1.0 - mu_det) / (1.0 - math.cos(math.radians(theta_deg)))
     return w_aaw, 2.0 - w_aaw
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -253,6 +254,56 @@ class TestInputContract:
         out = tmp_path / "x"
         self._one_error_line(capsys, ["synth", str(spec), str(out)], "SpecError: ")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "lines, detail",
+        [("speed_px=1e308\nn_frames=5", "overflow"),
+         ("motion=circular\nspeed_px=1e308\nn_frames=400", "overflow"),
+         ("box_size_px=1e-300", "box size")],
+    )
+    def test_synth_writes_no_box_its_readers_reject(self, tmp_path, capsys, lines, detail):
+        spec = tmp_path / "case.spec"
+        spec.write_text(f"seed=1\n{lines}\n")
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            assert main(["synth", str(spec), str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("SpecError: ") and detail in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", ["1e-9", "1e-7"])
+    def test_theta_whose_cosine_rounds_to_one(self, synth_seq, capsys, theta):
+        self._one_error_line(capsys, ["track", str(synth_seq), "--theta-deg", theta],
+                             "ConfigError: theta_deg")
+        assert not (synth_seq / "results.txt").exists()
+
+
+class TestOSErrorExits2:
+    """An OS error other than a missing file prints one line, not a traceback."""
+
+    def _one_error_line(self, capsys, argv, name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{name}: "), err
+
+    def test_eval_directory(self, tmp_path, capsys):
+        self._one_error_line(capsys, ["eval", str(tmp_path), str(tmp_path)], "IsADirectoryError")
+
+    def test_synth_spec_directory(self, tmp_path, capsys):
+        argv = ["synth", str(tmp_path), str(tmp_path / "out")]
+        self._one_error_line(capsys, argv, "IsADirectoryError")
+
+    def test_config_directory(self, synth_seq, tmp_path, capsys):
+        argv = ["track", str(synth_seq), "--config", str(tmp_path)]
+        self._one_error_line(capsys, argv, "IsADirectoryError")
+
+    def test_synth_out_dir_is_a_file(self, synth_seq, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["synth", str(synth_seq / "scenario.spec"), str(taken)]
+        self._one_error_line(capsys, argv, "FileExistsError")
 
 
 class TestTrackCommand:

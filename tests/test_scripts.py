@@ -57,6 +57,6 @@ def test_output_digests_are_stable():
     first = _run("output_digests.py", "--workload", "crowd_dense", "--seed", "0")
     lines = first.splitlines()
     seqs = {line.split()[1].split("/")[0] for line in lines}
-    assert len(seqs) == 2 and len(lines) == 7 * len(seqs)
+    assert len(seqs) == 2 and len(lines) == 8 * len(seqs)
     assert all(len(line.split()[0]) == 64 for line in lines)
     assert _run("output_digests.py", "--workload", "crowd_dense", "--seed", "0") == first

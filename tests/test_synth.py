@@ -1,4 +1,9 @@
 import math
+import re
+import string
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +215,67 @@ class TestSpecFile:
     def test_duplicate_key(self):
         with pytest.raises(SpecError):
             parse_spec("seed=1\nseed=2\n")
+
+    def test_empty_swap_frame_is_none(self):
+        assert parse_spec("embedding_swap_frame=\n").embedding_swap_frame is None
+
+    def test_empty_int_rejected(self):
+        with pytest.raises(SpecError, match="n_objects"):
+            parse_spec("n_objects=\n")
+
+    def test_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "case.spec"
+        path.write_text("seed=1\n\nwarp=2\n")
+        with pytest.raises(SpecError, match=f"^{re.escape(str(path))}:3: unknown key 'warp'$"):
+            read_spec(path)
+
+    @pytest.mark.parametrize("windows", ["1:2", "1:2:3:4", "1:a:3", "1:2:3;x"])
+    def test_bad_window_names_key(self, windows):
+        with pytest.raises(SpecError, match="^occlusion_windows: bad occlusion window"):
+            parse_spec(f"occlusion_windows={windows}\n")
+
+    def test_tiny_box_size_rejected(self):
+        # widths are written at two decimals; 0.004 would print as 0.00
+        with pytest.raises(SpecError):
+            parse_spec("box_size_px=0.004\n")
+        assert parse_spec("box_size_px=0.006\n").box_size_px == 0.006
+
+    @pytest.mark.parametrize("motion", MOTION_MODELS)
+    def test_overflowing_positions_rejected(self, motion):
+        with pytest.raises(SpecError, match="overflow"):
+            generate(ScenarioSpec(motion=motion, speed_px=1e308, n_frames=400))
+
+
+_SPEC_KEYS = [f.name for f in fields(ScenarioSpec)]
+_SPEC_JUNK = ["nan", "inf", "-1", "0", "1", "0.5", "2", "1e309", "abc", "", "linear",
+              "circular", "1:2:3", "1:1:1;2:3:4", "1:2", "0:1:1", "1:x:2", ";", "true"]
+
+
+def _spec_lines():
+    value = st.one_of(st.sampled_from(_SPEC_JUNK), st.text(string.printable.strip(), max_size=6))
+    key = st.one_of(st.sampled_from(_SPEC_KEYS), st.sampled_from(["warp", "Seed", "", " seed"]))
+    pair = st.builds(lambda k, v: f"{k}={v}", key, value)
+    return st.lists(st.one_of(pair, st.sampled_from(["# note", "junk", "=1", ""])), max_size=8)
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_spec_lines())
+    @example(["occlusion_windows=1:x:2"])
+    @example(["n_objects=2", "n_objects=3"])
+    def test_spec_or_spec_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "case.spec"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                spec = read_spec(path)
+            except SpecError:
+                return
+        assert isinstance(spec, ScenarioSpec)
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            if isinstance(value, float):
+                assert math.isfinite(value), f.name
 
 
 # -- the per-draw generator that drawing by stream position replaced, kept

@@ -106,6 +106,18 @@ class TestAdaptiveWeights:
         with pytest.raises(ValueError):
             adaptive_weights(0.5, 91.0)
 
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7])
+    def test_theta_whose_cosine_rounds_to_one_rejected(self, theta):
+        assert math.cos(math.radians(theta)) == 1.0
+        with pytest.raises(ValueError, match="theta_deg"):
+            adaptive_weights(0.5, theta)
+        with pytest.raises(ValueError, match="theta_deg"):
+            AssocConfig(theta_deg=theta)
+
+    def test_smallest_theta_with_cosine_below_one_kept(self):
+        w_aaw, w_amc = adaptive_weights(0.5, 7e-7)
+        assert math.isfinite(w_aaw) and w_aaw + w_amc == 2.0
+
 
 class TestBuildCostMatrix:
     def test_perfect_match_is_zero(self):
