@@ -2,18 +2,21 @@
 
 Pipeline stages, each usable on its own:
 
-- geometry: box/embedding value types and similarity primitives
+- geometry: the BBox value type, (u, v, w, h) box arrays, the one box <->
+  filter-state (u, v, s, r) conversion and similarity primitives
 - captions: annotation JSON and caption-template parsing
 - prompt_filter: include/exclude classification + long-short memory rescue
-- motion: constant-velocity Kalman filtering and occlusion recovery
-- tracker: adaptive motion-appearance association (MAC-SORT)
+- motion: constant-velocity Kalman filtering and occlusion recovery on
+  (x, P) state arrays
+- tracker: adaptive motion-appearance association (MAC-SORT) over
+  PromptDetections tables; BBox appears only in MacSort.step's output
 - metrics: MOTA / identity F1 / higher-order accuracy evaluation
 - mot_io: MOT-Challenge CSV and embedding sidecar files
 - synth: deterministic synthetic scenario generator
 - cli: filter / track / eval / synth / parse-captions subcommands
 """
 
-from .geometry import BBox, Detection, bbox_to_xysr, cosine_similarity, iou, xysr_to_bbox
+from .geometry import BBox, cosine_similarity, iou, uvwh_to_xysr, xysr_to_uvwh
 from .captions import CaptionQuery, GmotAnnotation, load_annotation, parse_annotation, parse_caption
 from .prompt_filter import (
     MemoryBank,
@@ -25,11 +28,10 @@ from .prompt_filter import (
     tpod_frame,
 )
 from .motion import (
-    KalmanState,
     MotionConfig,
     kf_init,
-    kf_predict,
-    kf_update,
+    kf_predict_batch,
+    kf_update_batch,
     ocr_reupdate,
 )
 from .tracker import (

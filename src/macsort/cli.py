@@ -32,6 +32,7 @@ from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfben
     DETECTION_ID,
     MotTable,
     _load_prompt_file,
+    check_boxes,
     detection_sets,
     read_embeddings,
     read_mot_lines,
@@ -145,8 +146,10 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 
 def _read_track_file(path) -> TrackSequence:
+    table = read_mot_lines(path)
+    check_boxes(table, path)
     try:
-        return TrackSequence.from_mot(read_mot_lines(path))
+        return TrackSequence.from_mot(table)
     except ValueError as exc:  # a (frame, id) pair repeats
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -1,13 +1,14 @@
-"""Core value types (boxes, detections) and similarity primitives.
+"""The box value type, box arrays and similarity primitives.
 
 Boxes are stored center-based as (u, v, w, h); the MOT top-left convention
-is converted at the I/O layer only. All reals are float64.
+is converted at the I/O layer only. The Kalman filter measures a box as
+(u, v, s, r), scale s = w*h and aspect r = w/h; uvwh_to_xysr and
+xysr_to_uvwh are the one conversion each way. All reals are float64.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +49,6 @@ class BBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detected box in a frame, with confidence and appearance feature."""
-
-    frame: int
-    bbox: BBox
-    confidence: float
-    embedding: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame must be non-negative, got {self.frame}")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in [0,1], got {self.confidence}")
-        object.__setattr__(
-            self, "embedding", np.asarray(self.embedding, dtype=np.float64)
-        )
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -155,19 +137,33 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(unit_rows(a) @ unit_rows(b).T, -1.0, 1.0)
 
 
-def bbox_to_xysr(b: BBox) -> tuple[float, float, float, float]:
-    """Box as (center u, center v, scale s = w*h, aspect r = w/h)."""
-    return (b.u, b.v, b.w * b.h, b.w / b.h)
+def uvwh_to_xysr(uvwh: np.ndarray) -> np.ndarray:
+    """(n, 4) rows of (u, v, w, h) as filter measurements (u, v, s, r):
+    scale s = w*h, aspect r = w/h."""
+    w, h = uvwh[:, 2], uvwh[:, 3]
+    return np.stack([uvwh[:, 0], uvwh[:, 1], w * h, w / h], axis=1)
 
 
-def xysr_to_bbox(u: float, v: float, s: float, r: float) -> BBox:
-    """Inverse of bbox_to_xysr: w = sqrt(s*r), h = sqrt(s/r).
+def xysr_to_uvwh(xysr: np.ndarray) -> np.ndarray:
+    """Inverse of uvwh_to_xysr on (n, 4) rows: w = sqrt(s*r), h = sqrt(s/r).
 
-    Raises InvalidState when s or r is non-positive (filter drift produced
-    a nonphysical scale).
+    Raises InvalidState when an s or r is non-positive (filter drift
+    produced a nonphysical scale).
     """
-    if s <= 0.0 or r <= 0.0:
-        raise InvalidState(f"nonphysical box readout: s={s}, r={r}")
-    w = math.sqrt(s * r)
-    h = math.sqrt(s / r)
-    return BBox(u, v, w, h)
+    s, r = xysr[:, 2], xysr[:, 3]
+    bad = np.flatnonzero((s <= 0.0) | (r <= 0.0))
+    if len(bad):
+        raise InvalidState(f"nonphysical box readout: s={s[bad[0]]}, r={r[bad[0]]}")
+    return np.stack([xysr[:, 0], xysr[:, 1], np.sqrt(s * r), np.sqrt(s / r)], axis=1)
+
+
+def first_unheld_box(uvwh: np.ndarray) -> int | None:
+    """Index of the first (u, v, w, h) row that float64 cannot hold as a box,
+    or None: w*h or w/h is not a positive finite number, or an extent
+    vanishes (u - w/2 == u + w/2, or in v) or overflows. Warns of nothing."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        center, half, w, h = uvwh[:, :2], uvwh[:, 2:] / 2.0, uvwh[:, 2:3], uvwh[:, 3:]
+        # four values per row: w*h, w/h and the extents in u and v
+        vals = np.concatenate([w * h, w / h, (center + half) - (center - half)], axis=1)
+    bad = np.flatnonzero(~((vals > 0.0) & (vals < np.inf)))
+    return int(bad[0]) // 4 if len(bad) else None

@@ -30,7 +30,7 @@ from .errors import (
     SidecarMismatch,
     TruncatedBody,
 )
-from .geometry import BBox, uvwh_array
+from .geometry import BBox, first_unheld_box, uvwh_array
 from .prompt_filter import SHORT_WINDOW_FRAMES, PromptDetections, TpodConfig
 
 EMB_MAGIC = b"EMB1"
@@ -297,6 +297,17 @@ def write_detections(
     write_embeddings(np.asarray(embeddings), emb_path)
 
 
+def check_boxes(table: MotTable, path: str | Path) -> None:
+    """Raise ParseError naming ``path`` and the first row whose box float64
+    cannot hold (geometry.first_unheld_box)."""
+    with np.errstate(over="ignore"):  # left + w/2 may overflow; the check names it
+        bad = first_unheld_box(table.uvwh())
+    if bad is not None:
+        left, top, w, h = table.ltwh[bad].tolist()
+        raise ParseError(f"{path} row {bad + 1}: box left={left}, top={top}, w={w}, h={h} "
+                         "overflows float64 or has no extent at its position")
+
+
 def _load_prompt_file(
     seq_dir: Path, stem: str, required: bool
 ) -> tuple[MotTable, np.ndarray] | None:
@@ -313,6 +324,7 @@ def _load_prompt_file(
             f"{csv_path} row {bad[0] + 1}: detection confidence "
             f"{float(table.conf[bad[0]])} outside [0, 1]"
         )
+    check_boxes(table, csv_path)
     if not emb_path.exists():
         raise SidecarMismatch(f"{emb_path} missing for {csv_path}")
     embs = read_embeddings(emb_path)

@@ -4,6 +4,10 @@ State vector: [u, v, s, r, du, dv, ds] with aspect ratio held constant.
 Tracks re-found after an occlusion gap are re-filtered along a virtual
 trajectory interpolated between the last real observation and the new one,
 which undoes the covariance inflation accumulated while coasting.
+
+Everything runs on arrays: a filter state is a mean/covariance pair
+``(x, P)``, stacked as (n, 7) and (n, 7, 7) for the batch steps, and boxes
+are (u, v, w, h) rows, converted by geometry.uvwh_to_xysr.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState
-from .geometry import BBox, Detection, bbox_to_xysr, xysr_to_bbox
+from .geometry import uvwh_to_xysr
 
 _F = np.eye(7)
 _F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
@@ -58,26 +62,11 @@ class MotionConfig:
 DEFAULT_MOTION = MotionConfig()
 
 
-@dataclass
-class KalmanState:
-    """Filter mean (7-vector) and covariance (7x7, kept symmetric PSD)."""
-
-    x: np.ndarray
-    P: np.ndarray
-
-    def bbox(self) -> BBox:
-        return xysr_to_bbox(self.x[0], self.x[1], self.x[2], self.x[3])
-
-    def copy(self) -> "KalmanState":
-        return KalmanState(self.x.copy(), self.P.copy())
-
-
-def kf_init(det: Detection, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:
-    """Fresh filter state at a detection: zero velocity, large velocity
-    uncertainty."""
-    u, v, s, r = bbox_to_xysr(det.bbox)
-    x = np.array([u, v, s, r, 0.0, 0.0, 0.0])
-    return KalmanState(x, config.p0())
+def kf_init(box: np.ndarray,
+            config: MotionConfig = DEFAULT_MOTION) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh filter mean and covariance at a (u, v, w, h) box: zero velocity,
+    large velocity uncertainty."""
+    return np.concatenate([uvwh_to_xysr(box[None])[0], np.zeros(3)]), config.p0()
 
 
 def kf_predict_batch(
@@ -113,44 +102,28 @@ def kf_update_batch(
     return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
 
 
-def kf_predict(state: KalmanState, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:
-    """Advance one state one frame: kf_predict_batch on a batch of one."""
-    xs, Ps = kf_predict_batch(state.x[None], state.P[None], config)
-    return KalmanState(xs[0], Ps[0])
-
-
-def kf_update(
-    state: KalmanState, det: Detection, config: MotionConfig = DEFAULT_MOTION
-) -> KalmanState:
-    """Measurement update with z = (u, v, s, r) of the detection:
-    kf_update_batch on a batch of one."""
-    z = np.array([bbox_to_xysr(det.bbox)])
-    xs, Ps = kf_update_batch(state.x[None], state.P[None], z, config)
-    return KalmanState(xs[0], Ps[0])
-
-
 def ocr_reupdate(
-    state: KalmanState,
-    last_box: BBox,
-    det: Detection,
+    state: tuple[np.ndarray, np.ndarray],
+    last_box: np.ndarray,
+    box: np.ndarray,
     gap: int,
     config: MotionConfig = DEFAULT_MOTION,
-) -> KalmanState:
+) -> tuple[np.ndarray, np.ndarray]:
     """Re-filter across an occlusion gap through a virtual trajectory.
 
-    ``state`` must be the filter state as of the last real observation
-    ``last_box`` (tracks keep a checkpoint there); ``gap`` is the number of
-    frames from that observation to ``det``. The virtual observations
-    interpolate linearly in (u, v, s) with the aspect ratio held at the new
-    observation, so a gap of 1 degenerates to a plain predict + update.
+    ``state`` must be the filter mean and covariance ``(x, P)`` as of the
+    last real observation ``last_box`` (tracks keep a checkpoint there);
+    ``gap`` is the number of frames from that observation to ``box``, both
+    (u, v, w, h) rows. The virtual observations interpolate linearly in
+    (u, v, s) with the aspect ratio held at the new observation, so a gap
+    of 1 degenerates to a plain predict + update.
     """
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
-    u0, v0, s0, _ = bbox_to_xysr(last_box)
-    u1, v1, s1, r1 = bbox_to_xysr(det.bbox)
-    xs, Ps = state.x[None], state.P[None]
+    (u0, v0, s0, _), (u1, v1, s1, r1) = uvwh_to_xysr(np.stack([last_box, box])).tolist()
+    xs, Ps = state[0][None], state[1][None]
     for k in range(1, gap + 1):
         t = k / gap
         z = np.array([[u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1]])
         xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps, config), z, config)
-    return KalmanState(xs[0], Ps[0])
+    return xs[0], Ps[0]

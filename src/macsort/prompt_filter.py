@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, EmptyMemory
-from .geometry import BBox, Detection, cosine_matrix, iou_matrix_edges, uvwh_array, uvwh_edges
+from .geometry import cosine_matrix, iou_matrix_edges, uvwh_array, uvwh_edges
 
 SHORT_WINDOW_FRAMES = 3
 
@@ -84,24 +84,6 @@ class PromptDetections:
     @classmethod
     def empty(cls, dim: int = 1) -> "PromptDetections":
         return cls(np.zeros((0, 4)), np.zeros((0, max(dim, 1))), np.zeros(0))
-
-    @classmethod
-    def of(cls, detections: "PromptDetections | list[Detection]") -> "PromptDetections":
-        """A detection table as it is, or the table of a list of Detection."""
-        if isinstance(detections, PromptDetections):
-            return detections
-        if not detections:
-            return cls.empty()
-        return cls(
-            [d.bbox for d in detections],
-            np.stack([d.embedding for d in detections]),
-            [d.confidence for d in detections],
-        )
-
-    def detection(self, i: int, frame: int) -> Detection:
-        """Row ``i`` as a Detection of ``frame``."""
-        return Detection(frame, BBox(*self.boxes[i].tolist()), float(self.scores[i]),
-                         self.features[i])
 
     def subset(self, indices) -> "PromptDetections":
         indices = np.asarray(indices, dtype=int)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import parse_key_values, read_utf8
 from .errors import SpecError
-from .geometry import Detection
+from .geometry import first_unheld_box
 from .metrics import TrackSequence
 from .mot_io import DETECTION_ID, MotTable
 from .prompt_filter import PromptDetections
@@ -202,17 +202,6 @@ class Scenario:
     def gt(self) -> TrackSequence:
         return TrackSequence(self.gt_frame, self.gt_id, self.gt_boxes, self.spec.n_frames)
 
-    @cached_property
-    def detections(self) -> dict[int, list[Detection]]:
-        return {frame: [dets.detection(i, frame) for i in range(len(dets))]
-                for frame, dets in self.frame_sets().items()}
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise SpecError("box positions overflow float64: speed_px, detection_noise_px, "
-                        "box_size_px or the field size is too large")
-
 
 def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth centers (x, y), each (n_frames, n_objects): 1-based
@@ -231,7 +220,9 @@ def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
         return cx + d * _per_value(math.cos, phi), cy + d * _per_value(math.sin, phi)
     radius = min(spec.field_w, spec.field_h) / 4.0 + obj * spec.box_size_px
     angle = spec.speed_px / radius * (t - 1) + 2.0 * math.pi * obj / n
-    _check_finite(angle)  # math.cos fails on inf
+    if not np.isfinite(angle).all():  # math.cos fails on inf
+        raise SpecError("box positions overflow float64: speed_px, box_size_px or the field "
+                        "size is too large")
     return cx + radius * _per_value(math.cos, angle), cy + radius * _per_value(math.sin, angle)
 
 
@@ -308,10 +299,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
     conf = np.concatenate([0.55 + 0.4 * draws[rows, cols, 5], 0.25 + 0.35 * clutter[:, 2]])
     sources = np.concatenate([embeddings, _unit_vectors_at(seed, [c + 3 for c in clutter_at], dim)])
     source_row = np.concatenate([emb_obj[rows, cols], n + np.arange(len(clutter_at))])
-    # left = u - w/2 and top = v - h/2, as the MOT files hold them
-    for centers in (x, y, u, v):
-        _check_finite(centers - size / 2.0)
-    return Scenario(
+    scenario = Scenario(
         spec=spec,
         gt_frame=np.repeat(np.arange(1, n_frames + 1), n),
         gt_id=np.tile(np.arange(1, n + 1), n_frames),
@@ -321,6 +309,14 @@ def generate(spec: ScenarioSpec) -> Scenario:
         det_conf=conf[order],
         embeddings=sources[source_row[order]],
     )
+    for name, frame, boxes in (("gt.txt", scenario.gt_frame, scenario.gt_boxes),
+                               ("general.txt", scenario.det_frame, scenario.det_boxes)):
+        bad = first_unheld_box(boxes)
+        if bad is not None:
+            raise SpecError(f"{name} row {bad + 1} (frame {frame[bad]}): the box overflows "
+                            "float64 or has no extent at its position: speed_px, "
+                            "detection_noise_px, box_size_px or the field size is too large")
+    return scenario
 
 
 # -- spec (de)serialization: plain key=value text, read by config's reader --

@@ -9,6 +9,10 @@ embeddings to their mean, w_aaw = (1 - mu_det) / (1 - cos(theta)) and
 w_amc = 2 - w_aaw. Crowds of near-identical objects (mu_det -> 1) are
 therefore associated almost purely by motion, while visually diverse
 scenes lean on appearance.
+
+The tracker runs on arrays: the live tracks are one ``Tracks`` table of
+filter states and boxes, a frame's detections one ``PromptDetections``
+table. A ``BBox`` is built only for each row that MacSort.step reports.
 """
 
 from __future__ import annotations
@@ -20,20 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionMismatch, InvalidState, NonMonotonicFrame
+from .errors import DimensionMismatch, NonMonotonicFrame
 from .geometry import (
     BBox,
-    Detection,
     ZERO_NORM_EPS,
     cosine_matrix,
     iou_matrix_edges,
     unit_rows,
     uvwh_edges,
-    xysr_to_bbox,
+    uvwh_to_xysr,
+    xysr_to_uvwh,
 )
 from .motion import (
     DEFAULT_MOTION,
-    KalmanState,
     MotionConfig,
     kf_init,
     kf_predict_batch,
@@ -124,13 +127,11 @@ class Tracks:
     confirmed: np.ndarray  # (m,) bool, set for good at min_hits matches
 
     @classmethod
-    def born(cls, first_id: int, states: list[KalmanState], boxes: np.ndarray,
+    def born(cls, first_id: int, x: np.ndarray, P: np.ndarray, boxes: np.ndarray,
              appearance: np.ndarray, confirmed: bool) -> "Tracks":
-        """New rows with consecutive ids, one hit each and the checkpoint at
-        the initial state."""
-        k = len(states)
-        x = np.array([s.x for s in states]).reshape(k, 7)
-        P = np.array([s.P for s in states]).reshape(k, 7, 7)
+        """New rows at initial states x (k, 7), P (k, 7, 7): consecutive
+        ids, one hit each and the checkpoint at the initial state."""
+        k = len(x)
         return cls(
             np.arange(first_id, first_id + k), x, P, x.copy(), P.copy(), boxes,
             np.full((k, 2), np.nan), appearance, np.ones(k, dtype=np.int64),
@@ -168,20 +169,6 @@ class CostBreakdown:
     total: np.ndarray
 
 
-def _track_edges(tracks: Tracks) -> np.ndarray:
-    """Predicted-box edges of all tracks, raising on nonphysical scale."""
-    xs = tracks.x
-    s, r = xs[:, 2], xs[:, 3]
-    if np.any(s <= 0.0) or np.any(r <= 0.0):
-        raise InvalidState("predicted track has nonphysical scale or ratio")
-    w = np.sqrt(s * r)
-    h = np.sqrt(s / r)
-    return np.stack(
-        [xs[:, 0] - w / 2, xs[:, 1] - h / 2, xs[:, 0] + w / 2, xs[:, 1] + h / 2],
-        axis=1,
-    )
-
-
 def _direction_costs(tracks: Tracks, centers: np.ndarray, lam: float) -> np.ndarray:
     """lam * heading gap / pi for every track/detection pair.
 
@@ -205,23 +192,16 @@ def _direction_costs(tracks: Tracks, centers: np.ndarray, lam: float) -> np.ndar
     return out
 
 
-def _xysr(uvwh: np.ndarray) -> np.ndarray:
-    """Rows of (u, v, w, h) as (u, v, s, r), as geometry.bbox_to_xysr."""
-    w, h = uvwh[:, 2], uvwh[:, 3]
-    return np.stack([uvwh[:, 0], uvwh[:, 1], w * h, w / h], axis=1)
-
-
 def build_cost_matrix(
     tracks: Tracks,
-    detections: PromptDetections | list[Detection],
+    dets: PromptDetections,
     cfg: AssocConfig,
 ) -> CostBreakdown:
     """Assemble the weighted cost matrix for already-predicted tracks."""
-    dets = PromptDetections.of(detections)
     m, n = len(tracks), len(dets)
     det_uvwh, det_embs_unit = dets.boxes, unit_rows(dets.features)
 
-    iou = iou_matrix_edges(_track_edges(tracks), uvwh_edges(det_uvwh))
+    iou = iou_matrix_edges(uvwh_edges(xysr_to_uvwh(tracks.x)), uvwh_edges(det_uvwh))
     iou_term = 1.0 - iou
 
     if cfg.use_direction and m and n:
@@ -306,7 +286,8 @@ class MacSort:
     ):
         self.config = config or AssocConfig()
         self.motion = motion
-        self.tracks = Tracks.born(1, [], np.zeros((0, 4)), np.zeros((0, 0)), False)
+        self.tracks = Tracks.born(1, np.zeros((0, 7)), np.zeros((0, 7, 7)), np.zeros((0, 4)),
+                                  np.zeros((0, 0)), False)
         self._next_id = 1
         self._frames_seen = 0
         self._last_frame: int | None = None
@@ -319,7 +300,7 @@ class MacSort:
         return not len(self.tracks) and self._frames_seen > self.config.min_hits
 
     def _apply_updates(self, matches: list[tuple[int, int]], dets: PromptDetections,
-                       det_embs_unit: np.ndarray, frame: int) -> None:
+                       det_embs_unit: np.ndarray) -> None:
         trk, det_uvwh = self.tracks, dets.boxes
         rows = np.array([m for m, _ in matches], dtype=np.intp)
         cols = np.array([n for _, n in matches], dtype=np.intp)
@@ -327,14 +308,13 @@ class MacSort:
         fresh_r, fresh_c = rows[gaps == 1], cols[gaps == 1]
         if len(fresh_r):
             trk.x[fresh_r], trk.P[fresh_r] = kf_update_batch(
-                trk.x[fresh_r], trk.P[fresh_r], _xysr(det_uvwh[fresh_c]), self.motion
+                trk.x[fresh_r], trk.P[fresh_r], uvwh_to_xysr(det_uvwh[fresh_c]), self.motion
             )
         for m, n, gap in zip(rows[gaps > 1], cols[gaps > 1], gaps[gaps > 1]):
-            state = ocr_reupdate(
-                KalmanState(trk.checkpoint_x[m], trk.checkpoint_P[m]),
-                BBox(*trk.last_box[m].tolist()), dets.detection(n, frame), int(gap), self.motion,
+            trk.x[m], trk.P[m] = ocr_reupdate(
+                (trk.checkpoint_x[m], trk.checkpoint_P[m]), trk.last_box[m], det_uvwh[n],
+                int(gap), self.motion,
             )
-            trk.x[m], trk.P[m] = state.x, state.P
 
         # EMA appearance refresh, batched over the matched pairs
         if len(rows):
@@ -353,11 +333,9 @@ class MacSort:
         trk.time_since_update[rows] = 0
         trk.confirmed[rows] |= trk.hits[rows] >= self.config.min_hits
 
-    def step(
-        self, detections: PromptDetections | list[Detection], frame: int
-    ) -> list[tuple[int, BBox]]:
-        """Advance one frame's detection table, or list of Detection;
-        returns (track id, box) for reportable tracks."""
+    def step(self, dets: PromptDetections, frame: int) -> list[tuple[int, BBox]]:
+        """Advance one frame's detection table; returns (track id, box) for
+        reportable tracks."""
         if self._last_frame is not None and frame <= self._last_frame:
             raise NonMonotonicFrame(f"frame {frame} after frame {self._last_frame}")
         self._last_frame = frame
@@ -368,7 +346,6 @@ class MacSort:
             trk.x, trk.P = kf_predict_batch(trk.x, trk.P, self.motion)
             trk.time_since_update += 1
 
-        dets = PromptDetections.of(detections)
         det_embs_unit = unit_rows(dets.features)
         if len(trk) and len(dets):
             breakdown = build_cost_matrix(trk, dets, cfg)
@@ -378,13 +355,13 @@ class MacSort:
             matches, unmatched_dets = [], list(range(len(dets)))
             self.last_breakdown = None
 
-        self._apply_updates(matches, dets, det_embs_unit, frame)
+        self._apply_updates(matches, dets, det_embs_unit)
 
         if unmatched_dets:
-            born = np.array(unmatched_dets, dtype=np.intp)
-            states = [kf_init(dets.detection(n, frame), self.motion) for n in unmatched_dets]
+            born = dets.boxes[unmatched_dets]
+            xs, Ps = zip(*(kf_init(box, self.motion) for box in born))
             trk = trk.concat(Tracks.born(
-                self._next_id, states, dets.boxes[born], det_embs_unit[born],
+                self._next_id, np.stack(xs), np.stack(Ps), born, det_embs_unit[unmatched_dets],
                 cfg.min_hits <= 1,
             ))
             self._next_id += len(born)
@@ -392,10 +369,8 @@ class MacSort:
         reported = (trk.time_since_update == 0) & (
             trk.confirmed | (self._frames_seen <= cfg.min_hits)
         )
-        outputs = [
-            (int(trk.ids[i]), xysr_to_bbox(*trk.x[i, :4]))
-            for i in np.flatnonzero(reported)
-        ]
+        boxes = xysr_to_uvwh(trk.x[reported, :4]).tolist()
+        outputs = [(tid, BBox(*box)) for tid, box in zip(trk.ids[reported].tolist(), boxes)]
 
         alive = trk.time_since_update <= cfg.max_age
         self.tracks = trk if alive.all() else trk.take(alive)
@@ -403,7 +378,7 @@ class MacSort:
 
 
 def track_sequence(
-    per_frame: dict[int, PromptDetections | list[Detection]],
+    per_frame: dict[int, PromptDetections],
     config: AssocConfig | None = None,
     motion: MotionConfig = DEFAULT_MOTION,
 ) -> list[tuple[int, int, BBox]]:
@@ -412,13 +387,13 @@ def track_sequence(
     (frame, track id, box) rows of every frame in order. While the tracker
     is idle, absent frames are skipped: stepping them would change nothing."""
     tracker = MacSort(config, motion)
-    given = sorted(per_frame)
+    given, empty = sorted(per_frame), PromptDetections.empty()
     rows, frame = [], 1
     while given and frame <= given[-1]:
         if frame not in per_frame and tracker.idle:
             frame = given[bisect.bisect(given, frame)]
         rows.extend(
-            (frame, tid, box) for tid, box in tracker.step(per_frame.get(frame, []), frame)
+            (frame, tid, box) for tid, box in tracker.step(per_frame.get(frame, empty), frame)
         )
         frame += 1
     return rows

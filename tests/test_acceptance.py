@@ -17,7 +17,7 @@ import pytest
 from conftest import make_tracks
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
-from macsort.geometry import BBox, Detection
+from macsort.geometry import BBox
 from macsort.metrics import TrackSequence, evaluate
 from macsort.prompt_filter import (
     MemoryBank,
@@ -34,7 +34,7 @@ from macsort.tracker import (
     compute_mu_det,
     linear_assignment,
 )
-from macsort.motion import kf_init, kf_predict
+from macsort.motion import kf_init, kf_predict_batch
 
 
 def _passed(n, text):
@@ -42,31 +42,21 @@ def _passed(n, text):
 
 
 def _random_tracks_and_dets(rng, m, n, dim=8, positive_embs=False):
+    """m predicted tracks and a table of n detections."""
     tracks = []
     for i in range(m):
-        d = Detection(
-            0,
-            BBox(*rng.uniform(20, 200, 2), *rng.uniform(8, 20, 2)),
-            0.9,
-            rng.standard_normal(dim),
-        )
-        state = kf_predict(kf_init(d))
-        emb = np.asarray(d.embedding)
-        tracks.append((i + 1, state, d.bbox, emb / np.linalg.norm(emb), None))
-    dets = []
-    for _ in range(n):
+        box = BBox(*rng.uniform(20, 200, 2), *rng.uniform(8, 20, 2))
         emb = rng.standard_normal(dim)
-        if positive_embs:
-            emb = np.abs(emb) + 0.05
-        dets.append(
-            Detection(
-                1,
-                BBox(*rng.uniform(20, 200, 2), *rng.uniform(8, 20, 2)),
-                0.9,
-                emb,
-            )
-        )
-    return make_tracks(tracks), dets
+        x, P = kf_init(np.array([box.u, box.v, box.w, box.h]))
+        xs, Ps = kf_predict_batch(x[None], P[None])
+        tracks.append((i + 1, (xs[0], Ps[0]), box, emb / np.linalg.norm(emb), None))
+    boxes, embs = [], []
+    for _ in range(n):
+        boxes.append([*rng.uniform(20, 200, 2), *rng.uniform(8, 20, 2)])
+        emb = rng.standard_normal(dim)
+        embs.append(np.abs(emb) + 0.05 if positive_embs else emb)
+    return make_tracks(tracks), PromptDetections(boxes, np.array(embs).reshape(n, dim),
+                                                 np.full(n, 0.9))
 
 
 def test_criterion_1_assignment_oracle():
@@ -113,8 +103,7 @@ def test_criterion_3_cost_matrix_reduction():
     while checked < 100:
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
         tracks, dets = _random_tracks_and_dets(rng, m, n, positive_embs=True)
-        embs = np.stack([d.embedding for d in dets])
-        mu = compute_mu_det(embs, 45.0)
+        mu = compute_mu_det(dets.features, 45.0)
         if not (0.0 < mu < 0.999):
             continue
         theta = math.degrees(math.acos(mu))
@@ -137,9 +126,7 @@ def test_criterion_4_embedding_scale_invariance():
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         tracks, dets = _random_tracks_and_dets(rng, m, n)
         k = float(rng.choice([1e-3, 0.37, 7.0, 4096.0, rng.uniform(0.01, 100)]))
-        scaled = [
-            Detection(d.frame, d.bbox, d.confidence, d.embedding * k) for d in dets
-        ]
+        scaled = PromptDetections(dets.boxes, dets.features * k, dets.scores)
         a = build_cost_matrix(tracks, dets, AssocConfig())
         b = build_cost_matrix(tracks, scaled, AssocConfig())
         assert abs(a.mu_det - b.mu_det) <= 1e-12
@@ -243,8 +230,8 @@ def test_criterion_6_metrics_oracle():
 
 def _run_tracker(scenario, cfg):
     tracker = MacSort(cfg)
-    rows = [(frame, tid, box) for frame in sorted(scenario.detections)
-            for tid, box in tracker.step(scenario.detections[frame], frame)]
+    rows = [(frame, tid, box) for frame, dets in scenario.frame_sets().items()
+            for tid, box in tracker.step(dets, frame)]
     return tracker, TrackSequence.from_rows(rows)
 
 
@@ -289,8 +276,8 @@ def test_criterion_8_occlusion_recovery():
     tracker = MacSort(AssocConfig())
     rows = []
     velocity_after = None
-    for frame in sorted(scenario.detections):
-        out = tracker.step(scenario.detections[frame], frame)
+    for frame, dets in scenario.frame_sets().items():
+        out = tracker.step(dets, frame)
         rows += [(frame, tid, box) for tid, box in out]
         if frame == 25:
             assert [tid for tid, _ in out] == [1]  # same identity, reported
@@ -360,7 +347,7 @@ def test_criterion_9_pipeline_determinism(tmp_path, monkeypatch, capsys):
 THROUGHPUT_SCRIPT = """
 import time
 import numpy as np
-from macsort.geometry import BBox, Detection
+from macsort.prompt_filter import PromptDetections
 from macsort.tracker import MacSort, AssocConfig
 
 rng = np.random.default_rng(0)
@@ -372,8 +359,8 @@ frames = []
 for t in range(1, n_frames + 1):
     pos = starts + vels * (t - 1)
     frames.append(
-        [Detection(t, BBox(pos[i, 0], pos[i, 1], 20, 20), 0.9, embs[i])
-         for i in range(n_obj)]
+        PromptDetections(np.column_stack([pos, np.full((n_obj, 2), 20.0)]), embs,
+                         np.full(n_obj, 0.9))
     )
 tracker = MacSort(AssocConfig())
 t0 = time.perf_counter()

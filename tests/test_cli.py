@@ -260,7 +260,9 @@ class TestInputContract:
         "lines, detail",
         [("speed_px=1e308\nn_frames=5", "overflow"),
          ("motion=circular\nspeed_px=1e308\nn_frames=400", "overflow"),
-         ("box_size_px=1e-300", "box size")],
+         ("box_size_px=1e-300", "box size"),
+         ("speed_px=1e200\nbox_size_px=1e200\nn_frames=5", "gt.txt row 1 (frame 1): "),
+         ("speed_px=1e300\nn_frames=5", "gt.txt row 5 (frame 2): ")],
     )
     def test_synth_writes_no_box_its_readers_reject(self, tmp_path, capsys, lines, detail):
         spec = tmp_path / "case.spec"
@@ -272,6 +274,25 @@ class TestInputContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("SpecError: ") and detail in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("box", ["-5e199,-5e199,1e200,1e200",  # w*h overflows
+                                     "1e300,84.00,24.00,24.00"])  # no extent at u = 1e300
+    @pytest.mark.parametrize("command", [["filter"], ["track", "--detections", "general"],
+                                         ["eval"]])
+    def test_box_float64_cannot_hold(self, tmp_path, capsys, box, command):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        path = seq / ("gt.txt" if command == ["eval"] else "general.txt")
+        obj_id = 1 if command == ["eval"] else -1
+        path.write_text(f"1,{obj_id},0.00,0.00,10.00,10.00,0.9000,-1,-1,-1\n"
+                        f"2,{obj_id},{box},0.9000,-1,-1,-1\n")
+        write_embeddings(np.eye(2), seq / "general.emb")
+        argv = ([*command, str(path), str(path)] if command == ["eval"]
+                else [command[0], str(seq), *command[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            self._one_error_line(capsys, argv, f"ParseError: {path} row 2: ")
+        assert sorted(p.name for p in seq.iterdir()) == sorted({path.name, "general.emb"})
 
     @pytest.mark.parametrize("theta", ["1e-9", "1e-7"])
     def test_theta_whose_cosine_rounds_to_one(self, synth_seq, capsys, theta):

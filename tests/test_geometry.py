@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,12 +7,13 @@ from hypothesis import given, strategies as st
 from macsort.errors import DegenerateEmbedding, DimensionMismatch, InvalidState
 from macsort.geometry import (
     BBox,
-    bbox_to_xysr,
     cosine_matrix,
     cosine_similarity,
+    first_unheld_box,
     iou,
     iou_matrix,
-    xysr_to_bbox,
+    uvwh_to_xysr,
+    xysr_to_uvwh,
 )
 
 boxes = st.builds(
@@ -94,34 +97,53 @@ class TestCosine:
 
 class TestXysr:
     def test_square(self):
-        assert bbox_to_xysr(BBox(0, 0, 10, 10))[2:] == (100.0, 1.0)
+        assert uvwh_to_xysr(np.array([[0, 0, 10, 10]], float))[0, 2:].tolist() == [100.0, 1.0]
 
     def test_wide(self):
-        u, v, s, r = bbox_to_xysr(BBox(1, 2, 20, 10))
+        u, v, s, r = uvwh_to_xysr(np.array([[1, 2, 20, 10]], float))[0]
         assert (s, r) == (200.0, 2.0)
 
     def test_round_trip_simple(self):
-        b = BBox(3, 4, 5, 6)
-        got = xysr_to_bbox(*bbox_to_xysr(b))
-        assert got.u == pytest.approx(b.u)
-        assert got.w == pytest.approx(b.w, rel=1e-12)
-        assert got.h == pytest.approx(b.h, rel=1e-12)
+        b = np.array([[3, 4, 5, 6]], float)
+        got = xysr_to_uvwh(uvwh_to_xysr(b))[0]
+        assert got[:2] == pytest.approx(b[0, :2])
+        assert got[2:] == pytest.approx(b[0, 2:], rel=1e-12)
 
     def test_invalid_scale(self):
         with pytest.raises(InvalidState):
-            xysr_to_bbox(0, 0, -1.0, 1.0)
+            xysr_to_uvwh(np.array([[0, 0, -1.0, 1.0]]))
         with pytest.raises(InvalidState):
-            xysr_to_bbox(0, 0, 1.0, 0.0)
+            xysr_to_uvwh(np.array([[0, 0, 1.0, 0.0]]))
 
     def test_round_trip_10k_random(self, rng):
         # tolerance pinned at 1e-9 relative over 10k boxes
-        for _ in range(10_000):
-            u, v = rng.uniform(-1e3, 1e3, 2)
-            w, h = rng.uniform(1e-2, 1e3, 2)
-            b = BBox(u, v, w, h)
-            got = xysr_to_bbox(*bbox_to_xysr(b))
-            assert abs(got.w - w) <= 1e-9 * w
-            assert abs(got.h - h) <= 1e-9 * h
+        uvwh = np.column_stack([rng.uniform(-1e3, 1e3, (10_000, 2)),
+                                rng.uniform(1e-2, 1e3, (10_000, 2))])
+        got = xysr_to_uvwh(uvwh_to_xysr(uvwh))
+        assert np.all(np.abs(got[:, 2:] - uvwh[:, 2:]) <= 1e-9 * uvwh[:, 2:])
+
+
+class TestFirstUnheldBox:
+    def test_ordinary_boxes_are_held(self):
+        uvwh = np.array([[0.0, 0.0, 1.0, 1.0], [1e6, -1e6, 0.01, 3e3], [0.0, 0.0, 1e-100, 1e100]])
+        assert first_unheld_box(uvwh) is None
+        assert first_unheld_box(np.zeros((0, 4))) is None
+
+    @pytest.mark.parametrize("row", [
+        [0.0, 0.0, 1e200, 1e200],      # area overflows
+        [0.0, 0.0, 1e-200, 1e-200],    # area underflows to 0
+        [0.0, 0.0, 1e300, 1e-10],      # aspect overflows
+        [1e300, 84.0, 24.0, 24.0],     # no extent in u at its position
+        [5.0, -1e300, 24.0, 24.0],     # no extent in v
+        [1.7e308, 0.0, 1e308, 1.0],    # right edge overflows
+        [np.inf, 0.0, 1.0, 1.0],
+        [0.0, np.nan, 1.0, 1.0],
+    ])
+    def test_names_the_first_unheld_row(self, row):
+        uvwh = np.array([[0.0, 0.0, 2.0, 2.0], row, row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert first_unheld_box(uvwh) == 1
 
 
 class TestBBox:

@@ -11,10 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from macsort.errors import SpecError
-from macsort.geometry import BBox, Detection
+from macsort.geometry import BBox
 from macsort.synth import (
     MOTION_MODELS,
-    Scenario,
     ScenarioSpec,
     SplitMix64,
     _box_muller,
@@ -28,6 +27,7 @@ from macsort.synth import (
     write_spec,
 )
 from macsort.tracker import compute_mu_det
+from motion_ref import Detection
 
 
 class TestSplitMix64:
@@ -56,62 +56,52 @@ class TestSplitMix64:
             assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
-def scenario_dets(scenario: Scenario):
-    return [d for frame in sorted(scenario.detections) for d in scenario.detections[frame]]
-
-
 class TestGenerate:
     def test_noiseless_identity(self):
         spec = ScenarioSpec(n_objects=3, n_frames=10)
         scenario = generate(spec)
-        for frame, dets in scenario.detections.items():
-            gt_boxes = [box for _, box in scenario.gt.at(frame)]
-            assert len(dets) == len(gt_boxes)
-            for det, box in zip(dets, gt_boxes):
-                assert det.bbox == box
+        for frame, dets in scenario.frame_sets().items():
+            _, gt_boxes = scenario.gt.rows_at(frame)
+            assert np.array_equal(dets.boxes, gt_boxes)
 
     def test_full_homogeneity_gives_mu_one(self):
         spec = ScenarioSpec(appearance_homogeneity=1.0, n_objects=5, n_frames=3)
         scenario = generate(spec)
-        embs = np.stack([d.embedding for d in scenario.detections[1]])
-        assert compute_mu_det(embs, 45.0) == pytest.approx(1.0)
+        assert compute_mu_det(scenario.frame_sets()[1].features, 45.0) == pytest.approx(1.0)
 
     def test_same_seed_identical(self):
         spec = ScenarioSpec(seed=99, detection_noise_px=1.0, miss_rate=0.1, clutter_rate=0.1)
         a, b = generate(spec), generate(spec)
-        da, db = scenario_dets(a), scenario_dets(b)
-        assert len(da) == len(db)
-        for x, y in zip(da, db):
-            assert x.bbox == y.bbox and x.confidence == y.confidence
-            assert np.array_equal(x.embedding, y.embedding)
+        for col in ("det_frame", "det_boxes", "det_conf", "embeddings"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
 
     def test_different_seed_differs(self):
         base = dict(detection_noise_px=1.0)
         a = generate(ScenarioSpec(seed=1, **base))
         b = generate(ScenarioSpec(seed=2, **base))
-        assert any(
-            x.bbox != y.bbox for x, y in zip(scenario_dets(a), scenario_dets(b))
-        )
+        n = min(len(a.det_boxes), len(b.det_boxes))
+        assert (a.det_boxes[:n] != b.det_boxes[:n]).any()
 
     def test_occlusion_window_drops_detections(self):
         spec = ScenarioSpec(n_objects=2, n_frames=10, occlusion_windows=[(1, 4, 6)])
         scenario = generate(spec)
+        sets = scenario.frame_sets()
         for frame in (4, 5, 6):
-            assert len(scenario.detections[frame]) == 1
+            assert len(sets[frame]) == 1
             assert len(scenario.gt.at(frame)) == 2  # gt continues through
-        assert len(scenario.detections[3]) == 2
-        assert len(scenario.detections[7]) == 2
+        assert len(sets[3]) == 2
+        assert len(sets[7]) == 2
 
     def test_miss_rate_thins_detections(self):
         spec = ScenarioSpec(n_objects=4, n_frames=50, miss_rate=0.4)
         scenario = generate(spec)
-        total = len(scenario_dets(scenario))
+        total = len(scenario.det_frame)
         assert 60 <= total <= 160  # ~120 expected of 200
 
     def test_clutter_adds_boxes(self):
         spec = ScenarioSpec(n_objects=4, n_frames=50, clutter_rate=0.5)
         scenario = generate(spec)
-        assert len(scenario_dets(scenario)) > 200
+        assert len(scenario.det_frame) > 200
 
     def test_crossing_passes_common_point(self):
         spec = ScenarioSpec(motion="crossing", n_objects=4, n_frames=60)
@@ -136,14 +126,14 @@ class TestGenerate:
         )
         a, b = generate(base), generate(swapped)
         # geometry identical, embeddings exchanged from the swap frame on
+        sa, sb = a.frame_sets(), b.frame_sets()
         for f in range(1, 20):
-            for da, db in zip(a.detections[f], b.detections[f]):
-                assert da.bbox == db.bbox
-        before = a.detections[9]
-        after_base, after_swap = a.detections[10], b.detections[10]
-        assert np.array_equal(after_base[0].embedding, after_swap[1].embedding)
-        assert np.array_equal(after_base[1].embedding, after_swap[0].embedding)
-        assert np.array_equal(before[0].embedding, after_base[0].embedding)
+            assert np.array_equal(sa[f].boxes, sb[f].boxes)
+        before = sa[9].features
+        after_base, after_swap = sa[10].features, sb[10].features
+        assert np.array_equal(after_base[0], after_swap[1])
+        assert np.array_equal(after_base[1], after_swap[0])
+        assert np.array_equal(before[0], after_base[0])
 
     def test_homogeneity_monotone_in_mu_det(self):
         levels = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
@@ -155,9 +145,8 @@ class TestGenerate:
                     appearance_homogeneity=h, embedding_dim=16,
                 )
                 scenario = generate(spec)
-                embs = np.stack([d.embedding for d in scenario.detections[1]])
                 hs.append(h)
-                mus.append(compute_mu_det(embs, 45.0))
+                mus.append(compute_mu_det(scenario.frame_sets()[1].features, 45.0))
         rho = spearmanr(hs, mus).statistic
         assert rho > 0.95
 
@@ -449,13 +438,12 @@ class TestColumnsEqualPerDrawOracle:
         for frame, obj_id, box in gt:
             ref_gt.setdefault(frame, []).append((obj_id, box))
         assert {f: got.gt.at(f) for f in got.gt.frame_rows} == ref_gt
-        assert sorted(got.detections) == list(range(1, spec.n_frames + 1))
         tables = got.frame_sets()
+        assert sorted(tables) == list(range(1, spec.n_frames + 1))
         for frame, ref in detections.items():
-            view, table = got.detections[frame], tables[frame]
-            assert [(d.frame, d.bbox, d.confidence) for d in view] == [
-                (d.frame, d.bbox, d.confidence) for d in ref]
-            assert _bits([d.embedding for d in view] or np.zeros((0, 1))) == _bits(
-                [d.embedding for d in ref] or np.zeros((0, 1)))
+            table = tables[frame]
             assert _bits(table.boxes) == _bits([[d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h]
                                                 for d in ref] or np.zeros((0, 4)))
+            assert _bits(table.scores) == _bits([d.confidence for d in ref])
+            assert _bits(table.features) == _bits(
+                [d.embedding for d in ref] or np.zeros((0, spec.embedding_dim)))

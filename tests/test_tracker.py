@@ -5,26 +5,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import make_tracks
+import motion_ref as ref
+from conftest import make_tracks, table, tables, uvwh
 from macsort.errors import NonMonotonicFrame
-from macsort.geometry import (
-    BBox,
-    Detection,
-    ZERO_NORM_EPS,
-    bbox_to_xysr,
-    iou_matrix_edges,
-    unit_rows,
-)
-from macsort.motion import (
-    DEFAULT_MOTION,
-    KalmanState,
-    MotionConfig,
-    kf_init,
-    kf_predict,
-    kf_predict_batch,
-    kf_update_batch,
-    ocr_reupdate,
-)
+from macsort.geometry import BBox, ZERO_NORM_EPS, iou_matrix_edges, unit_rows
+from macsort.motion import DEFAULT_MOTION, MotionConfig, kf_init, kf_predict_batch
+from macsort.prompt_filter import PromptDetections
+from motion_ref import Detection
 from macsort.tracker import (
     AssocConfig,
     MacSort,
@@ -47,7 +34,8 @@ def det(frame, u, v, w=12.0, h=12.0, emb=E1, conf=0.9):
 def make_track(tid, d, history_points=()):
     """A predicted track whose observations were at ``history_points``
     (centers), or at ``d`` alone, as a make_tracks row."""
-    state = kf_predict(kf_init(d))
+    xs, Ps = kf_predict_batch(*(a[None] for a in kf_init(uvwh(d.bbox))))
+    state = xs[0], Ps[0]
     last = BBox(*history_points[-1], d.bbox.w, d.bbox.h) if history_points else d.bbox
     emb = np.asarray(d.embedding, float)
     prev = history_points[-2] if len(history_points) >= 2 else None
@@ -123,13 +111,13 @@ class TestBuildCostMatrix:
     def test_perfect_match_is_zero(self):
         d = det(1, 50, 50)
         track = make_track(1, d)
-        bd = build_cost_matrix(make_tracks([track]), [d], AssocConfig())
+        bd = build_cost_matrix(make_tracks([track]), table([d]), AssocConfig())
         assert bd.total[0, 0] == 0.0
 
     def test_homogeneous_frame_zeroes_appearance(self):
         d1, d2 = det(1, 50, 50), det(1, 200, 50)
         tracks = [make_track(1, d1), make_track(2, d2)]
-        bd = build_cost_matrix(make_tracks(tracks), [d1, d2], AssocConfig())
+        bd = build_cost_matrix(make_tracks(tracks), table([d1, d2]), AssocConfig())
         assert bd.mu_det == pytest.approx(1.0)
         assert bd.w_aaw == pytest.approx(0.0)
         assert bd.w_amc == pytest.approx(2.0)
@@ -143,7 +131,8 @@ class TestBuildCostMatrix:
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 60, 52, emb=E2)
         tracks = [make_track(1, det(0, 49, 50, emb=E1)),
                   make_track(2, det(0, 61, 51, emb=E2))]
-        bd_fixed = build_cost_matrix(make_tracks(tracks), [d1, d2], AssocConfig(fixed_w_aaw=1.0))
+        bd_fixed = build_cost_matrix(make_tracks(tracks), table([d1, d2]),
+                                     AssocConfig(fixed_w_aaw=1.0))
         manual = bd_fixed.iou_term + bd_fixed.velocity_term + bd_fixed.appearance_term
         finite = np.isfinite(bd_fixed.total)
         assert bd_fixed.total[finite] == pytest.approx(manual[finite], abs=1e-12)
@@ -151,23 +140,24 @@ class TestBuildCostMatrix:
     def test_gate_blocks_distant_pairs(self):
         track = make_track(1, det(0, 0, 0))
         far = det(1, 500, 500)
-        bd = build_cost_matrix(make_tracks([track]), [far], AssocConfig(iou_gate=0.1))
+        bd = build_cost_matrix(make_tracks([track]), table([far]), AssocConfig(iou_gate=0.1))
         assert np.isinf(bd.total[0, 0])
 
     def test_direction_term_needs_two_observations(self):
         d = det(1, 50, 50)
         track = make_track(1, d)  # single-entry history
-        bd = build_cost_matrix(make_tracks([track]), [det(1, 52, 50)], AssocConfig())
+        bd = build_cost_matrix(make_tracks([track]), table([det(1, 52, 50)]), AssocConfig())
         assert np.all(bd.velocity_term == 0.0)
 
     def test_direction_term_value(self):
         d = det(2, 70, 50)
         track = make_track(1, d, history_points=[(40, 50), (55, 50)])
         ahead = det(2, 70, 50)
-        bd = build_cost_matrix(make_tracks([track]), [ahead], AssocConfig())
+        bd = build_cost_matrix(make_tracks([track]), table([ahead]), AssocConfig())
         assert bd.velocity_term[0, 0] == pytest.approx(0.0)
         track2 = make_track(1, d, history_points=[(70, 20), (70, 35)])
-        bd2 = build_cost_matrix(make_tracks([track2]), [det(2, 70, 20)], AssocConfig(iou_gate=0.0))
+        bd2 = build_cost_matrix(make_tracks([track2]), table([det(2, 70, 20)]),
+                                AssocConfig(iou_gate=0.0))
         # heading reversal: cost = lambda * pi/pi = lambda
         assert bd2.velocity_term[0, 0] == pytest.approx(0.2)
 
@@ -175,7 +165,7 @@ class TestBuildCostMatrix:
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 56, 50, emb=E2)
         track = make_track(1, det(0, 52, 50, emb=E1), history_points=[(40, 50), (46, 50)])
         off = AssocConfig(use_appearance=False, use_direction=False)
-        bd = build_cost_matrix(make_tracks([track]), [d1, d2], off)
+        bd = build_cost_matrix(make_tracks([track]), table([d1, d2]), off)
         assert np.all(bd.appearance_term == 0.0)
         assert np.all(bd.velocity_term == 0.0)
 
@@ -185,11 +175,11 @@ class TestBuildCostMatrix:
                 det(1, 50 + 30 * i, 50, emb=rng.standard_normal(4)) for i in range(3)
             ]
             tracks = make_tracks([make_track(i + 1, det(0, 50 + 30 * i, 49)) for i in range(3)])
-            bd1 = build_cost_matrix(tracks, dets, AssocConfig())
+            bd1 = build_cost_matrix(tracks, table(dets), AssocConfig())
             scaled = [
                 Detection(d.frame, d.bbox, d.confidence, d.embedding * k) for d in dets
             ]
-            bd2 = build_cost_matrix(tracks, scaled, AssocConfig())
+            bd2 = build_cost_matrix(tracks, table(scaled), AssocConfig())
             assert bd2.mu_det == pytest.approx(bd1.mu_det, abs=1e-12)
             assert bd2.w_aaw == pytest.approx(bd1.w_aaw, abs=1e-12)
             finite = np.isfinite(bd1.total)
@@ -242,12 +232,12 @@ class TestLinearAssignment:
 class TestTrackerStep:
     def test_new_track_uses_tracker_motion_config(self):
         tracker = MacSort(motion=MotionConfig(p0_pos=1, p0_vel=1))
-        tracker.step([det(1, 10, 10)], 1)
+        tracker.step(table([det(1, 10, 10)]), 1)
         assert np.array_equal(tracker.tracks.P[0], np.eye(7))
 
     def test_cold_start_creates_tracks(self):
         tracker = MacSort()
-        out = tracker.step([det(1, 10, 10), det(1, 60, 10)], 1)
+        out = tracker.step(table([det(1, 10, 10), det(1, 60, 10)]), 1)
         assert len(tracker.tracks) == 2
         assert not tracker.tracks.confirmed.any()
         # young-sequence emission: matched tracks report from frame 1
@@ -257,7 +247,7 @@ class TestTrackerStep:
         tracker = MacSort()
         seen = set()
         for t in range(1, 11):
-            out = tracker.step([det(t, 10 + 2 * t, 20)], t)
+            out = tracker.step(table([det(t, 10 + 2 * t, 20)]), t)
             seen.update(tid for tid, _ in out)
         assert seen == {1}
 
@@ -266,12 +256,12 @@ class TestTrackerStep:
         # frames before being reported
         tracker = MacSort(AssocConfig(min_hits=3))
         for t in range(1, 8):
-            tracker.step([det(t, 10 + 2 * t, 20)], t)
-        out7 = tracker.step([det(8, 26, 20), det(8, 200, 100)], 8)
+            tracker.step(table([det(t, 10 + 2 * t, 20)]), t)
+        out7 = tracker.step(table([det(8, 26, 20), det(8, 200, 100)]), 8)
         assert {tid for tid, _ in out7} == {1}
-        out8 = tracker.step([det(9, 28, 20), det(9, 202, 100)], 9)
+        out8 = tracker.step(table([det(9, 28, 20), det(9, 202, 100)]), 9)
         assert {tid for tid, _ in out8} == {1}
-        out9 = tracker.step([det(10, 30, 20), det(10, 204, 100)], 10)
+        out9 = tracker.step(table([det(10, 30, 20), det(10, 204, 100)]), 10)
         assert {tid for tid, _ in out9} == {1, 2}
 
     def test_crossing_objects_keep_ids(self):
@@ -281,7 +271,7 @@ class TestTrackerStep:
             xa = 20 + 4.0 * (t - 1)
             xb = 80 - 4.0 * (t - 1)
             dets = [det(t, xa, 50, emb=E1), det(t, xb, 50.5, emb=E1)]
-            for tid, box in tracker.step(dets, t):
+            for tid, box in tracker.step(table(dets), t):
                 last[tid] = float(box.u)
         # id 1 started left and ends right; id 2 the reverse
         assert last[1] == pytest.approx(80.0, abs=1.0)
@@ -289,33 +279,33 @@ class TestTrackerStep:
 
     def test_track_removed_after_max_age(self):
         tracker = MacSort(AssocConfig(max_age=3))
-        tracker.step([det(1, 10, 10)], 1)
+        tracker.step(table([det(1, 10, 10)]), 1)
         for t in range(2, 7):
-            tracker.step([], t)
+            tracker.step(table([]), t)
         assert len(tracker.tracks) == 0
 
     def test_ids_never_reused(self):
         tracker = MacSort(AssocConfig(max_age=1))
-        tracker.step([det(1, 10, 10)], 1)
-        tracker.step([], 2)
-        tracker.step([], 3)  # first track removed
-        tracker.step([det(4, 10, 10)], 4)
+        tracker.step(table([det(1, 10, 10)]), 1)
+        tracker.step(table([]), 2)
+        tracker.step(table([]), 3)  # first track removed
+        tracker.step(table([det(4, 10, 10)]), 4)
         assert tracker.tracks.ids.tolist() == [2]
 
     def test_non_monotonic_frame_rejected(self):
         tracker = MacSort()
-        tracker.step([det(5, 10, 10)], 5)
+        tracker.step(table([det(5, 10, 10)]), 5)
         with pytest.raises(NonMonotonicFrame):
-            tracker.step([det(5, 10, 10)], 5)
+            tracker.step(table([det(5, 10, 10)]), 5)
 
     def test_occlusion_gap_recovery_keeps_id(self):
         tracker = MacSort()
         for t in range(1, 11):
-            tracker.step([det(t, 2.0 * t, 30)], t)
+            tracker.step(table([det(t, 2.0 * t, 30)]), t)
         for t in range(11, 16):
-            tracker.step([], t)
+            tracker.step(table([]), t)
         # a confirmed track re-found after the gap reports immediately
-        out = tracker.step([det(16, 32.0, 30)], 16)
+        out = tracker.step(table([det(16, 32.0, 30)]), 16)
         assert [tid for tid, _ in out] == [1]
         assert tracker.tracks.x[0, 4] == pytest.approx(2.0, rel=0.10)
 
@@ -335,7 +325,7 @@ class TestTrackerStep:
             out = []
             for t, dets in enumerate(frames, start=1):
                 out.append(
-                    [(tid, b.u, b.v, b.w, b.h) for tid, b in tracker.step(dets, t)]
+                    [(tid, b.u, b.v, b.w, b.h) for tid, b in tracker.step(table(dets), t)]
                 )
             return out
 
@@ -343,8 +333,8 @@ class TestTrackerStep:
 
     def test_ema_appearance_update(self):
         tracker = MacSort(AssocConfig(ema_alpha=0.9))
-        tracker.step([det(1, 10, 10, emb=E1)], 1)
-        tracker.step([det(2, 10, 10, emb=E2)], 2)
+        tracker.step(table([det(1, 10, 10, emb=E1)]), 1)
+        tracker.step(table([det(2, 10, 10, emb=E2)]), 2)
         app = tracker.tracks.appearance[0]
         expected = 0.9 * E1 + 0.1 * E2
         expected /= np.linalg.norm(expected)
@@ -357,7 +347,7 @@ class TestErrorPaths:
         bad = det(1, 50, 50, emb=np.array([1.0, 0.0]))
         from macsort.errors import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            build_cost_matrix(make_tracks([track]), [bad], AssocConfig())
+            build_cost_matrix(make_tracks([track]), table([bad]), AssocConfig())
 
 
 class TestTrackSequence:
@@ -375,9 +365,9 @@ class TestTrackSequence:
         expected = [
             (frame, tid, box)
             for frame in range(1, 6)
-            for tid, box in tracker.step(per_frame.get(frame, []), frame)
+            for tid, box in tracker.step(table(per_frame.get(frame, [])), frame)
         ]
-        assert track_sequence(per_frame, cfg) == expected
+        assert track_sequence(tables(per_frame), cfg) == expected
         assert [row[0] for row in expected] == [1, 2, 4, 5, 5]
 
     def test_empty_input(self):
@@ -390,8 +380,8 @@ class TestTrackSequence:
 @dataclass
 class _RefTrack:
     id: int
-    state: KalmanState
-    checkpoint: KalmanState
+    state: ref.KalmanState
+    checkpoint: ref.KalmanState
     last_box: BBox
     appearance: np.ndarray
     prev_center: tuple[float, float] | None = None
@@ -439,17 +429,18 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
 
 
 def _reference_sequence(per_frame, cfg, counts):
-    """(frame, id, box) rows of the Track-list tracker; ``counts`` tallies
-    births, gapped matches and deaths."""
+    """(frame, id, box) rows of the Track-list tracker, which filters with
+    the per-object motion API of motion_ref; ``counts`` tallies births,
+    gapped matches and deaths."""
     motion, tracks, next_id, rows = DEFAULT_MOTION, [], 1, []
     for seen, frame in enumerate(range(1, max(per_frame, default=0) + 1), start=1):
         detections = per_frame.get(frame, [])
         if tracks:
-            xs, Ps = kf_predict_batch(
+            xs, Ps = ref.kf_predict_batch(
                 np.stack([t.state.x for t in tracks]), np.stack([t.state.P for t in tracks]), motion
             )
             for i, trk in enumerate(tracks):
-                trk.state = KalmanState(xs[i], Ps[i])
+                trk.state = ref.KalmanState(xs[i], Ps[i])
                 trk.time_since_update += 1
         embs = unit_rows(np.stack([d.embedding for d in detections]) if detections else np.zeros((0, 1)))
         matches, unmatched = [], list(range(len(detections)))
@@ -457,19 +448,19 @@ def _reference_sequence(per_frame, cfg, counts):
             matches, _, unmatched = linear_assignment(_ref_cost(tracks, detections, cfg, embs))
         fresh = [(m, n) for m, n in matches if tracks[m].time_since_update == 1]
         if fresh:
-            xs, Ps = kf_update_batch(
+            xs, Ps = ref.kf_update_batch(
                 np.stack([tracks[m].state.x for m, _ in fresh]),
                 np.stack([tracks[m].state.P for m, _ in fresh]),
-                np.array([bbox_to_xysr(detections[n].bbox) for _, n in fresh]),
+                np.array([ref.bbox_to_xysr(detections[n].bbox) for _, n in fresh]),
                 motion,
             )
             for i, (m, _) in enumerate(fresh):
-                tracks[m].state = KalmanState(xs[i], Ps[i])
+                tracks[m].state = ref.KalmanState(xs[i], Ps[i])
         for m, n in matches:
             trk = tracks[m]
             if trk.time_since_update > 1:
                 counts["gapped"] += 1
-                trk.state = ocr_reupdate(
+                trk.state = ref.ocr_reupdate(
                     trk.checkpoint, trk.last_box, detections[n], trk.time_since_update, motion
                 )
         if matches:
@@ -494,7 +485,7 @@ def _reference_sequence(per_frame, cfg, counts):
         for n in unmatched:
             counts["births"] += 1
             d = detections[n]
-            state = kf_init(d, motion)
+            state = ref.kf_init(d, motion)
             norm = np.linalg.norm(d.embedding)
             app = d.embedding / norm if norm >= ZERO_NORM_EPS else d.embedding.copy()
             tracks.append(
@@ -569,7 +560,7 @@ def test_track_table_equals_track_list_tracker(cfg):
     for _ in range(25):
         per_frame = _random_stream(rng)
         expected = _reference_sequence(per_frame, cfg, counts)
-        got = track_sequence(per_frame, cfg)
+        got = track_sequence(tables(per_frame), cfg)
         assert [(f, tid) for f, tid, _ in got] == [(f, tid) for f, tid, _ in expected]
         assert [(b.u, b.v, b.w, b.h) for _, _, b in got] == [
             (b.u, b.v, b.w, b.h) for _, _, b in expected
@@ -602,12 +593,27 @@ def test_sparse_frames_equal_stepping_every_frame(cfg, monkeypatch):
     monkeypatch.setattr(MacSort, "step", lambda self, dets, frame: (
         stepped.append(frame), step(self, dets, frame))[1])
     skipped = 0
+    empty = PromptDetections.empty()
     for _ in range(20):
-        per_frame = _spread(rng, _random_stream(rng))
+        per_frame = tables(_spread(rng, _random_stream(rng)))
         last, tracker = max(per_frame), MacSort(cfg)
         expected = [(frame, tid, box) for frame in range(1, last + 1)
-                    for tid, box in step(tracker, per_frame.get(frame, []), frame)]
+                    for tid, box in step(tracker, per_frame.get(frame, empty), frame)]
         stepped.clear()
         assert track_sequence(per_frame, cfg) == expected
         skipped += last - len(stepped)
     assert skipped > 0
+
+
+def test_track_builds_a_box_per_output_row_only(monkeypatch):
+    """Births, gapped matches and deaths run on arrays: the only BBox built
+    over a track_sequence run is the one of each output row."""
+    cfg, per_frame = AssocConfig(max_age=3), _random_stream(np.random.default_rng(7), 60)
+    counts = {"births": 0, "gapped": 0, "deaths": 0}
+    _reference_sequence(per_frame, cfg, counts)
+    assert all(counts.values()), counts
+    per_frame = tables(per_frame)
+    init, built = BBox.__post_init__, []
+    monkeypatch.setattr(BBox, "__post_init__", lambda box: (built.append(box), init(box))[1])
+    rows = track_sequence(per_frame, cfg)
+    assert len(built) == len(rows) > 0
