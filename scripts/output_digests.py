@@ -6,12 +6,11 @@ Generates the workload's sequences as the benchmark's set-up does
 (``perfbench/workloads.py``: one spec file per sequence, read back by
 ``macsort synth``, which writes it again as ``scenario.spec``), runs
 ``filter``, ``track`` and ``eval`` on them through ``macsort.cli.main`` in
-a temporary directory, and prints one ``<sha256>  <sequence>/<file>`` line
-per file. Run it on two checkouts and
-diff the output: a change that claims to alter no output prints the same
-lines.
+a temporary directory, and prints one ``<seed> <sha256>  <sequence>/<file>``
+line per file and seed. Run it on two checkouts and diff the output: a
+change that claims to alter no output prints the same lines.
 
-Usage: python scripts/output_digests.py --workload crowd_dense --seed 0
+Usage: python scripts/output_digests.py --workload crowd_dense --seed 0 1 2 3
 """
 
 import argparse
@@ -48,20 +47,21 @@ def _cli(*argv: str) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, nargs="+", default=[0])
     args = ap.parse_args()
     workload = WORKLOADS[args.workload]
-    with tempfile.TemporaryDirectory() as tmp:
-        seqs = generate(workload.specs(args.seed), Path(tmp), workload.prompts)
-        dirs = [str(seq) for seq in seqs]
-        _cli("filter", *dirs)
-        _cli("track", *dirs)
-        for seq in seqs:
-            _cli("eval", str(seq / "gt.txt"), str(seq / "results.txt"))
-        for seq in seqs:
-            for name in FILES:
-                digest = hashlib.sha256((seq / name).read_bytes()).hexdigest()
-                print(f"{digest}  {seq.name}/{name}")
+    for seed in args.seed:
+        with tempfile.TemporaryDirectory() as tmp:
+            seqs = generate(workload.specs(seed), Path(tmp), workload.prompts)
+            dirs = [str(seq) for seq in seqs]
+            _cli("filter", *dirs)
+            _cli("track", *dirs)
+            for seq in seqs:
+                _cli("eval", str(seq / "gt.txt"), str(seq / "results.txt"))
+            for seq in seqs:
+                for name in FILES:
+                    digest = hashlib.sha256((seq / name).read_bytes()).hexdigest()
+                    print(f"{seed} {digest}  {seq.name}/{name}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Pipeline stages, each usable on its own:
 - captions: annotation JSON and caption-template parsing
 - prompt_filter: include/exclude classification + long-short memory rescue
 - motion: constant-velocity Kalman filtering and occlusion recovery on
-  (x, P) state arrays
+  (x, P) state arrays, each covariance held as its four (pos, vel) blocks
 - tracker: adaptive motion-appearance association (MAC-SORT) over
   PromptDetections tables; BBox appears only in MacSort.step's output
 - metrics: MOTA / identity F1 / higher-order accuracy evaluation

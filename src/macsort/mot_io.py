@@ -222,19 +222,9 @@ def read_mot_lines(path: str | Path) -> MotTable:
     return MotTable.from_records(records)
 
 
-def read_mot(path: str | Path) -> dict[int, list[MotRecord]]:
-    """Records grouped by frame, frames ascending, file order within frame."""
-    table = read_mot_lines(path)
-    order, frames = by_frame(table.frame)
-    table = table.take(order)
-    return {f: list(table.take(rows)) for f, rows in frames.items()}
-
-
 def write_mot(records, path: str | Path) -> None:
-    """Write a table, records or a frame -> records dict frame-sorted
-    (stable within a frame) in canonical form."""
-    if isinstance(records, dict):
-        records = [r for f in sorted(records) for r in records[f]]
+    """Write a table or records frame-sorted (stable within a frame) in
+    canonical form."""
     table = MotTable.from_records(records)
     table = table.take(by_frame(table.frame)[0])
     Path(path).write_text(table.to_text(), encoding="utf-8")

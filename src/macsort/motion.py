@@ -5,8 +5,16 @@ Tracks re-found after an occlusion gap are re-filtered along a virtual
 trajectory interpolated between the last real observation and the new one,
 which undoes the covariance inflation accumulated while coasting.
 
+F, H, Q, R and P0 all split over the same four blocks, (u, du), (v, dv),
+(s, ds) and r, so every 7x7 covariance entry outside them starts at 0 and
+stays exactly 0: the filter is four independent scalar-measurement
+filters. A covariance is stored as its (4, 3) blocks, one (var_pos,
+cov_pos_vel, var_vel) row per measured u, v, s, r; the r row has no
+velocity, so its last two entries stay 0 and the same formulas serve all
+four rows.
+
 Everything runs on arrays: a filter state is a mean/covariance pair
-``(x, P)``, stacked as (n, 7) and (n, 7, 7) for the batch steps, and boxes
+``(x, P)``, stacked as (n, 7) and (n, 4, 3) for the batch steps, and boxes
 are (u, v, w, h) rows, converted by geometry.uvwh_to_xysr.
 """
 
@@ -18,11 +26,6 @@ import numpy as np
 
 from .errors import InvalidState
 from .geometry import uvwh_to_xysr
-
-_F = np.eye(7)
-_F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
-_H = np.eye(4, 7)
-_I7 = np.eye(7)
 
 
 @dataclass(frozen=True)
@@ -37,26 +40,9 @@ class MotionConfig:
     r_pos: float = 1.0
     r_size: float = 10.0
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_q",
-            np.diag([self.q_pos] * 4 + [self.q_vel, self.q_vel, self.q_scale_vel]),
-        )
-        object.__setattr__(
-            self, "_r", np.diag([self.r_pos, self.r_pos, self.r_size, self.r_size])
-        )
-
-    def q(self) -> np.ndarray:
-        """Process noise; cached, treat as read-only."""
-        return self._q
-
-    def r(self) -> np.ndarray:
-        """Measurement noise; cached, treat as read-only."""
-        return self._r
-
     def p0(self) -> np.ndarray:
-        return np.diag([self.p0_pos] * 4 + [self.p0_vel] * 3)
+        """Initial covariance as (4, 3) blocks."""
+        return np.array([[self.p0_pos, 0.0, self.p0_vel]] * 3 + [[self.p0_pos, 0.0, 0.0]])
 
 
 DEFAULT_MOTION = MotionConfig()
@@ -72,14 +58,17 @@ def kf_init(box: np.ndarray,
 def kf_predict_batch(
     xs: np.ndarray, Ps: np.ndarray, config: MotionConfig = DEFAULT_MOTION
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance stacked states xs (n, 7), Ps (n, 7, 7) one frame under the
+    """Advance stacked states xs (n, 7), Ps (n, 4, 3) one frame under the
     constant-velocity model."""
     xs = xs.copy()
-    bad = xs[:, 2] + xs[:, 6] <= 0.0
-    xs[bad, 6] = 0.0  # never predict a non-positive scale
-    xs = xs @ _F.T
-    Ps = _F @ Ps @ _F.T + config.q()
-    return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
+    xs[xs[:, 2] + xs[:, 6] <= 0.0, 6] = 0.0  # never predict a non-positive scale
+    xs[:, :3] += xs[:, 4:]
+    a, b, c = Ps[..., 0], Ps[..., 1], Ps[..., 2]
+    out = np.empty_like(Ps)
+    out[..., 0] = a + 2.0 * b + c + config.q_pos
+    out[..., 1] = b + c
+    out[..., 2] = c + (config.q_vel, config.q_vel, config.q_scale_vel, 0.0)
+    return xs, out
 
 
 def kf_update_batch(
@@ -89,17 +78,20 @@ def kf_update_batch(
     config: MotionConfig = DEFAULT_MOTION,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update of stacked states with zs (n, 4) = (u, v, s, r)."""
+    a, b, c = Ps[..., 0], Ps[..., 1], Ps[..., 2]
+    S = a + (config.r_pos, config.r_pos, config.r_size, config.r_size)
+    if (S == 0.0).any():  # before dividing: 0/0 would warn and leave NaN in the state
+        raise InvalidState("innovation covariance not invertible: zero variance")
+    k_pos, k_vel = a / S, b / S
     innovation = zs - xs[:, :4]
-    S = Ps[:, :4, :4] + config.r()
-    try:
-        K = np.linalg.solve(S, Ps[:, :4, :]).transpose(0, 2, 1)  # (n, 7, 4)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidState(f"innovation covariance not invertible: {exc}") from exc
-    xs = xs + (K @ innovation[:, :, None])[:, :, 0]
-    ikh = _I7 - K @ _H
-    # Joseph form keeps P PSD
-    Ps = ikh @ Ps @ ikh.transpose(0, 2, 1) + K @ config.r() @ K.transpose(0, 2, 1)
-    return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
+    xs = xs.copy()
+    xs[:, :4] += k_pos * innovation
+    xs[:, 4:] += k_vel[:, :3] * innovation[:, :3]
+    out = np.empty_like(Ps)
+    out[..., 0] = a - k_pos * a
+    out[..., 1] = b - k_pos * b
+    out[..., 2] = c - k_vel * b
+    return xs, out
 
 
 def ocr_reupdate(

@@ -116,9 +116,9 @@ class Tracks:
 
     ids: np.ndarray  # (m,)
     x: np.ndarray  # (m, 7) filter means
-    P: np.ndarray  # (m, 7, 7) filter covariances
+    P: np.ndarray  # (m, 4, 3) filter covariances, as motion.py's blocks
     checkpoint_x: np.ndarray  # (m, 7) filter state as of the last matched observation
-    checkpoint_P: np.ndarray  # (m, 7, 7)
+    checkpoint_P: np.ndarray  # (m, 4, 3)
     last_box: np.ndarray  # (m, 4) the last matched observation
     prev_center: np.ndarray  # (m, 2) (u, v) of the match before it; NaN until then
     appearance: np.ndarray  # (m, d) unit EMA of the matched embeddings
@@ -129,7 +129,7 @@ class Tracks:
     @classmethod
     def born(cls, first_id: int, x: np.ndarray, P: np.ndarray, boxes: np.ndarray,
              appearance: np.ndarray, confirmed: bool) -> "Tracks":
-        """New rows at initial states x (k, 7), P (k, 7, 7): consecutive
+        """New rows at initial states x (k, 7), P (k, 4, 3): consecutive
         ids, one hit each and the checkpoint at the initial state."""
         k = len(x)
         return cls(
@@ -286,7 +286,7 @@ class MacSort:
     ):
         self.config = config or AssocConfig()
         self.motion = motion
-        self.tracks = Tracks.born(1, np.zeros((0, 7)), np.zeros((0, 7, 7)), np.zeros((0, 4)),
+        self.tracks = Tracks.born(1, np.zeros((0, 7)), np.zeros((0, 4, 3)), np.zeros((0, 4)),
                                   np.zeros((0, 0)), False)
         self._next_id = 1
         self._frames_seen = 0

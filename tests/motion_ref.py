@@ -1,8 +1,11 @@
 """The per-object motion API that the (x, P) array API replaced, kept as a
-test oracle: a Detection record, a KalmanState per track, and scalar
-BBox <-> (u, v, s, r) conversions. The array API must match it bit for
-bit. Nothing here calls macsort.motion's filter functions or geometry's
-box <-> state conversions; the batch kernels are copied as well.
+test oracle: a Detection record, a KalmanState per track, scalar
+BBox <-> (u, v, s, r) conversions, and the filter as full 7x7 matrix
+algebra (F P F^T + Q, a solved gain and the Joseph form). Nothing here
+calls macsort.motion's filter functions or geometry's box <-> state
+conversions; the noise matrices are built from the MotionConfig fields.
+``expand`` turns macsort.motion's (4, 3) covariance blocks into the 7x7
+matrices this module carries.
 """
 
 import math
@@ -18,6 +21,29 @@ _F = np.eye(7)
 _F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
 _H = np.eye(4, 7)
 _I7 = np.eye(7)
+_POS, _VEL = [0, 1, 2, 3], [4, 5, 6]  # state index of each block's position, velocity
+
+
+def q_matrix(config: MotionConfig) -> np.ndarray:
+    return np.diag([config.q_pos] * 4 + [config.q_vel, config.q_vel, config.q_scale_vel])
+
+
+def r_matrix(config: MotionConfig) -> np.ndarray:
+    return np.diag([config.r_pos, config.r_pos, config.r_size, config.r_size])
+
+
+def p0_matrix(config: MotionConfig) -> np.ndarray:
+    return np.diag([config.p0_pos] * 4 + [config.p0_vel] * 3)
+
+
+def expand(blocks: np.ndarray) -> np.ndarray:
+    """(..., 4, 3) covariance blocks as the (..., 7, 7) matrices they stand
+    for, zero outside the blocks."""
+    P = np.zeros(blocks.shape[:-2] + (7, 7))
+    P[..., _POS, _POS] = blocks[..., 0]
+    P[..., _POS[:3], _VEL] = P[..., _VEL, _POS[:3]] = blocks[..., :3, 1]
+    P[..., _VEL, _VEL] = blocks[..., :3, 2]
+    return P
 
 
 @dataclass(frozen=True)
@@ -71,7 +97,7 @@ class KalmanState:
 def kf_init(det: Detection, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:
     u, v, s, r = bbox_to_xysr(det.bbox)
     x = np.array([u, v, s, r, 0.0, 0.0, 0.0])
-    return KalmanState(x, config.p0())
+    return KalmanState(x, p0_matrix(config))
 
 
 def kf_predict_batch(xs, Ps, config: MotionConfig = DEFAULT_MOTION):
@@ -79,20 +105,20 @@ def kf_predict_batch(xs, Ps, config: MotionConfig = DEFAULT_MOTION):
     bad = xs[:, 2] + xs[:, 6] <= 0.0
     xs[bad, 6] = 0.0
     xs = xs @ _F.T
-    Ps = _F @ Ps @ _F.T + config.q()
+    Ps = _F @ Ps @ _F.T + q_matrix(config)
     return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
 
 
 def kf_update_batch(xs, Ps, zs, config: MotionConfig = DEFAULT_MOTION):
     innovation = zs - xs[:, :4]
-    S = Ps[:, :4, :4] + config.r()
+    S = Ps[:, :4, :4] + r_matrix(config)
     try:
         K = np.linalg.solve(S, Ps[:, :4, :]).transpose(0, 2, 1)
     except np.linalg.LinAlgError as exc:
         raise InvalidState(f"innovation covariance not invertible: {exc}") from exc
     xs = xs + (K @ innovation[:, :, None])[:, :, 0]
     ikh = _I7 - K @ _H
-    Ps = ikh @ Ps @ ikh.transpose(0, 2, 1) + K @ config.r() @ K.transpose(0, 2, 1)
+    Ps = ikh @ Ps @ ikh.transpose(0, 2, 1) + K @ r_matrix(config) @ K.transpose(0, 2, 1)
     return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
 
 

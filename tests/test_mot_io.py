@@ -21,8 +21,8 @@ from macsort.mot_io import (
     MotRecord,
     MotTable,
     _parse_line,
+    by_frame,
     read_embeddings,
-    read_mot,
     read_mot_lines,
     read_prompt_dump_all,
     write_detections,
@@ -36,8 +36,9 @@ class TestMotCsv:
     def test_parse_canonical_line(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("1,1,100,50,20,40,0.9,-1,-1,-1\n")
-        grouped = read_mot(p)
-        rec = grouped[1][0]
+        table = read_mot_lines(p)
+        assert by_frame(table.frame)[1] == {1: slice(0, 1)}
+        rec = table[0]
         assert (rec.frame, rec.id) == (1, 1)
         assert (rec.left, rec.top, rec.width, rec.height) == (100, 50, 20, 40)
         assert rec.conf == 0.9
@@ -52,32 +53,33 @@ class TestMotCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("")
-        assert read_mot(p) == {}
+        table = read_mot_lines(p)
+        assert len(table) == 0 and by_frame(table.frame)[1] == {}
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1,1,3,4,5\n")
         with pytest.raises(ParseError) as exc:
-            read_mot(p)
+            read_mot_lines(p)
         assert "line 1" in str(exc.value)
 
     def test_non_numeric(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1,1,a,b,c,d,0.5,-1,-1,-1\n")
         with pytest.raises(ParseError):
-            read_mot(p)
+            read_mot_lines(p)
 
     def test_nonpositive_box(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1,1,0,0,0,10,0.5,-1,-1,-1\n")
         with pytest.raises(NonPositiveBox):
-            read_mot(p)
+            read_mot_lines(p)
 
     def test_frame_below_one(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0,1,0,0,10,10,0.5,-1,-1,-1\n")
         with pytest.raises(ParseError):
-            read_mot(p)
+            read_mot_lines(p)
 
     @pytest.mark.parametrize("column", range(2, 10))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -105,7 +107,7 @@ class TestMotCsv:
     def test_nine_column_file(self, tmp_path):
         p = tmp_path / "nine.txt"
         p.write_text("2,5,1,2,3,4,0.5,-1,-1\n")
-        rec = read_mot(p)[2][0]
+        rec = read_mot_lines(p)[0]
         assert rec.z == -1.0
 
     def test_write_read_write_idempotent(self, tmp_path, rng):
@@ -124,7 +126,7 @@ class TestMotCsv:
         ]
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         write_mot(records, p1)
-        write_mot(read_mot(p1), p2)
+        write_mot(read_mot_lines(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_write_sorts_frames(self, tmp_path):

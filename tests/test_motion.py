@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,8 +54,8 @@ class TestInit:
 
     def test_initial_covariance_follows_config(self):
         _, P = kf_init(box(10, 10), MotionConfig(p0_pos=1, p0_vel=2))
-        assert np.array_equal(np.diag(P), [1, 1, 1, 1, 2, 2, 2])
-        assert np.array_equal(kf_init(box(10, 10))[1], DEFAULT_MOTION.p0())
+        assert np.array_equal(ref.expand(P), np.diag([1, 1, 1, 1, 2, 2, 2]))
+        assert np.array_equal(ref.expand(kf_init(box(10, 10))[1]), ref.p0_matrix(DEFAULT_MOTION))
 
     def test_readout_round_trip(self):
         b = box(12.5, -3.0, 7.0, 3.5)
@@ -83,11 +84,15 @@ class TestPredict:
     def test_covariance_matches_hand_oracle(self, rng):
         # hand-rolled F P F^T + Q with explicit loops
         x, _ = kf_init(box(5, 5, 6, 3))
-        a = rng.standard_normal((7, 7))
-        P = a @ a.T + np.eye(7)  # random SPD
+        a = rng.standard_normal((3, 2, 2))
+        pos_vel = a @ a.transpose(0, 2, 1) + np.eye(2)  # random SPD (pos, vel) blocks
+        blocks = np.zeros((4, 3))
+        blocks[:3] = np.column_stack([pos_vel[:, 0, 0], pos_vel[:, 0, 1], pos_vel[:, 1, 1]])
+        blocks[3, 0] = rng.uniform(0.5, 2.0)
+        P = ref.expand(blocks)
         F = np.eye(7)
         F[0, 4] = F[1, 5] = F[2, 6] = 1.0
-        Q = DEFAULT_MOTION.q()
+        Q = ref.q_matrix(DEFAULT_MOTION)
         expected = np.zeros((7, 7))
         for i in range(7):
             for j in range(7):
@@ -96,14 +101,14 @@ class TestPredict:
                     for l in range(7):
                         acc += F[i, k] * P[k, l] * F[j, l]
                 expected[i, j] = acc + Q[i, j]
-        _, out = predict((x, P))
-        assert out == pytest.approx(expected, abs=1e-9)
+        _, out = predict((x, blocks))
+        assert ref.expand(out) == pytest.approx(expected, abs=1e-9)
 
     def test_trace_strictly_increases_from_init(self):
         state = kf_init(box(5, 5, 6, 3))
         for _ in range(5):
             nxt = predict(state)
-            assert np.trace(nxt[1]) > np.trace(state[1])
+            assert np.trace(ref.expand(nxt[1])) > np.trace(ref.expand(state[1]))
             state = nxt
 
 
@@ -112,7 +117,7 @@ class TestUpdate:
         state = predict(kf_init(box(10, 10, 4, 2)))
         out = update(state, box(10, 10, 4, 2))
         assert out[0][:4] == pytest.approx(state[0][:4])
-        assert np.trace(out[1]) < np.trace(state[1])
+        assert np.trace(ref.expand(out[1])) < np.trace(ref.expand(state[1]))
 
     def test_posterior_between_prediction_and_measurement(self, rng):
         for _ in range(50):
@@ -177,7 +182,7 @@ class TestPsdProperty:
                 state = predict(state)
             else:
                 state = update(state, box(*rng.uniform(0, 100, 2)))
-            P = state[1]
+            P = ref.expand(state[1])
             assert np.allclose(P, P.T)
             assert np.linalg.eigvalsh(P).min() >= -1e-9
 
@@ -227,9 +232,17 @@ def _random_box(rng):
     return BBox(*rng.uniform(-500, 500, 2), *np.exp(rng.uniform(-3, 6, 2)))
 
 
+def _assert_close(got, want):
+    """A block filter state against the 7x7 oracle's: the same algebra,
+    summed in another order, so equal to within rounding."""
+    np.testing.assert_allclose(got[0], want.x, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(ref.expand(got[1]), want.P, rtol=1e-12, atol=0)
+
+
 class TestMatchesPerObjectApi:
     """The (x, P) array API against the per-object API it replaced
-    (tests/motion_ref.py), bit for bit."""
+    (tests/motion_ref.py): bit for bit at init, to within rounding after
+    filtering."""
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
     def test_init_predict_update_reupdate_bit_equal(self, rng, config):
@@ -237,19 +250,43 @@ class TestMatchesPerObjectApi:
             b = _random_box(rng)
             want = ref.kf_init(ref.Detection(0, b, 0.9, EMB), config)
             got = kf_init(np.array([b.u, b.v, b.w, b.h]), config)
-            assert np.array_equal(got[0], want.x) and np.array_equal(got[1], want.P)
+            assert np.array_equal(got[0], want.x) and np.array_equal(ref.expand(got[1]), want.P)
             for _ in range(int(rng.integers(0, 4))):
                 nxt = _random_box(rng)
                 want = ref.kf_update(ref.kf_predict(want, config),
                                      ref.Detection(0, nxt, 0.9, EMB), config)
                 got = update(predict(got, config), np.array([nxt.u, nxt.v, nxt.w, nxt.h]),
                              config)
+                _assert_close(got, want)
                 b = nxt
             gap, new = int(rng.integers(1, 31)), _random_box(rng)
             want = ref.ocr_reupdate(want, b, ref.Detection(gap, new, 0.9, EMB), gap, config)
             got = ocr_reupdate(got, np.array([b.u, b.v, b.w, b.h]),
                                np.array([new.u, new.v, new.w, new.h]), gap, config)
-            assert np.array_equal(got[0], want.x) and np.array_equal(got[1], want.P)
+            _assert_close(got, want)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
+    def test_oracle_covariance_stays_block_structured(self, rng, config):
+        """Every 7x7 covariance entry outside the (u, du), (v, dv), (s, ds)
+        and r blocks stays exactly 0.0 under the oracle's matrix algebra,
+        which is what makes the (4, 3) block layout lossless."""
+        off_block = ref.expand(np.ones((4, 3))) == 0.0
+        for _ in range(40):
+            b = _random_box(rng)
+            state = ref.kf_init(ref.Detection(0, b, 0.9, EMB), config)
+            for _ in range(int(rng.integers(1, 12))):
+                nxt = _random_box(rng)
+                step = rng.integers(3)
+                if step == 0:
+                    state = ref.kf_predict(state, config)
+                elif step == 1:
+                    state = ref.kf_update(state, ref.Detection(0, nxt, 0.9, EMB), config)
+                else:
+                    gap = int(rng.integers(1, 31))
+                    state = ref.ocr_reupdate(state, b, ref.Detection(gap, nxt, 0.9, EMB), gap,
+                                             config)
+                b = nxt
+                assert np.all(state.P[off_block] == 0.0)
 
     def test_conversions_bit_equal(self, rng):
         boxes = [_random_box(rng) for _ in range(500)]
@@ -334,4 +371,14 @@ class TestDegenerateUpdate:
         x, _ = kf_init(box(10, 10))
         # no uncertainty, no measurement noise
         with pytest.raises(InvalidState):
-            update((x, np.zeros((7, 7))), box(12, 10), degenerate)
+            update((x, np.zeros((4, 3))), box(12, 10), degenerate)
+
+    def test_one_singular_row_raises_before_dividing(self):
+        # row 0 is well posed; only row 1 has a zero innovation variance
+        degenerate = MotionConfig(r_pos=0.0, r_size=0.0)
+        (x, P), b = kf_init(box(10, 10)), box(12, 10)
+        xs, Ps = np.stack([x, x]), np.stack([P, np.zeros((4, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidState):
+                kf_update_batch(xs, Ps, uvwh_to_xysr(np.stack([b, b])), degenerate)

@@ -54,9 +54,14 @@ def test_theta_sweep_table():
 
 
 def test_output_digests_are_stable():
-    first = _run("output_digests.py", "--workload", "crowd_dense", "--seed", "0")
-    lines = first.splitlines()
-    seqs = {line.split()[1].split("/")[0] for line in lines}
-    assert len(seqs) == 2 and len(lines) == 8 * len(seqs)
-    assert all(len(line.split()[0]) == 64 for line in lines)
-    assert _run("output_digests.py", "--workload", "crowd_dense", "--seed", "0") == first
+    both = _run("output_digests.py", "--workload", "crowd_dense", "--seed", "0", "1")
+    rows = [line.split() for line in both.splitlines()]
+    by_seed = {seed: [row for row in rows if row[0] == seed] for seed in ("0", "1")}
+    assert len(rows) == sum(map(len, by_seed.values()))
+    for seed_rows in by_seed.values():
+        seqs = {row[2].split("/")[0] for row in seed_rows}
+        assert len(seqs) == 2 and len(seed_rows) == 8 * len(seqs)
+        assert all(len(row[1]) == 64 for row in seed_rows)
+    assert [row[1] for row in by_seed["0"]] != [row[1] for row in by_seed["1"]]
+    one = _run("output_digests.py", "--workload", "crowd_dense", "--seed", "1")
+    assert [line.split() for line in one.splitlines()] == by_seed["1"]

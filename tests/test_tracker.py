@@ -233,7 +233,7 @@ class TestTrackerStep:
     def test_new_track_uses_tracker_motion_config(self):
         tracker = MacSort(motion=MotionConfig(p0_pos=1, p0_vel=1))
         tracker.step(table([det(1, 10, 10)]), 1)
-        assert np.array_equal(tracker.tracks.P[0], np.eye(7))
+        assert np.array_equal(ref.expand(tracker.tracks.P[0]), np.eye(7))
 
     def test_cold_start_creates_tracks(self):
         tracker = MacSort()
@@ -562,9 +562,10 @@ def test_track_table_equals_track_list_tracker(cfg):
         expected = _reference_sequence(per_frame, cfg, counts)
         got = track_sequence(tables(per_frame), cfg)
         assert [(f, tid) for f, tid, _ in got] == [(f, tid) for f, tid, _ in expected]
-        assert [(b.u, b.v, b.w, b.h) for _, _, b in got] == [
-            (b.u, b.v, b.w, b.h) for _, _, b in expected
-        ]
+        # the block filter sums in another order than the 7x7 oracle
+        np.testing.assert_allclose([(b.u, b.v, b.w, b.h) for _, _, b in got],
+                                   [(b.u, b.v, b.w, b.h) for _, _, b in expected],
+                                   rtol=1e-12, atol=0)
     assert counts["births"] and counts["deaths"]
     assert counts["gapped"] or cfg.max_age <= 1
 
