@@ -46,7 +46,7 @@ from .tracker import (
     track_sequence,
 )
 from .metrics import MetricsReport, TrackSequence, evaluate, match_frame
-from .synth import Scenario, ScenarioSpec, SplitMix64, generate, parse_spec, read_spec, write_spec
+from .synth import Scenario, ScenarioSpec, generate, parse_spec, read_spec, write_spec
 from .config import RunConfig, build_config
 
 __version__ = "0.1.0"

@@ -13,9 +13,11 @@ cov_pos_vel, var_vel) row per measured u, v, s, r; the r row has no
 velocity, so its last two entries stay 0 and the same formulas serve all
 four rows.
 
-Everything runs on arrays: a filter state is a mean/covariance pair
-``(x, P)``, stacked as (n, 7) and (n, 4, 3) for the batch steps, and boxes
-are (u, v, w, h) rows, converted by geometry.uvwh_to_xysr.
+A filter state is a mean/covariance pair ``(x, P)``, stacked as (n, 7)
+and (n, 4, 3) for the batch steps, and boxes are (u, v, w, h) rows,
+converted by geometry.uvwh_to_xysr. Each block's predict and update is
+written once, as elementwise arithmetic: the batch kernels run it on numpy
+columns, the occlusion re-update on Python floats.
 """
 
 from __future__ import annotations
@@ -55,6 +57,33 @@ def kf_init(box: np.ndarray,
     return np.concatenate([uvwh_to_xysr(box[None])[0], np.zeros(3)]), config.p0()
 
 
+def _row_noise(config: MotionConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-row velocity process noise and measurement noise of the u, v, s
+    and r blocks; the r row has no velocity."""
+    return ((config.q_vel, config.q_vel, config.q_scale_vel, 0.0),
+            (config.r_pos, config.r_pos, config.r_size, config.r_size))
+
+
+def _predict_block(pos, vel, a, b, c, q_pos, q_vel):
+    """Constant-velocity predict of one block: mean (pos, vel), covariance
+    [[a, b], [b, c]]. Elementwise, so it runs alike on Python floats and on
+    numpy columns."""
+    return pos + vel, a + 2.0 * b + c + q_pos, b + c, c + q_vel
+
+
+def _update_block(pos, vel, a, b, c, z, S):
+    """Update of one block with a measurement z of pos; S = a + r is the
+    innovation variance, which the caller has checked is non-zero.
+    Elementwise, like _predict_block."""
+    k_pos, k_vel = a / S, b / S
+    innovation = z - pos
+    return (pos + k_pos * innovation, vel + k_vel * innovation,
+            a - k_pos * a, b - k_pos * b, c - k_vel * b)
+
+
+_SINGULAR = "innovation covariance not invertible: zero variance"
+
+
 def kf_predict_batch(
     xs: np.ndarray, Ps: np.ndarray, config: MotionConfig = DEFAULT_MOTION
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -62,12 +91,12 @@ def kf_predict_batch(
     constant-velocity model."""
     xs = xs.copy()
     xs[xs[:, 2] + xs[:, 6] <= 0.0, 6] = 0.0  # never predict a non-positive scale
-    xs[:, :3] += xs[:, 4:]
-    a, b, c = Ps[..., 0], Ps[..., 1], Ps[..., 2]
     out = np.empty_like(Ps)
-    out[..., 0] = a + 2.0 * b + c + config.q_pos
-    out[..., 1] = b + c
-    out[..., 2] = c + (config.q_vel, config.q_vel, config.q_scale_vel, 0.0)
+    # r has no velocity: its mean stays as it is
+    xs[:, :3], out[..., 0], out[..., 1], out[..., 2] = _predict_block(
+        xs[:, :3], xs[:, 4:], Ps[..., 0], Ps[..., 1], Ps[..., 2], config.q_pos,
+        _row_noise(config)[0],
+    )
     return xs, out
 
 
@@ -79,19 +108,17 @@ def kf_update_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update of stacked states with zs (n, 4) = (u, v, s, r)."""
     a, b, c = Ps[..., 0], Ps[..., 1], Ps[..., 2]
-    S = a + (config.r_pos, config.r_pos, config.r_size, config.r_size)
+    S = a + _row_noise(config)[1]
     if (S == 0.0).any():  # before dividing: 0/0 would warn and leave NaN in the state
-        raise InvalidState("innovation covariance not invertible: zero variance")
-    k_pos, k_vel = a / S, b / S
-    innovation = zs - xs[:, :4]
-    xs = xs.copy()
-    xs[:, :4] += k_pos * innovation
-    xs[:, 4:] += k_vel[:, :3] * innovation[:, :3]
-    out = np.empty_like(Ps)
-    out[..., 0] = a - k_pos * a
-    out[..., 1] = b - k_pos * b
-    out[..., 2] = c - k_vel * b
-    return xs, out
+        raise InvalidState(_SINGULAR)
+    vel = np.zeros((len(xs), 4))  # the r row's velocity is 0 (its b is 0)
+    vel[:, :3] = xs[:, 4:]
+    out_x, out = np.empty_like(xs), np.empty_like(Ps)
+    out_x[:, :4], vel, out[..., 0], out[..., 1], out[..., 2] = _update_block(
+        xs[:, :4], vel, a, b, c, zs, S
+    )
+    out_x[:, 4:] = vel[:, :3]
+    return out_x, out
 
 
 def ocr_reupdate(
@@ -109,13 +136,26 @@ def ocr_reupdate(
     (u, v, w, h) rows. The virtual observations interpolate linearly in
     (u, v, s) with the aspect ratio held at the new observation, so a gap
     of 1 degenerates to a plain predict + update.
+
+    Each virtual step equals kf_predict_batch + kf_update_batch on a batch
+    of one, bit for bit, but runs on Python floats: numpy calls on
+    4-element columns cost more than their arithmetic.
     """
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
     (u0, v0, s0, _), (u1, v1, s1, r1) = uvwh_to_xysr(np.stack([last_box, box])).tolist()
-    xs, Ps = state[0][None], state[1][None]
+    x, blocks = state[0].tolist(), state[1].tolist()
+    pos, vel = x[:4], x[4:] + [0.0]  # r has no velocity
+    q_vel, r = _row_noise(config)
     for k in range(1, gap + 1):
         t = k / gap
-        z = np.array([[u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1]])
-        xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps, config), z, config)
-    return xs[0], Ps[0]
+        z = (u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1)
+        if pos[2] + vel[2] <= 0.0:
+            vel[2] = 0.0
+        for i, (a, b, c) in enumerate(blocks):
+            p, a, b, c = _predict_block(pos[i], vel[i], a, b, c, config.q_pos, q_vel[i])
+            S = a + r[i]
+            if S == 0.0:
+                raise InvalidState(_SINGULAR)
+            pos[i], vel[i], *blocks[i] = _update_block(p, vel[i], a, b, c, z[i], S)
+    return np.array(pos + vel[:3]), np.array(blocks)

@@ -48,39 +48,9 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """splitmix64 PRNG; one 64-bit state, portable across languages. The
-    scalar reference of the draws that ``generate`` computes by position."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        return _mix(self.state)
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        # Box-Muller, one value per two uniforms (kept simple over fast)
-        u1 = max(self.uniform(), 2.0**-53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def unit_vector(self, dim: int) -> np.ndarray:
-        vec = np.array([self.normal() for _ in range(dim)])
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            vec = np.zeros(dim)
-            vec[0] = 1.0
-            return vec
-        return vec / norm
-
-
 def _u64_at(seed: int, index):
-    """SplitMix64(seed)'s draw at 0-based stream position ``index``, an int
-    or a uint64 array of positions."""
+    """The splitmix64(seed) draw at 0-based stream position ``index``, an
+    int or a uint64 array of positions."""
     return _mix(((seed & _MASK64) + (index + 1) * _GAMMA) & _MASK64)
 
 
@@ -95,14 +65,14 @@ def _per_value(fn, a) -> np.ndarray:
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """SplitMix64.normal of arrays of uniform pairs, bit for bit."""
+    """Box-Muller normals of arrays of uniform pairs, one per pair."""
     log = _per_value(math.log, np.maximum(u1, 2.0**-53))
     return np.sqrt(-2.0 * log) * _per_value(math.cos, (2.0 * math.pi) * u2)
 
 
 def _unit_vectors(normals: np.ndarray) -> np.ndarray:
-    """Rows normalised as SplitMix64.unit_vector does it. The norm runs per
-    row, as a BLAS dot; norm(axis=1) may sum in another order."""
+    """Rows divided by their norm, or e0 where the norm is below 1e-12. The
+    norm runs per row, as a BLAS dot; norm(axis=1) may sum in another order."""
     norms = np.array([np.linalg.norm(row) for row in normals]).reshape(-1, 1)
     tiny = norms < 1e-12
     return np.where(tiny, np.eye(1, normals.shape[1]), normals / np.where(tiny, 1.0, norms))
@@ -116,7 +86,7 @@ def _uniforms_at(seed: int, starts: list[int], count: int) -> np.ndarray:
 
 
 def _unit_vectors_at(seed: int, starts: list[int], dim: int) -> np.ndarray:
-    """SplitMix64.unit_vector(dim) drawn from each stream position of ``starts``."""
+    """A unit vector of ``dim`` normals drawn from each stream position of ``starts``."""
     u = _uniforms_at(seed, starts, 2 * dim)
     return _unit_vectors(_box_muller(u[:, 0::2], u[:, 1::2]))
 
@@ -245,7 +215,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
     truth exactly. Occlusion windows drop detections only; the ground-truth
     trajectory continues through them.
 
-    Draw layout of the SplitMix64(seed) stream, the reproducibility
+    Draw layout of the splitmix64(seed) stream, the reproducibility
     contract: first (n_objects + 1) * embedding_dim normals (the shared
     unit vector, then one per object); then per frame 6 * n_objects draws,
     per object two normals (noise_u, noise_v) and two uniforms (miss_u,

@@ -201,8 +201,8 @@ class TestOcrReupdate:
         b = box(22, 0)
         via_ocr = ocr_reupdate(state, last, b, gap=1)
         plain = update(predict(state), b)
-        assert via_ocr[0] == pytest.approx(plain[0])
-        assert via_ocr[1] == pytest.approx(plain[1])
+        assert np.array_equal(via_ocr[0], plain[0])
+        assert np.array_equal(via_ocr[1], plain[1])
 
     def test_velocity_recovered_after_occlusion(self):
         state, last = self._burned_in(speed=2.0)
@@ -226,6 +226,51 @@ class TestOcrReupdate:
 
 CONFIGS = [DEFAULT_MOTION, MotionConfig(p0_pos=3.0, p0_vel=50.0, q_pos=0.5, q_vel=0.1,
                                         q_scale_vel=1e-3, r_pos=4.0, r_size=2.5)]
+
+
+def _virtual_rounds(state, last, b, gap, config):
+    """ocr_reupdate's virtual trajectory as ``gap`` rounds of the batch
+    kernels on a batch of one; also returns the steps whose predict
+    clamped the scale velocity."""
+    (u0, v0, s0, _), (u1, v1, s1, r1) = uvwh_to_xysr(np.stack([last, b])).tolist()
+    xs, Ps, clamped = state[0][None], state[1][None], []
+    for k in range(1, gap + 1):
+        t = k / gap
+        if xs[0, 2] + xs[0, 6] <= 0.0:
+            clamped.append(k)
+        z = np.array([[u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1]])
+        xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps, config), z, config)
+    return (xs[0], Ps[0]), clamped
+
+
+class TestOcrMatchesBatchKernels:
+    """ocr_reupdate steps Python floats through the same per-block formulas
+    as the batch kernels, so it equals them bit for bit."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
+    def test_random_checkpoints_bit_equal(self, rng, config):
+        for gap in list(range(1, 31)) * 4:
+            last, new = (np.array([b.u, b.v, b.w, b.h]) for b in (_random_box(rng), _random_box(rng)))
+            x, P = kf_init(last, config)
+            x[4:] = rng.normal(0.0, 20.0, 3)
+            P = P * rng.uniform(0.1, 10.0, (4, 3))
+            got = ocr_reupdate((x, P), last, new, gap, config)
+            want, _ = _virtual_rounds((x, P), last, new, gap, config)
+            assert got[0].shape == (7,) and got[1].shape == (4, 3)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
+    def test_shrinking_box_clamps_scale_velocity_mid_gap(self, config):
+        # a steady shrink with a confident scale velocity drives s + ds
+        # non-positive part way through the gap
+        last, new = box(50, 50, 20, 20), box(50, 50, 2, 2)
+        x, _ = kf_init(last, config)
+        x[6] = -150.0
+        P = np.array([[10.0, 0.0, 1e-3]] * 3 + [[10.0, 0.0, 0.0]])
+        want, clamped = _virtual_rounds((x, P), last, new, 8, config)
+        assert clamped and clamped[0] > 1
+        got = ocr_reupdate((x, P), last, new, 8, config)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _random_box(rng):
@@ -382,3 +427,12 @@ class TestDegenerateUpdate:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InvalidState):
                 kf_update_batch(xs, Ps, uvwh_to_xysr(np.stack([b, b])), degenerate)
+
+    def test_reupdate_raises_before_dividing(self):
+        # Python floats would raise ZeroDivisionError at a / S
+        degenerate = MotionConfig(r_pos=0, r_size=0, q_pos=0)
+        x, _ = kf_init(box(10, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidState, match="zero variance"):
+                ocr_reupdate((x, np.zeros((4, 3))), box(10, 10), box(12, 10), 3, degenerate)

@@ -15,7 +15,6 @@ from macsort.geometry import BBox
 from macsort.synth import (
     MOTION_MODELS,
     ScenarioSpec,
-    SplitMix64,
     _box_muller,
     _u64_at,
     _uniform_at,
@@ -28,6 +27,7 @@ from macsort.synth import (
 )
 from macsort.tracker import compute_mu_det
 from motion_ref import Detection
+from synth_ref import SplitMix64
 
 
 class TestSplitMix64:
