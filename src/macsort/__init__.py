@@ -16,7 +16,7 @@ Pipeline stages, each usable on its own:
 - cli: filter / track / eval / synth / parse-captions subcommands
 """
 
-from .geometry import BBox, cosine_similarity, iou, uvwh_to_xysr, xysr_to_uvwh
+from .geometry import BBox, cosine_matrix, iou_matrix, uvwh_to_xysr, xysr_to_uvwh
 from .captions import CaptionQuery, GmotAnnotation, load_annotation, parse_annotation, parse_caption
 from .prompt_filter import (
     MemoryBank,

@@ -35,20 +35,6 @@ class GmotAnnotation:
     caption: str = ""
     track_path: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "class_name": self.class_name,
-                "class_synonyms": list(self.class_synonyms),
-                "definition": self.definition,
-                "include_attributes": list(self.include_attributes),
-                "exclude_attributes": list(self.exclude_attributes),
-                "caption": self.caption,
-                "track_path": self.track_path,
-            },
-            indent=2,
-        )
-
 
 @dataclass(frozen=True)
 class CaptionQuery:
@@ -114,11 +100,6 @@ def parse_annotation(raw: bytes | str) -> GmotAnnotation:
 
 def load_annotation(path: str | Path) -> GmotAnnotation:
     return parse_annotation(Path(path).read_bytes())
-
-
-def resolved_track_path(annotation_path: str | Path, ann: GmotAnnotation) -> Path:
-    """Ground-truth file location, relative to the annotation's directory."""
-    return Path(annotation_path).parent / ann.track_path
 
 
 def _anchor_variants(name: str) -> list[str]:

@@ -15,10 +15,6 @@ class InputError(MacSortError):
 
 # -- geometry ---------------------------------------------------------------
 
-class DegenerateEmbedding(MacSortError):
-    """Cosine similarity requested on a (near-)zero feature vector."""
-
-
 class DimensionMismatch(MacSortError):
     """Feature vectors of different dimensions were combined."""
 

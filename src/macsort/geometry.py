@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEmbedding, DimensionMismatch, InvalidState
+from .errors import DimensionMismatch, InvalidState
 
 ZERO_NORM_EPS = 1e-12
 
@@ -30,37 +30,6 @@ class BBox:
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box must have positive size, got w={self.w}, h={self.h}")
 
-    @property
-    def left(self) -> float:
-        return self.u - self.w / 2.0
-
-    @property
-    def top(self) -> float:
-        return self.v - self.h / 2.0
-
-    @property
-    def right(self) -> float:
-        return self.u + self.w / 2.0
-
-    @property
-    def bottom(self) -> float:
-        return self.v + self.h / 2.0
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0 for disjoint interiors."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    # edge recomputation can differ from w*h by an ulp; keep the ratio bounded
-    return min(inter / (a.area + b.area - inter), 1.0)
-
 
 def uvwh_array(boxes) -> np.ndarray:
     """(n, 4) float64 array of (u, v, w, h) from a list of BBox or from rows
@@ -70,51 +39,27 @@ def uvwh_array(boxes) -> np.ndarray:
     return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
 
-def uvwh_edges(uvwh: np.ndarray) -> np.ndarray:
-    """(n, 4) array of (left, top, right, bottom) of (u, v, w, h) rows,
-    computed as BBox computes its edges."""
-    half = uvwh[:, 2:] / 2.0
-    return np.concatenate([uvwh[:, :2] - half, uvwh[:, :2] + half], axis=1)
+def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    """Pairwise intersection over union, shape (len(boxes_a), len(boxes_b)),
+    of two box sets, each a list of BBox or (n, 4) rows of (u, v, w, h); 0
+    for disjoint interiors.
 
-
-def iou_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise IoU of (left, top, right, bottom) edge arrays: the last
-    axis holds the edges, the leading axes broadcast."""
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return np.minimum(inter / (area_a + area_b - inter), 1.0)
-
-
-def iou_matrix_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of two (left, top, right, bottom) edge arrays."""
+    The edges are u -/+ w/2 and v -/+ h/2, and each area is taken from its
+    edges, which can differ from w*h by an ulp; the clip at 1 keeps the
+    ratio bounded.
+    """
+    a, b = uvwh_array(boxes_a), uvwh_array(boxes_b)
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)))
-    return iou_edges(a[:, None, :], b[None, :, :])
-
-
-def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
-    """Pairwise IoU, shape (len(boxes_a), len(boxes_b))."""
-    return iou_matrix_edges(uvwh_edges(uvwh_array(boxes_a)), uvwh_edges(uvwh_array(boxes_b)))
-
-
-def cosine_similarity(x1: np.ndarray, x2: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Raises DegenerateEmbedding if either vector has (near-)zero norm;
-    callers that want a soft fallback treat the similarity as 0.
-    """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x1.shape != x2.shape:
-        raise DimensionMismatch(f"embedding dims differ: {x1.shape} vs {x2.shape}")
-    n1 = np.linalg.norm(x1)
-    n2 = np.linalg.norm(x2)
-    if n1 < ZERO_NORM_EPS or n2 < ZERO_NORM_EPS:
-        raise DegenerateEmbedding(f"zero-norm embedding (norms {n1:.3g}, {n2:.3g})")
-    return float(np.clip(np.dot(x1, x2) / (n1 * n2), -1.0, 1.0))
+    # the left, top, right and bottom edge columns of each set
+    (la, ta, ra, ba), (lb, tb, rb, bb) = (
+        (x[:, 0] - x[:, 2] / 2.0, x[:, 1] - x[:, 3] / 2.0,
+         x[:, 0] + x[:, 2] / 2.0, x[:, 1] + x[:, 3] / 2.0) for x in (a, b))
+    iw = np.minimum(ra[:, None], rb) - np.maximum(la[:, None], lb)
+    ih = np.minimum(ba[:, None], bb) - np.maximum(ta[:, None], tb)
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a, area_b = (ra - la) * (ba - ta), (rb - lb) * (bb - tb)
+    return np.minimum(inter / (area_a[:, None] + area_b - inter), 1.0)
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:

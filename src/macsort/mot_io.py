@@ -62,10 +62,6 @@ class MotRecord:
             self.height,
         )
 
-    @classmethod
-    def from_bbox(cls, frame: int, obj_id: int, box: BBox, conf: float) -> "MotRecord":
-        return cls(frame, obj_id, box.left, box.top, box.w, box.h, conf)
-
 
 @dataclass(eq=False)
 class MotTable:
@@ -93,7 +89,7 @@ class MotTable:
     @classmethod
     def from_uvwh(cls, frame, ids, boxes, conf) -> "MotTable":
         """Rows of center boxes, given as (u, v, w, h) rows or BBox, with
-        left = u - w/2 and top = v - h/2 as BBox computes them, and x, y, z
+        left = u - w/2 and top = v - h/2 as iou_matrix computes them, and x, y, z
         = -1. ``frame``, ``ids`` and ``conf`` may be scalars."""
         uvwh = uvwh_array(boxes)
         frame, ids, conf = (np.broadcast_to(np.asarray(col, dtype=dtype), len(uvwh)).copy()

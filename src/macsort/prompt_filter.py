@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, EmptyMemory
-from .geometry import cosine_matrix, iou_matrix_edges, uvwh_array, uvwh_edges
+from .geometry import cosine_matrix, iou_matrix, uvwh_array
 
 SHORT_WINDOW_FRAMES = 3
 
@@ -185,9 +185,8 @@ def ie_classify(
     n = len(general)
     if n == 0:
         return general, general
-    edges = uvwh_edges(general.boxes)
     max_inc, max_exc = (
-        iou_matrix_edges(edges, uvwh_edges(prompt.boxes)).max(axis=1)
+        iou_matrix(general.boxes, prompt.boxes).max(axis=1)
         if len(prompt)
         else np.zeros(n)
         for prompt in (include, exclude)
@@ -243,7 +242,6 @@ def lsm_classify(
 @dataclass
 class TpodFrameResult:
     final_tps: PromptDetections
-    memory: MemoryBank
     stats: TpodFrameStats
 
 
@@ -259,7 +257,7 @@ def tpod_frame(
 
     While the memory bands are still empty (cold start) unclassified boxes
     pass through as TPs by default, otherwise the memory could never fill.
-    The memory is updated with the frame's final TPs and returned.
+    The memory is updated in place with the frame's final TPs.
     """
     config = config or TpodConfig()
     tps_ie, unclassified = ie_classify(
@@ -285,4 +283,4 @@ def tpod_frame(
         n_rescued=len(rescued),
         n_rejected=len(rejected),
     )
-    return TpodFrameResult(final_tps=final, memory=memory, stats=stats)
+    return TpodFrameResult(final_tps=final, stats=stats)

@@ -29,9 +29,8 @@ from .geometry import (
     BBox,
     ZERO_NORM_EPS,
     cosine_matrix,
-    iou_matrix_edges,
+    iou_matrix,
     unit_rows,
-    uvwh_edges,
     uvwh_to_xysr,
     xysr_to_uvwh,
 )
@@ -70,10 +69,12 @@ class AssocConfig:
 
     def __post_init__(self):
         _check_theta(self.theta_deg)
-        if not (0.0 <= self.lam < math.inf):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.fixed_w_aaw is not None and not math.isfinite(self.fixed_w_aaw):
-            raise ValueError(f"fixed_w_aaw must be finite, got {self.fixed_w_aaw}")
+        # a frame's summed finite costs must stay finite for linear_assignment
+        if not (0.0 <= self.lam <= 1e6):
+            raise ValueError(f"lambda must be in [0, 1e6], got {self.lam}")
+        # both frozen weights, w_aaw and 2 - w_aaw, must be >= 0
+        if self.fixed_w_aaw is not None and not (0.0 <= self.fixed_w_aaw <= 2.0):
+            raise ValueError(f"fixed_w_aaw must be in [0, 2], got {self.fixed_w_aaw}")
         if self.max_age < 0:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
         if not (0.0 <= self.iou_gate <= 1.0):
@@ -201,7 +202,7 @@ def build_cost_matrix(
     m, n = len(tracks), len(dets)
     det_uvwh, det_embs_unit = dets.boxes, unit_rows(dets.features)
 
-    iou = iou_matrix_edges(uvwh_edges(xysr_to_uvwh(tracks.x)), uvwh_edges(det_uvwh))
+    iou = iou_matrix(xysr_to_uvwh(tracks.x), det_uvwh)
     iou_term = 1.0 - iou
 
     if cfg.use_direction and m and n:

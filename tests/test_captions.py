@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,6 @@ from macsort.captions import (
     load_annotation,
     parse_annotation,
     parse_caption,
-    resolved_track_path,
 )
 from macsort.errors import CaptionGrammarError, JsonError, SchemaError
 
@@ -58,13 +58,13 @@ class TestParseAnnotation:
 
     def test_round_trip(self):
         ann = parse_annotation(json.dumps(CAR_ANNOTATION))
-        assert parse_annotation(ann.to_json()) == ann
+        assert parse_annotation(json.dumps(asdict(ann))) == ann
 
     def test_load_and_resolve(self, tmp_path):
         path = tmp_path / "car.json"
         path.write_text(json.dumps(CAR_ANNOTATION))
         ann = load_annotation(path)
-        assert resolved_track_path(path, ann) == tmp_path / "gt/cars.txt"
+        assert path.parent / ann.track_path == tmp_path / "gt/cars.txt"
 
 
 class TestParseCaption:

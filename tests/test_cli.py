@@ -408,6 +408,20 @@ class TestParseCaptionsCommand:
         assert main(["parse-captions", str(tmp_path)]) == 0
         assert "warning" in capsys.readouterr().out
 
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        assert main(["parse-captions", str(tmp_path / "absent")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("FileNotFound: "), err
+        assert str(tmp_path / "absent") in err[0]
+
+    def test_file_for_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cars.json"
+        path.write_text("{}")
+        assert main(["parse-captions", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("NotADirectoryError: "), err
+        assert str(path) in err[0]
+
 
 class TestConfigPlumbing:
     def test_config_file_flag(self, synth_seq, tmp_path):
@@ -481,6 +495,13 @@ class TestConfigValuesExit2:
             ("track", "--lambda", "nan"),
             ("track", "--lambda", "inf"),
             ("track", "--fixed-w-aaw", "nan"),
+            # a frame's summed finite costs overflowed to inf in linear_assignment
+            ("track", "--lambda", "1e308"),
+            ("track", "--lambda", "1.000001e6"),
+            ("track", "--fixed-w-aaw", "-1e308"),
+            # either frozen weight negative
+            ("track", "--fixed-w-aaw", "-0.5"),
+            ("track", "--fixed-w-aaw", "2.5"),
             ("filter", "--detection-threshold", "nan"),
             ("filter", "--detection-threshold", "1.5"),
             ("track", "--max-age", "-5"),
@@ -491,7 +512,12 @@ class TestConfigValuesExit2:
         ],
     )
     def test_bad_flag_value(self, synth_seq, capsys, command, flag, value):
-        self._one_config_error_line(capsys, synth_seq, [command, str(synth_seq), flag, value])
+        # flag=value, so that argparse reads a negative value as a value
+        self._one_config_error_line(capsys, synth_seq, [command, str(synth_seq), f"{flag}={value}"])
+
+    def test_largest_lambda_runs(self, synth_seq):
+        assert main(["track", str(synth_seq), "--detections", "general", "--lambda", "1e6"]) == 0
+        assert (synth_seq / "results.txt").exists()
 
     def test_bad_config_file_value(self, synth_seq, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -82,6 +82,11 @@ class TestRangeChecks:
         with pytest.raises(ValueError):
             RunConfig(kappa1=0)
 
+    @pytest.mark.parametrize("key, value", [("lam", 0.0), ("lam", 1e6), ("fixed_w_aaw", 0.0),
+                                            ("fixed_w_aaw", 2.0)])
+    def test_assoc_range_ends_kept(self, key, value):
+        assert getattr(RunConfig(**{key: value}), key) == value
+
 
 _KEYS = sorted(config_key(f.name) for f in fields(RunConfig))
 _JUNK = ["nan", "inf", "-inf", "-1", "abc", "", "0", "1", "0.5", "1.5", "1e309", "true", "no"]

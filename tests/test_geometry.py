@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from macsort.errors import DegenerateEmbedding, DimensionMismatch, InvalidState
+from macsort.errors import DimensionMismatch, InvalidState
 from macsort.geometry import (
     BBox,
     cosine_matrix,
-    cosine_similarity,
     first_unheld_box,
-    iou,
     iou_matrix,
     uvwh_to_xysr,
     xysr_to_uvwh,
 )
+from geometry_ref import iou as ref_iou
 
 boxes = st.builds(
     BBox,
@@ -23,6 +22,16 @@ boxes = st.builds(
     w=st.floats(0.01, 1e3),
     h=st.floats(0.01, 1e3),
 )
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """The one cell of iou_matrix for a pair of boxes."""
+    return float(iou_matrix([a], [b])[0, 0])
+
+
+def cosine(x1, x2) -> float:
+    """The one cell of cosine_matrix for a pair of vectors."""
+    return float(cosine_matrix(x1, x2)[0, 0])
 
 
 class TestIou:
@@ -56,30 +65,46 @@ class TestIou:
         mat = iou_matrix(xs, ys)
         for i, a in enumerate(xs):
             for j, b in enumerate(ys):
-                assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+                assert mat[i, j] == pytest.approx(ref_iou(a, b), abs=1e-12)
 
     def test_empty_matrix(self):
         assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
 
+    def test_bbox_list_and_rows_agree_bit_for_bit(self, rng):
+        # random rows, then three squares whose edges touch: two share a side
+        # with the first, and those two share only a corner
+        uvwh = np.vstack([rng.uniform(1, 50, size=(12, 4)),
+                          [[0, 0, 10, 10], [10, 0, 10, 10], [0, 10, 10, 10]]])
+        xs, ys, empty = uvwh[4:], uvwh[8:], np.zeros((0, 4))
+
+        def as_boxes(rows):
+            return [BBox(*r) for r in rows.tolist()]
+
+        got = iou_matrix(as_boxes(xs), as_boxes(ys))
+        assert np.array_equal(got, iou_matrix(xs, ys))
+        assert np.array_equal(got[-3:, -3:], np.eye(3))
+        for a, b in ((empty, ys), (xs, empty), (empty, empty)):
+            assert np.array_equal(iou_matrix(as_boxes(a), as_boxes(b)), iou_matrix(a, b))
+            assert iou_matrix(a, b).shape == (len(a), len(b))
+
 
 class TestCosine:
     def test_identical(self):
-        assert cosine_similarity(np.array([1.0, 0, 0]), np.array([1.0, 0, 0])) == 1.0
+        assert cosine(np.array([1.0, 0, 0]), np.array([1.0, 0, 0])) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0]), np.array([0.0, 1])) == 0.0
+        assert cosine(np.array([1.0, 0]), np.array([0.0, 1])) == 0.0
 
     def test_45_degrees(self):
-        got = cosine_similarity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        got = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert got == pytest.approx(0.70711, abs=1e-5)
 
-    def test_zero_vector_raises(self):
-        with pytest.raises(DegenerateEmbedding):
-            cosine_similarity(np.zeros(3), np.array([1.0, 0, 0]))
+    def test_zero_vector_gives_zero(self):
+        assert cosine(np.zeros(3), np.array([1.0, 0, 0])) == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            cosine_similarity(np.ones(3), np.ones(4))
+            cosine(np.ones(3), np.ones(4))
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6),
            st.floats(0.1, 100.0))
@@ -87,8 +112,8 @@ class TestCosine:
         x = np.asarray(vals)
         if np.linalg.norm(x) < 1e-6:
             return
-        assert cosine_similarity(x, k * x) == pytest.approx(1.0)
-        assert cosine_similarity(x, -k * x) == pytest.approx(-1.0)
+        assert cosine(x, k * x) == pytest.approx(1.0)
+        assert cosine(x, -k * x) == pytest.approx(-1.0)
 
     def test_matrix_zero_rows_give_zero(self):
         mat = cosine_matrix(np.zeros((1, 3)), np.eye(3))
@@ -152,7 +177,3 @@ class TestBBox:
             BBox(0, 0, 0, 10)
         with pytest.raises(ValueError):
             BBox(0, 0, 10, -1)
-
-    def test_edges(self):
-        b = BBox(10, 20, 4, 8)
-        assert (b.left, b.top, b.right, b.bottom) == (8, 16, 12, 24)

@@ -300,10 +300,10 @@ class TestCarryOverOracle:
                     if gts and preds:
                         ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
                         at_threshold += int((ious == thr).sum())
-                        edges = np.array([[b.left, b.right] for _, b in preds])
+                        edges = np.array([[b.u - b.w / 2, b.u + b.w / 2] for _, b in preds])
                         touching += sum(
-                            int(((edges[:, 0] == b.right) | (edges[:, 1] == b.left)).sum())
-                            for _, b in gts
+                            int(((edges[:, 0] == right) | (edges[:, 1] == left)).sum())
+                            for left, right in ((b.u - b.w / 2, b.u + b.w / 2) for _, b in gts)
                         )
         assert at_threshold > 0 and touching > 0
 

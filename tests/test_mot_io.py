@@ -47,7 +47,7 @@ class TestMotCsv:
         rec = MotRecord(1, 1, 100, 50, 20, 40, 0.9)
         box = rec.bbox()
         assert (box.u, box.v, box.w, box.h) == (110, 70, 20, 40)
-        back = MotRecord.from_bbox(1, 1, box, 0.9)
+        back = MotTable.from_uvwh(1, 1, [box], 0.9)[0]
         assert (back.left, back.top) == (100, 50)
 
     def test_empty_file(self, tmp_path):
@@ -412,6 +412,11 @@ def _line_loop_reader(path):
     return records
 
 
+def center_record(frame: int, obj_id: int, box: BBox, conf: float) -> MotRecord:
+    """The MotRecord of a center box: left = u - w/2, top = v - h/2."""
+    return MotRecord(frame, obj_id, box.u - box.w / 2, box.v - box.h / 2, box.w, box.h, conf)
+
+
 def format_record(rec: MotRecord) -> str:
     return (
         f"{rec.frame},{rec.id},{rec.left:.2f},{rec.top:.2f},"
@@ -546,7 +551,7 @@ class TestColumnarWriterOracle:
     def test_center_boxes_write_left_as_bbox(self, rows):
         boxes = [BBox(*row) for row in rows]
         table = MotTable.from_uvwh(3, -1, np.array(rows).reshape(-1, 4), 0.5)
-        assert list(table) == [MotRecord.from_bbox(3, -1, b, 0.5) for b in boxes]
+        assert list(table) == [center_record(3, -1, b, 0.5) for b in boxes]
         assert table.uvwh().tobytes() == np.array(
             [(r.bbox().u, r.bbox().v, r.bbox().w, r.bbox().h) for r in table]
         ).reshape(-1, 4).tobytes()
@@ -565,7 +570,7 @@ class TestColumnarWriterOracle:
         assert main(["filter", str(seq)]) == 0
         general = read_mot_lines(seq / "general.txt")
         want = "".join(
-            format_record(MotRecord.from_bbox(r.frame, -1, r.bbox(), r.conf)) + "\n"
+            format_record(center_record(r.frame, -1, r.bbox(), r.conf)) + "\n"
             for r in general
         )
         assert (seq / "filtered.txt").read_text() == want

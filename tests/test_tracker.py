@@ -8,7 +8,7 @@ import pytest
 import motion_ref as ref
 from conftest import make_tracks, table, tables, uvwh
 from macsort.errors import NonMonotonicFrame
-from macsort.geometry import BBox, ZERO_NORM_EPS, iou_matrix_edges, unit_rows
+from macsort.geometry import BBox, ZERO_NORM_EPS, iou_matrix, unit_rows
 from macsort.motion import DEFAULT_MOTION, MotionConfig, kf_init, kf_predict_batch
 from macsort.prompt_filter import PromptDetections
 from motion_ref import Detection
@@ -394,14 +394,8 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
     m, n = len(tracks), len(detections)
     xs = np.stack([t.state.x for t in tracks])
     w, h = np.sqrt(xs[:, 2] * xs[:, 3]), np.sqrt(xs[:, 2] / xs[:, 3])
-    trk_edges = np.stack(
-        [xs[:, 0] - w / 2, xs[:, 1] - h / 2, xs[:, 0] + w / 2, xs[:, 1] + h / 2], axis=1
-    )
     uvwh = np.array([(d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h) for d in detections])
-    half = uvwh[:, 2:] / 2.0
-    iou = iou_matrix_edges(
-        trk_edges, np.concatenate([uvwh[:, :2] - half, uvwh[:, :2] + half], axis=1)
-    )
+    iou = iou_matrix(np.stack([xs[:, 0], xs[:, 1], w, h], axis=1), uvwh)
     velocity = np.zeros((m, n))
     rows = [i for i, t in enumerate(tracks) if t.prev_center is not None]
     if cfg.use_direction and rows:
