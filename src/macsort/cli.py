@@ -14,7 +14,6 @@ error. Errors print one machine-parseable "ErrorName: detail" line on stderr.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 import time
@@ -188,10 +187,8 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_parse_captions(args, cfg: RunConfig) -> int:
     ann_dir = Path(args.annotation_dir)
-    if not ann_dir.is_dir():  # FileNotFoundError or NotADirectoryError, by errno
-        code = errno.ENOTDIR if ann_dir.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), str(ann_dir))
-    files = sorted(ann_dir.glob("*.json"))
+    # listing raises FileNotFoundError or NotADirectoryError; glob() would find nothing
+    files = sorted(p for p in ann_dir.iterdir() if p.match("*.json"))
     if not files:
         print(f"[parse-captions] warning: no .json annotations in {ann_dir}")
         return 0

@@ -498,7 +498,6 @@ class TestConfigValuesExit2:
             # a frame's summed finite costs overflowed to inf in linear_assignment
             ("track", "--lambda", "1e308"),
             ("track", "--lambda", "1.000001e6"),
-            ("track", "--fixed-w-aaw", "-1e308"),
             # either frozen weight negative
             ("track", "--fixed-w-aaw", "-0.5"),
             ("track", "--fixed-w-aaw", "2.5"),
@@ -512,8 +511,12 @@ class TestConfigValuesExit2:
         ],
     )
     def test_bad_flag_value(self, synth_seq, capsys, command, flag, value):
-        # flag=value, so that argparse reads a negative value as a value
-        self._one_config_error_line(capsys, synth_seq, [command, str(synth_seq), f"{flag}={value}"])
+        self._one_config_error_line(capsys, synth_seq, [command, str(synth_seq), flag, value])
+
+    def test_huge_negative_fixed_w_aaw(self, synth_seq, capsys):
+        # one token: argparse reads "-1e308" after a space as an option, not a number
+        argv = ["track", str(synth_seq), "--fixed-w-aaw=-1e308"]
+        self._one_config_error_line(capsys, synth_seq, argv)
 
     def test_largest_lambda_runs(self, synth_seq):
         assert main(["track", str(synth_seq), "--detections", "general", "--lambda", "1e6"]) == 0
