@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import Field, fields
 from pathlib import Path
 
 import numpy as np
@@ -220,18 +220,38 @@ _FLAG_SPELLINGS = {
 }
 
 
+def _config_flags() -> list[tuple[str, Field]]:
+    """(flag, field) for each RunConfig field."""
+    return [(_FLAG_SPELLINGS.get(f.name, "--" + config_key(f.name).replace("_", "-")), f)
+            for f in fields(RunConfig)]
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One override flag per RunConfig field. A bool flag takes no value and
     sets the opposite of the default; every other flag takes the raw string
     that build_config parses, as it parses a config file's."""
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     g = parser.add_argument_group("config overrides")
-    for f in fields(RunConfig):
-        flag = _FLAG_SPELLINGS.get(f.name, "--" + config_key(f.name).replace("_", "-"))
+    for flag, f in _config_flags():
         if f.type == "bool":
             g.add_argument(flag, dest=f.name, action="store_const", const=not f.default)
         else:
             g.add_argument(flag, dest=f.name)
+
+
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """argv with each config value flag joined to the token after it as
+    flag=value, the way getopt reads a required argument. Left apart,
+    argparse reads a value such as -1e5, which its negative-number pattern
+    misses, as an option."""
+    value_flags = {flag for flag, f in _config_flags() if f.type != "bool"}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in value_flags:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _overrides_from_args(args) -> dict:
@@ -299,7 +319,7 @@ def _discard_stdout() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = build_config(args.config, _overrides_from_args(args))
         code = args.fn(args, cfg)

@@ -2,8 +2,9 @@
 
 Boxes are stored center-based as (u, v, w, h); the MOT top-left convention
 is converted at the I/O layer only. The Kalman filter measures a box as
-(u, v, s, r), scale s = w*h and aspect r = w/h; uvwh_to_xysr and
-xysr_to_uvwh are the one conversion each way. All reals are float64.
+(u, v, s, r), scale s = w*h and aspect r = w/h; xysr_of is that formula,
+which uvwh_to_xysr runs on box rows, and xysr_to_uvwh the inverse. All
+reals are float64.
 """
 
 from __future__ import annotations
@@ -39,27 +40,35 @@ def uvwh_array(boxes) -> np.ndarray:
     return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
 
+def box_edges(uvwh: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The left, top, right and bottom edges, u -/+ w/2 and v -/+ h/2, of
+    (n, 4) rows of (u, v, w, h), as four (n,) arrays."""
+    u, v, w, h = uvwh.T
+    return u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0
+
+
+def iou_of_edges(edges_a, edges_b) -> np.ndarray:
+    """Intersection over union of boxes given as (left, top, right, bottom)
+    edge arrays that broadcast against each other: (m, 1) against (n,)
+    edges give the (m, n) matrix, (k,) against (k,) edges k pairs. 0 for
+    disjoint interiors.
+
+    Each area is taken from its edges, which can differ from w*h by an ulp;
+    the clip at 1 keeps the ratio bounded.
+    """
+    (la, ta, ra, ba), (lb, tb, rb, bb) = edges_a, edges_b
+    iw = np.minimum(ra, rb) - np.maximum(la, lb)
+    ih = np.minimum(ba, bb) - np.maximum(ta, tb)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a, area_b = (ra - la) * (ba - ta), (rb - lb) * (bb - tb)
+    return np.minimum(inter / (area_a + area_b - inter), 1.0)
+
+
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     """Pairwise intersection over union, shape (len(boxes_a), len(boxes_b)),
-    of two box sets, each a list of BBox or (n, 4) rows of (u, v, w, h); 0
-    for disjoint interiors.
-
-    The edges are u -/+ w/2 and v -/+ h/2, and each area is taken from its
-    edges, which can differ from w*h by an ulp; the clip at 1 keeps the
-    ratio bounded.
-    """
+    of two box sets, each a list of BBox or (n, 4) rows of (u, v, w, h)."""
     a, b = uvwh_array(boxes_a), uvwh_array(boxes_b)
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros((len(a), len(b)))
-    # the left, top, right and bottom edge columns of each set
-    (la, ta, ra, ba), (lb, tb, rb, bb) = (
-        (x[:, 0] - x[:, 2] / 2.0, x[:, 1] - x[:, 3] / 2.0,
-         x[:, 0] + x[:, 2] / 2.0, x[:, 1] + x[:, 3] / 2.0) for x in (a, b))
-    iw = np.minimum(ra[:, None], rb) - np.maximum(la[:, None], lb)
-    ih = np.minimum(ba[:, None], bb) - np.maximum(ta[:, None], tb)
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a, area_b = (ra - la) * (ba - ta), (rb - lb) * (bb - tb)
-    return np.minimum(inter / (area_a[:, None] + area_b - inter), 1.0)
+    return iou_of_edges([e[:, None] for e in box_edges(a)], box_edges(b))
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
@@ -82,11 +91,15 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(unit_rows(a) @ unit_rows(b).T, -1.0, 1.0)
 
 
+def xysr_of(u, v, w, h):
+    """The filter measurement (u, v, s, r) of a (u, v, w, h) box: scale
+    s = w*h, aspect r = w/h. Elementwise, on floats or on numpy columns."""
+    return u, v, w * h, w / h
+
+
 def uvwh_to_xysr(uvwh: np.ndarray) -> np.ndarray:
-    """(n, 4) rows of (u, v, w, h) as filter measurements (u, v, s, r):
-    scale s = w*h, aspect r = w/h."""
-    w, h = uvwh[:, 2], uvwh[:, 3]
-    return np.stack([uvwh[:, 0], uvwh[:, 1], w * h, w / h], axis=1)
+    """(n, 4) rows of (u, v, w, h) as (n, 4) rows of (u, v, s, r)."""
+    return np.stack(xysr_of(*uvwh.T), axis=1)
 
 
 def xysr_to_uvwh(xysr: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ four rows.
 
 A filter state is a mean/covariance pair ``(x, P)``, stacked as (n, 7)
 and (n, 4, 3) for the batch steps, and boxes are (u, v, w, h) rows,
-converted by geometry.uvwh_to_xysr. Each block's predict and update is
+measured through geometry.xysr_of. Each block's predict and update is
 written once, as elementwise arithmetic: the batch kernels run it on numpy
 columns, the occlusion re-update on Python floats.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState
-from .geometry import uvwh_to_xysr
+from .geometry import uvwh_to_xysr, xysr_of
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def ocr_reupdate(
     """
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
-    (u0, v0, s0, _), (u1, v1, s1, r1) = uvwh_to_xysr(np.stack([last_box, box])).tolist()
+    (u0, v0, s0, _), (u1, v1, s1, r1) = xysr_of(*last_box.tolist()), xysr_of(*box.tolist())
     x, blocks = state[0].tolist(), state[1].tolist()
     pos, vel = x[:4], x[4:] + [0.0]  # r has no velocity
     q_vel, r = _row_noise(config)

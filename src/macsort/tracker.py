@@ -28,8 +28,9 @@ from .errors import DimensionMismatch, NonMonotonicFrame
 from .geometry import (
     BBox,
     ZERO_NORM_EPS,
+    box_edges,
     cosine_matrix,
-    iou_matrix,
+    iou_of_edges,
     unit_rows,
     uvwh_to_xysr,
     xysr_to_uvwh,
@@ -159,7 +160,9 @@ class Tracks:
 @dataclass
 class CostBreakdown:
     """Association cost matrix (rows = tracks, cols = detections) and its
-    ingredients. ``total`` holds +inf where the IoU gate forbids a match."""
+    ingredients. ``total`` holds +inf where the IoU gate forbids a match.
+    The three term matrices hold their term on the pairs inside the gate
+    and NaN outside it, where nothing is computed."""
 
     iou_term: np.ndarray
     velocity_term: np.ndarray
@@ -170,26 +173,31 @@ class CostBreakdown:
     total: np.ndarray
 
 
-def _direction_costs(tracks: Tracks, centers: np.ndarray, lam: float) -> np.ndarray:
-    """lam * heading gap / pi for every track/detection pair.
+def _direction_costs(tracks: Tracks, rows: np.ndarray, centers: np.ndarray,
+                     lam: float) -> np.ndarray:
+    """lam * heading gap / pi for each pair of a track row in ``rows`` and
+    a detection center, the same row of ``centers`` (k, 2).
 
     The heading gap, in [0, pi], is the angle between a track's heading over
     its last two observations and the heading from its last observation
-    toward a detection center (rows of ``centers``). Rows of tracks with
-    fewer than two observations stay zero.
+    toward the detection center. Pairs whose track has fewer than two
+    observations cost zero.
     """
-    m, n = len(tracks), len(centers)
-    out = np.zeros((m, n))
-    rows = np.flatnonzero(~np.isnan(tracks.prev_center[:, 0]))
-    if not len(rows) or n == 0:
-        return out
+    out = np.zeros(len(rows))
+    seen = ~np.isnan(tracks.prev_center[rows, 0])
+    rows, centers = rows[seen], centers[seen]
     prev, last = tracks.prev_center[rows], tracks.last_box[rows, :2]
     theta_track = np.arctan2(last[:, 1] - prev[:, 1], last[:, 0] - prev[:, 0])
-    theta_new = np.arctan2(
-        centers[None, :, 1] - last[:, 1, None], centers[None, :, 0] - last[:, 0, None]
-    )
-    delta = np.abs(np.mod(theta_track[:, None] - theta_new + math.pi, 2 * math.pi) - math.pi)
-    out[rows] = lam * delta / math.pi
+    theta_new = np.arctan2(centers[:, 1] - last[:, 1], centers[:, 0] - last[:, 0])
+    delta = np.abs(np.mod(theta_track - theta_new + math.pi, 2 * math.pi) - math.pi)
+    out[seen] = lam * delta / math.pi
+    return out
+
+
+def _dense(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+           fill: float) -> np.ndarray:
+    out = np.full(shape, fill)
+    out[rows, cols] = values
     return out
 
 
@@ -198,17 +206,30 @@ def build_cost_matrix(
     dets: PromptDetections,
     cfg: AssocConfig,
 ) -> CostBreakdown:
-    """Assemble the weighted cost matrix for already-predicted tracks."""
+    """Assemble the weighted cost matrix for already-predicted tracks.
+
+    A pair whose box interiors do not overlap has IoU 0, so under a
+    positive gate only overlapping pairs are candidates (at gate 0 every
+    pair is); the terms are computed on the candidates that pass the gate.
+    """
     m, n = len(tracks), len(dets)
     det_uvwh, det_embs_unit = dets.boxes, unit_rows(dets.features)
 
-    iou = iou_matrix(xysr_to_uvwh(tracks.x), det_uvwh)
-    iou_term = 1.0 - iou
-
-    if cfg.use_direction and m and n:
-        velocity_term = _direction_costs(tracks, det_uvwh[:, :2], cfg.lam)
+    trk_edges, det_edges = box_edges(xysr_to_uvwh(tracks.x)), box_edges(det_uvwh)
+    if cfg.iou_gate > 0.0:
+        (la, ta, ra, ba), (lb, tb, rb, bb) = [e[:, None] for e in trk_edges], det_edges
+        candidates = (lb < ra) & (rb > la) & (tb < ba) & (bb > ta)
     else:
-        velocity_term = np.zeros((m, n))
+        candidates = np.ones((m, n), dtype=bool)
+    rows, cols = np.nonzero(candidates)
+    iou = iou_of_edges([e[rows] for e in trk_edges], [e[cols] for e in det_edges])
+    inside = iou >= cfg.iou_gate
+    rows, cols, iou = rows[inside], cols[inside], iou[inside]
+
+    if cfg.use_direction:
+        velocity = _direction_costs(tracks, rows, det_uvwh[cols, :2], cfg.lam)
+    else:
+        velocity = np.zeros(len(rows))
 
     if cfg.use_appearance and m and n:
         apps = tracks.appearance
@@ -218,9 +239,10 @@ def build_cost_matrix(
                 f"detection embedding dim {det_embs_unit.shape[1]}"
             )
         # track appearances are unit by construction; zero rows fall out as 0
-        appearance_term = (1.0 - np.clip(apps @ det_embs_unit.T, -1.0, 1.0)) / 2.0
+        similarity = (apps @ det_embs_unit.T)[rows, cols]
+        appearance = (1.0 - np.clip(similarity, -1.0, 1.0)) / 2.0
     else:
-        appearance_term = np.zeros((m, n))
+        appearance = np.zeros(len(rows))
 
     mu_det = compute_mu_det(det_embs_unit, cfg.theta_deg)
     if cfg.fixed_w_aaw is not None:
@@ -228,16 +250,16 @@ def build_cost_matrix(
     else:
         w_aaw, w_amc = adaptive_weights(mu_det, cfg.theta_deg)
 
-    total = w_amc * iou_term + velocity_term + w_aaw * appearance_term
-    total[iou < cfg.iou_gate] = np.inf
+    iou_term = 1.0 - iou
+    total = w_amc * iou_term + velocity + w_aaw * appearance
     return CostBreakdown(
-        iou_term=iou_term,
-        velocity_term=velocity_term,
-        appearance_term=appearance_term,
+        iou_term=_dense((m, n), rows, cols, iou_term, np.nan),
+        velocity_term=_dense((m, n), rows, cols, velocity, np.nan),
+        appearance_term=_dense((m, n), rows, cols, appearance, np.nan),
         mu_det=mu_det,
         w_aaw=w_aaw,
         w_amc=w_amc,
-        total=total,
+        total=_dense((m, n), rows, cols, total, np.inf),
     )
 
 

@@ -501,6 +501,11 @@ class TestConfigValuesExit2:
             # either frozen weight negative
             ("track", "--fixed-w-aaw", "-0.5"),
             ("track", "--fixed-w-aaw", "2.5"),
+            # exponents, which argparse's negative-number pattern misses
+            ("track", "--fixed-w-aaw", "-1e-3"),
+            ("track", "--lambda", "-1e5"),
+            # a value flag takes the next argument, even one that looks like a flag
+            ("track", "--max-age", "--disable-direction"),
             ("filter", "--detection-threshold", "nan"),
             ("filter", "--detection-threshold", "1.5"),
             ("track", "--max-age", "-5"),
@@ -514,9 +519,12 @@ class TestConfigValuesExit2:
         self._one_config_error_line(capsys, synth_seq, [command, str(synth_seq), flag, value])
 
     def test_huge_negative_fixed_w_aaw(self, synth_seq, capsys):
-        # one token: argparse reads "-1e308" after a space as an option, not a number
         argv = ["track", str(synth_seq), "--fixed-w-aaw=-1e308"]
         self._one_config_error_line(capsys, synth_seq, argv)
+
+    @pytest.mark.parametrize("flag_value", ["--fixed-w-aaw=-1e-3", "--lambda=-1e5"])
+    def test_bad_flag_value_in_one_token(self, synth_seq, capsys, flag_value):
+        self._one_config_error_line(capsys, synth_seq, ["track", str(synth_seq), flag_value])
 
     def test_largest_lambda_runs(self, synth_seq):
         assert main(["track", str(synth_seq), "--detections", "general", "--lambda", "1e6"]) == 0

@@ -11,6 +11,7 @@ from macsort.geometry import (
     first_unheld_box,
     iou_matrix,
     uvwh_to_xysr,
+    xysr_of,
     xysr_to_uvwh,
 )
 from geometry_ref import iou as ref_iou
@@ -139,6 +140,11 @@ class TestXysr:
             xysr_to_uvwh(np.array([[0, 0, -1.0, 1.0]]))
         with pytest.raises(InvalidState):
             xysr_to_uvwh(np.array([[0, 0, 1.0, 0.0]]))
+
+    def test_floats_equal_rows_bit_for_bit(self, rng):
+        uvwh = np.column_stack([rng.uniform(-1e3, 1e3, (1000, 2)),
+                                np.exp(rng.uniform(-8, 8, (1000, 2)))])
+        assert [list(xysr_of(*row)) for row in uvwh.tolist()] == uvwh_to_xysr(uvwh).tolist()
 
     def test_round_trip_10k_random(self, rng):
         # tolerance pinned at 1e-9 relative over 10k boxes

@@ -362,7 +362,7 @@ class TestVelocityDirectionCost:
         return make_tracks([(1, state, b, EMB, prev)])
 
     def _gap(self, track, center):
-        return _direction_costs(track, np.array([center], float), 1.0)[0, 0] * math.pi
+        return _direction_costs(track, np.array([0]), np.array([center], float), 1.0)[0] * math.pi
 
     def test_collinear_motion_is_zero(self):
         hist = self._history((0, 0), (1, 0))

@@ -8,13 +8,22 @@ import pytest
 import motion_ref as ref
 from conftest import make_tracks, table, tables, uvwh
 from macsort.errors import NonMonotonicFrame
-from macsort.geometry import BBox, ZERO_NORM_EPS, iou_matrix, unit_rows
+from macsort.geometry import (
+    BBox,
+    ZERO_NORM_EPS,
+    box_edges,
+    iou_matrix,
+    unit_rows,
+    uvwh_to_xysr,
+    xysr_to_uvwh,
+)
 from macsort.motion import DEFAULT_MOTION, MotionConfig, kf_init, kf_predict_batch
 from macsort.prompt_filter import PromptDetections
 from motion_ref import Detection
 from macsort.tracker import (
     AssocConfig,
     MacSort,
+    Tracks,
     adaptive_weights,
     build_cost_matrix,
     compute_mu_det,
@@ -420,6 +429,86 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
     total = w_amc * (1.0 - iou) + velocity + w_aaw * appearance
     total[iou < cfg.iou_gate] = np.inf
     return total
+
+
+def _oracle_frame(rng, m, n, grid, dim=4):
+    """m predicted tracks and n detections, as a Tracks table, its
+    _RefTrack list and the Detection list. On the grid, centers are whole
+    and sizes powers of two, so box edges often touch exactly and boxes
+    repeat; off it, boxes are continuous. A third of the tracks have no
+    previous center, and some embeddings are zero or repeated."""
+    def boxes(k):
+        if grid:
+            return np.column_stack([rng.integers(0, 10, (k, 2)),
+                                    rng.choice([1.0, 2.0, 4.0, 8.0], (k, 2))]).astype(float)
+        return np.column_stack([rng.uniform(0, 60, (k, 2)), rng.uniform(2, 15, (k, 2))])
+
+    def embeddings(k):
+        embs = rng.standard_normal((k, dim))
+        embs[rng.random(k) < 0.15] = 0.0
+        repeat = rng.random(k) < 0.15
+        embs[repeat] = embs[0]
+        return embs
+
+    trk_boxes, last, det_boxes = boxes(m), boxes(m), boxes(n)
+    xs = np.column_stack([uvwh_to_xysr(trk_boxes), rng.normal(0, 1, (m, 3))])
+    tracks = Tracks.born(1, xs, np.zeros((m, 4, 3)), last, unit_rows(embeddings(m)), False)
+    tracks.prev_center = boxes(m)[:, :2]
+    tracks.prev_center[rng.random(m) < 0.33] = np.nan
+    ref_tracks = [
+        _RefTrack(int(tid), ref.KalmanState(x, None), None, BBox(*box), app,
+                  None if np.isnan(prev[0]) else tuple(prev))
+        for tid, x, box, app, prev in zip(tracks.ids, tracks.x, tracks.last_box,
+                                          tracks.appearance, tracks.prev_center)
+    ]
+    dets = [Detection(1, BBox(*box), 0.9, emb) for box, emb in zip(det_boxes, embeddings(n))]
+    return tracks, ref_tracks, dets
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        AssocConfig(),
+        AssocConfig(iou_gate=0.0),
+        AssocConfig(iou_gate=1.0),
+        AssocConfig(iou_gate=0.5),
+        AssocConfig(use_direction=False),
+        AssocConfig(use_appearance=False),
+        AssocConfig(use_appearance=False, use_direction=False),
+        AssocConfig(fixed_w_aaw=0.5),
+        AssocConfig(fixed_w_aaw=2.0, lam=3.0),
+    ],
+    ids=lambda c: f"gate{c.iou_gate}-app{int(c.use_appearance)}-dir{int(c.use_direction)}"
+    f"-w{c.fixed_w_aaw}-lam{c.lam}",
+)
+def test_gated_cost_equals_dense_oracle(cfg):
+    """build_cost_matrix scores only the pairs whose boxes overlap; its
+    total equals the dense oracle's bit for bit, inf outside the gate, and
+    so does the assignment."""
+    rng = np.random.default_rng(20261019)
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 4), (12, 12), (30, 20)]
+    seen = {"touching": 0, "inside": 0, "disjoint_finite": 0}
+    for case in range(120):
+        m, n = shapes[case % len(shapes)]
+        tracks, ref_tracks, dets = _oracle_frame(rng, m, n, grid=case % 2 == 0)
+        embs = unit_rows(np.stack([d.embedding for d in dets]))
+        got = build_cost_matrix(tracks, table(dets), cfg)
+        want = _ref_cost(ref_tracks, dets, cfg, embs)
+        assert got.total.shape == want.shape and got.total.tobytes() == want.tobytes()
+        assert linear_assignment(got.total) == linear_assignment(want)
+        for term in (got.iou_term, got.velocity_term, got.appearance_term):
+            assert np.array_equal(np.isnan(term), np.isinf(got.total))
+        trk_uvwh, det_uvwh = xysr_to_uvwh(tracks.x), table(dets).boxes
+        iou = iou_matrix(trk_uvwh, det_uvwh)
+        # boxes that touch: overlap exactly 0 along one axis, positive along the other
+        (la, ta, ra, ba) = [e[:, None] for e in box_edges(trk_uvwh)]
+        (lb, tb, rb, bb) = box_edges(det_uvwh)
+        iw, ih = np.minimum(ra, rb) - np.maximum(la, lb), np.minimum(ba, bb) - np.maximum(ta, tb)
+        seen["touching"] += int((((iw == 0.0) & (ih > 0.0)) | ((ih == 0.0) & (iw > 0.0))).sum())
+        seen["inside"] += int(np.isfinite(got.total).sum())
+        seen["disjoint_finite"] += int((np.isfinite(got.total) & (iou == 0.0)).sum())
+    assert seen["touching"] and seen["inside"]
+    assert bool(seen["disjoint_finite"]) == (cfg.iou_gate == 0.0)
 
 
 def _reference_sequence(per_frame, cfg, counts):
