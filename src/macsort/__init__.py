@@ -9,7 +9,8 @@ Pipeline stages, each usable on its own:
 - motion: constant-velocity Kalman filtering and occlusion recovery on
   (x, P) state arrays, each covariance held as its four (pos, vel) blocks
 - tracker: adaptive motion-appearance association (MAC-SORT) over
-  PromptDetections tables; BBox appears only in MacSort.step's output
+  PromptDetections tables; results come out as mot_io.MotTable rows, and
+  no BBox is built
 - metrics: MOTA / identity F1 / higher-order accuracy evaluation
 - mot_io: MOT-Challenge CSV and embedding sidecar files
 - synth: deterministic synthetic scenario generator

@@ -26,7 +26,6 @@ import numpy as np
 from .captions import load_annotation, parse_caption
 from .config import RunConfig, build_config, config_key
 from .errors import InputError, MacSortError, ParseError
-from .geometry import BBox
 from .metrics import TrackSequence, evaluate
 from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfbench
     DETECTION_ID,
@@ -119,12 +118,6 @@ def _load_detections(seq_dir: Path, cfg: RunConfig, which: str):
     return which, detection_sets(*loaded)
 
 
-def _track_table(rows: list[tuple[int, int, BBox]]) -> MotTable:
-    """(frame, id, box) rows as a table with confidence 1."""
-    frames, ids, boxes = zip(*rows) if rows else ((), (), ())
-    return MotTable.from_uvwh(frames, ids, boxes, 1.0)
-
-
 def cmd_track(args, cfg: RunConfig) -> int:
     assoc_cfg = cfg.assoc_config()
 
@@ -134,7 +127,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
         rows = track_sequence(per_frame, assoc_cfg)
         elapsed = time.perf_counter() - start
         out = _out_dir(cfg, seq_dir)
-        write_mot(_track_table(rows), out / "results.txt")
+        write_mot(rows, out / "results.txt")
         return (
             f"[track] {seq_dir} detections={which} frames={max(per_frame, default=0)} "
             f"rows={len(rows)} time={elapsed:.3f}s"
@@ -261,18 +254,22 @@ def _overrides_from_args(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags are spelled in full: a prefix such as --lamb is an unknown flag
     parser = argparse.ArgumentParser(
         prog="macsort",
         description="Prompt-filtered generic multi-object tracking toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", help="IE + memory filtering of a prompt dump")
+    p = sub.add_parser("filter", help="IE + memory filtering of a prompt dump",
+                       allow_abbrev=False)
     p.add_argument("seq_dirs", nargs="+", metavar="SEQ_DIR")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_filter)
 
-    p = sub.add_parser("track", help="associate detections into tracks")
+    p = sub.add_parser("track", help="associate detections into tracks",
+                       allow_abbrev=False)
     p.add_argument("seq_dirs", nargs="+", metavar="SEQ_DIR")
     p.add_argument(
         "--detections",
@@ -283,20 +280,23 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(fn=cmd_track)
 
-    p = sub.add_parser("eval", help="score results against ground truth")
+    p = sub.add_parser("eval", help="score results against ground truth",
+                       allow_abbrev=False)
     p.add_argument("gt", metavar="GT_FILE")
     p.add_argument("results", metavar="RESULTS_FILE")
     p.add_argument("--json-out", metavar="FILE")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("synth", help="generate a synthetic scenario")
+    p = sub.add_parser("synth", help="generate a synthetic scenario",
+                       allow_abbrev=False)
     p.add_argument("spec_file", metavar="SPEC_FILE")
     p.add_argument("out_dir", metavar="OUT_DIR")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("parse-captions", help="validate annotation captions")
+    p = sub.add_parser("parse-captions", help="validate annotation captions",
+                       allow_abbrev=False)
     p.add_argument("annotation_dir", metavar="ANNOTATION_DIR")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_parse_captions)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
-from itertools import starmap
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class TrackSequence:
         rows = self.frame_rows.get(frame, slice(0))
         return self.id[rows].tolist(), self.boxes[rows]
 
-    def at(self, frame: int) -> list[tuple[int, BBox]]:
-        ids, boxes = self.rows_at(frame)
-        return list(zip(ids, starmap(BBox, boxes.tolist())))
-
     @property
     def last_frame(self) -> int:
         return max(int(self.frame[-1]) if len(self.frame) else 0, self.n_frames or 0)
@@ -124,12 +120,11 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _max_iou_pairs(ious: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    """(row, col) pairs of the maximum-total-IoU matching among the cells
-    with IoU >= threshold, sorted by row."""
-    cost = np.where(ious >= threshold, 1.0 - ious, np.inf)
-    pairs, _, _ = linear_assignment(cost)
-    return pairs
+def _max_iou_pairs(ious: np.ndarray, threshold: float) -> Iterator[tuple[int, int]]:
+    """The (row, col) pairs of the maximum-total-IoU matching among the cells
+    with IoU >= threshold, rows ascending."""
+    rows, cols = linear_assignment(np.where(ious >= threshold, 1.0 - ious, np.inf))
+    return zip(rows.tolist(), cols.tolist())
 
 
 def match_frame(
@@ -181,19 +176,21 @@ def _identity_scores(
     if total_gt == 0 and total_pred == 0:
         return 1.0, 1.0, 1.0
 
-    gt_ids = sorted(gt_len)
-    pred_ids = sorted(pred_len)
+    gt_ids, pred_ids = sorted(gt_len), sorted(pred_len)
     ng, np_ = len(gt_ids), len(pred_ids)
-    size = ng + np_
-    cost = np.zeros((size, size))
-    for i, g in enumerate(gt_ids):
-        cost[i, np_:] = gt_len[g]  # leave g unmatched: all its boxes are misses
-        for j, p in enumerate(pred_ids):
-            cost[i, j] = gt_len[g] + pred_len[p] - 2 * overlap[g, p]
-    for j, p in enumerate(pred_ids):
-        cost[ng:, j] = pred_len[p]
-    pairs, _, _ = linear_assignment(cost)
-    idtp = sum(overlap[gt_ids[i], pred_ids[j]] for i, j in pairs if i < ng and j < np_)
+    g_len = np.array([gt_len[g] for g in gt_ids], dtype=np.float64)[:, None]
+    p_len = np.array([pred_len[p] for p in pred_ids], dtype=np.float64)
+    cost = np.zeros((ng + np_, ng + np_))
+    cost[:ng, :np_] = g_len + p_len
+    cost[:ng, np_:] = g_len  # leave a gt id unmatched: all its boxes are misses
+    cost[ng:, :np_] = p_len
+    row = {g: i for i, g in enumerate(gt_ids)}
+    col = {p: j for j, p in enumerate(pred_ids)}
+    for (g, p), count in overlap.items():
+        cost[row[g], col[p]] -= 2 * count
+    rows, cols = linear_assignment(cost)
+    idtp = sum(overlap[gt_ids[i], pred_ids[j]]
+               for i, j in zip(rows.tolist(), cols.tolist()) if i < ng and j < np_)
     idp = idtp / total_pred if total_pred else 1.0
     idr = idtp / total_gt if total_gt else 1.0
     idf1 = 2.0 * idtp / (total_gt + total_pred)

@@ -97,6 +97,13 @@ class MotTable:
         ltwh = np.concatenate([uvwh[:, :2] - uvwh[:, 2:] / 2.0, uvwh[:, 2:]], axis=1)
         return cls(frame, ids, ltwh, conf, np.full((len(uvwh), 3), -1.0))
 
+    @classmethod
+    def concat(cls, tables) -> "MotTable":
+        """The rows of ``tables`` one table after another."""
+        tables = [cls.from_records([]), *tables]
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in ("frame", "id", "ltwh", "conf", "xyz")))
+
     def __len__(self) -> int:
         return len(self.frame)
 

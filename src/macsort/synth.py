@@ -142,7 +142,8 @@ class Scenario:
     """One generated sequence as columns, rows in frame order and boxes as
     (u, v, w, h). Ground-truth row i is object ``gt_id[i]`` at frame
     ``gt_frame[i]``; detection row i has embedding ``embeddings[i]``.
-    ``gt`` and ``detections`` view the rows as objects."""
+    ``gt`` views the ground-truth rows as a TrackSequence, ``frame_sets``
+    the detection rows as one PromptDetections table per frame."""
 
     spec: ScenarioSpec
     gt_frame: np.ndarray  # (m,) int

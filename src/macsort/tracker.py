@@ -12,7 +12,8 @@ scenes lean on appearance.
 
 The tracker runs on arrays: the live tracks are one ``Tracks`` table of
 filter states and boxes, a frame's detections one ``PromptDetections``
-table. A ``BBox`` is built only for each row that MacSort.step reports.
+table, its matches the (rows, cols) index arrays of ``linear_assignment``
+and its result rows one ``MotTable``; it builds no ``BBox``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, NonMonotonicFrame
 from .geometry import (
-    BBox,
     ZERO_NORM_EPS,
     box_edges,
-    cosine_matrix,
     iou_of_edges,
     unit_rows,
     uvwh_to_xysr,
@@ -43,6 +42,7 @@ from .motion import (
     kf_update_batch,
     ocr_reupdate,
 )
+from .mot_io import MotTable
 from .prompt_filter import PromptDetections
 
 
@@ -100,7 +100,8 @@ def compute_mu_det(embeddings: np.ndarray, theta_deg: float) -> float:
     mu = unit.mean(axis=0)
     if np.linalg.norm(mu) < ZERO_NORM_EPS:
         return neutral
-    return float(cosine_matrix(unit, mu[None, :]).mean())
+    # cosine_matrix(unit, mu) would normalize the unit rows again
+    return float(np.clip(unit @ unit_rows(mu[None, :]).T, -1.0, 1.0).mean())
 
 
 def adaptive_weights(mu_det: float, theta_deg: float) -> tuple[float, float]:
@@ -205,15 +206,18 @@ def build_cost_matrix(
     tracks: Tracks,
     dets: PromptDetections,
     cfg: AssocConfig,
+    det_embs_unit: np.ndarray,
 ) -> CostBreakdown:
-    """Assemble the weighted cost matrix for already-predicted tracks.
+    """Assemble the weighted cost matrix for already-predicted tracks;
+    ``det_embs_unit`` holds the detections' embeddings as unit rows,
+    ``unit_rows(dets.features)``.
 
     A pair whose box interiors do not overlap has IoU 0, so under a
     positive gate only overlapping pairs are candidates (at gate 0 every
     pair is); the terms are computed on the candidates that pass the gate.
     """
     m, n = len(tracks), len(dets)
-    det_uvwh, det_embs_unit = dets.boxes, unit_rows(dets.features)
+    det_uvwh = dets.boxes
 
     trk_edges, det_edges = box_edges(xysr_to_uvwh(tracks.x)), box_edges(det_uvwh)
     if cfg.iou_gate > 0.0:
@@ -263,43 +267,31 @@ def build_cost_matrix(
     )
 
 
-def linear_assignment(
-    cost: np.ndarray,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+def linear_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost one-to-one assignment; +inf entries are forbidden.
 
-    Returns (matches sorted by (row, col), unmatched rows, unmatched cols).
+    Returns the matched (rows, cols) index arrays, rows ascending.
     Infeasible entries are replaced by a value larger than any all-finite
     assignment before solving, then filtered out of the result.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    m, n = cost.shape
     finite = np.isfinite(cost)
     if not finite.any():
-        return [], list(range(m)), list(range(n))
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     big = float(np.abs(cost[finite]).sum() + np.abs(cost[finite]).max() + 1.0)
     rows, cols = linear_sum_assignment(np.where(finite, cost, big))
-    matches = sorted(
-        (int(r), int(c)) for r, c in zip(rows, cols) if finite[r, c]
-    )
-    matched_r = {r for r, _ in matches}
-    matched_c = {c for _, c in matches}
-    return (
-        matches,
-        [r for r in range(m) if r not in matched_r],
-        [c for c in range(n) if c not in matched_c],
-    )
+    kept = finite[rows, cols]
+    return rows[kept], cols[kept]
 
 
 class MacSort:
     """Tracking-by-detection with adaptive motion/appearance association.
 
     One instance per sequence; feed frames in strictly increasing order via
-    step(). Output rows are (track id, box) for confirmed tracks matched in
-    the current frame; a track is confirmed for good once it has min_hits
-    matches. While the sequence itself is younger than min_hits frames the
-    probation is waived, so tracking output covers a sequence from its
-    first frame.
+    step(). Its result rows are the confirmed tracks matched in the current
+    frame; a track is confirmed for good once it has min_hits matches.
+    While the sequence itself is younger than min_hits frames the probation
+    is waived, so tracking output covers a sequence from its first frame.
     """
 
     def __init__(
@@ -322,11 +314,9 @@ class MacSort:
         track is live and the sequence is past its min_hits waiver."""
         return not len(self.tracks) and self._frames_seen > self.config.min_hits
 
-    def _apply_updates(self, matches: list[tuple[int, int]], dets: PromptDetections,
+    def _apply_updates(self, rows: np.ndarray, cols: np.ndarray, dets: PromptDetections,
                        det_embs_unit: np.ndarray) -> None:
         trk, det_uvwh = self.tracks, dets.boxes
-        rows = np.array([m for m, _ in matches], dtype=np.intp)
-        cols = np.array([n for _, n in matches], dtype=np.intp)
         gaps = trk.time_since_update[rows]
         fresh_r, fresh_c = rows[gaps == 1], cols[gaps == 1]
         if len(fresh_r):
@@ -356,9 +346,9 @@ class MacSort:
         trk.time_since_update[rows] = 0
         trk.confirmed[rows] |= trk.hits[rows] >= self.config.min_hits
 
-    def step(self, dets: PromptDetections, frame: int) -> list[tuple[int, BBox]]:
-        """Advance one frame's detection table; returns (track id, box) for
-        reportable tracks."""
+    def step(self, dets: PromptDetections, frame: int) -> MotTable:
+        """Advance one frame's detection table; returns the rows of the
+        reportable tracks: frame, track id and box, confidence 1."""
         if self._last_frame is not None and frame <= self._last_frame:
             raise NonMonotonicFrame(f"frame {frame} after frame {self._last_frame}")
         self._last_frame = frame
@@ -371,20 +361,22 @@ class MacSort:
 
         det_embs_unit = unit_rows(dets.features)
         if len(trk) and len(dets):
-            breakdown = build_cost_matrix(trk, dets, cfg)
-            matches, _, unmatched_dets = linear_assignment(breakdown.total)
+            breakdown = build_cost_matrix(trk, dets, cfg, det_embs_unit)
+            rows, cols = linear_assignment(breakdown.total)
             self.last_breakdown = breakdown
         else:
-            matches, unmatched_dets = [], list(range(len(dets)))
+            rows = cols = np.zeros(0, dtype=np.intp)
             self.last_breakdown = None
 
-        self._apply_updates(matches, dets, det_embs_unit)
+        self._apply_updates(rows, cols, dets, det_embs_unit)
 
-        if unmatched_dets:
-            born = dets.boxes[unmatched_dets]
+        unmatched = np.ones(len(dets), dtype=bool)
+        unmatched[cols] = False
+        if unmatched.any():
+            born = dets.boxes[unmatched]
             xs, Ps = zip(*(kf_init(box, self.motion) for box in born))
             trk = trk.concat(Tracks.born(
-                self._next_id, np.stack(xs), np.stack(Ps), born, det_embs_unit[unmatched_dets],
+                self._next_id, np.stack(xs), np.stack(Ps), born, det_embs_unit[unmatched],
                 cfg.min_hits <= 1,
             ))
             self._next_id += len(born)
@@ -392,31 +384,28 @@ class MacSort:
         reported = (trk.time_since_update == 0) & (
             trk.confirmed | (self._frames_seen <= cfg.min_hits)
         )
-        boxes = xysr_to_uvwh(trk.x[reported, :4]).tolist()
-        outputs = [(tid, BBox(*box)) for tid, box in zip(trk.ids[reported].tolist(), boxes)]
+        out = MotTable.from_uvwh(frame, trk.ids[reported], xysr_to_uvwh(trk.x[reported, :4]), 1.0)
 
         alive = trk.time_since_update <= cfg.max_age
         self.tracks = trk if alive.all() else trk.take(alive)
-        return outputs
+        return out
 
 
 def track_sequence(
     per_frame: dict[int, PromptDetections],
     config: AssocConfig | None = None,
     motion: MotionConfig = DEFAULT_MOTION,
-) -> list[tuple[int, int, BBox]]:
+) -> MotTable:
     """Track one sequence through frames 1..max(per_frame), feeding no
-    detections to frames absent from ``per_frame``; returns the
-    (frame, track id, box) rows of every frame in order. While the tracker
-    is idle, absent frames are skipped: stepping them would change nothing."""
+    detections to frames absent from ``per_frame``; returns the result rows
+    of every frame in order. While the tracker is idle, absent frames are
+    skipped: stepping them would change nothing."""
     tracker = MacSort(config, motion)
     given, empty = sorted(per_frame), PromptDetections.empty()
-    rows, frame = [], 1
+    tables, frame = [], 1
     while given and frame <= given[-1]:
         if frame not in per_frame and tracker.idle:
             frame = given[bisect.bisect(given, frame)]
-        rows.extend(
-            (frame, tid, box) for tid, box in tracker.step(per_frame.get(frame, empty), frame)
-        )
+        tables.append(tracker.step(per_frame.get(frame, empty), frame))
         frame += 1
-    return rows
+    return MotTable.concat(tables)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from macsort.geometry import BBox
+from macsort.geometry import BBox, unit_rows
 from macsort.prompt_filter import PromptDetections
-from macsort.tracker import Tracks
+from macsort.tracker import Tracks, build_cost_matrix
 from motion_ref import Detection
 
 
@@ -26,6 +26,26 @@ def table(dets):
 def tables(per_frame):
     """A frame -> Detection records dict as a frame -> table dict."""
     return {frame: table(dets) for frame, dets in per_frame.items()}
+
+
+def boxes_at(sequence, frame):
+    """A TrackSequence frame's rows as (id, BBox) pairs, in its row order."""
+    ids, boxes = sequence.rows_at(frame)
+    return [(obj_id, BBox(*box)) for obj_id, box in zip(ids, boxes.tolist())]
+
+
+def mot_rows(table):
+    """A MotTable's rows as (frame, id, left, top, width, height, conf, x,
+    y, z) tuples, to compare two tables value for value."""
+    cols = table.frame.tolist(), table.id.tolist(), table.ltwh.tolist(), table.conf.tolist()
+    return [(frame, obj_id, *ltwh, conf, *xyz)
+            for frame, obj_id, ltwh, conf, xyz in zip(*cols, table.xyz.tolist())]
+
+
+def cost_matrix(tracks, dets, cfg):
+    """build_cost_matrix on a detection table's own embeddings, made unit
+    rows as MacSort.step passes them."""
+    return build_cost_matrix(tracks, dets, cfg, unit_rows(dets.features))
 
 
 def uvwh(box):

@@ -14,11 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_tracks
+from conftest import cost_matrix, make_tracks
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
 from macsort.geometry import BBox
 from macsort.metrics import TrackSequence, evaluate
+from macsort.mot_io import MotTable
 from macsort.prompt_filter import (
     MemoryBank,
     PromptDetections,
@@ -30,7 +31,6 @@ from macsort.tracker import (
     AssocConfig,
     MacSort,
     adaptive_weights,
-    build_cost_matrix,
     compute_mu_det,
     linear_assignment,
 )
@@ -69,8 +69,7 @@ def test_criterion_1_assignment_oracle():
         cols = np.arange(n)
         for _ in range(1000):
             cost = rng.uniform(0.0, 1.0, (n, n))
-            matches, _, _ = linear_assignment(cost)
-            total = sum(cost[r, c] for r, c in matches)
+            total = sum(cost[r, c] for r, c in zip(*linear_assignment(cost)))
             brute = cost[cols, perms].sum(axis=1).min()
             assert total == brute
     elapsed = time.perf_counter() - start
@@ -107,8 +106,8 @@ def test_criterion_3_cost_matrix_reduction():
         if not (0.0 < mu < 0.999):
             continue
         theta = math.degrees(math.acos(mu))
-        adaptive = build_cost_matrix(tracks, dets, AssocConfig(theta_deg=theta))
-        fixed = build_cost_matrix(
+        adaptive = cost_matrix(tracks, dets, AssocConfig(theta_deg=theta))
+        fixed = cost_matrix(
             tracks, dets, AssocConfig(theta_deg=theta, fixed_w_aaw=1.0)
         )
         assert np.array_equal(np.isfinite(adaptive.total), np.isfinite(fixed.total))
@@ -127,14 +126,14 @@ def test_criterion_4_embedding_scale_invariance():
         tracks, dets = _random_tracks_and_dets(rng, m, n)
         k = float(rng.choice([1e-3, 0.37, 7.0, 4096.0, rng.uniform(0.01, 100)]))
         scaled = PromptDetections(dets.boxes, dets.features * k, dets.scores)
-        a = build_cost_matrix(tracks, dets, AssocConfig())
-        b = build_cost_matrix(tracks, scaled, AssocConfig())
+        a = cost_matrix(tracks, dets, AssocConfig())
+        b = cost_matrix(tracks, scaled, AssocConfig())
         assert abs(a.mu_det - b.mu_det) <= 1e-12
         assert abs(a.w_aaw - b.w_aaw) <= 1e-12
         finite = np.isfinite(a.total)
         assert np.array_equal(finite, np.isfinite(b.total))
         assert np.all(np.abs(a.total[finite] - b.total[finite]) <= 1e-12)
-        assert linear_assignment(a.total) == linear_assignment(b.total)
+        assert all(map(np.array_equal, linear_assignment(a.total), linear_assignment(b.total)))
     _passed(4, "cost and assignment invariant to embedding scale")
 
 
@@ -230,9 +229,9 @@ def test_criterion_6_metrics_oracle():
 
 def _run_tracker(scenario, cfg):
     tracker = MacSort(cfg)
-    rows = [(frame, tid, box) for frame, dets in scenario.frame_sets().items()
-            for tid, box in tracker.step(dets, frame)]
-    return tracker, TrackSequence.from_rows(rows)
+    rows = MotTable.concat(tracker.step(dets, frame)
+                           for frame, dets in scenario.frame_sets().items())
+    return tracker, TrackSequence.from_mot(rows)
 
 
 def test_criterion_7_crossing_stress():
@@ -278,13 +277,13 @@ def test_criterion_8_occlusion_recovery():
     velocity_after = None
     for frame, dets in scenario.frame_sets().items():
         out = tracker.step(dets, frame)
-        rows += [(frame, tid, box) for tid, box in out]
+        rows.append(out)
         if frame == 25:
-            assert [tid for tid, _ in out] == [1]  # same identity, reported
+            assert out.id.tolist() == [1]  # same identity, reported
             velocity_after = float(tracker.tracks.x[0, 4])
     assert velocity_after is not None
     assert abs(velocity_after - 2.0) / 2.0 < 0.10
-    report = evaluate(scenario.gt, TrackSequence.from_rows(rows))
+    report = evaluate(scenario.gt, TrackSequence.from_mot(MotTable.concat(rows)))
     assert report.id_switches == 0
     _passed(8, f"id kept through the gap, velocity {velocity_after:.4f}")
 

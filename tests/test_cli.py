@@ -526,6 +526,16 @@ class TestConfigValuesExit2:
     def test_bad_flag_value_in_one_token(self, synth_seq, capsys, flag_value):
         self._one_config_error_line(capsys, synth_seq, ["track", str(synth_seq), flag_value])
 
+    @pytest.mark.parametrize("given", [["--lamb", "-1e5"], ["--lamb", "5"], ["--bogus", "5"]])
+    def test_abbreviated_flag_is_unknown(self, synth_seq, capsys, given):
+        """Flags are spelled in full: a prefix of --lambda is rejected as an
+        unknown flag is, whatever its value."""
+        with pytest.raises(SystemExit) as exc:
+            main(["track", str(synth_seq), *given])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(given)}" in capsys.readouterr().err
+        assert not (synth_seq / "results.txt").exists()
+
     def test_largest_lambda_runs(self, synth_seq):
         assert main(["track", str(synth_seq), "--detections", "general", "--lambda", "1e6"]) == 0
         assert (synth_seq / "results.txt").exists()

@@ -1,13 +1,22 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import macsort.metrics
+import metrics_ref
+from conftest import boxes_at
 from macsort.errors import FrameMismatch
 from macsort.geometry import BBox, iou_matrix
-from macsort.metrics import MetricsReport, TrackSequence, evaluate, match_frame
+from macsort.metrics import (
+    MetricsReport,
+    TrackSequence,
+    _identity_scores,
+    evaluate,
+    match_frame,
+)
 from macsort.mot_io import MotTable
 from macsort.tracker import linear_assignment
 
@@ -241,8 +250,7 @@ def per_pair_match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None,
     if rem_g and rem_p:
         ious = iou_matrix([gt_by_id[g] for g in rem_g], [pred_by_id[p] for p in rem_p])
         cost = np.where(ious >= iou_threshold, 1.0 - ious, np.inf)
-        pairs, _, _ = linear_assignment(cost)
-        for gi, pi in pairs:
+        for gi, pi in zip(*linear_assignment(cost)):
             matches[rem_g[gi]] = rem_p[pi]
     return matches
 
@@ -287,7 +295,7 @@ class TestCarryOverOracle:
             for thr in self.THRESHOLDS:
                 prev = {}
                 for t in range(1, gt.last_frame + 1):
-                    gts, preds = gt.at(t), pred.at(t)
+                    gts, preds = boxes_at(gt, t), boxes_at(pred, t)
                     # the chained matching, and arbitrary (even non-injective)
                     # carry-over maps
                     pids = [p for p, _ in preds] or [0]
@@ -332,13 +340,12 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
             return []
         ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
         cost = np.where(ious >= thr, 1.0 - ious, np.inf)
-        pairs, _, _ = linear_assignment(cost)
-        return [(gts[gi][0], preds[pi][0]) for gi, pi in pairs]
+        return [(gts[gi][0], preds[pi][0]) for gi, pi in zip(*linear_assignment(cost))]
 
     def identity_scores():
         gt_len, pred_len, overlap = {}, {}, {}
         for f in frames:
-            gts, preds = gt.at(f), pred.at(f)
+            gts, preds = boxes_at(gt, f), boxes_at(pred, f)
             for g, _ in gts:
                 gt_len[g] = gt_len.get(g, 0) + 1
             for p, _ in preds:
@@ -360,10 +367,9 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
                 cost[i, j] = gt_len[g] + pred_len[p] - 2 * overlap.get((g, p), 0)
         for j, p in enumerate(pred_ids):
             cost[ng:, j] = pred_len[p]
-        pairs, _, _ = linear_assignment(cost)
         idtp = sum(
             overlap.get((gt_ids[i], pred_ids[j]), 0)
-            for i, j in pairs
+            for i, j in zip(*linear_assignment(cost))
             if i < ng and j < np_
         )
         idp = idtp / total_pred if total_pred else 1.0
@@ -374,7 +380,7 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
         tp = fp = fn = 0
         pair_count, gt_present, pred_present = {}, {}, {}
         for f in frames:
-            gts, preds = gt.at(f), pred.at(f)
+            gts, preds = boxes_at(gt, f), boxes_at(pred, f)
             for g, _ in gts:
                 gt_present[g] = gt_present.get(g, 0) + 1
             for p, _ in preds:
@@ -398,7 +404,7 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
     tp = fp = fn = idsw = 0
     prev, last_match, gt_count, cover_count = {}, {}, {}, {}
     for f in frames:
-        gts, preds = gt.at(f), pred.at(f)
+        gts, preds = boxes_at(gt, f), boxes_at(pred, f)
         for g, _ in gts:
             gt_count[g] = gt_count.get(g, 0) + 1
         matches = match_frame(gts, preds, iou_threshold, prev)
@@ -486,6 +492,39 @@ class TestOnePassOracle:
         assert report.to_dict() == {k: getattr(report, k) for k in report.to_dict()}
 
 
+def identity_counts(rng, n_gt, n_pred):
+    """Counters of boxes per gt id, per predicted id and per overlapping
+    (gt id, predicted id) pair. Ids are drawn from one small range, so a gt
+    and a predicted id may be equal; some ids overlap no id of the
+    other side."""
+    def lengths(k):
+        ids = rng.choice(12, k, replace=False).tolist()
+        return Counter({i: int(rng.integers(1, 40)) for i in ids})
+
+    gt_len, pred_len = lengths(n_gt), lengths(n_pred)
+    overlap = Counter({(g, p): int(rng.integers(1, min(gt_len[g], pred_len[p]) + 1))
+                       for g in gt_len for p in pred_len if rng.random() < 0.3})
+    return gt_len, pred_len, overlap
+
+
+class TestIdentityScores:
+    def test_equals_pairwise_fill(self):
+        rng = np.random.default_rng(16)
+        cases = [identity_counts(rng, *rng.integers(0, 9, 2)) for _ in range(300)]
+        cases += [identity_counts(rng, 0, 0), identity_counts(rng, 5, 0),
+                  identity_counts(rng, 0, 5)]
+        gt_only = pred_only = 0
+        for gt_len, pred_len, overlap in cases:
+            assert _identity_scores(gt_len, pred_len, overlap) == metrics_ref.identity_scores(
+                gt_len, pred_len, overlap)
+            gt_only += len(set(gt_len) - {g for g, _ in overlap})
+            pred_only += len(set(pred_len) - {p for _, p in overlap})
+        assert gt_only and pred_only
+
+    def test_empty(self):
+        assert _identity_scores(Counter(), Counter(), Counter()) == (1.0, 1.0, 1.0)
+
+
 def shift_after(sequence, frame, by):
     """The sequence with every row after ``frame`` moved ``by`` frames on."""
     later = sequence.frame > frame
@@ -538,9 +577,9 @@ class TestTrackSequence:
             for record in table:
                 want.setdefault(record.frame, []).append((record.id, record.bbox()))
             sequence = TrackSequence.from_mot(table)
-            got = {f: sequence.at(f) for f in sequence.frame_rows}
+            got = {f: boxes_at(sequence, f) for f in sequence.frame_rows}
             assert list(got.items()) == sorted(want.items())
-            assert sequence.at(0) == [] and sequence.at(10) == []
+            assert boxes_at(sequence, 0) == [] and boxes_at(sequence, 10) == []
             assert sequence.total_boxes() == len(table)
 
     def test_repeat_named_as_adding_row_by_row(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import spearmanr
 
+from conftest import boxes_at
 from macsort.errors import SpecError
 from macsort.geometry import BBox
 from macsort.synth import (
@@ -88,7 +89,7 @@ class TestGenerate:
         sets = scenario.frame_sets()
         for frame in (4, 5, 6):
             assert len(sets[frame]) == 1
-            assert len(scenario.gt.at(frame)) == 2  # gt continues through
+            assert len(boxes_at(scenario.gt, frame)) == 2  # gt continues through
         assert len(sets[3]) == 2
         assert len(sets[7]) == 2
 
@@ -111,7 +112,7 @@ class TestGenerate:
             dists = [
                 np.hypot(box.u - center[0], box.v - center[1])
                 for f in range(1, 61)
-                for oid, box in scenario.gt.at(f)
+                for oid, box in boxes_at(scenario.gt, f)
                 if oid == obj
             ]
             assert min(dists) < 1e-9  # each object hits the center exactly
@@ -437,7 +438,7 @@ class TestColumnsEqualPerDrawOracle:
         ref_gt = {}
         for frame, obj_id, box in gt:
             ref_gt.setdefault(frame, []).append((obj_id, box))
-        assert {f: got.gt.at(f) for f in got.gt.frame_rows} == ref_gt
+        assert {f: boxes_at(got.gt, f) for f in got.gt.frame_rows} == ref_gt
         tables = got.frame_sets()
         assert sorted(tables) == list(range(1, spec.n_frames + 1))
         for frame, ref in detections.items():

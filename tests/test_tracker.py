@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import motion_ref as ref
-from conftest import make_tracks, table, tables, uvwh
+from conftest import cost_matrix, make_tracks, mot_rows, table, tables, uvwh
+from macsort.cli import main
 from macsort.errors import NonMonotonicFrame
 from macsort.geometry import (
     BBox,
@@ -17,6 +18,7 @@ from macsort.geometry import (
     uvwh_to_xysr,
     xysr_to_uvwh,
 )
+from macsort.mot_io import MotTable, read_mot_lines, write_detections
 from macsort.motion import DEFAULT_MOTION, MotionConfig, kf_init, kf_predict_batch
 from macsort.prompt_filter import PromptDetections
 from motion_ref import Detection
@@ -120,13 +122,13 @@ class TestBuildCostMatrix:
     def test_perfect_match_is_zero(self):
         d = det(1, 50, 50)
         track = make_track(1, d)
-        bd = build_cost_matrix(make_tracks([track]), table([d]), AssocConfig())
+        bd = cost_matrix(make_tracks([track]), table([d]), AssocConfig())
         assert bd.total[0, 0] == 0.0
 
     def test_homogeneous_frame_zeroes_appearance(self):
         d1, d2 = det(1, 50, 50), det(1, 200, 50)
         tracks = [make_track(1, d1), make_track(2, d2)]
-        bd = build_cost_matrix(make_tracks(tracks), table([d1, d2]), AssocConfig())
+        bd = cost_matrix(make_tracks(tracks), table([d1, d2]), AssocConfig())
         assert bd.mu_det == pytest.approx(1.0)
         assert bd.w_aaw == pytest.approx(0.0)
         assert bd.w_amc == pytest.approx(2.0)
@@ -140,8 +142,8 @@ class TestBuildCostMatrix:
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 60, 52, emb=E2)
         tracks = [make_track(1, det(0, 49, 50, emb=E1)),
                   make_track(2, det(0, 61, 51, emb=E2))]
-        bd_fixed = build_cost_matrix(make_tracks(tracks), table([d1, d2]),
-                                     AssocConfig(fixed_w_aaw=1.0))
+        bd_fixed = cost_matrix(make_tracks(tracks), table([d1, d2]),
+                               AssocConfig(fixed_w_aaw=1.0))
         manual = bd_fixed.iou_term + bd_fixed.velocity_term + bd_fixed.appearance_term
         finite = np.isfinite(bd_fixed.total)
         assert bd_fixed.total[finite] == pytest.approx(manual[finite], abs=1e-12)
@@ -149,24 +151,24 @@ class TestBuildCostMatrix:
     def test_gate_blocks_distant_pairs(self):
         track = make_track(1, det(0, 0, 0))
         far = det(1, 500, 500)
-        bd = build_cost_matrix(make_tracks([track]), table([far]), AssocConfig(iou_gate=0.1))
+        bd = cost_matrix(make_tracks([track]), table([far]), AssocConfig(iou_gate=0.1))
         assert np.isinf(bd.total[0, 0])
 
     def test_direction_term_needs_two_observations(self):
         d = det(1, 50, 50)
         track = make_track(1, d)  # single-entry history
-        bd = build_cost_matrix(make_tracks([track]), table([det(1, 52, 50)]), AssocConfig())
+        bd = cost_matrix(make_tracks([track]), table([det(1, 52, 50)]), AssocConfig())
         assert np.all(bd.velocity_term == 0.0)
 
     def test_direction_term_value(self):
         d = det(2, 70, 50)
         track = make_track(1, d, history_points=[(40, 50), (55, 50)])
         ahead = det(2, 70, 50)
-        bd = build_cost_matrix(make_tracks([track]), table([ahead]), AssocConfig())
+        bd = cost_matrix(make_tracks([track]), table([ahead]), AssocConfig())
         assert bd.velocity_term[0, 0] == pytest.approx(0.0)
         track2 = make_track(1, d, history_points=[(70, 20), (70, 35)])
-        bd2 = build_cost_matrix(make_tracks([track2]), table([det(2, 70, 20)]),
-                                AssocConfig(iou_gate=0.0))
+        bd2 = cost_matrix(make_tracks([track2]), table([det(2, 70, 20)]),
+                          AssocConfig(iou_gate=0.0))
         # heading reversal: cost = lambda * pi/pi = lambda
         assert bd2.velocity_term[0, 0] == pytest.approx(0.2)
 
@@ -174,7 +176,7 @@ class TestBuildCostMatrix:
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 56, 50, emb=E2)
         track = make_track(1, det(0, 52, 50, emb=E1), history_points=[(40, 50), (46, 50)])
         off = AssocConfig(use_appearance=False, use_direction=False)
-        bd = build_cost_matrix(make_tracks([track]), table([d1, d2]), off)
+        bd = cost_matrix(make_tracks([track]), table([d1, d2]), off)
         assert np.all(bd.appearance_term == 0.0)
         assert np.all(bd.velocity_term == 0.0)
 
@@ -184,11 +186,11 @@ class TestBuildCostMatrix:
                 det(1, 50 + 30 * i, 50, emb=rng.standard_normal(4)) for i in range(3)
             ]
             tracks = make_tracks([make_track(i + 1, det(0, 50 + 30 * i, 49)) for i in range(3)])
-            bd1 = build_cost_matrix(tracks, table(dets), AssocConfig())
+            bd1 = cost_matrix(tracks, table(dets), AssocConfig())
             scaled = [
                 Detection(d.frame, d.bbox, d.confidence, d.embedding * k) for d in dets
             ]
-            bd2 = build_cost_matrix(tracks, table(scaled), AssocConfig())
+            bd2 = cost_matrix(tracks, table(scaled), AssocConfig())
             assert bd2.mu_det == pytest.approx(bd1.mu_det, abs=1e-12)
             assert bd2.w_aaw == pytest.approx(bd1.w_aaw, abs=1e-12)
             finite = np.isfinite(bd1.total)
@@ -196,41 +198,53 @@ class TestBuildCostMatrix:
             assert bd2.total[finite] == pytest.approx(bd1.total[finite], abs=1e-12)
 
 
+def _pairs(rows, cols):
+    """linear_assignment's index arrays as a list of (row, col) pairs,
+    after checking their dtype and that the rows ascend."""
+    assert rows.dtype == cols.dtype == np.intp and rows.shape == cols.shape
+    assert (np.diff(rows) > 0).all()
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 class TestLinearAssignment:
     def test_two_by_two_hand_case(self):
-        matches, ur, uc = linear_assignment(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert matches == [(0, 1), (1, 0)]
-        assert ur == [] and uc == []
+        assert _pairs(*linear_assignment(np.array([[1.0, 2.0], [2.0, 4.0]]))) == [(0, 1), (1, 0)]
 
     def test_all_infinite(self):
-        matches, ur, uc = linear_assignment(np.full((2, 3), np.inf))
-        assert matches == []
-        assert ur == [0, 1] and uc == [0, 1, 2]
+        rows, cols = linear_assignment(np.full((2, 3), np.inf))
+        assert _pairs(rows, cols) == [] and rows.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty(self, shape):
+        rows, cols = linear_assignment(np.zeros(shape))
+        assert _pairs(rows, cols) == [] and rows.shape == (0,)
 
     def test_diagonal_zeros(self):
         cost = np.ones((3, 3))
         np.fill_diagonal(cost, 0.0)
-        matches, _, _ = linear_assignment(cost)
-        assert matches == [(0, 0), (1, 1), (2, 2)]
+        assert _pairs(*linear_assignment(cost)) == [(0, 0), (1, 1), (2, 2)]
 
     def test_partial_gating(self):
         cost = np.array([[0.1, np.inf], [np.inf, np.inf]])
-        matches, ur, uc = linear_assignment(cost)
-        assert matches == [(0, 0)]
-        assert ur == [1] and uc == [1]
+        assert _pairs(*linear_assignment(cost)) == [(0, 0)]
 
     def test_rectangular(self):
-        cost = np.array([[5.0, 1.0, 3.0]])
-        matches, ur, uc = linear_assignment(cost)
-        assert matches == [(0, 1)]
-        assert uc == [0, 2]
+        assert _pairs(*linear_assignment(np.array([[5.0, 1.0, 3.0]]))) == [(0, 1)]
+        assert _pairs(*linear_assignment(np.array([[5.0], [1.0], [3.0]]))) == [(1, 0)]
+
+    def test_rows_ascend_on_tall_and_wide_gated_costs(self, rng):
+        for _ in range(200):
+            m, n = rng.integers(1, 9, 2)
+            cost = np.where(rng.random((m, n)) < 0.4, np.inf, rng.uniform(0, 1, (m, n)))
+            pairs = _pairs(*linear_assignment(cost))
+            assert all(np.isfinite(cost[r, c]) for r, c in pairs)
+            assert len({c for _, c in pairs}) == len(pairs)
 
     def test_matches_brute_force_minimum(self, rng):
         for n in range(2, 6):
             for _ in range(50):
                 cost = rng.uniform(0, 1, (n, n))
-                matches, _, _ = linear_assignment(cost)
-                total = sum(cost[r, c] for r, c in matches)
+                total = sum(cost[r, c] for r, c in _pairs(*linear_assignment(cost)))
                 best = min(
                     sum(cost[i, p[i]] for i in range(n))
                     for p in itertools.permutations(range(n))
@@ -250,14 +264,18 @@ class TestTrackerStep:
         assert len(tracker.tracks) == 2
         assert not tracker.tracks.confirmed.any()
         # young-sequence emission: matched tracks report from frame 1
-        assert {tid for tid, _ in out} == {1, 2}
+        assert out.id.tolist() == [1, 2] and len(out) == 2
+        # result rows as results.txt holds them: confidence 1, x/y/z -1
+        assert out.frame.tolist() == [1, 1] and out.conf.tolist() == [1.0, 1.0]
+        assert (out.xyz == -1.0).all()
+        assert out.uvwh() == pytest.approx(np.array([[10, 10, 12, 12], [60, 10, 12, 12]]))
 
     def test_single_object_single_id(self):
         tracker = MacSort()
         seen = set()
         for t in range(1, 11):
             out = tracker.step(table([det(t, 10 + 2 * t, 20)]), t)
-            seen.update(tid for tid, _ in out)
+            seen.update(out.id.tolist())
         assert seen == {1}
 
     def test_probation_after_startup(self):
@@ -267,11 +285,11 @@ class TestTrackerStep:
         for t in range(1, 8):
             tracker.step(table([det(t, 10 + 2 * t, 20)]), t)
         out7 = tracker.step(table([det(8, 26, 20), det(8, 200, 100)]), 8)
-        assert {tid for tid, _ in out7} == {1}
+        assert out7.id.tolist() == [1]
         out8 = tracker.step(table([det(9, 28, 20), det(9, 202, 100)]), 9)
-        assert {tid for tid, _ in out8} == {1}
+        assert out8.id.tolist() == [1]
         out9 = tracker.step(table([det(10, 30, 20), det(10, 204, 100)]), 10)
-        assert {tid for tid, _ in out9} == {1, 2}
+        assert sorted(out9.id.tolist()) == [1, 2]
 
     def test_crossing_objects_keep_ids(self):
         tracker = MacSort()
@@ -280,8 +298,8 @@ class TestTrackerStep:
             xa = 20 + 4.0 * (t - 1)
             xb = 80 - 4.0 * (t - 1)
             dets = [det(t, xa, 50, emb=E1), det(t, xb, 50.5, emb=E1)]
-            for tid, box in tracker.step(table(dets), t):
-                last[tid] = float(box.u)
+            out = tracker.step(table(dets), t)
+            last.update(zip(out.id.tolist(), out.uvwh()[:, 0].tolist()))
         # id 1 started left and ends right; id 2 the reverse
         assert last[1] == pytest.approx(80.0, abs=1.0)
         assert last[2] == pytest.approx(20.0, abs=1.0)
@@ -315,7 +333,7 @@ class TestTrackerStep:
             tracker.step(table([]), t)
         # a confirmed track re-found after the gap reports immediately
         out = tracker.step(table([det(16, 32.0, 30)]), 16)
-        assert [tid for tid, _ in out] == [1]
+        assert out.id.tolist() == [1]
         assert tracker.tracks.x[0, 4] == pytest.approx(2.0, rel=0.10)
 
     def test_deterministic_given_stream(self, rng):
@@ -333,9 +351,8 @@ class TestTrackerStep:
             tracker = MacSort()
             out = []
             for t, dets in enumerate(frames, start=1):
-                out.append(
-                    [(tid, b.u, b.v, b.w, b.h) for tid, b in tracker.step(table(dets), t)]
-                )
+                rows = tracker.step(table(dets), t)
+                out.append((rows.id.tolist(), rows.ltwh.tolist()))
             return out
 
         assert run() == run()
@@ -356,7 +373,7 @@ class TestErrorPaths:
         bad = det(1, 50, 50, emb=np.array([1.0, 0.0]))
         from macsort.errors import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            build_cost_matrix(make_tracks([track]), table([bad]), AssocConfig())
+            cost_matrix(make_tracks([track]), table([bad]), AssocConfig())
 
 
 class TestTrackSequence:
@@ -371,16 +388,15 @@ class TestTrackSequence:
         }
         cfg = AssocConfig(min_hits=1)
         tracker = MacSort(cfg)
-        expected = [
-            (frame, tid, box)
-            for frame in range(1, 6)
-            for tid, box in tracker.step(table(per_frame.get(frame, [])), frame)
-        ]
-        assert track_sequence(tables(per_frame), cfg) == expected
-        assert [row[0] for row in expected] == [1, 2, 4, 5, 5]
+        expected = MotTable.concat(
+            tracker.step(table(per_frame.get(frame, [])), frame) for frame in range(1, 6)
+        )
+        assert mot_rows(track_sequence(tables(per_frame), cfg)) == mot_rows(expected)
+        assert expected.frame.tolist() == [1, 2, 4, 5, 5]
 
     def test_empty_input(self):
-        assert track_sequence({}) == []
+        rows = track_sequence({})
+        assert mot_rows(rows) == [] and rows.ltwh.shape == (0, 4) and rows.xyz.shape == (0, 3)
 
 
 # -- the Track-list tracker the track table replaced, kept as a test oracle --
@@ -492,10 +508,10 @@ def test_gated_cost_equals_dense_oracle(cfg):
         m, n = shapes[case % len(shapes)]
         tracks, ref_tracks, dets = _oracle_frame(rng, m, n, grid=case % 2 == 0)
         embs = unit_rows(np.stack([d.embedding for d in dets]))
-        got = build_cost_matrix(tracks, table(dets), cfg)
+        got = build_cost_matrix(tracks, table(dets), cfg, embs)
         want = _ref_cost(ref_tracks, dets, cfg, embs)
         assert got.total.shape == want.shape and got.total.tobytes() == want.tobytes()
-        assert linear_assignment(got.total) == linear_assignment(want)
+        assert _pairs(*linear_assignment(got.total)) == _pairs(*linear_assignment(want))
         for term in (got.iou_term, got.velocity_term, got.appearance_term):
             assert np.array_equal(np.isnan(term), np.isinf(got.total))
         trk_uvwh, det_uvwh = xysr_to_uvwh(tracks.x), table(dets).boxes
@@ -528,7 +544,9 @@ def _reference_sequence(per_frame, cfg, counts):
         embs = unit_rows(np.stack([d.embedding for d in detections]) if detections else np.zeros((0, 1)))
         matches, unmatched = [], list(range(len(detections)))
         if tracks and detections:
-            matches, _, unmatched = linear_assignment(_ref_cost(tracks, detections, cfg, embs))
+            rows_, cols_ = linear_assignment(_ref_cost(tracks, detections, cfg, embs))
+            matches = list(zip(rows_.tolist(), cols_.tolist()))
+            unmatched = sorted(set(unmatched) - set(cols_.tolist()))
         fresh = [(m, n) for m, n in matches if tracks[m].time_since_update == 1]
         if fresh:
             xs, Ps = ref.kf_update_batch(
@@ -644,11 +662,11 @@ def test_track_table_equals_track_list_tracker(cfg):
         per_frame = _random_stream(rng)
         expected = _reference_sequence(per_frame, cfg, counts)
         got = track_sequence(tables(per_frame), cfg)
-        assert [(f, tid) for f, tid, _ in got] == [(f, tid) for f, tid, _ in expected]
+        assert got.frame.tolist() == [f for f, _, _ in expected]
+        assert got.id.tolist() == [tid for _, tid, _ in expected]
         # the block filter sums in another order than the 7x7 oracle
-        np.testing.assert_allclose([(b.u, b.v, b.w, b.h) for _, _, b in got],
-                                   [(b.u, b.v, b.w, b.h) for _, _, b in expected],
-                                   rtol=1e-12, atol=0)
+        want = np.array([(b.u, b.v, b.w, b.h) for _, _, b in expected]).reshape(-1, 4)
+        np.testing.assert_allclose(got.uvwh(), want, rtol=1e-12, atol=0)
     assert counts["births"] and counts["deaths"]
     assert counts["gapped"] or cfg.max_age <= 1
 
@@ -681,23 +699,30 @@ def test_sparse_frames_equal_stepping_every_frame(cfg, monkeypatch):
     for _ in range(20):
         per_frame = tables(_spread(rng, _random_stream(rng)))
         last, tracker = max(per_frame), MacSort(cfg)
-        expected = [(frame, tid, box) for frame in range(1, last + 1)
-                    for tid, box in step(tracker, per_frame.get(frame, empty), frame)]
+        expected = MotTable.concat(step(tracker, per_frame.get(frame, empty), frame)
+                                   for frame in range(1, last + 1))
         stepped.clear()
-        assert track_sequence(per_frame, cfg) == expected
+        assert mot_rows(track_sequence(per_frame, cfg)) == mot_rows(expected)
         skipped += last - len(stepped)
     assert skipped > 0
 
 
-def test_track_builds_a_box_per_output_row_only(monkeypatch):
-    """Births, gapped matches and deaths run on arrays: the only BBox built
-    over a track_sequence run is the one of each output row."""
+def test_track_builds_no_bbox(monkeypatch, tmp_path):
+    """Births, gapped matches, deaths and the result rows run on arrays:
+    neither track_sequence nor ``macsort track`` builds a BBox."""
     cfg, per_frame = AssocConfig(max_age=3), _random_stream(np.random.default_rng(7), 60)
     counts = {"births": 0, "gapped": 0, "deaths": 0}
     _reference_sequence(per_frame, cfg, counts)
     assert all(counts.values()), counts
+    dets = [d for frame in sorted(per_frame) for d in per_frame[frame]]
+    detections = MotTable.from_uvwh([d.frame for d in dets], -1, [d.bbox for d in dets],
+                                     [d.confidence for d in dets])
+    write_detections(tmp_path / "general.txt", tmp_path / "general.emb", detections,
+                     np.stack([d.embedding for d in dets]))
     per_frame = tables(per_frame)
     init, built = BBox.__post_init__, []
     monkeypatch.setattr(BBox, "__post_init__", lambda box: (built.append(box), init(box))[1])
     rows = track_sequence(per_frame, cfg)
-    assert len(built) == len(rows) > 0
+    assert main(["track", str(tmp_path), "--max-age", "3"]) == 0
+    assert len(rows) > 0 and len(read_mot_lines(tmp_path / "results.txt")) > 0
+    assert built == []
