@@ -9,24 +9,25 @@ whole sequence. Higher-order accuracy is computed at a single IoU
 threshold by default (hand-checkable); an optional sweep averages the
 detection and association accuracies over thresholds 0.05..0.95.
 
-``evaluate`` reads each frame that holds rows once, as slices of the
-sequences' columns; the identity overlaps and every threshold's
-higher-order matching come from one IoU matrix per frame.
+``evaluate`` maps the gt and predicted ids to dense indices once per
+sequence and reads each frame that holds rows once, as slices of the
+sequences' columns. The identity overlaps and every threshold's
+higher-order matching come from one IoU matrix per frame; each frame adds
+their (gt index, predicted index) pairs as int64 keys, counted once at the
+end.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import CliConfig
 from .errors import FrameMismatch
-from .geometry import BBox, iou_matrix, uvwh_array
+from .geometry import iou_matrix, uvwh_array
 from .mot_io import by_frame
 from .tracker import linear_assignment
 
@@ -61,12 +62,6 @@ class TrackSequence:
         if len(repeats):
             r = repeats.min()
             raise ValueError(f"duplicate id {self.id[r]} in frame {self.frame[r]}")
-
-    @classmethod
-    def from_rows(cls, rows, n_frames: int | None = None) -> "TrackSequence":
-        """(frame, id, box) rows in any order, boxes as BBox or (u, v, w, h)."""
-        frames, ids, boxes = list(zip(*rows)) or ((), (), ())
-        return cls(frames, ids, boxes, n_frames)
 
     @classmethod
     def from_mot(cls, table) -> "TrackSequence":
@@ -120,96 +115,97 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _max_iou_pairs(ious: np.ndarray, threshold: float) -> Iterator[tuple[int, int]]:
-    """The (row, col) pairs of the maximum-total-IoU matching among the cells
+def _max_iou_pairs(ious: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) of the maximum-total-IoU matching among the cells
     with IoU >= threshold, rows ascending."""
-    rows, cols = linear_assignment(np.where(ious >= threshold, 1.0 - ious, np.inf))
-    return zip(rows.tolist(), cols.tolist())
+    return linear_assignment(np.where(ious >= threshold, 1.0 - ious, np.inf))
 
 
 def match_frame(
-    gt_frame: list[tuple[int, BBox | np.ndarray]],
-    pred_frame: list[tuple[int, BBox | np.ndarray]],
+    gt: np.ndarray,
+    pred: np.ndarray,
+    ious: np.ndarray | None,
     iou_threshold: float,
-    prev_matches: dict[int, int] | None = None,
-    ious: np.ndarray | None = None,
-) -> dict[int, int]:
-    """One frame's gt-id -> pred-id matching; boxes are BBox or (u, v, w, h)
-    rows.
+    prev: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frame's matching, as the matched (gt, pred) id indices.
 
-    Pairs matched in the previous frame are kept while their IoU still
-    clears the threshold; the remainder is matched by maximum total IoU.
-    ``ious`` may carry the frame's gt x pred IoU matrix, rows and columns in
-    frame order; without it the matrix is computed here.
+    ``gt`` and ``pred`` are the frame's id indices in row order, distinct
+    on each side; ``ious`` is their IoU matrix (None when a side is empty);
+    ``prev[g]`` is the pred index matched to gt index g in the previous
+    frame, or -1. Pairs matched in the previous frame are kept while their
+    IoU still clears the threshold (a pred index carried over to two gt
+    rows stays with the first); the remainder is matched by maximum total
+    IoU.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    if not gt_frame or not pred_frame:
-        return {}
-    if ious is None:
-        ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
-    # a repeated id stands for its last box, as in a dict of the frame
-    gt_row = {g: i for i, (g, _) in enumerate(gt_frame)}
-    pred_col = {p: j for j, (p, _) in enumerate(pred_frame)}
-    matches: dict[int, int] = {}
-    used: set[int] = set()
-    for g, p in (prev_matches or {}).items():
-        if g in gt_row and p in pred_col and p not in used:
-            if ious[gt_row[g], pred_col[p]] >= iou_threshold:
-                matches[g] = p
-                used.add(p)
-    rem_g = [g for g, _ in gt_frame if g not in matches]
-    rem_p = [p for p, _ in pred_frame if p not in used]
-    if rem_g and rem_p:
-        rem = ious[np.ix_([gt_row[g] for g in rem_g], [pred_col[p] for p in rem_p])]
-        for gi, pi in _max_iou_pairs(rem, iou_threshold):
-            matches[rem_g[gi]] = rem_p[pi]
-    return matches
+    if not len(gt) or not len(pred):
+        return gt[:0], pred[:0]
+    kept = (pred == prev[gt][:, None]) & (ious >= iou_threshold)
+    kept &= np.cumsum(kept, axis=0) == 1
+    rows, cols = np.nonzero(kept)
+    rem_r, rem_c = np.flatnonzero(~kept.any(axis=1)), np.flatnonzero(~kept.any(axis=0))
+    if len(rem_r) and len(rem_c):
+        new_r, new_c = _max_iou_pairs(ious[np.ix_(rem_r, rem_c)], iou_threshold)
+        rows, cols = np.concatenate([rows, rem_r[new_r]]), np.concatenate([cols, rem_c[new_c]])
+    return gt[rows], pred[cols]
+
+
+def _pair_counts(keys: list[np.ndarray], n_pred: int) -> tuple[np.ndarray, ...]:
+    """The (gt index, pred index, count) of each pair among ``keys`` (g *
+    n_pred + p), in the order the pairs first occur."""
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *keys])
+    pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    pairs = pairs[order]
+    return pairs // n_pred, pairs % n_pred, counts[order]
 
 
 def _identity_scores(
-    gt_len: Counter, pred_len: Counter, overlap: Counter
+    gt_len: np.ndarray, pred_len: np.ndarray, overlap: tuple[np.ndarray, ...]
 ) -> tuple[float, float, float]:
-    """(idf1, idp, idr) via one global id-to-id assignment."""
-    total_gt = sum(gt_len.values())
-    total_pred = sum(pred_len.values())
+    """(idf1, idp, idr) via one global id-to-id assignment, from the boxes
+    per gt index and per pred index and the (g, p, count) frames in which
+    a pair clears the threshold."""
+    total_gt, total_pred = int(gt_len.sum()), int(pred_len.sum())
     if total_gt == 0 and total_pred == 0:
         return 1.0, 1.0, 1.0
 
-    gt_ids, pred_ids = sorted(gt_len), sorted(pred_len)
-    ng, np_ = len(gt_ids), len(pred_ids)
-    g_len = np.array([gt_len[g] for g in gt_ids], dtype=np.float64)[:, None]
-    p_len = np.array([pred_len[p] for p in pred_ids], dtype=np.float64)
+    ng, np_ = len(gt_len), len(pred_len)
+    shared = np.zeros((ng, np_), dtype=np.int64)
+    g, p, count = overlap
+    shared[g, p] = count
     cost = np.zeros((ng + np_, ng + np_))
-    cost[:ng, :np_] = g_len + p_len
-    cost[:ng, np_:] = g_len  # leave a gt id unmatched: all its boxes are misses
-    cost[ng:, :np_] = p_len
-    row = {g: i for i, g in enumerate(gt_ids)}
-    col = {p: j for j, p in enumerate(pred_ids)}
-    for (g, p), count in overlap.items():
-        cost[row[g], col[p]] -= 2 * count
+    cost[:ng, :np_] = gt_len[:, None] + pred_len - 2 * shared
+    cost[:ng, np_:] = gt_len[:, None]  # leave a gt id unmatched: all its boxes are misses
+    cost[ng:, :np_] = pred_len
     rows, cols = linear_assignment(cost)
-    idtp = sum(overlap[gt_ids[i], pred_ids[j]]
-               for i, j in zip(rows.tolist(), cols.tolist()) if i < ng and j < np_)
+    real = (rows < ng) & (cols < np_)
+    idtp = int(shared[rows[real], cols[real]].sum())
     idp = idtp / total_pred if total_pred else 1.0
     idr = idtp / total_gt if total_gt else 1.0
     idf1 = 2.0 * idtp / (total_gt + total_pred)
     return idf1, idp, idr
 
 
-def _hota_at(pair_count: Counter, gt_len: Counter, pred_len: Counter) -> tuple[float, float]:
-    """(deta, assa) at one IoU threshold, from its matched-pair counts."""
-    tp = sum(pair_count.values())
-    total = sum(gt_len.values()) + sum(pred_len.values()) - tp  # tp + fn + fp
+def _hota_at(
+    pairs: tuple[np.ndarray, ...], gt_len: np.ndarray, pred_len: np.ndarray
+) -> tuple[float, float]:
+    """(deta, assa) at one IoU threshold, from its (g, p, count) matched
+    pairs in the order they first matched."""
+    g, p, count = pairs
+    tp = int(count.sum())
+    total = int(gt_len.sum()) + int(pred_len.sum()) - tp  # tp + fn + fp
     if total == 0:
         return 1.0, 1.0
     deta = tp / total
     if tp == 0:
         return deta, 0.0
-    ass_sum = 0.0
-    for (g, p), count in pair_count.items():
-        ass_sum += count * (count / (gt_len[g] + pred_len[p] - count))
-    return deta, ass_sum / tp
+    # added left to right in first-match order: a sum in another order can
+    # differ in the last bit
+    ass = count * (count / (gt_len[g] + pred_len[p] - count))
+    return deta, float(np.cumsum(ass)[-1]) / tp
 
 
 def evaluate(
@@ -236,57 +232,59 @@ def evaluate(
     walk = np.union1d(with_rows, with_rows + 1)
     walk = walk[(walk >= 1) & (walk <= last)]
 
-    gt_len: Counter = Counter()  # boxes per gt id
-    pred_len: Counter = Counter()  # boxes per predicted id
-    covered: Counter = Counter()  # CLEAR matches per gt id
-    overlap: Counter = Counter()  # frames where (gt id, pred id) clear the threshold
-    pair_counts = [Counter() for _ in alphas]  # HOTA matches per (gt id, pred id)
-    tp = idsw = 0
-    prev: dict[int, int] = {}
-    last_match: dict[int, int] = {}
-    for f in walk.tolist():
-        gt_ids, gt_boxes = gt.rows_at(f)
-        pred_ids, pred_boxes = pred.rows_at(f)
-        gt_len.update(gt_ids)
-        pred_len.update(pred_ids)
+    # dense id indices; gt rows before frame 1 are not walked and count
+    # only in MOTA's denominator
+    start = int(np.searchsorted(gt.frame, 1))
+    gt_index = np.full(len(gt.id), -1)
+    gt_ids, gt_index[start:] = np.unique(gt.id[start:], return_inverse=True)
+    pred_ids, pred_index = np.unique(pred.id, return_inverse=True)
+    n_gt, n_pred = len(gt_ids), len(pred_ids)
+    gt_len = np.bincount(gt_index[start:], minlength=n_gt)  # boxes per gt index
+    pred_len = np.bincount(pred_index, minlength=n_pred)  # boxes per pred index
 
-        ious = iou_matrix(gt_boxes, pred_boxes) if gt_ids and pred_ids else None
-        matches = match_frame(list(zip(gt_ids, gt_boxes)), list(zip(pred_ids, pred_boxes)),
-                              iou_threshold, prev, ious)
-        tp += len(matches)
-        covered.update(matches.keys())
-        for g, p in matches.items():
-            if last_match.get(g, p) != p:
-                idsw += 1
-            last_match[g] = p
-        prev = matches
+    covered = np.zeros(n_gt, dtype=np.int64)  # CLEAR matches per gt index
+    overlap_keys = []  # pairs that clear the threshold, per frame
+    hota_keys = [[] for _ in alphas]  # each threshold's HOTA matches, per frame
+    tp = idsw = 0
+    prev = np.full(n_gt, -1)  # the previous frame's match per gt index
+    last_match = np.full(n_gt, -1)  # the latest match per gt index
+    for f in walk.tolist():
+        gt_rows = gt.frame_rows.get(f, slice(0))
+        pred_rows = pred.frame_rows.get(f, slice(0))
+        g, p = gt_index[gt_rows], pred_index[pred_rows]
+
+        ious = iou_matrix(gt.boxes[gt_rows], pred.boxes[pred_rows]) if len(g) and len(p) else None
+        matched_g, matched_p = match_frame(g, p, ious, iou_threshold, prev)
+        tp += len(matched_g)
+        covered[matched_g] += 1
+        before = last_match[matched_g]
+        idsw += int(((before >= 0) & (before != matched_p)).sum())
+        last_match[matched_g] = matched_p
+        prev = np.full(n_gt, -1)
+        prev[matched_g] = matched_p
 
         if ious is not None:
-            hit = zip(*np.nonzero(ious >= iou_threshold))
-            overlap.update((gt_ids[gi], pred_ids[pi]) for gi, pi in hit)
-            for counts, alpha in zip(pair_counts, alphas):
-                pairs = _max_iou_pairs(ious, alpha)
-                counts.update((gt_ids[gi], pred_ids[pi]) for gi, pi in pairs)
+            gi, pi = np.nonzero(ious >= iou_threshold)
+            overlap_keys.append(g[gi] * n_pred + p[pi])
+            for keys, alpha in zip(hota_keys, alphas):
+                gi, pi = _max_iou_pairs(ious, alpha)
+                keys.append(g[gi] * n_pred + p[pi])
 
-    fn = sum(gt_len.values()) - tp
-    fp = sum(pred_len.values()) - tp
+    fn = int(gt_len.sum()) - tp
+    fp = int(pred_len.sum()) - tp
     gt_total = gt.total_boxes()
     if gt_total:
         mota = 1.0 - (fn + fp + idsw) / gt_total
     else:
         mota = 1.0 if (fp + idsw) == 0 else float("-inf")
 
-    mt = ml = 0
-    for g, count in gt_len.items():
-        coverage = covered[g] / count
-        if coverage >= MT_COVERAGE:
-            mt += 1
-        elif coverage <= ML_COVERAGE:
-            ml += 1
+    coverage = covered / gt_len
+    mt = int((coverage >= MT_COVERAGE).sum())
+    ml = int((coverage <= ML_COVERAGE).sum())
 
-    idf1, idp, idr = _identity_scores(gt_len, pred_len, overlap)
+    idf1, idp, idr = _identity_scores(gt_len, pred_len, _pair_counts(overlap_keys, n_pred))
 
-    scores = [_hota_at(counts, gt_len, pred_len) for counts in pair_counts]
+    scores = [_hota_at(_pair_counts(keys, n_pred), gt_len, pred_len) for keys in hota_keys]
     deta = float(np.mean([d for d, _ in scores]))
     assa = float(np.mean([a for _, a in scores]))
     hota = float(np.sqrt(deta * assa))

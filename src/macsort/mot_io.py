@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,8 @@ from .prompt_filter import SHORT_WINDOW_FRAMES, PromptDetections, TpodConfig
 EMB_MAGIC = b"EMB1"
 DETECTION_ID = -1
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# catch_warnings swaps the process-wide filters: one parse at a time does so
+_WARNINGS_LOCK = threading.Lock()
 _LINE = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,%d,%d,%d\n"  # one line in canonical form
 
 
@@ -91,11 +95,11 @@ class MotTable:
         """Rows of center boxes, given as (u, v, w, h) rows or BBox, with
         left = u - w/2 and top = v - h/2 as iou_matrix computes them, and x, y, z
         = -1. ``frame``, ``ids`` and ``conf`` may be scalars."""
-        uvwh = uvwh_array(boxes)
-        frame, ids, conf = (np.broadcast_to(np.asarray(col, dtype=dtype), len(uvwh)).copy()
-                            for col, dtype in ((frame, np.int64), (ids, np.int64), (conf, float)))
-        ltwh = np.concatenate([uvwh[:, :2] - uvwh[:, 2:] / 2.0, uvwh[:, 2:]], axis=1)
-        return cls(frame, ids, ltwh, conf, np.full((len(uvwh), 3), -1.0))
+        ltwh = np.array(uvwh_array(boxes))
+        ltwh[:, :2] -= ltwh[:, 2:] / 2.0
+        n = len(ltwh)  # np.full broadcasts a scalar and copies a column
+        return cls(np.full(n, frame, np.int64), np.full(n, ids, np.int64), ltwh,
+                   np.full(n, conf, np.float64), np.full((n, 3), -1.0))
 
     @classmethod
     def concat(cls, tables) -> "MotTable":
@@ -175,27 +179,32 @@ def _parse_line(line: str, lineno: int) -> MotRecord:
 
 
 def _parse_columns(lines: list[str]) -> MotTable | None:
-    """All lines at once, one numpy conversion per column; None when any
-    line is malformed, so that the line loop can name it."""
+    """All lines in one numpy parse; None when numpy declines any line, so
+    that the line loop reads it or names it."""
     rows = [line for line in map(str.strip, lines) if line]
     if not rows:
         return MotTable.from_records([])
     k = rows[0].count(",") + 1
-    if k not in (9, 10) or set(map(str.count, rows, repeat(","))) != {k - 1}:
+    if k not in (9, 10):
         return None
-    cells = ",".join(rows).split(",")
+    dtype = [("frame", np.int64), ("id", np.int64), ("vals", np.float64, (k - 2,))]
+    # loadtxt rejects a row with another column count and the spellings that
+    # int()/float() take but it does not (1_0, non-ASCII digits); older numpy
+    # only warns when it reads 1.5 into an int column, so that is an error here
     try:
-        frame = np.array(cells[0::k], dtype=np.int64)
-        ids = np.array(cells[1::k], dtype=np.int64)
-        vals = np.array([cells[j::k] for j in range(2, k)], dtype=np.float64).T
-    except (ValueError, OverflowError):  # numpy is stricter than int/float
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            parsed = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
         return None
-    if k == 9:
-        vals = np.concatenate([vals, np.full((len(rows), 1), -1.0)], axis=1)
-    ltwh, conf = vals[:, :4], vals[:, 4]
+    vals = parsed["vals"]
+    ltwh, conf = np.ascontiguousarray(vals[:, :4]), vals[:, 4].copy()
+    xyz = np.full((len(rows), 3), -1.0)
+    xyz[:, :k - 7] = vals[:, 5:]
+    frame, ids = parsed["frame"].copy(), parsed["id"].copy()
     valid = (np.isfinite(vals).all() and (frame >= 1).all() and (ltwh[:, 2:] > 0).all()
              and ((ids != DETECTION_ID) | ((conf >= 0.0) & (conf <= 1.0))).all())
-    return MotTable(frame, ids, ltwh, conf, vals[:, 5:]) if valid else None
+    return MotTable(frame, ids, ltwh, conf, xyz) if valid else None
 
 
 def read_mot_lines(path: str | Path) -> MotTable:

@@ -272,12 +272,15 @@ def linear_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the matched (rows, cols) index arrays, rows ascending.
     Infeasible entries are replaced by a value larger than any all-finite
-    assignment before solving, then filtered out of the result.
+    assignment before solving, then filtered out of the result. So the
+    solver first matches as many finite entries as it can: when no row and
+    no column holds two of them, that is all of them, whatever they cost,
+    and they are returned without solving.
     """
     cost = np.asarray(cost, dtype=np.float64)
     finite = np.isfinite(cost)
-    if not finite.any():
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if (finite.sum(axis=0) <= 1).all() and (finite.sum(axis=1) <= 1).all():
+        return np.nonzero(finite)
     big = float(np.abs(cost[finite]).sum() + np.abs(cost[finite]).max() + 1.0)
     rows, cols = linear_sum_assignment(np.where(finite, cost, big))
     kept = finite[rows, cols]

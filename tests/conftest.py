@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from macsort.geometry import BBox, unit_rows
+from macsort.metrics import TrackSequence
 from macsort.prompt_filter import PromptDetections
 from macsort.tracker import Tracks, build_cost_matrix
 from motion_ref import Detection
@@ -26,6 +27,13 @@ def table(dets):
 def tables(per_frame):
     """A frame -> Detection records dict as a frame -> table dict."""
     return {frame: table(dets) for frame, dets in per_frame.items()}
+
+
+def rows_sequence(rows, n_frames=None):
+    """A TrackSequence of (frame, id, box) rows in any order, boxes as BBox
+    or (u, v, w, h)."""
+    frames, ids, boxes = list(zip(*rows)) or ((), (), ())
+    return TrackSequence(frames, ids, boxes, n_frames)
 
 
 def boxes_at(sequence, frame):

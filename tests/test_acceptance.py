@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cost_matrix, make_tracks
+from conftest import cost_matrix, make_tracks, rows_sequence
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
 from macsort.geometry import BBox
@@ -198,7 +198,7 @@ def test_criterion_6_metrics_oracle():
     hota = sqrt(deta * assa) within 1e-9 on every report."""
     reports = []
 
-    gt = TrackSequence.from_rows([(t, 7, BBox(2.0 * t, 0, 10, 10)) for t in range(1, 11)])
+    gt = rows_sequence([(t, 7, BBox(2.0 * t, 0, 10, 10)) for t in range(1, 11)])
     perfect = evaluate(gt, gt)
     reports.append(perfect)
     assert perfect.mota == 1.0 and perfect.idf1 == 1.0 and perfect.hota == 1.0
@@ -206,14 +206,14 @@ def test_criterion_6_metrics_oracle():
 
     rows2 = [(t, obj, BBox(u + 2 * t, 0, 10, 10)) for t in (1, 2)
              for obj, u in ((1, 0.0), (2, 50.0))]
-    gt2 = TrackSequence.from_rows(rows2)
-    pred2 = TrackSequence.from_rows([r for r in rows2 if r[:2] != (2, 2)])
+    gt2 = rows_sequence(rows2)
+    pred2 = rows_sequence([r for r in rows2 if r[:2] != (2, 2)])
     one_fn = evaluate(gt2, pred2)
     reports.append(one_fn)
     assert one_fn.fn == 1 and one_fn.fp == 0
     assert one_fn.mota == pytest.approx(0.75, abs=1e-12)
 
-    pred3 = TrackSequence.from_rows(
+    pred3 = rows_sequence(
         [(t, 1 if t <= 5 else 2, BBox(2.0 * t, 0, 10, 10)) for t in range(1, 11)]
     )
     flip = evaluate(gt, pred3)

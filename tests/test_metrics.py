@@ -5,9 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import macsort.metrics
 import metrics_ref
-from conftest import boxes_at
+from conftest import boxes_at, rows_sequence
 from macsort.errors import FrameMismatch
 from macsort.geometry import BBox, iou_matrix
 from macsort.metrics import (
@@ -23,7 +22,22 @@ from macsort.tracker import linear_assignment
 
 def seq(items, n_frames=None):
     """items: iterable of (frame, obj_id, (u, v, w, h))."""
-    return TrackSequence.from_rows([(f, i, BBox(*box)) for f, i, box in items], n_frames)
+    return rows_sequence([(f, i, BBox(*box)) for f, i, box in items], n_frames)
+
+
+def match_ids(gt_frame, pred_frame, iou_threshold, prev_matches=None):
+    """match_frame on (id, BBox) lists, with the ids as their own indices:
+    the gt-id -> pred-id matching as a dict."""
+    gt = np.array([g for g, _ in gt_frame], dtype=np.int64)
+    pred = np.array([p for p, _ in pred_frame], dtype=np.int64)
+    prev = np.full(max([*gt.tolist(), *(prev_matches or {})], default=0) + 1, -1)
+    for g, p in (prev_matches or {}).items():
+        prev[g] = p
+    ious = None
+    if gt_frame and pred_frame:
+        ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
+    matched_g, matched_p = match_frame(gt, pred, ious, iou_threshold, prev)
+    return dict(zip(matched_g.tolist(), matched_p.tolist()))
 
 
 def moving_gt(obj_id=7, frames=range(1, 11)):
@@ -34,31 +48,31 @@ class TestMatchFrame:
     def test_identical_boxes_full_matching(self):
         gts = [(1, BBox(0, 0, 10, 10)), (2, BBox(30, 0, 10, 10))]
         preds = [(9, BBox(0, 0, 10, 10)), (8, BBox(30, 0, 10, 10))]
-        assert match_frame(gts, preds, 0.5) == {1: 9, 2: 8}
+        assert match_ids(gts, preds, 0.5) == {1: 9, 2: 8}
 
     def test_disjoint_no_matching(self):
         gts = [(1, BBox(0, 0, 10, 10))]
         preds = [(9, BBox(500, 0, 10, 10))]
-        assert match_frame(gts, preds, 0.5) == {}
+        assert match_ids(gts, preds, 0.5) == {}
 
     def test_crossed_ious_prefer_diagonal(self):
         # diag IoU 9/11, off-diag 5/15 and 7/13; Hungarian keeps the diagonal
         gts = [(1, BBox(0, 0, 10, 10)), (2, BBox(4, 0, 10, 10))]
         preds = [(1, BBox(1, 0, 10, 10)), (2, BBox(5, 0, 10, 10))]
-        assert match_frame(gts, preds, 0.3) == {1: 1, 2: 2}
+        assert match_ids(gts, preds, 0.3) == {1: 1, 2: 2}
 
     def test_carry_over_beats_better_iou(self):
         gts = [(1, BBox(0, 0, 10, 10))]
         preds = [(10, BBox(2, 0, 10, 10)), (11, BBox(0.5, 0, 10, 10))]
-        fresh = match_frame(gts, preds, 0.5)
+        fresh = match_ids(gts, preds, 0.5)
         assert fresh == {1: 11}
-        kept = match_frame(gts, preds, 0.5, prev_matches={1: 10})
+        kept = match_ids(gts, preds, 0.5, prev_matches={1: 10})
         assert kept == {1: 10}
 
     def test_carry_over_dropped_below_threshold(self):
         gts = [(1, BBox(0, 0, 10, 10))]
         preds = [(10, BBox(9, 0, 10, 10)), (11, BBox(1, 0, 10, 10))]
-        got = match_frame(gts, preds, 0.5, prev_matches={1: 10})
+        got = match_ids(gts, preds, 0.5, prev_matches={1: 10})
         assert got == {1: 11}
 
 
@@ -210,7 +224,7 @@ class TestEdgeCases:
             evaluate(gt, pred)
 
     def test_empty_everything_is_perfect(self):
-        report = evaluate(TrackSequence.from_rows([], 3), TrackSequence.from_rows([]))
+        report = evaluate(rows_sequence([], 3), rows_sequence([]))
         assert report.hota == 1.0 and report.mota == 1.0 and report.idf1 == 1.0
 
     def test_duplicate_id_in_frame_rejected(self):
@@ -281,7 +295,7 @@ def grid_case(rng, n_frames=20, n_objects=5):
             else:  # touching on one side: IoU 0
                 box = BBox(left + 5 + rng.choice([-10, 10]), top + 5, 10, 10)
             pred.append((t, ids[k] + 100, box))
-    return TrackSequence.from_rows(gt), TrackSequence.from_rows(pred)
+    return rows_sequence(gt), rows_sequence(pred)
 
 
 class TestCarryOverOracle:
@@ -301,10 +315,10 @@ class TestCarryOverOracle:
                     pids = [p for p, _ in preds] or [0]
                     rand = {g: int(rng.choice(pids)) for g, _ in gts if rng.uniform() < 0.7}
                     for carry in (prev, rand):
-                        got = match_frame(gts, preds, thr, carry)
+                        got = match_ids(gts, preds, thr, carry)
                         want = per_pair_match_frame(gts, preds, thr, carry)
-                        assert list(got.items()) == list(want.items())
-                    prev = match_frame(gts, preds, thr, prev)
+                        assert got == want
+                    prev = match_ids(gts, preds, thr, prev)
                     if gts and preds:
                         ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
                         at_threshold += int((ious == thr).sum())
@@ -316,13 +330,14 @@ class TestCarryOverOracle:
         assert at_threshold > 0 and touching > 0
 
     def test_evaluate_equals_per_pair(self, monkeypatch):
+        # the dict evaluator with the per-pair matching in place of its own
         rng = np.random.default_rng(11)
         cases = [grid_case(rng) for _ in range(10)]
         for thr in self.THRESHOLDS:
             got = [evaluate(g, p, thr) for g, p in cases]
             with monkeypatch.context() as m:
-                m.setattr(macsort.metrics, "match_frame", per_pair_match_frame)
-                want = [evaluate(g, p, thr) for g, p in cases]
+                m.setattr(metrics_ref, "match_frame", per_pair_match_frame)
+                want = [metrics_ref.evaluate(g, p, thr) for g, p in cases]
             assert got == want
 
 
@@ -407,7 +422,7 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
         gts, preds = boxes_at(gt, f), boxes_at(pred, f)
         for g, _ in gts:
             gt_count[g] = gt_count.get(g, 0) + 1
-        matches = match_frame(gts, preds, iou_threshold, prev)
+        matches = metrics_ref.match_frame(gts, preds, iou_threshold, prev)
         tp += len(matches)
         fn += len(gts) - len(matches)
         fp += len(preds) - len(matches)
@@ -458,7 +473,7 @@ def sparse_case(rng, n_frames=12, n_ids=6):
                 pid = int(rng.integers(1, 3)) * 10 + obj  # ids switch at random
                 pred.append((t, pid, BBox(left + 5 + du, top + 5 + dv, 10, 10)))
     n_frames += int(rng.integers(0, 3))
-    return TrackSequence.from_rows(gt, n_frames), TrackSequence.from_rows(pred)
+    return rows_sequence(gt, n_frames), rows_sequence(pred)
 
 
 class TestOnePassOracle:
@@ -507,6 +522,16 @@ def identity_counts(rng, n_gt, n_pred):
     return gt_len, pred_len, overlap
 
 
+def count_arrays(gt_len, pred_len, overlap):
+    """Counters keyed by ids as the arrays _identity_scores reads: boxes per
+    gt index and per pred index (ids ascending), and (g, p, count) pairs."""
+    gt_ids, pred_ids = sorted(gt_len), sorted(pred_len)
+    pairs = [(gt_ids.index(g), pred_ids.index(p), c) for (g, p), c in overlap.items()]
+    g, p, count = (np.array(col, dtype=np.int64) for col in (list(zip(*pairs)) or ((), (), ())))
+    return (np.array([gt_len[i] for i in gt_ids], dtype=np.int64),
+            np.array([pred_len[i] for i in pred_ids], dtype=np.int64), (g, p, count))
+
+
 class TestIdentityScores:
     def test_equals_pairwise_fill(self):
         rng = np.random.default_rng(16)
@@ -515,14 +540,71 @@ class TestIdentityScores:
                   identity_counts(rng, 0, 5)]
         gt_only = pred_only = 0
         for gt_len, pred_len, overlap in cases:
-            assert _identity_scores(gt_len, pred_len, overlap) == metrics_ref.identity_scores(
-                gt_len, pred_len, overlap)
+            assert _identity_scores(*count_arrays(gt_len, pred_len, overlap)) == (
+                metrics_ref.identity_scores(gt_len, pred_len, overlap))
             gt_only += len(set(gt_len) - {g for g, _ in overlap})
             pred_only += len(set(pred_len) - {p for _, p in overlap})
         assert gt_only and pred_only
 
     def test_empty(self):
-        assert _identity_scores(Counter(), Counter(), Counter()) == (1.0, 1.0, 1.0)
+        assert _identity_scores(*count_arrays(Counter(), Counter(), Counter())) == (
+            1.0, 1.0, 1.0)
+
+
+def oracle_case(rng):
+    """A random gt and prediction pair: objects that drift, gt and
+    predictions with gaps, predicted ids that switch, clutter rows, frames
+    with rows on one side only and runs of empty frames. Ids are drawn
+    from a spread-out set (negative and beyond 2**40 among them)."""
+    n_frames, n_objects = int(rng.integers(4, 40)), int(rng.integers(1, 8))
+    id_pool = np.array([-3, 0, 1, 2, 5, 17, 99, 2**40 + 1, 2**62, -(2**50)])
+    gt_ids = rng.choice(id_pool, n_objects, replace=False)
+    pred_ids = rng.choice(id_pool, n_objects, replace=False)
+    pos = rng.uniform(0, 60, (n_objects, 2))
+    empty = set()
+    for _ in range(int(rng.integers(0, 3))):  # runs of frames without rows
+        first = int(rng.integers(1, n_frames + 1))
+        empty |= set(range(first, first + int(rng.integers(1, 6))))
+    gt, pred = [], []
+    for t in range(1, n_frames + 1):
+        pos += rng.uniform(-3, 3, pos.shape)
+        if rng.random() < 0.15:  # two predicted ids trade objects
+            i, j = rng.integers(0, n_objects, 2)
+            pred_ids[[i, j]] = pred_ids[[j, i]]
+        if t in empty:
+            continue
+        sides = rng.choice(["both", "both", "gt", "pred"])
+        for k in range(n_objects):
+            u, v = pos[k]
+            if sides != "pred" and rng.random() < 0.85:
+                gt.append((t, int(gt_ids[k]), (u, v, 12.0, 12.0)))
+            if sides != "gt" and rng.random() < 0.8:
+                du, dv = rng.normal(0, 2.5, 2)
+                pred.append((t, int(pred_ids[k]), (u + du, v + dv, 12.0, 12.0)))
+        if sides != "gt" and rng.random() < 0.3:  # clutter, on an id of its own
+            pred.append((t, 7777, (*rng.uniform(0, 60, 2), 12.0, 12.0)))
+    if rng.random() < 0.1:  # a gt row before frame 1 counts in MOTA only
+        gt.append((0, int(gt_ids[0]), (0.0, 0.0, 12.0, 12.0)))
+    return rows_sequence(gt, n_frames + int(rng.integers(0, 3))), rows_sequence(pred)
+
+
+class TestEvaluatorOracle:
+    """evaluate gives the dict and Counter evaluator's report, exactly."""
+
+    def test_equals_dict_evaluator(self):
+        rng = np.random.default_rng(17)
+        cases = [oracle_case(rng) for _ in range(60)]
+        cases += [(seq([], n_frames=3), seq([])), (seq([]), seq([])),
+                  (seq(moving_gt()), seq([])), (seq([], n_frames=10), seq(moving_gt()))]
+        switches = 0
+        for gt, pred in cases:
+            for thr in (0.3, 0.7):
+                for sweep in (False, True):
+                    got = evaluate(gt, pred, thr, sweep)
+                    assert got == metrics_ref.evaluate(gt, pred, thr, sweep)
+                    assert type(got.tp) is type(got.id_switches) is type(got.mostly_lost) is int
+                    switches += got.id_switches
+        assert switches > 0
 
 
 def shift_after(sequence, frame, by):

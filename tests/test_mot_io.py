@@ -1,6 +1,9 @@
 import math
 import struct
+import sys
 import tempfile
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +511,116 @@ class TestColumnarReaderOracle:
         assert list(table) == records
         assert [table[i] for i in range(len(table))] == records
         assert table[-1] == records[-1]
+
+
+# field spellings the one-pass parse must read as int()/float() do, or
+# decline so that the line loop reads (or names) them
+_INT_FIELDS = ["1.0", "1_0", "+1", " 7 ", "2\t", "#3", '"4"', "١", "３", "0",
+               "9223372036854775807", "9223372036854775808", "-9223372036854775809"]
+_FLOAT_FIELDS = ["1.0", "1_0", "+1", " 2.5 ", "#", "1#", '"1"', "nan", "inf", "-inf",
+                 "1e400", "-1e400", "1e-400", "١", "３", "-0.0"]
+
+
+@st.composite
+def _spelled_rows(draw):
+    """MOT CSV bytes: rows of 9, 10 or 11 columns, one width per file or
+    mixed, some fields in the spellings above, with blank lines and \n or
+    \r\n line ends."""
+    widths = draw(st.sampled_from([[9], [10], [11], [9, 10], [9, 10, 11]]))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        cols = [str(draw(st.integers(1, 30))), draw(st.sampled_from(["-1", "3"])),
+                "12.5", "-3.25", "10", "24.75", draw(st.sampled_from(["0.9", "1", "0"]))]
+        cols += ["-1"] * (draw(st.sampled_from(widths)) - 7)
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(cols) - 1))
+            cols[i] = draw(st.sampled_from(_INT_FIELDS if i < 2 else _FLOAT_FIELDS))
+        lines.append(",".join(cols))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join(lines) + newline).encode()
+
+
+class TestParserOracle:
+    """The one-pass parse gives the line loop's table (dtypes and values)
+    or its error type and message, for the spellings that int()/float()
+    and numpy read differently."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_spelled_rows())
+    @example(b"1.0,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1,1.0,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1_0,+1,1_0,+1,10,10,0.9,-1,-1,-1\n")
+    @example(b" 2 , 3 ,\t1.5 , 2 ,10,10,0.9,-1,-1,-1\n")
+    @example(b"#1,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b'1,-1,"0",0,10,10,0.9,-1,-1,-1\n')
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,1e400\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,nan\n")
+    @example(b"9223372036854775808,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1,-1,-1\n")
+    @example(b"1,-1,0,0,10,10,0.9,-1,-1\n1,-1,0,0,10,10,0.9,-1,-1,-1\n")
+    @example("3,-1,١,0,10,10,0.9,-1,-1,-1\n".encode())
+    @example("３,-1,0,0,10,10,0.9,-1,-1,-1\n".encode())
+    @example(b"\r\n1,-1,0,0,10,10,0.9,-1,-1,-1\r\n\r\n2,-1,0,0,10,10,0.9,-1,-1,-1\r\n")
+    def test_equals_line_loop(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.txt"
+            p.write_bytes(data)
+            assert _read_outcome(read_mot_lines, p) == _read_outcome(_line_loop_reader, p)
+
+    def test_python_only_spellings_keep_their_values(self, tmp_path):
+        # loadtxt rejects these, so the line loop reads them with int()/float()
+        p = tmp_path / "t.txt"
+        p.write_text("1_0,+1,1_0,١,３,10,0.9,-1,-1,-1\n", encoding="utf-8")
+        table = read_mot_lines(p)
+        assert (table.frame.tolist(), table.id.tolist()) == ([10], [1])
+        assert table.ltwh.tolist() == [[10.0, 1.0, 3.0, 10.0]]
+
+    def test_deprecation_warning_declines(self, tmp_path, monkeypatch):
+        # numpy < 2 warns and then reads 1.5 into an int column as 1: the
+        # warning must decline the parse, so that the line loop names the
+        # line, and leave the process's warning filters as they were
+        loadtxt = np.loadtxt
+        calls = []
+
+        def old_numpy_loadtxt(rows, **kwargs):
+            calls.append(len(rows))
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return loadtxt([row.replace("1.5", "1", 1) for row in rows], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", old_numpy_loadtxt)
+        p = tmp_path / "t.txt"
+        p.write_text("1.5,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # as outside the tests
+            filters = list(warnings.filters)
+            with pytest.raises(ParseError, match=r"t\.txt line 1: invalid literal for int\(\)"):
+                read_mot_lines(p)
+            assert warnings.filters == filters
+        assert calls == [1]
+
+    def test_threads_leave_the_warning_filters_as_they_were(self, tmp_path):
+        # each parse swaps the process-wide filters in and out; parses on
+        # several threads at once must not leave one thread's swap behind
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n" * 50)
+        bad.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1_0,-1,0,0,10,10,0.9,-1,-1,-1\n" * 25)
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # as outside the tests
+            filters = list(warnings.filters)
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(read_mot_lines, path) for path in [good, bad] * 200]
+                    rows = [len(future.result(timeout=60)) for future in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            assert warnings.filters == filters
+        assert rows == [50, 50] * 200
 
 
 # values at and around two-decimal ties, signed zeros, and x/y/z that int()

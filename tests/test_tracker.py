@@ -4,7 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import macsort.tracker
+import metrics_ref
 import motion_ref as ref
 from conftest import cost_matrix, make_tracks, mot_rows, table, tables, uvwh
 from macsort.cli import main
@@ -250,6 +253,68 @@ class TestLinearAssignment:
                     for p in itertools.permutations(range(n))
                 )
                 assert total == pytest.approx(best, abs=1e-12)
+
+
+def _matchings(cost):
+    """Every set of finite cells that shares no row and no column, as
+    (count, total cost, pairs)."""
+    cells = list(zip(*np.nonzero(np.isfinite(cost))))
+    for k in range(len(cells) + 1):
+        for chosen in itertools.combinations(cells, k):
+            rows, cols = zip(*chosen) if chosen else ((), ())
+            if len(set(rows)) == len(set(cols)) == k:
+                yield k, sum(cost[r, c] for r, c in chosen), sorted(chosen)
+
+
+class TestForcedAssignment:
+    """When no row and no column holds two finite cells, the finite cells
+    are the answer and the solver is not called; otherwise it is."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(macsort.tracker, "linear_sum_assignment", counted)
+        return calls
+
+    def test_forced_matching_equals_solver(self, rng, solver_calls):
+        for _ in range(300):
+            m, n = rng.integers(0, 8, 2)
+            cost = np.full((m, n), np.inf)
+            k = int(rng.integers(0, min(m, n) + 1))
+            rows, cols = rng.permutation(m)[:k], rng.permutation(n)[:k]
+            scale = 10.0 ** rng.integers(-3, 4)
+            cost[rows, cols] = rng.uniform(-1, 1, k) * scale  # any sign
+            got = _pairs(*linear_assignment(cost))
+            assert got == _pairs(*metrics_ref.solver_assignment(cost))
+            assert got == sorted(zip(rows.tolist(), cols.tolist()))
+        assert solver_calls == []
+
+    @pytest.mark.parametrize("cost", [np.zeros((0, 4)), np.zeros((4, 0)),
+                                      np.full((3, 4), np.inf), np.array([[-5.0]])])
+    def test_edge_shapes_skip_the_solver(self, cost, solver_calls):
+        assert _pairs(*linear_assignment(cost)) == _pairs(*metrics_ref.solver_assignment(cost))
+        assert solver_calls == []
+
+    def test_two_finite_cells_in_a_line_go_to_the_solver(self, rng, solver_calls):
+        for _ in range(100):
+            m, n = rng.integers(1, 5, 2)
+            cost = np.where(rng.random((m, n)) < 0.5, rng.uniform(-1, 1, (m, n)), np.inf)
+            finite = np.isfinite(cost)
+            if (finite.sum(axis=0) <= 1).all() and (finite.sum(axis=1) <= 1).all():
+                continue
+            before = len(solver_calls)
+            rows, cols = linear_assignment(cost)
+            assert len(solver_calls) == before + 1
+            # the most finite cells, and among those the least total cost
+            count, total, _ = min(_matchings(cost), key=lambda t: (-t[0], t[1]))
+            assert len(rows) == count
+            assert cost[rows, cols].sum() == pytest.approx(total, abs=1e-12)
+        assert len(solver_calls) >= 50
 
 
 class TestTrackerStep:
