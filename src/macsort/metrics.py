@@ -68,11 +68,6 @@ class TrackSequence:
         """The rows of a MotTable, file order within a frame."""
         return cls(table.frame, table.id, table.uvwh())
 
-    def rows_at(self, frame: int) -> tuple[list[int], np.ndarray]:
-        """A frame's ids and (n, 4) boxes."""
-        rows = self.frame_rows.get(frame, slice(0))
-        return self.id[rows].tolist(), self.boxes[rows]
-
     @property
     def last_frame(self) -> int:
         return max(int(self.frame[-1]) if len(self.frame) else 0, self.n_frames or 0)

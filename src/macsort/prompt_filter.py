@@ -23,6 +23,12 @@ from .geometry import cosine_matrix, iou_matrix, uvwh_array
 SHORT_WINDOW_FRAMES = 3
 
 
+def _check_kappas(kappa1: int, kappa2: int) -> None:
+    """The band sizes of TpodConfig and MemoryBank: both at least 1."""
+    if kappa1 < 1 or kappa2 < 1:
+        raise ValueError(f"kappa1 and kappa2 must be >= 1, got {kappa1} and {kappa2}")
+
+
 @dataclass
 class TpodConfig:
     """Knobs for the per-frame filtering pipeline."""
@@ -35,10 +41,7 @@ class TpodConfig:
     memory_from_ie_only: bool = False
 
     def __post_init__(self):
-        if self.kappa1 < 1 or self.kappa2 < 1:
-            raise ValueError(
-                f"kappa1 and kappa2 must be >= 1, got {self.kappa1} and {self.kappa2}"
-            )
+        _check_kappas(self.kappa1, self.kappa2)
         if not (0.0 <= self.detection_threshold <= 1.0):
             raise ValueError(
                 f"detection_threshold must be in [0, 1], got {self.detection_threshold}"
@@ -85,59 +88,67 @@ class PromptDetections:
     def empty(cls, dim: int = 1) -> "PromptDetections":
         return cls(np.zeros((0, 4)), np.zeros((0, max(dim, 1))), np.zeros(0))
 
-    def subset(self, indices) -> "PromptDetections":
-        indices = np.asarray(indices, dtype=int)
-        return PromptDetections(
-            self.boxes[indices], self.features[indices], self.scores[indices]
-        )
-
     @staticmethod
     def concat(*sets: "PromptDetections") -> "PromptDetections":
         """The rows of all sets in order; an empty set adds nothing, and when
-        all are empty the last one is returned."""
-        full = [s for s in sets if len(s)]
-        if len(full) <= 1:
-            return full[0] if full else sets[-1]
-        if len({s.dim for s in full}) > 1:
-            dims = " vs ".join(str(s.dim) for s in full)
-            raise DimensionMismatch(f"feature dims differ: {dims}")
-        return PromptDetections(*(np.concatenate([getattr(s, col) for s in full])
-                                  for col in ("boxes", "features", "scores")))
+        all are empty the last one's columns are kept."""
+        return PromptDetections(*_concat_rows(*((s.boxes, s.features, s.scores) for s in sets)))
 
 
-def _top_k(rows: PromptDetections, k: int) -> PromptDetections:
+# a memory band or short-window entry: features (n, d) and scores (n,)
+Band = tuple[np.ndarray, np.ndarray]
+
+
+def _concat_rows(*sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The rows of parallel columns, features next to last and scores last,
+    set after set; an empty set adds nothing, and when all are empty the
+    last one is returned."""
+    full = [cols for cols in sets if len(cols[-1])]
+    if len(full) <= 1:
+        return full[0] if full else sets[-1]
+    dims = [cols[-2].shape[1] for cols in full]
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(f"feature dims differ: {' vs '.join(map(str, dims))}")
+    return tuple(np.concatenate(col) for col in zip(*full))
+
+
+def _top_k(features: np.ndarray, scores: np.ndarray, k: int) -> Band:
     """The k highest-scoring rows; a stable sort keeps equal scores in row
     order."""
-    return rows.subset(np.argsort(-rows.scores, kind="stable")[:k])
+    keep = np.argsort(-scores, kind="stable")[:k]
+    return features[keep], scores[keep]
 
 
 @dataclass
 class MemoryBank:
-    """Long/short bands of high-confidence true positives.
+    """Long/short bands of high-confidence true positives, each a Band.
 
     The long band keeps the top kappa1 scores since the start of tracking;
     the short band keeps the top kappa2 scores from the last three frames
-    (``window``, the accepted tables of the last three updates). Bands are
+    (``window``, the accepted Bands of the last three updates). Bands are
     ranked by score, ties broken by earlier frame, then lower in-frame
     index: rows enter in that order, and the ranking is stable.
     """
 
     kappa1: int = TpodConfig.kappa1
     kappa2: int = TpodConfig.kappa2
-    long: PromptDetections = field(default_factory=PromptDetections.empty)
-    short: PromptDetections = field(default_factory=PromptDetections.empty)
-    window: list[PromptDetections] = field(default_factory=list)
+    long: Band = (np.zeros((0, 1)), np.zeros(0))
+    short: Band = (np.zeros((0, 1)), np.zeros(0))
+    window: list[Band] = field(default_factory=list)
+
+    def __post_init__(self):
+        _check_kappas(self.kappa1, self.kappa2)
 
     @property
     def usable(self) -> bool:
-        return bool(self.long) and bool(self.short)
+        return len(self.long[1]) > 0 and len(self.short[1]) > 0
 
-    def update(self, accepted: PromptDetections, frame: int) -> "MemoryBank":
+    def update(self, features: np.ndarray, scores: np.ndarray) -> "MemoryBank":
         """Fold one frame's accepted true positives into both bands; frames
         are to come in ascending order."""
-        self.long = _top_k(PromptDetections.concat(self.long, accepted), self.kappa1)
-        self.window = [*self.window, accepted][-SHORT_WINDOW_FRAMES:]
-        self.short = _top_k(PromptDetections.concat(*self.window), self.kappa2)
+        self.long = _top_k(*_concat_rows(self.long, (features, scores)), self.kappa1)
+        self.window = [*self.window, (features, scores)][-SHORT_WINDOW_FRAMES:]
+        self.short = _top_k(*_concat_rows(*self.window), self.kappa2)
         return self
 
 
@@ -172,48 +183,43 @@ def ie_classify(
     include: PromptDetections,
     exclude: PromptDetections,
     overlap_threshold: float = TpodConfig.overlap_threshold,
-) -> tuple[PromptDetections, PromptDetections]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Classify general-prompt boxes by include/exclude overlap.
 
-    Returns (true positives, unclassified); boxes overlapping an exclude box
-    are dropped. A box overlapping both sides goes to the larger IoU, ties
-    falling to the exclude side.
+    Returns the row indices into ``general`` of the true positives and of
+    the unclassified boxes, each ascending; boxes overlapping an exclude
+    box are dropped. A box overlapping both sides goes to the larger IoU,
+    ties falling to the exclude side.
     """
     if not (0.0 <= overlap_threshold < 1.0):
         raise ValueError(f"overlap_threshold must be in [0,1), got {overlap_threshold}")
     _check_dims(general, include, exclude)
-    n = len(general)
-    if n == 0:
-        return general, general
     max_inc, max_exc = (
         iou_matrix(general.boxes, prompt.boxes).max(axis=1)
         if len(prompt)
-        else np.zeros(n)
+        else np.zeros(len(general))
         for prompt in (include, exclude)
     )
     inc_hit = max_inc > overlap_threshold
     exc_hit = max_exc > overlap_threshold
     tp_mask = inc_hit & (~exc_hit | (max_inc > max_exc))
-    fp_mask = exc_hit & ~tp_mask
-    uncl_mask = ~tp_mask & ~fp_mask
-    return general.subset(np.flatnonzero(tp_mask)), general.subset(np.flatnonzero(uncl_mask))
+    return np.flatnonzero(tp_mask), np.flatnonzero(~tp_mask & ~exc_hit)
 
 
-def lsm_similarity_profile(
-    memory: MemoryBank, unclassified: PromptDetections
-) -> LsmSimilarityProfile:
-    """Mean cosine similarity of each unclassified box against both bands.
+def lsm_similarity_profile(memory: MemoryBank, features: np.ndarray) -> LsmSimilarityProfile:
+    """Mean cosine similarity of each unclassified box's features (n, d)
+    against both bands.
 
     Means run over the actual band occupancy (bands may hold fewer than
     kappa entries early in a sequence); the pooled values are the means of
     the per-box values.
     """
-    if not memory.long or not memory.short:
+    if not memory.usable:
         raise EmptyMemory("both memory bands must be non-empty")
-    if len(unclassified) == 0:
+    if len(features) == 0:
         raise EmptyInput("no unclassified boxes to profile")
-    sim_long = cosine_matrix(memory.long.features, unclassified.features).mean(axis=0)
-    sim_short = cosine_matrix(memory.short.features, unclassified.features).mean(axis=0)
+    sim_long = cosine_matrix(memory.long[0], features).mean(axis=0)
+    sim_short = cosine_matrix(memory.short[0], features).mean(axis=0)
     return LsmSimilarityProfile(
         sim_long=sim_long,
         sim_short=sim_short,
@@ -222,20 +228,15 @@ def lsm_similarity_profile(
     )
 
 
-def lsm_classify(
-    profile: LsmSimilarityProfile, unclassified: PromptDetections
-) -> tuple[PromptDetections, PromptDetections]:
-    """Split unclassified boxes into rescued TPs and rejected FPs.
+def lsm_classify(profile: LsmSimilarityProfile) -> np.ndarray:
+    """The boolean mask of the profiled boxes that are rejected as false
+    positives; the rest are rescued as true positives.
 
     A box is rejected only when strictly below the pooled similarity on
     both the short and the long band.
     """
-    fp_mask = (profile.sim_short < profile.sim_short_overall) & (
+    return (profile.sim_short < profile.sim_short_overall) & (
         profile.sim_long < profile.sim_long_overall
-    )
-    return (
-        unclassified.subset(np.flatnonzero(~fp_mask)),
-        unclassified.subset(np.flatnonzero(fp_mask)),
     )
 
 
@@ -257,30 +258,31 @@ def tpod_frame(
 
     While the memory bands are still empty (cold start) unclassified boxes
     pass through as TPs by default, otherwise the memory could never fill.
-    The memory is updated in place with the frame's final TPs.
+    The final TPs are the IE true positives, then the rescued boxes, each
+    in ``general``'s row order. The memory is updated in place with them.
     """
     config = config or TpodConfig()
-    tps_ie, unclassified = ie_classify(
-        general, include, exclude, config.overlap_threshold
-    )
-    rescued = PromptDetections.empty(general.dim)
-    rejected = PromptDetections.empty(general.dim)
+    tp_rows, unclassified = ie_classify(general, include, exclude, config.overlap_threshold)
+    rescued = rejected = unclassified[:0]
     if len(unclassified):
         if memory.usable:
-            profile = lsm_similarity_profile(memory, unclassified)
-            rescued, rejected = lsm_classify(profile, unclassified)
+            profile = lsm_similarity_profile(memory, general.features[unclassified])
+            fp_mask = lsm_classify(profile)
+            rescued, rejected = unclassified[~fp_mask], unclassified[fp_mask]
         elif config.cold_start_passthrough:
             rescued = unclassified
         else:
             rejected = unclassified
-    final = PromptDetections.concat(tps_ie, rescued)
-    memory.update(tps_ie if config.memory_from_ie_only else final, frame)
+    final = np.concatenate([tp_rows, rescued])
+    accepted = tp_rows if config.memory_from_ie_only else final
+    memory.update(general.features[accepted], general.scores[accepted])
     stats = TpodFrameStats(
         n_general=len(general),
-        n_ie_tps=len(tps_ie),
-        n_dropped=len(general) - len(tps_ie) - len(unclassified),
+        n_ie_tps=len(tp_rows),
+        n_dropped=len(general) - len(tp_rows) - len(unclassified),
         n_unclassified=len(unclassified),
         n_rescued=len(rescued),
         n_rejected=len(rejected),
     )
-    return TpodFrameResult(final_tps=final, stats=stats)
+    rows = general.boxes[final], general.features[final], general.scores[final]
+    return TpodFrameResult(final_tps=PromptDetections(*rows), stats=stats)

@@ -5,6 +5,7 @@ from macsort.geometry import BBox, unit_rows
 from macsort.metrics import TrackSequence
 from macsort.prompt_filter import PromptDetections
 from macsort.tracker import Tracks, build_cost_matrix
+from metrics_ref import rows_at
 from motion_ref import Detection
 
 
@@ -38,7 +39,7 @@ def rows_sequence(rows, n_frames=None):
 
 def boxes_at(sequence, frame):
     """A TrackSequence frame's rows as (id, BBox) pairs, in its row order."""
-    ids, boxes = sequence.rows_at(frame)
+    ids, boxes = rows_at(sequence, frame)
     return [(obj_id, BBox(*box)) for obj_id, box in zip(ids, boxes.tolist())]
 
 

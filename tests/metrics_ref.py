@@ -13,6 +13,13 @@ from macsort.geometry import iou_matrix
 from macsort.metrics import ML_COVERAGE, MT_COVERAGE, SWEEP_THRESHOLDS, MetricsReport
 
 
+def rows_at(sequence, frame):
+    """A TrackSequence frame's ids (a list) and (n, 4) boxes, sliced
+    through its ``frame_rows``."""
+    rows = sequence.frame_rows.get(frame, slice(0))
+    return sequence.id[rows].tolist(), sequence.boxes[rows]
+
+
 def solver_assignment(cost):
     """Minimum-cost assignment with +inf entries forbidden, always through
     the solver: the matched (rows, cols), rows ascending."""
@@ -123,8 +130,8 @@ def evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False) -> MetricsReport:
     tp = idsw = 0
     prev, last_match = {}, {}
     for f in walk.tolist():
-        gt_ids, gt_boxes = gt.rows_at(f)
-        pred_ids, pred_boxes = pred.rows_at(f)
+        gt_ids, gt_boxes = rows_at(gt, f)
+        pred_ids, pred_boxes = rows_at(pred, f)
         gt_len.update(gt_ids)
         pred_len.update(pred_ids)
 

@@ -166,8 +166,9 @@ def test_criterion_5_lsm_partition_and_bounds():
             s = res.stats
             assert len(res.final_tps) + s.n_dropped + s.n_rejected == s.n_general
             assert s.n_ie_tps + s.n_rescued == len(res.final_tps)
-            assert len(memory.long) <= 9
-            assert len(memory.short) <= 3
+            for (features, scores), kappa in ((memory.long, 9), (memory.short, 3)):
+                assert len(features) == len(scores) <= kappa
+        assert len(memory.long[1]) == 9  # the bound is reached, not only kept
 
     # rescue scenario: feature-matching unclassified box is recovered
     e1 = np.array([1.0, 0.0, 0.0, 0.0])

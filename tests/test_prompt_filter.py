@@ -1,5 +1,3 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from macsort.errors import DimensionMismatch, EmptyInput, EmptyMemory
 from macsort.geometry import BBox
 from macsort.prompt_filter import (
     MemoryBank,
-    SHORT_WINDOW_FRAMES,
     PromptDetections,
     TpodConfig,
     ie_classify,
@@ -15,6 +12,7 @@ from macsort.prompt_filter import (
     lsm_similarity_profile,
     tpod_frame,
 )
+import prompt_filter_ref as ref
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -38,39 +36,39 @@ class TestIeClassify:
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
         tps, uncl = ie_classify(general, include, exclude)
-        assert tps.boxes[:, 0].tolist() == [0]
-        assert uncl.boxes[:, 0].tolist() == [200]
+        assert general.boxes[tps, 0].tolist() == [0]
+        assert general.boxes[uncl, 0].tolist() == [200]
 
     def test_empty_prompts_leave_all_unclassified(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
         tps, uncl = ie_classify(general, empty, empty)
-        assert len(tps) == 0
-        assert len(uncl) == 3
+        assert tps.tolist() == []
+        assert uncl.tolist() == [0, 1, 2]
 
     def test_full_include_coverage(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
         tps, uncl = ie_classify(general, general, PromptDetections.empty(4))
-        assert len(tps) == 3 and len(uncl) == 0
+        assert tps.tolist() == [0, 1, 2] and uncl.tolist() == []
 
     def test_tie_goes_to_exclude(self):
         general = dets([(0, 0, 10, 10)], [E1])
         same = dets([(2, 0, 10, 10)], [E1])
         tps, uncl = ie_classify(general, same, same)
-        assert len(tps) == 0 and len(uncl) == 0
+        assert tps.tolist() == [] and uncl.tolist() == []
 
     def test_higher_iou_wins(self):
         general = dets([(0, 0, 10, 10)], [E1])
         include = dets([(1, 0, 10, 10)], [E1])   # closer overlap
         exclude = dets([(6, 0, 10, 10)], [E1])
         tps, _ = ie_classify(general, include, exclude)
-        assert len(tps) == 1
+        assert tps.tolist() == [0]
 
     def test_overlap_threshold_gates(self):
         general = dets([(0, 0, 10, 10)], [E1])
         include = dets([(8, 0, 10, 10)], [E1])  # iou = 2/18 ~ 0.111
         tps, uncl = ie_classify(general, include, PromptDetections.empty(4), 0.2)
-        assert len(tps) == 0 and len(uncl) == 1
+        assert tps.tolist() == [] and uncl.tolist() == [0]
 
     def test_dim_mismatch(self):
         general = dets([(0, 0, 10, 10)], [E1])
@@ -88,21 +86,29 @@ class TestIeClassify:
             general = mk(n_g)
             tps, uncl = ie_classify(general, mk(n_i), mk(n_e))
             assert len(tps) + len(uncl) <= len(general)
-            got = {tuple(b) for b in tps.boxes.tolist()} | {tuple(b) for b in uncl.boxes.tolist()}
-            assert len(got) == len(tps) + len(uncl)  # disjoint subsets
+            assert len(set(tps.tolist()) | set(uncl.tolist())) == len(tps) + len(uncl)  # disjoint
+            assert np.all(np.diff(tps) > 0) and np.all(np.diff(uncl) > 0)
 
 
 def full_memory(feature=E1, n_frames=2):
     memory = MemoryBank(kappa1=9, kappa2=3)
-    for f in range(n_frames):
-        memory.update(dets(spaced_boxes(3), [feature] * 3, [0.9, 0.8, 0.7]), f)
+    for _ in range(n_frames):
+        memory.update(np.array([feature] * 3), np.array([0.9, 0.8, 0.7]))
     return memory
+
+
+def n_rows(band):
+    """A memory band's row count; len() of the (features, scores) pair is
+    always 2."""
+    features, scores = band
+    assert len(features) == len(scores)
+    return len(scores)
 
 
 class TestLsmProfile:
     def test_identical_features_give_one(self):
         memory = full_memory()
-        profile = lsm_similarity_profile(memory, dets([(0, 0, 5, 5)], [E1]))
+        profile = lsm_similarity_profile(memory, np.array([E1]))
         assert profile.sim_long[0] == pytest.approx(1.0)
         assert profile.sim_short[0] == pytest.approx(1.0)
         assert profile.sim_long_overall == pytest.approx(1.0)
@@ -110,9 +116,7 @@ class TestLsmProfile:
 
     def test_orthogonal_pair_means(self):
         memory = full_memory()
-        profile = lsm_similarity_profile(
-            memory, dets(spaced_boxes(2), [E1, E2])
-        )
+        profile = lsm_similarity_profile(memory, np.array([E1, E2]))
         assert profile.sim_long == pytest.approx([1.0, 0.0])
         assert profile.sim_long_overall == pytest.approx(0.5)
         assert profile.sim_short == pytest.approx([1.0, 0.0])
@@ -120,148 +124,119 @@ class TestLsmProfile:
 
     def test_single_box_equals_aggregate(self):
         memory = full_memory()
-        profile = lsm_similarity_profile(memory, dets([(0, 0, 5, 5)], [E2]))
+        profile = lsm_similarity_profile(memory, np.array([E2]))
         assert profile.sim_long_overall == profile.sim_long[0]
         assert profile.sim_short_overall == profile.sim_short[0]
 
     def test_aggregate_is_mean_of_per_box(self, rng):
         memory = full_memory()
         feats = rng.standard_normal((5, 4))
-        profile = lsm_similarity_profile(memory, dets(spaced_boxes(5), feats))
+        profile = lsm_similarity_profile(memory, feats)
         assert profile.sim_long_overall == pytest.approx(profile.sim_long.mean())
         assert profile.sim_short_overall == pytest.approx(profile.sim_short.mean())
 
     def test_empty_memory_raises(self):
         with pytest.raises(EmptyMemory):
-            lsm_similarity_profile(MemoryBank(), dets([(0, 0, 5, 5)], [E1]))
+            lsm_similarity_profile(MemoryBank(), np.array([E1]))
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInput):
-            lsm_similarity_profile(full_memory(), PromptDetections.empty(4))
+            lsm_similarity_profile(full_memory(), np.zeros((0, 4)))
 
 
 class TestLsmClassify:
     def test_single_box_is_tp(self):
         memory = full_memory()
-        uncl = dets([(0, 0, 5, 5)], [E2])  # dissimilar, but alone
-        profile = lsm_similarity_profile(memory, uncl)
-        tps, fps = lsm_classify(profile, uncl)
-        assert len(tps) == 1 and len(fps) == 0
+        profile = lsm_similarity_profile(memory, np.array([E2]))  # dissimilar, but alone
+        assert lsm_classify(profile).tolist() == [False]
 
     def test_orthogonal_pair_split(self):
         memory = full_memory()
-        uncl = dets(spaced_boxes(2), [E1, E2])
-        profile = lsm_similarity_profile(memory, uncl)
-        tps, fps = lsm_classify(profile, uncl)
-        assert tps.boxes[:, 0].tolist() == [0]
-        assert fps.boxes[:, 0].tolist() == [100]
+        profile = lsm_similarity_profile(memory, np.array([E1, E2]))
+        assert lsm_classify(profile).tolist() == [False, True]
 
     def test_shared_feature_all_tp(self):
         memory = full_memory()
-        uncl = dets(spaced_boxes(4), [E2] * 4)
-        profile = lsm_similarity_profile(memory, uncl)
-        tps, fps = lsm_classify(profile, uncl)
-        assert len(tps) == 4 and len(fps) == 0
+        profile = lsm_similarity_profile(memory, np.array([E2] * 4))
+        assert lsm_classify(profile).tolist() == [False] * 4
 
 
 def tagged(frame, scores):
-    """A frame's detections whose features read (frame, in-frame index)."""
-    feats = [(frame, i, 1.0, 0.0) for i in range(len(scores))]
-    return dets(spaced_boxes(len(scores)), feats, scores)
+    """A frame's accepted (features, scores) whose features read (frame,
+    in-frame index)."""
+    return np.array([(frame, i, 1.0, 0.0) for i in range(len(scores))]), np.array(scores)
 
 
 def frame_index(band):
-    return [tuple(row) for row in band.features[:, :2].astype(int).tolist()]
-
-
-@dataclass(frozen=True)
-class RefEntry:
-    feature: np.ndarray
-    score: float
-    frame: int
-    index: int
-
-
-class RefMemoryBank:
-    """The memory bank as lists of entries, each band re-sorted by
-    (-score, frame, index) on every update; kept as a test oracle."""
-
-    def __init__(self, kappa1, kappa2):
-        self.kappa1, self.kappa2 = kappa1, kappa2
-        self.long, self.short, self.window = [], [], []
-
-    @staticmethod
-    def _top_k(entries, k):
-        return sorted(entries, key=lambda e: (-e.score, e.frame, e.index))[:k]
-
-    def update(self, accepted, frame):
-        entries = [RefEntry(accepted.features[i], float(accepted.scores[i]), frame, i)
-                   for i in range(len(accepted))]
-        self.long = self._top_k(self.long + entries, self.kappa1)
-        self.window = (self.window + [entries])[-SHORT_WINDOW_FRAMES:]
-        self.short = self._top_k([e for batch in self.window for e in batch], self.kappa2)
+    features, _ = band
+    return [tuple(row) for row in features[:, :2].astype(int).tolist()]
 
 
 class TestMemoryBank:
     def test_top_k_selection(self, rng):
         memory = MemoryBank(kappa1=9, kappa2=3)
         scores = rng.permutation(np.linspace(0.1, 0.9, 12))
-        memory.update(dets(spaced_boxes(12), [E1] * 12, scores), 0)
-        assert len(memory.long) == 9
-        assert len(memory.short) == 3
+        memory.update(np.array([E1] * 12), scores)
+        assert n_rows(memory.long) == 9
+        assert n_rows(memory.short) == 3
         top = sorted(scores, reverse=True)
-        assert memory.long.scores.tolist() == pytest.approx(top[:9])
-        assert memory.short.scores.tolist() == pytest.approx(top[:3])
+        assert memory.long[1].tolist() == pytest.approx(top[:9])
+        assert memory.short[1].tolist() == pytest.approx(top[:3])
 
     def test_short_window_eviction(self):
         memory = MemoryBank()
-        memory.update(tagged(0, [0.99]), 0)
+        memory.update(*tagged(0, [0.99]))
         for f in (1, 2, 3):
-            memory.update(tagged(f, [0.5]), f)
+            memory.update(*tagged(f, [0.5]))
         assert all(f >= 1 for f, _ in frame_index(memory.short))
         assert (0, 0) in frame_index(memory.long)  # long keeps the best
 
     def test_long_stable_when_full_of_better(self):
         memory = MemoryBank(kappa1=3)
-        memory.update(tagged(0, [0.9, 0.8, 0.7]), 0)
-        before = memory.long.scores.tolist(), frame_index(memory.long)
-        memory.update(tagged(1, [0.1]), 1)
-        assert (memory.long.scores.tolist(), frame_index(memory.long)) == before
+        memory.update(*tagged(0, [0.9, 0.8, 0.7]))
+        before = memory.long[1].tolist(), frame_index(memory.long)
+        memory.update(*tagged(1, [0.1]))
+        assert (memory.long[1].tolist(), frame_index(memory.long)) == before
 
     def test_tie_break_earlier_frame_lower_index(self):
         memory = MemoryBank(kappa1=2)
-        memory.update(tagged(3, [0.5, 0.5]), 3)
-        memory.update(tagged(4, [0.5]), 4)
+        memory.update(*tagged(3, [0.5, 0.5]))
+        memory.update(*tagged(4, [0.5]))
         assert frame_index(memory.long) == [(3, 0), (3, 1)]
 
     def test_bounds_always_hold(self, rng):
-        memory = MemoryBank(kappa1=9, kappa2=3)
+        memory, sizes = MemoryBank(kappa1=9, kappa2=3), []
         for f in range(40):
             n = int(rng.integers(0, 6))
-            memory.update(
-                dets(spaced_boxes(n), rng.standard_normal((n, 4)), rng.uniform(0, 1, n)),
-                f,
-            )
-            assert len(memory.long) <= 9
-            assert len(memory.short) <= 3
-            scores = memory.long.scores.tolist()
+            memory.update(rng.standard_normal((n, 4)), rng.uniform(0, 1, n))
+            sizes.append(n)
+            assert n_rows(memory.long) == min(9, sum(sizes))
+            assert n_rows(memory.short) == min(3, sum(sizes[-3:]))
+            scores = memory.long[1].tolist()
             assert scores == sorted(scores, reverse=True)
 
     def test_equals_entry_lists_on_tied_scores(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             kappa1, kappa2 = (int(k) for k in rng.integers(1, 8, 2))
-            memory, ref = MemoryBank(kappa1, kappa2), RefMemoryBank(kappa1, kappa2)
+            memory, entries = MemoryBank(kappa1, kappa2), ref.RefMemoryBank(kappa1, kappa2)
             for frame in range(1, 25):
                 n = int(rng.choice([0, 0, 1, 2, 4, 6]))  # empty frames are common
-                accepted = dets(spaced_boxes(n), rng.standard_normal((n, 3)),
-                                rng.choice([0.3, 0.6, 0.9], n))
-                memory.update(accepted, frame)
-                ref.update(accepted, frame)
-                for band, want in ((memory.long, ref.long), (memory.short, ref.short)):
-                    assert band.scores.tolist() == [e.score for e in want]
-                    assert np.array_equal(band.features.reshape(-1, 3),
+                features, scores = rng.standard_normal((n, 3)), rng.choice([0.3, 0.6, 0.9], n)
+                memory.update(features, scores)
+                entries.update(features, scores, frame)
+                for (band_features, band_scores), want in ((memory.long, entries.long),
+                                                          (memory.short, entries.short)):
+                    assert band_scores.tolist() == [e.score for e in want]
+                    assert np.array_equal(band_features.reshape(-1, 3),
                                           np.array([e.feature for e in want]).reshape(-1, 3))
+
+    @pytest.mark.parametrize("kappas", [(-1, 3), (0, 3), (9, 0), (9, -2)])
+    def test_kappas_below_one_rejected(self, kappas):
+        message = f"kappa1 and kappa2 must be >= 1, got {kappas[0]} and {kappas[1]}"
+        for make in (MemoryBank, TpodConfig):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make(*kappas)
 
 
 class TestTpodFrame:
@@ -314,7 +289,8 @@ class TestTpodFrame:
         include = dets([(0, 0, 10, 10)], [E1])
         tpod_frame(general, include, PromptDetections.empty(4), memory, 0, cfg)
         # passthrough box excluded from memory: only the IE TP is stored
-        assert len(memory.long) == 1
+        assert n_rows(memory.long) == 1
+        assert memory.long[1].tolist() == [0.9]
 
     def test_partition_every_frame_random(self, rng):
         memory = MemoryBank()
@@ -389,3 +365,58 @@ class TestMonotonicity:
                 general, PromptDetections.concat(include, extra), exclude
             )
             assert len(tps1) >= len(tps0)
+
+
+def random_prompt(rng, n, dim, prototypes):
+    """n boxes near the origin, so that general and prompt boxes overlap
+    often, with features near one of the prototypes and tied scores."""
+    if n == 0:
+        return PromptDetections.empty(int(rng.choice([1, dim])))
+    boxes = [(u, v, w, h) for (u, v), (w, h) in zip(rng.uniform(0, 60, (n, 2)),
+                                                    rng.uniform(5, 25, (n, 2)))]
+    features = prototypes[rng.integers(0, len(prototypes), n)]
+    features = features + rng.choice([0.0, 0.3], (n, 1)) * rng.standard_normal((n, dim))
+    return PromptDetections(boxes, features, rng.choice([0.3, 0.6, 0.9], n))
+
+
+def band_bytes(features, scores):
+    return features.shape, features.tobytes(), scores.shape, scores.tobytes()
+
+
+class TestTpodFrameOracle:
+    """tpod_frame against the table-passing filter it replaced, frame by
+    frame: the same final rows bit for bit, the same stats and the same
+    memory bands."""
+
+    @pytest.mark.parametrize("config", [
+        TpodConfig(), TpodConfig(cold_start_passthrough=False),
+        TpodConfig(memory_from_ie_only=True),
+    ], ids=["default", "no_passthrough", "memory_from_ie_only"])
+    def test_equals_table_filter(self, config):
+        rng = np.random.default_rng(18)
+        totals = np.zeros(5, dtype=int)
+        for _ in range(40):
+            dim = int(rng.integers(2, 6))
+            prototypes = rng.standard_normal((3, dim))
+            kappa1, kappa2 = (int(k) for k in rng.integers(1, 10, 2))
+            memory, want_memory = MemoryBank(kappa1, kappa2), ref.MemoryBank(kappa1, kappa2)
+            for frame in range(1, 31):
+                general, include, exclude = (
+                    random_prompt(rng, int(rng.choice(sizes)), dim, prototypes)
+                    for sizes in ([0, 0, 1, 3, 6, 9], [0, 0, 1, 2, 4], [0, 0, 0, 1, 2])
+                )
+                got = tpod_frame(general, include, exclude, memory, frame, config)
+                want = ref.tpod_frame(general, include, exclude, want_memory, frame, config)
+                for col in ("boxes", "features", "scores"):
+                    a, b = getattr(got.final_tps, col), getattr(want.final_tps, col)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert got.stats == want.stats
+                for band, want_band in ((memory.long, want_memory.long),
+                                        (memory.short, want_memory.short)):
+                    assert band_bytes(*band) == band_bytes(want_band.features, want_band.scores)
+                assert [band_bytes(*e) for e in memory.window] == [
+                    band_bytes(e.features, e.scores) for e in want_memory.window]
+                s = got.stats
+                totals += (s.n_general == 0 and len(include) > 0, s.n_ie_tps, s.n_dropped,
+                           s.n_rescued, s.n_rejected)
+        assert np.all(totals > 0), totals  # every path was taken
