@@ -124,7 +124,7 @@ def parse_key_values(text: str, cls, error: type[InputError], where: str = "",
     """
     by_key = {(aliases or {}).get(f.name, f.name): f for f in fields(cls)}
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -127,18 +127,16 @@ def match_frame(
 
     ``gt`` and ``pred`` are the frame's id indices in row order, distinct
     on each side; ``ious`` is their IoU matrix (None when a side is empty);
-    ``prev[g]`` is the pred index matched to gt index g in the previous
-    frame, or -1. Pairs matched in the previous frame are kept while their
-    IoU still clears the threshold (a pred index carried over to two gt
-    rows stays with the first); the remainder is matched by maximum total
-    IoU.
+    ``prev`` is the previous frame's matching: ``prev[g]`` is the pred
+    index matched to gt index g, or -1, and no pred index appears twice.
+    Pairs matched in the previous frame are kept while their IoU still
+    clears the threshold; the remainder is matched by maximum total IoU.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     if not len(gt) or not len(pred):
         return gt[:0], pred[:0]
     kept = (pred == prev[gt][:, None]) & (ious >= iou_threshold)
-    kept &= np.cumsum(kept, axis=0) == 1
     rows, cols = np.nonzero(kept)
     rem_r, rem_c = np.flatnonzero(~kept.any(axis=1)), np.flatnonzero(~kept.any(axis=0))
     if len(rem_r) and len(rem_c):

@@ -162,9 +162,12 @@ class Tracks:
 class CostBreakdown:
     """Association cost matrix (rows = tracks, cols = detections) and its
     ingredients. ``total`` holds +inf where the IoU gate forbids a match.
-    The three term matrices hold their term on the pairs inside the gate
-    and NaN outside it, where nothing is computed."""
+    ``rows``/``cols`` are the pairs inside the gate in row-major order, the
+    order of ``total``'s finite cells, and the three terms are (k,) vectors
+    on those pairs; nothing is computed outside them."""
 
+    rows: np.ndarray
+    cols: np.ndarray
     iou_term: np.ndarray
     velocity_term: np.ndarray
     appearance_term: np.ndarray
@@ -192,13 +195,6 @@ def _direction_costs(tracks: Tracks, rows: np.ndarray, centers: np.ndarray,
     theta_new = np.arctan2(centers[:, 1] - last[:, 1], centers[:, 0] - last[:, 0])
     delta = np.abs(np.mod(theta_track - theta_new + math.pi, 2 * math.pi) - math.pi)
     out[seen] = lam * delta / math.pi
-    return out
-
-
-def _dense(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-           fill: float) -> np.ndarray:
-    out = np.full(shape, fill)
-    out[rows, cols] = values
     return out
 
 
@@ -255,16 +251,9 @@ def build_cost_matrix(
         w_aaw, w_amc = adaptive_weights(mu_det, cfg.theta_deg)
 
     iou_term = 1.0 - iou
-    total = w_amc * iou_term + velocity + w_aaw * appearance
-    return CostBreakdown(
-        iou_term=_dense((m, n), rows, cols, iou_term, np.nan),
-        velocity_term=_dense((m, n), rows, cols, velocity, np.nan),
-        appearance_term=_dense((m, n), rows, cols, appearance, np.nan),
-        mu_det=mu_det,
-        w_aaw=w_aaw,
-        w_amc=w_amc,
-        total=_dense((m, n), rows, cols, total, np.inf),
-    )
+    total = np.full((m, n), np.inf)
+    total[rows, cols] = w_amc * iou_term + velocity + w_aaw * appearance
+    return CostBreakdown(rows, cols, iou_term, velocity, appearance, mu_det, w_aaw, w_amc, total)
 
 
 def linear_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +298,6 @@ class MacSort:
         self._next_id = 1
         self._frames_seen = 0
         self._last_frame: int | None = None
-        self.last_breakdown: CostBreakdown | None = None
 
     @property
     def idle(self) -> bool:
@@ -364,12 +352,9 @@ class MacSort:
 
         det_embs_unit = unit_rows(dets.features)
         if len(trk) and len(dets):
-            breakdown = build_cost_matrix(trk, dets, cfg, det_embs_unit)
-            rows, cols = linear_assignment(breakdown.total)
-            self.last_breakdown = breakdown
+            rows, cols = linear_assignment(build_cost_matrix(trk, dets, cfg, det_embs_unit).total)
         else:
             rows = cols = np.zeros(0, dtype=np.intp)
-            self.last_breakdown = None
 
         self._apply_updates(rows, cols, dets, det_embs_unit)
 

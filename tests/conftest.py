@@ -9,6 +9,11 @@ from metrics_ref import rows_at
 from motion_ref import Detection
 
 
+# characters str.splitlines() breaks lines at besides \n and \r; a
+# key=value file's line ends only at \n
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def make_det(frame, u, v, w=10.0, h=10.0, conf=0.9, emb=None, dim=4):
     if emb is None:
         emb = np.zeros(dim)
@@ -55,6 +60,16 @@ def cost_matrix(tracks, dets, cfg):
     """build_cost_matrix on a detection table's own embeddings, made unit
     rows as MacSort.step passes them."""
     return build_cost_matrix(tracks, dets, cfg, unit_rows(dets.features))
+
+
+def dense_terms(bd):
+    """A CostBreakdown's three per-pair term vectors (iou, velocity,
+    appearance) as (m, n) matrices, NaN outside its gated pairs."""
+    def dense(values):
+        out = np.full(bd.total.shape, np.nan)
+        out[bd.rows, bd.cols] = values
+        return out
+    return dense(bd.iou_term), dense(bd.velocity_term), dense(bd.appearance_term)
 
 
 def uvwh(box):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import OTHER_LINE_BREAKS
 from macsort.config import RunConfig, build_config, config_key
 from macsort.errors import ConfigError, InputError
 
@@ -70,6 +71,15 @@ class TestBuildConfig:
         p = tmp_path / "run.cfg"
         p.write_text("# tuning for crowded scenes\nmax_age=50\n")
         assert build_config(p).max_age == 50
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS, ids=ascii)
+    def test_only_newline_ends_a_line(self, tmp_path, sep):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"annotation_file=a{sep}b\n", encoding="utf-8")
+        assert build_config(p).annotation_file == f"a{sep}b"
+        p.write_text(f"# note{sep}warp=1\nannotation_file=a{sep}b\nwarp=2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}:3: unknown key 'warp'$"):
+            build_config(p)
 
     def test_sub_configs(self):
         cfg = build_config(None, {"lam": 0.3, "kappa1": 5})

@@ -310,10 +310,11 @@ class TestCarryOverOracle:
                 prev = {}
                 for t in range(1, gt.last_frame + 1):
                     gts, preds = boxes_at(gt, t), boxes_at(pred, t)
-                    # the chained matching, and arbitrary (even non-injective)
-                    # carry-over maps
-                    pids = [p for p, _ in preds] or [0]
-                    rand = {g: int(rng.choice(pids)) for g, _ in gts if rng.uniform() < 0.7}
+                    # the chained matching, and random carry-over matchings:
+                    # match_frame's prev is a matching, no pred id twice
+                    pids = rng.permutation([p for p, _ in preds] or [0]).tolist()
+                    chosen = [g for g, _ in gts if rng.uniform() < 0.7]
+                    rand = dict(zip(chosen, pids))
                     for carry in (prev, rand):
                         got = match_ids(gts, preds, thr, carry)
                         want = per_pair_match_frame(gts, preds, thr, carry)

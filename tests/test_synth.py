@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import spearmanr
 
-from conftest import boxes_at
+from conftest import OTHER_LINE_BREAKS, boxes_at
 from metrics_ref import rows_at
 from macsort.errors import SpecError
 from macsort.geometry import BBox
@@ -217,6 +217,15 @@ class TestSpecFile:
     def test_errors_name_file_and_line(self, tmp_path):
         path = tmp_path / "case.spec"
         path.write_text("seed=1\n\nwarp=2\n")
+        with pytest.raises(SpecError, match=f"^{re.escape(str(path))}:3: unknown key 'warp'$"):
+            read_spec(path)
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS, ids=ascii)
+    def test_only_newline_ends_a_line(self, tmp_path, sep):
+        with pytest.raises(SpecError, match=re.escape(repr(f"linear{sep}x"))):
+            parse_spec(f"motion=linear{sep}x\n")
+        path = tmp_path / "case.spec"
+        path.write_text(f"# note{sep}seed=9\nseed=5\nwarp=2\n", encoding="utf-8")
         with pytest.raises(SpecError, match=f"^{re.escape(str(path))}:3: unknown key 'warp'$"):
             read_spec(path)
 

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 import macsort.tracker
 import metrics_ref
 import motion_ref as ref
-from conftest import cost_matrix, make_tracks, mot_rows, table, tables, uvwh
+from conftest import cost_matrix, dense_terms, make_tracks, mot_rows, table, tables, uvwh
 from macsort.cli import main
 from macsort.errors import NonMonotonicFrame
 from macsort.geometry import (
@@ -136,7 +136,8 @@ class TestBuildCostMatrix:
         assert bd.w_aaw == pytest.approx(0.0)
         assert bd.w_amc == pytest.approx(2.0)
         finite = np.isfinite(bd.total)
-        expected = 2.0 * bd.iou_term + bd.velocity_term
+        iou_term, velocity_term, _ = dense_terms(bd)
+        expected = 2.0 * iou_term + velocity_term
         assert bd.total[finite] == pytest.approx(expected[finite])
 
     def test_reduces_to_non_adaptive_at_crossover(self, rng):
@@ -147,7 +148,8 @@ class TestBuildCostMatrix:
                   make_track(2, det(0, 61, 51, emb=E2))]
         bd_fixed = cost_matrix(make_tracks(tracks), table([d1, d2]),
                                AssocConfig(fixed_w_aaw=1.0))
-        manual = bd_fixed.iou_term + bd_fixed.velocity_term + bd_fixed.appearance_term
+        iou_term, velocity_term, appearance_term = dense_terms(bd_fixed)
+        manual = iou_term + velocity_term + appearance_term
         finite = np.isfinite(bd_fixed.total)
         assert bd_fixed.total[finite] == pytest.approx(manual[finite], abs=1e-12)
 
@@ -168,12 +170,12 @@ class TestBuildCostMatrix:
         track = make_track(1, d, history_points=[(40, 50), (55, 50)])
         ahead = det(2, 70, 50)
         bd = cost_matrix(make_tracks([track]), table([ahead]), AssocConfig())
-        assert bd.velocity_term[0, 0] == pytest.approx(0.0)
+        assert dense_terms(bd)[1][0, 0] == pytest.approx(0.0)
         track2 = make_track(1, d, history_points=[(70, 20), (70, 35)])
         bd2 = cost_matrix(make_tracks([track2]), table([det(2, 70, 20)]),
                           AssocConfig(iou_gate=0.0))
         # heading reversal: cost = lambda * pi/pi = lambda
-        assert bd2.velocity_term[0, 0] == pytest.approx(0.2)
+        assert dense_terms(bd2)[1][0, 0] == pytest.approx(0.2)
 
     def test_component_toggles(self):
         d1, d2 = det(1, 50, 50, emb=E1), det(1, 56, 50, emb=E2)
@@ -509,7 +511,7 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
         w_aaw, w_amc = adaptive_weights(compute_mu_det(det_embs_unit, cfg.theta_deg), cfg.theta_deg)
     total = w_amc * (1.0 - iou) + velocity + w_aaw * appearance
     total[iou < cfg.iou_gate] = np.inf
-    return total
+    return total, (1.0 - iou, velocity, appearance)
 
 
 def _oracle_frame(rng, m, n, grid, dim=4):
@@ -565,7 +567,9 @@ def _oracle_frame(rng, m, n, grid, dim=4):
 def test_gated_cost_equals_dense_oracle(cfg):
     """build_cost_matrix scores only the pairs whose boxes overlap; its
     total equals the dense oracle's bit for bit, inf outside the gate, and
-    so does the assignment."""
+    so does the assignment. Its pairs are the total's finite cells in
+    row-major order, and its term vectors the oracle's term matrices at
+    those cells, bit for bit."""
     rng = np.random.default_rng(20261019)
     shapes = [(1, 1), (1, 9), (9, 1), (3, 4), (12, 12), (30, 20)]
     seen = {"touching": 0, "inside": 0, "disjoint_finite": 0}
@@ -574,11 +578,14 @@ def test_gated_cost_equals_dense_oracle(cfg):
         tracks, ref_tracks, dets = _oracle_frame(rng, m, n, grid=case % 2 == 0)
         embs = unit_rows(np.stack([d.embedding for d in dets]))
         got = build_cost_matrix(tracks, table(dets), cfg, embs)
-        want = _ref_cost(ref_tracks, dets, cfg, embs)
+        want, want_terms = _ref_cost(ref_tracks, dets, cfg, embs)
         assert got.total.shape == want.shape and got.total.tobytes() == want.tobytes()
         assert _pairs(*linear_assignment(got.total)) == _pairs(*linear_assignment(want))
-        for term in (got.iou_term, got.velocity_term, got.appearance_term):
-            assert np.array_equal(np.isnan(term), np.isinf(got.total))
+        rows, cols = np.nonzero(np.isfinite(got.total))
+        assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
+        for term, want_term in zip((got.iou_term, got.velocity_term, got.appearance_term),
+                                   want_terms):
+            assert term.tobytes() == want_term[rows, cols].tobytes()
         trk_uvwh, det_uvwh = xysr_to_uvwh(tracks.x), table(dets).boxes
         iou = iou_matrix(trk_uvwh, det_uvwh)
         # boxes that touch: overlap exactly 0 along one axis, positive along the other
@@ -609,7 +616,7 @@ def _reference_sequence(per_frame, cfg, counts):
         embs = unit_rows(np.stack([d.embedding for d in detections]) if detections else np.zeros((0, 1)))
         matches, unmatched = [], list(range(len(detections)))
         if tracks and detections:
-            rows_, cols_ = linear_assignment(_ref_cost(tracks, detections, cfg, embs))
+            rows_, cols_ = linear_assignment(_ref_cost(tracks, detections, cfg, embs)[0])
             matches = list(zip(rows_.tolist(), cols_.tolist()))
             unmatched = sorted(set(unmatched) - set(cols_.tolist()))
         fresh = [(m, n) for m, n in matches if tracks[m].time_since_update == 1]
