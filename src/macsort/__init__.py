@@ -28,13 +28,7 @@ from .prompt_filter import (
     lsm_similarity_profile,
     tpod_frame,
 )
-from .motion import (
-    MotionConfig,
-    kf_init,
-    kf_predict_batch,
-    kf_update_batch,
-    ocr_reupdate,
-)
+from .motion import kf_init, kf_predict_batch, kf_update_batch, ocr_reupdate
 from .tracker import (
     AssocConfig,
     CostBreakdown,

@@ -109,7 +109,7 @@ def cmd_filter(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_detections(seq_dir: Path, cfg: RunConfig, which: str):
+def _load_detections(seq_dir: Path, which: str):
     if which == "auto":
         which = "filtered" if (seq_dir / "filtered.txt").exists() else "general"
     loaded = _load_prompt_file(seq_dir, which, required=False)
@@ -122,7 +122,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
     assoc_cfg = cfg.assoc_config()
 
     def one(seq_dir: Path) -> str:
-        which, per_frame = _load_detections(seq_dir, cfg, args.detections)
+        which, per_frame = _load_detections(seq_dir, args.detections)
         start = time.perf_counter()
         rows = track_sequence(per_frame, assoc_cfg)
         elapsed = time.perf_counter() - start

@@ -299,15 +299,25 @@ def write_detections(
     write_embeddings(np.asarray(embeddings), emb_path)
 
 
+def _line_of(path: str | Path, row: int) -> int:
+    """The 1-based file line of ``path``'s data row ``row`` (0-based), lines
+    counted as read_mot_lines counts them: split at "\n", blank ones
+    skipped. For error messages only: it reads the file again."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().split("\n")
+    return [i for i, line in enumerate(lines, start=1) if line.strip()][row]
+
+
 def check_boxes(table: MotTable, path: str | Path) -> None:
-    """Raise ParseError naming ``path`` and the first row whose box float64
-    cannot hold (geometry.first_unheld_box)."""
+    """Raise ParseError naming ``path`` and the line of the first row whose
+    box float64 cannot hold (geometry.first_unheld_box); ``table`` is
+    ``path`` as read_mot_lines reads it."""
     with np.errstate(over="ignore"):  # left + w/2 may overflow; the check names it
         bad = first_unheld_box(table.uvwh())
     if bad is not None:
         left, top, w, h = table.ltwh[bad].tolist()
-        raise ParseError(f"{path} row {bad + 1}: box left={left}, top={top}, w={w}, h={h} "
-                         "overflows float64 or has no extent at its position")
+        raise ParseError(f"{path} line {_line_of(path, bad)}: box left={left}, top={top}, "
+                         f"w={w}, h={h} overflows float64 or has no extent at its position")
 
 
 def _load_prompt_file(
@@ -323,7 +333,7 @@ def _load_prompt_file(
     bad = np.flatnonzero((table.conf < 0.0) | (table.conf > 1.0))
     if len(bad):  # id -1 rows are checked as they are parsed
         raise ParseError(
-            f"{csv_path} row {bad[0] + 1}: detection confidence "
+            f"{csv_path} line {_line_of(csv_path, bad[0])}: detection confidence "
             f"{float(table.conf[bad[0]])} outside [0, 1]"
         )
     check_boxes(table, csv_path)

@@ -11,7 +11,10 @@ stays exactly 0: the filter is four independent scalar-measurement
 filters. A covariance is stored as its (4, 3) blocks, one (var_pos,
 cov_pos_vel, var_vel) row per measured u, v, s, r; the r row has no
 velocity, so its last two entries stay 0 and the same formulas serve all
-four rows.
+four rows. The noise levels are one fixed set, as in SORT and OC-SORT:
+the module constants P0 (initial covariance, as (4, 3) blocks), Q_POS and
+Q_VEL (process noise of each block's position and velocity) and R
+(measurement noise of each block).
 
 A filter state is a mean/covariance pair ``(x, P)``, stacked as (n, 7)
 and (n, 4, 3) for the batch steps, and boxes are (u, v, w, h) rows,
@@ -22,53 +25,28 @@ columns, the occlusion re-update on Python floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidState
 from .geometry import uvwh_to_xysr, xysr_of
 
-
-@dataclass(frozen=True)
-class MotionConfig:
-    """Noise levels, following the SORT family conventions."""
-
-    p0_pos: float = 10.0
-    p0_vel: float = 1000.0
-    q_pos: float = 1.0
-    q_vel: float = 1e-2
-    q_scale_vel: float = 1e-4
-    r_pos: float = 1.0
-    r_size: float = 10.0
-
-    def p0(self) -> np.ndarray:
-        """Initial covariance as (4, 3) blocks."""
-        return np.array([[self.p0_pos, 0.0, self.p0_vel]] * 3 + [[self.p0_pos, 0.0, 0.0]])
+P0 = np.array([[10.0, 0.0, 1000.0]] * 3 + [[10.0, 0.0, 0.0]])
+Q_POS = 1.0
+Q_VEL = (1e-2, 1e-2, 1e-4, 0.0)  # per u, v, s, r row; r has no velocity
+R = (1.0, 1.0, 10.0, 10.0)
 
 
-DEFAULT_MOTION = MotionConfig()
-
-
-def kf_init(box: np.ndarray,
-            config: MotionConfig = DEFAULT_MOTION) -> tuple[np.ndarray, np.ndarray]:
+def kf_init(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fresh filter mean and covariance at a (u, v, w, h) box: zero velocity,
     large velocity uncertainty."""
-    return np.concatenate([uvwh_to_xysr(box[None])[0], np.zeros(3)]), config.p0()
+    return np.concatenate([uvwh_to_xysr(box[None])[0], np.zeros(3)]), P0.copy()
 
 
-def _row_noise(config: MotionConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-row velocity process noise and measurement noise of the u, v, s
-    and r blocks; the r row has no velocity."""
-    return ((config.q_vel, config.q_vel, config.q_scale_vel, 0.0),
-            (config.r_pos, config.r_pos, config.r_size, config.r_size))
-
-
-def _predict_block(pos, vel, a, b, c, q_pos, q_vel):
+def _predict_block(pos, vel, a, b, c, q_vel):
     """Constant-velocity predict of one block: mean (pos, vel), covariance
     [[a, b], [b, c]]. Elementwise, so it runs alike on Python floats and on
     numpy columns."""
-    return pos + vel, a + 2.0 * b + c + q_pos, b + c, c + q_vel
+    return pos + vel, a + 2.0 * b + c + Q_POS, b + c, c + q_vel
 
 
 def _update_block(pos, vel, a, b, c, z, S):
@@ -84,9 +62,7 @@ def _update_block(pos, vel, a, b, c, z, S):
 _SINGULAR = "innovation covariance not invertible: zero variance"
 
 
-def kf_predict_batch(
-    xs: np.ndarray, Ps: np.ndarray, config: MotionConfig = DEFAULT_MOTION
-) -> tuple[np.ndarray, np.ndarray]:
+def kf_predict_batch(xs: np.ndarray, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance stacked states xs (n, 7), Ps (n, 4, 3) one frame under the
     constant-velocity model."""
     xs = xs.copy()
@@ -94,21 +70,17 @@ def kf_predict_batch(
     out = np.empty_like(Ps)
     # r has no velocity: its mean stays as it is
     xs[:, :3], out[..., 0], out[..., 1], out[..., 2] = _predict_block(
-        xs[:, :3], xs[:, 4:], Ps[..., 0], Ps[..., 1], Ps[..., 2], config.q_pos,
-        _row_noise(config)[0],
+        xs[:, :3], xs[:, 4:], Ps[..., 0], Ps[..., 1], Ps[..., 2], Q_VEL
     )
     return xs, out
 
 
 def kf_update_batch(
-    xs: np.ndarray,
-    Ps: np.ndarray,
-    zs: np.ndarray,
-    config: MotionConfig = DEFAULT_MOTION,
+    xs: np.ndarray, Ps: np.ndarray, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update of stacked states with zs (n, 4) = (u, v, s, r)."""
     a, b, c = Ps[..., 0], Ps[..., 1], Ps[..., 2]
-    S = a + _row_noise(config)[1]
+    S = a + R
     if (S == 0.0).any():  # before dividing: 0/0 would warn and leave NaN in the state
         raise InvalidState(_SINGULAR)
     vel = np.zeros((len(xs), 4))  # the r row's velocity is 0 (its b is 0)
@@ -126,7 +98,6 @@ def ocr_reupdate(
     last_box: np.ndarray,
     box: np.ndarray,
     gap: int,
-    config: MotionConfig = DEFAULT_MOTION,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-filter across an occlusion gap through a virtual trajectory.
 
@@ -146,15 +117,14 @@ def ocr_reupdate(
     (u0, v0, s0, _), (u1, v1, s1, r1) = xysr_of(*last_box.tolist()), xysr_of(*box.tolist())
     x, blocks = state[0].tolist(), state[1].tolist()
     pos, vel = x[:4], x[4:] + [0.0]  # r has no velocity
-    q_vel, r = _row_noise(config)
     for k in range(1, gap + 1):
         t = k / gap
         z = (u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1)
         if pos[2] + vel[2] <= 0.0:
             vel[2] = 0.0
         for i, (a, b, c) in enumerate(blocks):
-            p, a, b, c = _predict_block(pos[i], vel[i], a, b, c, config.q_pos, q_vel[i])
-            S = a + r[i]
+            p, a, b, c = _predict_block(pos[i], vel[i], a, b, c, Q_VEL[i])
+            S = a + R[i]
             if S == 0.0:
                 raise InvalidState(_SINGULAR)
             pos[i], vel[i], *blocks[i] = _update_block(p, vel[i], a, b, c, z[i], S)

@@ -34,14 +34,7 @@ from .geometry import (
     uvwh_to_xysr,
     xysr_to_uvwh,
 )
-from .motion import (
-    DEFAULT_MOTION,
-    MotionConfig,
-    kf_init,
-    kf_predict_batch,
-    kf_update_batch,
-    ocr_reupdate,
-)
+from .motion import kf_init, kf_predict_batch, kf_update_batch, ocr_reupdate
 from .mot_io import MotTable
 from .prompt_filter import PromptDetections
 
@@ -78,6 +71,8 @@ class AssocConfig:
             raise ValueError(f"fixed_w_aaw must be in [0, 2], got {self.fixed_w_aaw}")
         if self.max_age < 0:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
+        if self.min_hits < 0:
+            raise ValueError(f"min_hits must be >= 0, got {self.min_hits}")
         if not (0.0 <= self.iou_gate <= 1.0):
             raise ValueError(f"iou_gate must be in [0, 1], got {self.iou_gate}")
         if not (0.0 <= self.ema_alpha <= 1.0):
@@ -127,18 +122,17 @@ class Tracks:
     appearance: np.ndarray  # (m, d) unit EMA of the matched embeddings
     hits: np.ndarray  # (m,)
     time_since_update: np.ndarray  # (m,)
-    confirmed: np.ndarray  # (m,) bool, set for good at min_hits matches
 
     @classmethod
     def born(cls, first_id: int, x: np.ndarray, P: np.ndarray, boxes: np.ndarray,
-             appearance: np.ndarray, confirmed: bool) -> "Tracks":
+             appearance: np.ndarray) -> "Tracks":
         """New rows at initial states x (k, 7), P (k, 4, 3): consecutive
         ids, one hit each and the checkpoint at the initial state."""
         k = len(x)
         return cls(
             np.arange(first_id, first_id + k), x, P, x.copy(), P.copy(), boxes,
             np.full((k, 2), np.nan), appearance, np.ones(k, dtype=np.int64),
-            np.zeros(k, dtype=np.int64), np.full(k, confirmed),
+            np.zeros(k, dtype=np.int64),
         )
 
     def __len__(self) -> int:
@@ -286,15 +280,10 @@ class MacSort:
     is waived, so tracking output covers a sequence from its first frame.
     """
 
-    def __init__(
-        self,
-        config: AssocConfig | None = None,
-        motion: MotionConfig = DEFAULT_MOTION,
-    ):
+    def __init__(self, config: AssocConfig | None = None):
         self.config = config or AssocConfig()
-        self.motion = motion
         self.tracks = Tracks.born(1, np.zeros((0, 7)), np.zeros((0, 4, 3)), np.zeros((0, 4)),
-                                  np.zeros((0, 0)), False)
+                                  np.zeros((0, 0)))
         self._next_id = 1
         self._frames_seen = 0
         self._last_frame: int | None = None
@@ -312,12 +301,11 @@ class MacSort:
         fresh_r, fresh_c = rows[gaps == 1], cols[gaps == 1]
         if len(fresh_r):
             trk.x[fresh_r], trk.P[fresh_r] = kf_update_batch(
-                trk.x[fresh_r], trk.P[fresh_r], uvwh_to_xysr(det_uvwh[fresh_c]), self.motion
+                trk.x[fresh_r], trk.P[fresh_r], uvwh_to_xysr(det_uvwh[fresh_c])
             )
         for m, n, gap in zip(rows[gaps > 1], cols[gaps > 1], gaps[gaps > 1]):
             trk.x[m], trk.P[m] = ocr_reupdate(
-                (trk.checkpoint_x[m], trk.checkpoint_P[m]), trk.last_box[m], det_uvwh[n],
-                int(gap), self.motion,
+                (trk.checkpoint_x[m], trk.checkpoint_P[m]), trk.last_box[m], det_uvwh[n], int(gap)
             )
 
         # EMA appearance refresh, batched over the matched pairs
@@ -335,7 +323,6 @@ class MacSort:
         trk.last_box[rows] = det_uvwh[cols]
         trk.hits[rows] += 1
         trk.time_since_update[rows] = 0
-        trk.confirmed[rows] |= trk.hits[rows] >= self.config.min_hits
 
     def step(self, dets: PromptDetections, frame: int) -> MotTable:
         """Advance one frame's detection table; returns the rows of the
@@ -347,7 +334,7 @@ class MacSort:
         cfg, trk = self.config, self.tracks
 
         if len(trk):
-            trk.x, trk.P = kf_predict_batch(trk.x, trk.P, self.motion)
+            trk.x, trk.P = kf_predict_batch(trk.x, trk.P)
             trk.time_since_update += 1
 
         det_embs_unit = unit_rows(dets.features)
@@ -362,15 +349,13 @@ class MacSort:
         unmatched[cols] = False
         if unmatched.any():
             born = dets.boxes[unmatched]
-            xs, Ps = zip(*(kf_init(box, self.motion) for box in born))
-            trk = trk.concat(Tracks.born(
-                self._next_id, np.stack(xs), np.stack(Ps), born, det_embs_unit[unmatched],
-                cfg.min_hits <= 1,
-            ))
+            xs, Ps = zip(*(kf_init(box) for box in born))
+            trk = trk.concat(Tracks.born(self._next_id, np.stack(xs), np.stack(Ps), born,
+                                         det_embs_unit[unmatched]))
             self._next_id += len(born)
 
         reported = (trk.time_since_update == 0) & (
-            trk.confirmed | (self._frames_seen <= cfg.min_hits)
+            (trk.hits >= cfg.min_hits) | (self._frames_seen <= cfg.min_hits)
         )
         out = MotTable.from_uvwh(frame, trk.ids[reported], xysr_to_uvwh(trk.x[reported, :4]), 1.0)
 
@@ -380,15 +365,13 @@ class MacSort:
 
 
 def track_sequence(
-    per_frame: dict[int, PromptDetections],
-    config: AssocConfig | None = None,
-    motion: MotionConfig = DEFAULT_MOTION,
+    per_frame: dict[int, PromptDetections], config: AssocConfig | None = None
 ) -> MotTable:
     """Track one sequence through frames 1..max(per_frame), feeding no
     detections to frames absent from ``per_frame``; returns the result rows
     of every frame in order. While the tracker is idle, absent frames are
     skipped: stepping them would change nothing."""
-    tracker = MacSort(config, motion)
+    tracker = MacSort(config)
     given, empty = sorted(per_frame), PromptDetections.empty()
     tables, frame = [], 1
     while given and frame <= given[-1]:

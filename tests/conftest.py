@@ -88,7 +88,7 @@ def make_tracks(rows):
     ids, states, boxes, apps, prevs = zip(*rows)
     xs, Ps = zip(*states)
     tracks = Tracks.born(0, np.stack(xs), np.stack(Ps), np.stack([uvwh(b) for b in boxes]),
-                         np.stack(apps), False)
+                         np.stack(apps))
     tracks.ids = np.array(ids)
     tracks.prev_center = np.array([(np.nan, np.nan) if p is None else p for p in prevs], float)
     return tracks

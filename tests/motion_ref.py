@@ -3,7 +3,8 @@ test oracle: a Detection record, a KalmanState per track, scalar
 BBox <-> (u, v, s, r) conversions, and the filter as full 7x7 matrix
 algebra (F P F^T + Q, a solved gain and the Joseph form). Nothing here
 calls macsort.motion's filter functions or geometry's box <-> state
-conversions; the noise matrices are built from the MotionConfig fields.
+conversions, and it spells out the noise levels itself, the SORT
+family's, so that the comparisons check macsort.motion's constants too.
 ``expand`` turns macsort.motion's (4, 3) covariance blocks into the 7x7
 matrices this module carries.
 """
@@ -15,25 +16,16 @@ import numpy as np
 
 from macsort.errors import InvalidState
 from macsort.geometry import BBox
-from macsort.motion import DEFAULT_MOTION, MotionConfig
 
 _F = np.eye(7)
 _F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
 _H = np.eye(4, 7)
 _I7 = np.eye(7)
 _POS, _VEL = [0, 1, 2, 3], [4, 5, 6]  # state index of each block's position, velocity
-
-
-def q_matrix(config: MotionConfig) -> np.ndarray:
-    return np.diag([config.q_pos] * 4 + [config.q_vel, config.q_vel, config.q_scale_vel])
-
-
-def r_matrix(config: MotionConfig) -> np.ndarray:
-    return np.diag([config.r_pos, config.r_pos, config.r_size, config.r_size])
-
-
-def p0_matrix(config: MotionConfig) -> np.ndarray:
-    return np.diag([config.p0_pos] * 4 + [config.p0_vel] * 3)
+# the noise levels, spelled out here rather than read from macsort.motion
+P0 = np.diag([10.0] * 4 + [1000.0] * 3)  # initial covariance
+Q = np.diag([1.0] * 4 + [1e-2, 1e-2, 1e-4])  # process noise
+R = np.diag([1.0, 1.0, 10.0, 10.0])  # measurement noise
 
 
 def expand(blocks: np.ndarray) -> np.ndarray:
@@ -94,44 +86,42 @@ class KalmanState:
         return KalmanState(self.x.copy(), self.P.copy())
 
 
-def kf_init(det: Detection, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:
+def kf_init(det: Detection) -> KalmanState:
     u, v, s, r = bbox_to_xysr(det.bbox)
     x = np.array([u, v, s, r, 0.0, 0.0, 0.0])
-    return KalmanState(x, p0_matrix(config))
+    return KalmanState(x, P0.copy())
 
 
-def kf_predict_batch(xs, Ps, config: MotionConfig = DEFAULT_MOTION):
+def kf_predict_batch(xs, Ps):
     xs = xs.copy()
     bad = xs[:, 2] + xs[:, 6] <= 0.0
     xs[bad, 6] = 0.0
     xs = xs @ _F.T
-    Ps = _F @ Ps @ _F.T + q_matrix(config)
+    Ps = _F @ Ps @ _F.T + Q
     return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
 
 
-def kf_update_batch(xs, Ps, zs, config: MotionConfig = DEFAULT_MOTION):
+def kf_update_batch(xs, Ps, zs):
     innovation = zs - xs[:, :4]
-    S = Ps[:, :4, :4] + r_matrix(config)
+    S = Ps[:, :4, :4] + R
     try:
         K = np.linalg.solve(S, Ps[:, :4, :]).transpose(0, 2, 1)
     except np.linalg.LinAlgError as exc:
         raise InvalidState(f"innovation covariance not invertible: {exc}") from exc
     xs = xs + (K @ innovation[:, :, None])[:, :, 0]
     ikh = _I7 - K @ _H
-    Ps = ikh @ Ps @ ikh.transpose(0, 2, 1) + K @ r_matrix(config) @ K.transpose(0, 2, 1)
+    Ps = ikh @ Ps @ ikh.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1)
     return xs, (Ps + Ps.transpose(0, 2, 1)) / 2.0
 
 
-def kf_predict(state: KalmanState, config: MotionConfig = DEFAULT_MOTION) -> KalmanState:
-    xs, Ps = kf_predict_batch(state.x[None], state.P[None], config)
+def kf_predict(state: KalmanState) -> KalmanState:
+    xs, Ps = kf_predict_batch(state.x[None], state.P[None])
     return KalmanState(xs[0], Ps[0])
 
 
-def kf_update(
-    state: KalmanState, det: Detection, config: MotionConfig = DEFAULT_MOTION
-) -> KalmanState:
+def kf_update(state: KalmanState, det: Detection) -> KalmanState:
     z = np.array([bbox_to_xysr(det.bbox)])
-    xs, Ps = kf_update_batch(state.x[None], state.P[None], z, config)
+    xs, Ps = kf_update_batch(state.x[None], state.P[None], z)
     return KalmanState(xs[0], Ps[0])
 
 
@@ -140,7 +130,6 @@ def ocr_reupdate(
     last_box: BBox,
     det: Detection,
     gap: int,
-    config: MotionConfig = DEFAULT_MOTION,
 ) -> KalmanState:
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
@@ -150,5 +139,5 @@ def ocr_reupdate(
     for k in range(1, gap + 1):
         t = k / gap
         z = np.array([[u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1]])
-        xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps, config), z, config)
+        xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps), z)
     return KalmanState(xs[0], Ps[0])

@@ -164,13 +164,17 @@ class TestInputContract:
 
     @pytest.mark.parametrize("command", ["filter", "track"])
     def test_confidence_outside_unit_on_any_detection_row(self, synth_seq, capsys, command):
+        # the error names the file line, which a leading blank line moves
+        # past the data row's count
         general = synth_seq / "general.txt"
         lines = general.read_text().splitlines()
         cols = lines[2].split(",")
         cols[1], cols[6] = "7", "1.5"
         lines[2] = ",".join(cols)
-        general.write_text("\n".join(lines) + "\n")
-        self._one_error_line(capsys, [command, str(synth_seq)], f"ParseError: {general} row 3: ")
+        blank = command == "track"
+        general.write_text("\n" * blank + "\n".join(lines) + "\n")
+        self._one_error_line(capsys, [command, str(synth_seq)],
+                             f"ParseError: {general} line {3 + blank}: ")
 
     def test_result_files_keep_any_confidence(self, synth_seq, capsys):
         gt = synth_seq / "gt.txt"
@@ -284,14 +288,17 @@ class TestInputContract:
         seq.mkdir()
         path = seq / ("gt.txt" if command == ["eval"] else "general.txt")
         obj_id = 1 if command == ["eval"] else -1
-        path.write_text(f"1,{obj_id},0.00,0.00,10.00,10.00,0.9000,-1,-1,-1\n"
+        # the error names the file line, which a leading blank line moves
+        # past the data row's count
+        blank = box.startswith("1e300")
+        path.write_text("\n" * blank + f"1,{obj_id},0.00,0.00,10.00,10.00,0.9000,-1,-1,-1\n"
                         f"2,{obj_id},{box},0.9000,-1,-1,-1\n")
         write_embeddings(np.eye(2), seq / "general.emb")
         argv = ([*command, str(path), str(path)] if command == ["eval"]
                 else [command[0], str(seq), *command[1:]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning fails the test
-            self._one_error_line(capsys, argv, f"ParseError: {path} row 2: ")
+            self._one_error_line(capsys, argv, f"ParseError: {path} line {2 + blank}: ")
         assert sorted(p.name for p in seq.iterdir()) == sorted({path.name, "general.emb"})
 
     @pytest.mark.parametrize("theta", ["1e-9", "1e-7"])
@@ -513,6 +520,7 @@ class TestConfigValuesExit2:
             ("filter", "--kappa2", "0"),
             ("track", "--iou-threshold", "nan"),
             ("track", "--min-hits", "1.5"),
+            ("track", "--min-hits", "-5"),
         ],
     )
     def test_bad_flag_value(self, synth_seq, capsys, command, flag, value):

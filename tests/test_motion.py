@@ -8,14 +8,7 @@ import motion_ref as ref
 from conftest import make_tracks
 from macsort.errors import InvalidState
 from macsort.geometry import BBox, uvwh_to_xysr, xysr_to_uvwh
-from macsort.motion import (
-    DEFAULT_MOTION,
-    MotionConfig,
-    kf_init,
-    kf_predict_batch,
-    kf_update_batch,
-    ocr_reupdate,
-)
+from macsort.motion import kf_init, kf_predict_batch, kf_update_batch, ocr_reupdate
 from macsort.tracker import _direction_costs
 
 EMB = np.array([1.0, 0.0])
@@ -25,15 +18,15 @@ def box(u, v, w=10.0, h=10.0):
     return np.array([u, v, w, h], dtype=float)
 
 
-def predict(state, config=DEFAULT_MOTION):
+def predict(state):
     """One (x, P) state advanced one frame, as a batch of one."""
-    xs, Ps = kf_predict_batch(state[0][None], state[1][None], config)
+    xs, Ps = kf_predict_batch(state[0][None], state[1][None])
     return xs[0], Ps[0]
 
 
-def update(state, b, config=DEFAULT_MOTION):
+def update(state, b):
     """One (x, P) state updated with the (u, v, w, h) box ``b``."""
-    xs, Ps = kf_update_batch(state[0][None], state[1][None], uvwh_to_xysr(b[None]), config)
+    xs, Ps = kf_update_batch(state[0][None], state[1][None], uvwh_to_xysr(b[None]))
     return xs[0], Ps[0]
 
 
@@ -53,9 +46,7 @@ class TestInit:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_initial_covariance_follows_config(self):
-        _, P = kf_init(box(10, 10), MotionConfig(p0_pos=1, p0_vel=2))
-        assert np.array_equal(ref.expand(P), np.diag([1, 1, 1, 1, 2, 2, 2]))
-        assert np.array_equal(ref.expand(kf_init(box(10, 10))[1]), ref.p0_matrix(DEFAULT_MOTION))
+        assert np.array_equal(ref.expand(kf_init(box(10, 10))[1]), ref.P0)
 
     def test_readout_round_trip(self):
         b = box(12.5, -3.0, 7.0, 3.5)
@@ -92,7 +83,7 @@ class TestPredict:
         P = ref.expand(blocks)
         F = np.eye(7)
         F[0, 4] = F[1, 5] = F[2, 6] = 1.0
-        Q = ref.q_matrix(DEFAULT_MOTION)
+        Q = ref.Q
         expected = np.zeros((7, 7))
         for i in range(7):
             for j in range(7):
@@ -224,11 +215,7 @@ class TestOcrReupdate:
             ocr_reupdate(state, last, box(22, 0), gap=0)
 
 
-CONFIGS = [DEFAULT_MOTION, MotionConfig(p0_pos=3.0, p0_vel=50.0, q_pos=0.5, q_vel=0.1,
-                                        q_scale_vel=1e-3, r_pos=4.0, r_size=2.5)]
-
-
-def _virtual_rounds(state, last, b, gap, config):
+def _virtual_rounds(state, last, b, gap):
     """ocr_reupdate's virtual trajectory as ``gap`` rounds of the batch
     kernels on a batch of one; also returns the steps whose predict
     clamped the scale velocity."""
@@ -239,7 +226,7 @@ def _virtual_rounds(state, last, b, gap, config):
         if xs[0, 2] + xs[0, 6] <= 0.0:
             clamped.append(k)
         z = np.array([[u0 + t * (u1 - u0), v0 + t * (v1 - v0), s0 + t * (s1 - s0), r1]])
-        xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps, config), z, config)
+        xs, Ps = kf_update_batch(*kf_predict_batch(xs, Ps), z)
     return (xs[0], Ps[0]), clamped
 
 
@@ -247,29 +234,27 @@ class TestOcrMatchesBatchKernels:
     """ocr_reupdate steps Python floats through the same per-block formulas
     as the batch kernels, so it equals them bit for bit."""
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
-    def test_random_checkpoints_bit_equal(self, rng, config):
+    def test_random_checkpoints_bit_equal(self, rng):
         for gap in list(range(1, 31)) * 4:
             last, new = (np.array([b.u, b.v, b.w, b.h]) for b in (_random_box(rng), _random_box(rng)))
-            x, P = kf_init(last, config)
+            x, P = kf_init(last)
             x[4:] = rng.normal(0.0, 20.0, 3)
             P = P * rng.uniform(0.1, 10.0, (4, 3))
-            got = ocr_reupdate((x, P), last, new, gap, config)
-            want, _ = _virtual_rounds((x, P), last, new, gap, config)
+            got = ocr_reupdate((x, P), last, new, gap)
+            want, _ = _virtual_rounds((x, P), last, new, gap)
             assert got[0].shape == (7,) and got[1].shape == (4, 3)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
-    def test_shrinking_box_clamps_scale_velocity_mid_gap(self, config):
+    def test_shrinking_box_clamps_scale_velocity_mid_gap(self):
         # a steady shrink with a confident scale velocity drives s + ds
         # non-positive part way through the gap
         last, new = box(50, 50, 20, 20), box(50, 50, 2, 2)
-        x, _ = kf_init(last, config)
+        x, _ = kf_init(last)
         x[6] = -150.0
         P = np.array([[10.0, 0.0, 1e-3]] * 3 + [[10.0, 0.0, 0.0]])
-        want, clamped = _virtual_rounds((x, P), last, new, 8, config)
+        want, clamped = _virtual_rounds((x, P), last, new, 8)
         assert clamped and clamped[0] > 1
-        got = ocr_reupdate((x, P), last, new, 8, config)
+        got = ocr_reupdate((x, P), last, new, 8)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -289,47 +274,42 @@ class TestMatchesPerObjectApi:
     (tests/motion_ref.py): bit for bit at init, to within rounding after
     filtering."""
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
-    def test_init_predict_update_reupdate_bit_equal(self, rng, config):
+    def test_init_predict_update_reupdate_bit_equal(self, rng):
         for _ in range(60):
             b = _random_box(rng)
-            want = ref.kf_init(ref.Detection(0, b, 0.9, EMB), config)
-            got = kf_init(np.array([b.u, b.v, b.w, b.h]), config)
+            want = ref.kf_init(ref.Detection(0, b, 0.9, EMB))
+            got = kf_init(np.array([b.u, b.v, b.w, b.h]))
             assert np.array_equal(got[0], want.x) and np.array_equal(ref.expand(got[1]), want.P)
             for _ in range(int(rng.integers(0, 4))):
                 nxt = _random_box(rng)
-                want = ref.kf_update(ref.kf_predict(want, config),
-                                     ref.Detection(0, nxt, 0.9, EMB), config)
-                got = update(predict(got, config), np.array([nxt.u, nxt.v, nxt.w, nxt.h]),
-                             config)
+                want = ref.kf_update(ref.kf_predict(want), ref.Detection(0, nxt, 0.9, EMB))
+                got = update(predict(got), np.array([nxt.u, nxt.v, nxt.w, nxt.h]))
                 _assert_close(got, want)
                 b = nxt
             gap, new = int(rng.integers(1, 31)), _random_box(rng)
-            want = ref.ocr_reupdate(want, b, ref.Detection(gap, new, 0.9, EMB), gap, config)
+            want = ref.ocr_reupdate(want, b, ref.Detection(gap, new, 0.9, EMB), gap)
             got = ocr_reupdate(got, np.array([b.u, b.v, b.w, b.h]),
-                               np.array([new.u, new.v, new.w, new.h]), gap, config)
+                               np.array([new.u, new.v, new.w, new.h]), gap)
             _assert_close(got, want)
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "custom"])
-    def test_oracle_covariance_stays_block_structured(self, rng, config):
+    def test_oracle_covariance_stays_block_structured(self, rng):
         """Every 7x7 covariance entry outside the (u, du), (v, dv), (s, ds)
         and r blocks stays exactly 0.0 under the oracle's matrix algebra,
         which is what makes the (4, 3) block layout lossless."""
         off_block = ref.expand(np.ones((4, 3))) == 0.0
         for _ in range(40):
             b = _random_box(rng)
-            state = ref.kf_init(ref.Detection(0, b, 0.9, EMB), config)
+            state = ref.kf_init(ref.Detection(0, b, 0.9, EMB))
             for _ in range(int(rng.integers(1, 12))):
                 nxt = _random_box(rng)
                 step = rng.integers(3)
                 if step == 0:
-                    state = ref.kf_predict(state, config)
+                    state = ref.kf_predict(state)
                 elif step == 1:
-                    state = ref.kf_update(state, ref.Detection(0, nxt, 0.9, EMB), config)
+                    state = ref.kf_update(state, ref.Detection(0, nxt, 0.9, EMB))
                 else:
                     gap = int(rng.integers(1, 31))
-                    state = ref.ocr_reupdate(state, b, ref.Detection(gap, nxt, 0.9, EMB), gap,
-                                             config)
+                    state = ref.ocr_reupdate(state, b, ref.Detection(gap, nxt, 0.9, EMB), gap)
                 b = nxt
                 assert np.all(state.P[off_block] == 0.0)
 
@@ -410,29 +390,37 @@ class TestBurnInResidual:
             assert max(errs) < 0.5
 
 
+def _singular_u(a):
+    """Covariance blocks, zero but for the u row's variance ``a``: the u
+    row's innovation variance is a + 1 at update."""
+    P = np.zeros((4, 3))
+    P[0, 0] = a
+    return P
+
+
 class TestDegenerateUpdate:
+    """A caller's covariance can make an innovation variance exactly 0; the
+    measurement noise of the u row is 1."""
+
     def test_singular_innovation_raises(self):
-        degenerate = MotionConfig(r_pos=0.0, r_size=0.0)
         x, _ = kf_init(box(10, 10))
-        # no uncertainty, no measurement noise
         with pytest.raises(InvalidState):
-            update((x, np.zeros((4, 3))), box(12, 10), degenerate)
+            update((x, _singular_u(-1.0)), box(12, 10))
 
     def test_one_singular_row_raises_before_dividing(self):
         # row 0 is well posed; only row 1 has a zero innovation variance
-        degenerate = MotionConfig(r_pos=0.0, r_size=0.0)
         (x, P), b = kf_init(box(10, 10)), box(12, 10)
-        xs, Ps = np.stack([x, x]), np.stack([P, np.zeros((4, 3))])
+        xs, Ps = np.stack([x, x]), np.stack([P, _singular_u(-1.0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InvalidState):
-                kf_update_batch(xs, Ps, uvwh_to_xysr(np.stack([b, b])), degenerate)
+                kf_update_batch(xs, Ps, uvwh_to_xysr(np.stack([b, b])))
 
     def test_reupdate_raises_before_dividing(self):
-        # Python floats would raise ZeroDivisionError at a / S
-        degenerate = MotionConfig(r_pos=0, r_size=0, q_pos=0)
+        # the predict adds the u row's process noise 1, so a = -2 reaches
+        # S = 0; Python floats would raise ZeroDivisionError at a / S
         x, _ = kf_init(box(10, 10))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InvalidState, match="zero variance"):
-                ocr_reupdate((x, np.zeros((4, 3))), box(10, 10), box(12, 10), 3, degenerate)
+                ocr_reupdate((x, _singular_u(-2.0)), box(10, 10), box(12, 10), 3)

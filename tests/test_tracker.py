@@ -22,7 +22,7 @@ from macsort.geometry import (
     xysr_to_uvwh,
 )
 from macsort.mot_io import MotTable, read_mot_lines, write_detections
-from macsort.motion import DEFAULT_MOTION, MotionConfig, kf_init, kf_predict_batch
+from macsort.motion import kf_init, kf_predict_batch
 from macsort.prompt_filter import PromptDetections
 from motion_ref import Detection
 from macsort.tracker import (
@@ -320,16 +320,11 @@ class TestForcedAssignment:
 
 
 class TestTrackerStep:
-    def test_new_track_uses_tracker_motion_config(self):
-        tracker = MacSort(motion=MotionConfig(p0_pos=1, p0_vel=1))
-        tracker.step(table([det(1, 10, 10)]), 1)
-        assert np.array_equal(ref.expand(tracker.tracks.P[0]), np.eye(7))
-
     def test_cold_start_creates_tracks(self):
         tracker = MacSort()
         out = tracker.step(table([det(1, 10, 10), det(1, 60, 10)]), 1)
         assert len(tracker.tracks) == 2
-        assert not tracker.tracks.confirmed.any()
+        assert (tracker.tracks.hits == 1).all()
         # young-sequence emission: matched tracks report from frame 1
         assert out.id.tolist() == [1, 2] and len(out) == 2
         # result rows as results.txt holds them: confidence 1, x/y/z -1
@@ -535,7 +530,7 @@ def _oracle_frame(rng, m, n, grid, dim=4):
 
     trk_boxes, last, det_boxes = boxes(m), boxes(m), boxes(n)
     xs = np.column_stack([uvwh_to_xysr(trk_boxes), rng.normal(0, 1, (m, 3))])
-    tracks = Tracks.born(1, xs, np.zeros((m, 4, 3)), last, unit_rows(embeddings(m)), False)
+    tracks = Tracks.born(1, xs, np.zeros((m, 4, 3)), last, unit_rows(embeddings(m)))
     tracks.prev_center = boxes(m)[:, :2]
     tracks.prev_center[rng.random(m) < 0.33] = np.nan
     ref_tracks = [
@@ -603,12 +598,12 @@ def _reference_sequence(per_frame, cfg, counts):
     """(frame, id, box) rows of the Track-list tracker, which filters with
     the per-object motion API of motion_ref; ``counts`` tallies births,
     gapped matches and deaths."""
-    motion, tracks, next_id, rows = DEFAULT_MOTION, [], 1, []
+    tracks, next_id, rows = [], 1, []
     for seen, frame in enumerate(range(1, max(per_frame, default=0) + 1), start=1):
         detections = per_frame.get(frame, [])
         if tracks:
             xs, Ps = ref.kf_predict_batch(
-                np.stack([t.state.x for t in tracks]), np.stack([t.state.P for t in tracks]), motion
+                np.stack([t.state.x for t in tracks]), np.stack([t.state.P for t in tracks])
             )
             for i, trk in enumerate(tracks):
                 trk.state = ref.KalmanState(xs[i], Ps[i])
@@ -625,7 +620,6 @@ def _reference_sequence(per_frame, cfg, counts):
                 np.stack([tracks[m].state.x for m, _ in fresh]),
                 np.stack([tracks[m].state.P for m, _ in fresh]),
                 np.array([ref.bbox_to_xysr(detections[n].bbox) for _, n in fresh]),
-                motion,
             )
             for i, (m, _) in enumerate(fresh):
                 tracks[m].state = ref.KalmanState(xs[i], Ps[i])
@@ -634,7 +628,7 @@ def _reference_sequence(per_frame, cfg, counts):
             if trk.time_since_update > 1:
                 counts["gapped"] += 1
                 trk.state = ref.ocr_reupdate(
-                    trk.checkpoint, trk.last_box, detections[n], trk.time_since_update, motion
+                    trk.checkpoint, trk.last_box, detections[n], trk.time_since_update
                 )
         if matches:
             apps = np.stack([tracks[m].appearance for m, _ in matches])
@@ -658,7 +652,7 @@ def _reference_sequence(per_frame, cfg, counts):
         for n in unmatched:
             counts["births"] += 1
             d = detections[n]
-            state = ref.kf_init(d, motion)
+            state = ref.kf_init(d)
             norm = np.linalg.norm(d.embedding)
             app = d.embedding / norm if norm >= ZERO_NORM_EPS else d.embedding.copy()
             tracks.append(
