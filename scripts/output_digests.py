@@ -6,9 +6,11 @@ Generates the workload's sequences as the benchmark's set-up does
 (``perfbench/workloads.py``: one spec file per sequence, read back by
 ``macsort synth``, which writes it again as ``scenario.spec``), runs
 ``filter``, ``track`` and ``eval`` on them through ``macsort.cli.main`` in
-a temporary directory, and prints one ``<seed> <sha256>  <sequence>/<file>``
-line per file and seed. Run it on two checkouts and diff the output: a
-change that claims to alter no output prints the same lines.
+a temporary directory (``eval`` twice: at its defaults, and with
+``--hota-sweep``, which runs 19 matchings per frame), and prints one
+``<seed> <sha256>  <sequence>/<file>`` line per file and seed. Run it on
+two checkouts and diff the output: a change that claims to alter no
+output prints the same lines.
 
 Usage: python scripts/output_digests.py --workload crowd_dense --seed 0 1 2 3
 """
@@ -34,7 +36,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as it is
 from perfbench.workloads import WORKLOADS, generate  # noqa: E402
 
 FILES = ("scenario.spec", "gt.txt", "general.txt", "general.emb", "filtered.txt",
-         "filtered.emb", "results.txt", "results.txt.metrics.json")
+         "filtered.emb", "results.txt", "results.txt.metrics.json", "results.txt.sweep.json")
 
 
 def _cli(*argv: str) -> None:
@@ -57,7 +59,9 @@ def main() -> None:
             _cli("filter", *dirs)
             _cli("track", *dirs)
             for seq in seqs:
-                _cli("eval", str(seq / "gt.txt"), str(seq / "results.txt"))
+                gt, results = str(seq / "gt.txt"), str(seq / "results.txt")
+                _cli("eval", gt, results)
+                _cli("eval", gt, results, "--hota-sweep", "--json-out", results + ".sweep.json")
             for seq in seqs:
                 for name in FILES:
                     digest = hashlib.sha256((seq / name).read_bytes()).hexdigest()

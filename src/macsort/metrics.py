@@ -11,10 +11,13 @@ detection and association accuracies over thresholds 0.05..0.95.
 
 ``evaluate`` maps the gt and predicted ids to dense indices once per
 sequence and reads each frame that holds rows once, as slices of the
-sequences' columns. The identity overlaps and every threshold's
-higher-order matching come from one IoU matrix per frame; each frame adds
-their (gt index, predicted index) pairs as int64 keys, counted once at the
-end.
+sequences' columns. Each frame's IoU matrix is read once, into pair
+vectors: the (gt row, pred row, IoU) of every pair that clears the lowest
+threshold in use. The CLEAR matching, the identity overlaps and every
+threshold's higher-order matching work on those vectors; a dense cost
+matrix is built only for the solver, when some row or column holds two
+pairs. Each frame adds the identity and higher-order (gt index,
+predicted index) pairs as int64 keys, counted once at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .config import CliConfig
 from .errors import FrameMismatch
-from .geometry import iou_matrix, uvwh_array
+from .geometry import iou_matrix, nonzero_cells, uvwh_array
 from .mot_io import by_frame
 from .tracker import linear_assignment
 
@@ -110,38 +113,55 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _max_iou_pairs(ious: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, cols) of the maximum-total-IoU matching among the cells
-    with IoU >= threshold, rows ascending."""
-    return linear_assignment(np.where(ious >= threshold, 1.0 - ious, np.inf))
+def _max_iou_matching(
+    rows: np.ndarray, cols: np.ndarray, iou: np.ndarray, free_rows: np.ndarray,
+    free_cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum-total-IoU matching among the pairs (rows, cols), row-major,
+    with IoUs ``iou``, whose rows and cols lie in the ascending
+    ``free_rows`` and ``free_cols``: its (rows, cols), rows ascending.
+
+    When no row and no column holds two pairs, the pairs are the matching.
+    Otherwise the solver gets the dense (free rows x free cols) cost, 1 - IoU
+    on the pairs and +inf elsewhere.
+    """
+    if len(rows) < 2 or ((rows[1:] != rows[:-1]).all() and np.bincount(cols).max() == 1):
+        return rows, cols
+    cost = np.full((len(free_rows), len(free_cols)), np.inf)
+    cost[np.searchsorted(free_rows, rows), np.searchsorted(free_cols, cols)] = 1.0 - iou
+    r, c = linear_assignment(cost)
+    return free_rows[r], free_cols[c]
 
 
 def match_frame(
     gt: np.ndarray,
     pred: np.ndarray,
-    ious: np.ndarray | None,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     iou_threshold: float,
     prev: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One frame's matching, as the matched (gt, pred) id indices.
 
     ``gt`` and ``pred`` are the frame's id indices in row order, distinct
-    on each side; ``ious`` is their IoU matrix (None when a side is empty);
-    ``prev`` is the previous frame's matching: ``prev[g]`` is the pred
-    index matched to gt index g, or -1, and no pred index appears twice.
-    Pairs matched in the previous frame are kept while their IoU still
-    clears the threshold; the remainder is matched by maximum total IoU.
+    on each side; ``pairs`` holds the (gt row, pred row, IoU) vectors of at
+    least every pair whose IoU clears the threshold, row-major; ``prev`` is
+    the previous frame's matching: ``prev[g]`` is the pred index matched to
+    gt index g, or -1, and no pred index appears twice. Pairs matched in
+    the previous frame are kept while their IoU still clears the threshold;
+    the remainder is matched by maximum total IoU.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    if not len(gt) or not len(pred):
-        return gt[:0], pred[:0]
-    kept = (pred == prev[gt][:, None]) & (ious >= iou_threshold)
-    rows, cols = np.nonzero(kept)
-    rem_r, rem_c = np.flatnonzero(~kept.any(axis=1)), np.flatnonzero(~kept.any(axis=0))
-    if len(rem_r) and len(rem_c):
-        new_r, new_c = _max_iou_pairs(ious[np.ix_(rem_r, rem_c)], iou_threshold)
-        rows, cols = np.concatenate([rows, rem_r[new_r]]), np.concatenate([cols, rem_c[new_c]])
+    gi, pi, iou = pairs
+    clear = iou >= iou_threshold
+    gi, pi, iou = gi[clear], pi[clear], iou[clear]
+    kept = pred[pi] == prev[gt[gi]]
+    free_r, free_c = np.ones(len(gt), dtype=bool), np.ones(len(pred), dtype=bool)
+    free_r[gi[kept]] = free_c[pi[kept]] = False
+    rest = free_r[gi] & free_c[pi]
+    new_r, new_c = _max_iou_matching(gi[rest], pi[rest], iou[rest], np.flatnonzero(free_r),
+                                     np.flatnonzero(free_c))
+    rows, cols = np.concatenate([gi[kept], new_r]), np.concatenate([pi[kept], new_c])
     return gt[rows], pred[cols]
 
 
@@ -219,6 +239,7 @@ def evaluate(
             f"prediction frames {np.unique(bad).tolist()} outside ground-truth range 1..{last}"
         )
     alphas = SWEEP_THRESHOLDS if hota_sweep else [iou_threshold]
+    lowest = min(iou_threshold, *alphas)
     # a frame without rows only clears the carried-over matches, so of a run
     # of them only the first is walked
     with_rows = np.union1d(gt.frame, pred.frame)
@@ -246,8 +267,16 @@ def evaluate(
         pred_rows = pred.frame_rows.get(f, slice(0))
         g, p = gt_index[gt_rows], pred_index[pred_rows]
 
-        ious = iou_matrix(gt.boxes[gt_rows], pred.boxes[pred_rows]) if len(g) and len(p) else None
-        matched_g, matched_p = match_frame(g, p, ious, iou_threshold, prev)
+        # every threshold is > 0, so the pairs at the lowest one hold all
+        # that any threshold keeps
+        if len(g) and len(p):
+            ious = iou_matrix(gt.boxes[gt_rows], pred.boxes[pred_rows])
+            gi, pi = nonzero_cells(ious >= lowest)
+            iou = ious[gi, pi]
+        else:
+            gi = pi = np.zeros(0, dtype=np.intp)
+            iou = np.zeros(0)
+        matched_g, matched_p = match_frame(g, p, (gi, pi, iou), iou_threshold, prev)
         tp += len(matched_g)
         covered[matched_g] += 1
         before = last_match[matched_g]
@@ -256,12 +285,14 @@ def evaluate(
         prev = np.full(n_gt, -1)
         prev[matched_g] = matched_p
 
-        if ious is not None:
-            gi, pi = np.nonzero(ious >= iou_threshold)
-            overlap_keys.append(g[gi] * n_pred + p[pi])
+        if len(gi):
+            clear = iou >= iou_threshold
+            overlap_keys.append(g[gi[clear]] * n_pred + p[pi[clear]])
+            all_r, all_c = np.arange(len(g)), np.arange(len(p))
             for keys, alpha in zip(hota_keys, alphas):
-                gi, pi = _max_iou_pairs(ious, alpha)
-                keys.append(g[gi] * n_pred + p[pi])
+                clear = iou >= alpha
+                r, c = _max_iou_matching(gi[clear], pi[clear], iou[clear], all_r, all_c)
+                keys.append(g[r] * n_pred + p[c])
 
     fn = int(gt_len.sum()) - tp
     fp = int(pred_len.sum()) - tp

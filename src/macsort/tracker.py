@@ -30,6 +30,7 @@ from .geometry import (
     ZERO_NORM_EPS,
     box_edges,
     iou_of_edges,
+    overlap_pairs,
     unit_rows,
     uvwh_to_xysr,
     xysr_to_uvwh,
@@ -203,19 +204,18 @@ def build_cost_matrix(
     ``unit_rows(dets.features)``.
 
     A pair whose box interiors do not overlap has IoU 0, so under a
-    positive gate only overlapping pairs are candidates (at gate 0 every
-    pair is); the terms are computed on the candidates that pass the gate.
+    positive gate only the ``overlap_pairs`` are candidates (at gate 0
+    every pair is); the terms are computed on the candidates that pass the
+    gate.
     """
     m, n = len(tracks), len(dets)
     det_uvwh = dets.boxes
 
     trk_edges, det_edges = box_edges(xysr_to_uvwh(tracks.x)), box_edges(det_uvwh)
     if cfg.iou_gate > 0.0:
-        (la, ta, ra, ba), (lb, tb, rb, bb) = [e[:, None] for e in trk_edges], det_edges
-        candidates = (lb < ra) & (rb > la) & (tb < ba) & (bb > ta)
+        rows, cols = overlap_pairs(trk_edges, det_edges)
     else:
-        candidates = np.ones((m, n), dtype=bool)
-    rows, cols = np.nonzero(candidates)
+        rows, cols = np.nonzero(np.ones((m, n), dtype=bool))
     iou = iou_of_edges([e[rows] for e in trk_edges], [e[cols] for e in det_edges])
     inside = iou >= cfg.iou_gate
     rows, cols, iou = rows[inside], cols[inside], iou[inside]

@@ -1,7 +1,8 @@
 """The evaluator that metrics.evaluate replaced, kept as a test oracle: per
 frame dicts of ids and one Counter update per pair, scipy's solver called
-on every assignment, and the identity-score fill as one Python loop over
-every (gt id, predicted id) pair."""
+on every assignment, every IoU computed (geometry_ref.iou_dense), and the
+identity-score fill as one Python loop over every (gt id, predicted id)
+pair."""
 
 from collections import Counter
 
@@ -9,8 +10,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from macsort.errors import FrameMismatch
-from macsort.geometry import iou_matrix
 from macsort.metrics import ML_COVERAGE, MT_COVERAGE, SWEEP_THRESHOLDS, MetricsReport
+from geometry_ref import iou_dense
 
 
 def rows_at(sequence, frame):
@@ -77,7 +78,7 @@ def match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None, ious=Non
     if not gt_frame or not pred_frame:
         return {}
     if ious is None:
-        ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
+        ious = iou_dense([b for _, b in gt_frame], [b for _, b in pred_frame])
     gt_row = {g: i for i, (g, _) in enumerate(gt_frame)}
     pred_col = {p: j for j, (p, _) in enumerate(pred_frame)}
     matches = {}
@@ -135,7 +136,7 @@ def evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False) -> MetricsReport:
         gt_len.update(gt_ids)
         pred_len.update(pred_ids)
 
-        ious = iou_matrix(gt_boxes, pred_boxes) if gt_ids and pred_ids else None
+        ious = iou_dense(gt_boxes, pred_boxes) if gt_ids and pred_ids else None
         matches = match_frame(list(zip(gt_ids, gt_boxes)), list(zip(pred_ids, pred_boxes)),
                               iou_threshold, prev, ious)
         tp += len(matches)

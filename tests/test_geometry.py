@@ -2,19 +2,24 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import macsort.geometry
 from macsort.errors import DimensionMismatch, InvalidState
 from macsort.geometry import (
+    SWEEP_MAX_SHARE,
+    SWEEP_MIN_CELLS,
     BBox,
+    box_edges,
     cosine_matrix,
     first_unheld_box,
     iou_matrix,
+    overlap_pairs,
     uvwh_to_xysr,
     xysr_of,
     xysr_to_uvwh,
 )
-from geometry_ref import iou as ref_iou
+from geometry_ref import iou as ref_iou, iou_dense, overlap_dense
 
 boxes = st.builds(
     BBox,
@@ -87,6 +92,97 @@ class TestIou:
         for a, b in ((empty, ys), (xs, empty), (empty, empty)):
             assert np.array_equal(iou_matrix(as_boxes(a), as_boxes(b)), iou_matrix(a, b))
             assert iou_matrix(a, b).shape == (len(a), len(b))
+
+
+@st.composite
+def grid_edge_sets(draw):
+    """Two box sets, m and n boxes of up to 90, as (left, top, right,
+    bottom) edge arrays: whole grid lines times ``step`` from ``base``, so
+    that boxes touch (zero gap), nest and repeat, and equal edges are equal
+    floats; the second set copies some boxes of the first. Near 1e12 a
+    step of 1e-3 is a few ulps and one of 1e-4 is below one, so nearby
+    grid lines round together there."""
+    m, n = draw(st.integers(0, 90)), draw(st.integers(0, 90))
+    base = draw(st.sampled_from([0.0, -7.5, 1e12, -1e12]))
+    step = draw(st.sampled_from([1.0, 0.25, 1e-3, 1e-4]))
+    span = draw(st.tuples(*[st.sampled_from([2, 16, 128, 1024])] * 2))
+    widest = draw(st.sampled_from([1, 4, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def lines(k):
+        lo = rng.integers(0, span, (k, 2))
+        return lo, lo + rng.integers(1, widest + 1, (k, 2))
+
+    (lo_a, hi_a), (lo_b, hi_b) = lines(m), lines(n)
+    if m and n:
+        copied = rng.random(n) < 0.2
+        picked = rng.integers(0, m, int(copied.sum()))
+        lo_b[copied], hi_b[copied] = lo_a[picked], hi_a[picked]
+
+    def edges(lo, hi):
+        left_top, right_bottom = base + lo * step, base + hi * step
+        return [left_top[:, 0], left_top[:, 1], right_bottom[:, 0], right_bottom[:, 1]]
+
+    return edges(lo_a, hi_a), edges(lo_b, hi_b)
+
+
+def lane_edges(k, spread_axis, offset=0.0):
+    """k boxes of 20 x 20 px spread over 4000 px along one axis (0 for u,
+    1 for v, None for neither) and stacked in one 30 px band along the
+    other."""
+    rng = np.random.default_rng(k + (spread_axis or 0))
+    centers = rng.uniform(0, 30, (k, 2)) + offset
+    if spread_axis is not None:
+        centers[:, spread_axis] = rng.uniform(0, 4000, k)
+    return box_edges(np.column_stack([centers, np.full((k, 2), 20.0)]))
+
+
+class TestOverlapPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_edge_sets())
+    def test_equals_dense_compares(self, edge_sets):
+        a, b = edge_sets
+        got, want = overlap_pairs(a, b), overlap_dense(a, b)
+        for got_idx, want_idx in zip(got, want):
+            assert got_idx.dtype == want_idx.dtype and np.array_equal(got_idx, want_idx)
+
+    @pytest.mark.parametrize("m, n, axis, path", [
+        (8, 8, 0, "dense"), (70, 60, 0, "u"), (300, 250, 1, "v"), (90, 80, None, "dense"),
+    ])
+    def test_paths(self, monkeypatch, m, n, axis, path):
+        # which path the pairs come from: below the crossover no sweep, above
+        # it the axis that leaves fewer candidates, or the dense compares
+        # again when even that one leaves more than 1 / SWEEP_MAX_SHARE
+        sweeps, sweep = [], macsort.geometry._sweep
+
+        def recorded(*edges):
+            sweeps.append(sweep(*edges))
+            return sweeps[-1]
+
+        monkeypatch.setattr(macsort.geometry, "_sweep", recorded)
+        a, b = lane_edges(m, axis), lane_edges(n, axis, offset=7.0)
+        got, want = overlap_pairs(a, b), overlap_dense(a, b)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)) and len(got[0])
+        candidates = [int(count.sum()) for _, _, count in sweeps]
+        if m * n < SWEEP_MIN_CELLS:
+            assert not sweeps
+        elif path == "dense":
+            assert min(candidates) * SWEEP_MAX_SHARE > m * n
+        else:
+            u, v = candidates
+            assert (u < v if path == "u" else v < u) and min(u, v) * SWEEP_MAX_SHARE <= m * n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 90), st.integers(0, 90), st.sampled_from([40, 400, 4000]),
+           st.integers(0, 2**32 - 1))
+    def test_iou_matrix_equals_dense_bits(self, m, n, field, seed):
+        # centers on half pixels and whole sizes: edges touch and boxes repeat
+        rng = np.random.default_rng(seed)
+        a = np.column_stack([rng.integers(0, 2 * field, (m, 2)) / 2, rng.integers(1, 24, (m, 2))])
+        b = np.column_stack([rng.integers(0, 2 * field, (n, 2)) / 2, rng.integers(1, 24, (n, 2))])
+        if m and n:
+            b[: n // 4] = a[rng.integers(0, m, n // 4)]
+        assert iou_matrix(a, b).tobytes() == iou_dense(a, b).tobytes()
 
 
 class TestCosine:

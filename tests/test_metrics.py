@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import macsort.geometry
+import macsort.metrics
 import metrics_ref
 from conftest import boxes_at, rows_sequence
 from macsort.errors import FrameMismatch
@@ -33,10 +35,12 @@ def match_ids(gt_frame, pred_frame, iou_threshold, prev_matches=None):
     prev = np.full(max([*gt.tolist(), *(prev_matches or {})], default=0) + 1, -1)
     for g, p in (prev_matches or {}).items():
         prev[g] = p
-    ious = None
+    ious = np.zeros((len(gt), len(pred)))
     if gt_frame and pred_frame:
         ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
-    matched_g, matched_p = match_frame(gt, pred, ious, iou_threshold, prev)
+    # every pair of positive IoU, row-major
+    gi, pi = np.nonzero(ious > 0.0)
+    matched_g, matched_p = match_frame(gt, pred, (gi, pi, ious[gi, pi]), iou_threshold, prev)
     return dict(zip(matched_g.tolist(), matched_p.tolist()))
 
 
@@ -606,6 +610,67 @@ class TestEvaluatorOracle:
                     assert type(got.tp) is type(got.id_switches) is type(got.mostly_lost) is int
                     switches += got.id_switches
         assert switches > 0
+
+
+def crowd_case(rng, n_frames=4):
+    """A gt and prediction pair with 78 to 90 boxes per side in each frame,
+    packed so that each box overlaps a few others: above the sweep
+    crossover of iou_matrix. Centers lie on half pixels, so some gt
+    objects share a box, and some predictions repeat another prediction's
+    box under their own id: tied costs that leave the matching to the
+    solver. Predictions also miss, drift, trade ids and add clutter."""
+    n = int(rng.integers(78, 91))
+    pos = rng.uniform(0, 240, (n, 2))
+    gt_ids, pred_ids = rng.permutation(n) + 1, rng.permutation(n) + 500
+    gt, pred = [], []
+    for t in range(1, n_frames + 1):
+        pos += rng.normal(0, 1.5, pos.shape)
+        twins = rng.choice(n, 6, replace=False)
+        pos[twins[:3]] = pos[twins[3:]]  # three pairs of gt objects on one box
+        swap = rng.choice(n, 2, replace=False)
+        pred_ids[swap] = pred_ids[swap[::-1]]
+        for k in range(n):
+            u, v = np.round(pos[k] * 2) / 2
+            gt.append((t, int(gt_ids[k]), (u, v, 16.0, 16.0)))
+            kind = rng.integers(0, 10)
+            if kind == 0:
+                continue  # missed
+            du, dv = (0.0, 0.0) if kind < 4 else np.round(rng.normal(0, 3, 2) * 2) / 2
+            pred.append((t, int(pred_ids[k]), (u + du, v + dv, 16.0, 16.0)))
+            if kind == 9:  # a second prediction on the same box
+                pred.append((t, 2000 + k, (u + du, v + dv, 16.0, 16.0)))
+        for c in range(int(rng.integers(0, 4))):  # clutter
+            pred.append((t, 3000 + c, (*rng.uniform(0, 240, 2), 16.0, 16.0)))
+    return rows_sequence(gt), rows_sequence(pred)
+
+
+class TestEvaluatorOracleCrowd:
+    """evaluate above the sweep crossover of iou_matrix, where each frame's
+    pairs come from overlap_pairs, gives the dict evaluator's report."""
+
+    def test_equals_dict_evaluator(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(macsort.metrics, "linear_assignment",
+                            counted("solves", macsort.metrics.linear_assignment))
+        monkeypatch.setattr(macsort.geometry, "_sweep", counted("sweeps", macsort.geometry._sweep))
+        rng = np.random.default_rng(70)
+        cases = [crowd_case(rng) for _ in range(3)]
+        for gt, pred in cases:
+            for sequence in (gt, pred):
+                assert min(s.stop - s.start for s in sequence.frame_rows.values()) >= 70
+            for thr in (0.3, 0.7):
+                for sweep in (False, True):
+                    assert evaluate(gt, pred, thr, sweep) == metrics_ref.evaluate(
+                        gt, pred, thr, sweep)
+        # the global identity assignment is one solve per report
+        assert calls["solves"] > 3 * 4 and calls["sweeps"]
 
 
 def shift_after(sequence, frame, by):

@@ -60,7 +60,7 @@ def test_output_digests_are_stable():
     assert len(rows) == sum(map(len, by_seed.values()))
     for seed_rows in by_seed.values():
         seqs = {row[2].split("/")[0] for row in seed_rows}
-        assert len(seqs) == 2 and len(seed_rows) == 8 * len(seqs)
+        assert len(seqs) == 2 and len(seed_rows) == 9 * len(seqs)
         assert all(len(row[1]) == 64 for row in seed_rows)
     assert [row[1] for row in by_seed["0"]] != [row[1] for row in by_seed["1"]]
     one = _run("output_digests.py", "--workload", "crowd_dense", "--seed", "1")

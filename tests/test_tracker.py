@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 import macsort.tracker
 import metrics_ref
 import motion_ref as ref
+from geometry_ref import iou_dense
 from conftest import cost_matrix, dense_terms, make_tracks, mot_rows, table, tables, uvwh
 from macsort.cli import main
 from macsort.errors import NonMonotonicFrame
@@ -482,7 +483,7 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
     xs = np.stack([t.state.x for t in tracks])
     w, h = np.sqrt(xs[:, 2] * xs[:, 3]), np.sqrt(xs[:, 2] / xs[:, 3])
     uvwh = np.array([(d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h) for d in detections])
-    iou = iou_matrix(np.stack([xs[:, 0], xs[:, 1], w, h], axis=1), uvwh)
+    iou = iou_dense(np.stack([xs[:, 0], xs[:, 1], w, h], axis=1), uvwh)
     velocity = np.zeros((m, n))
     rows = [i for i, t in enumerate(tracks) if t.prev_center is not None]
     if cfg.use_direction and rows:
@@ -509,17 +510,18 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
     return total, (1.0 - iou, velocity, appearance)
 
 
-def _oracle_frame(rng, m, n, grid, dim=4):
+def _oracle_frame(rng, m, n, grid, dim=4, spread=1):
     """m predicted tracks and n detections, as a Tracks table, its
     _RefTrack list and the Detection list. On the grid, centers are whole
-    and sizes powers of two, so box edges often touch exactly and boxes
-    repeat; off it, boxes are continuous. A third of the tracks have no
-    previous center, and some embeddings are zero or repeated."""
+    (below 10 * spread) and sizes powers of two, so box edges often touch
+    exactly and boxes repeat; off it, boxes are continuous (centers below
+    60 * spread). A third of the tracks have no previous center, and some
+    embeddings are zero or repeated."""
     def boxes(k):
         if grid:
-            return np.column_stack([rng.integers(0, 10, (k, 2)),
+            return np.column_stack([rng.integers(0, 10 * spread, (k, 2)),
                                     rng.choice([1.0, 2.0, 4.0, 8.0], (k, 2))]).astype(float)
-        return np.column_stack([rng.uniform(0, 60, (k, 2)), rng.uniform(2, 15, (k, 2))])
+        return np.column_stack([rng.uniform(0, 60 * spread, (k, 2)), rng.uniform(2, 15, (k, 2))])
 
     def embeddings(k):
         embs = rng.standard_normal((k, dim))
@@ -566,11 +568,14 @@ def test_gated_cost_equals_dense_oracle(cfg):
     row-major order, and its term vectors the oracle's term matrices at
     those cells, bit for bit."""
     rng = np.random.default_rng(20261019)
-    shapes = [(1, 1), (1, 9), (9, 1), (3, 4), (12, 12), (30, 20)]
+    # (80, 70) is above the gate's sweep crossover: spread 1 clumps its
+    # boxes, which leaves the dense compares, and spread 8 sweeps
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 4), (12, 12), (30, 20), (80, 70), (80, 70)]
     seen = {"touching": 0, "inside": 0, "disjoint_finite": 0}
-    for case in range(120):
+    for case in range(128):
         m, n = shapes[case % len(shapes)]
-        tracks, ref_tracks, dets = _oracle_frame(rng, m, n, grid=case % 2 == 0)
+        spread = 8 if case % len(shapes) == len(shapes) - 1 else 1
+        tracks, ref_tracks, dets = _oracle_frame(rng, m, n, grid=case % 2 == 0, spread=spread)
         embs = unit_rows(np.stack([d.embedding for d in dets]))
         got = build_cost_matrix(tracks, table(dets), cfg, embs)
         want, want_terms = _ref_cost(ref_tracks, dets, cfg, embs)
