@@ -4,8 +4,9 @@ higher-order accuracy (detection x association), plus MT/ML coverage.
 Frame-level matching follows the CLEAR convention: matches surviving from
 the previous frame are kept while they still clear the IoU threshold, the
 rest are matched by a maximum-IoU assignment. Identity metrics use one
-global min-cost assignment between ground-truth and predicted ids over the
-whole sequence. Higher-order accuracy is computed at a single IoU
+global assignment between ground-truth and predicted ids over the whole
+sequence, the one that shares the most frames, solved over the ids that
+share at least one. Higher-order accuracy is computed at a single IoU
 threshold by default (hand-checkable); an optional sweep averages the
 detection and association accuracies over thresholds 0.05..0.95.
 
@@ -14,10 +15,11 @@ sequence and reads each frame that holds rows once, as slices of the
 sequences' columns. Each frame's IoU matrix is read once, into pair
 vectors: the (gt row, pred row, IoU) of every pair that clears the lowest
 threshold in use. The CLEAR matching, the identity overlaps and every
-threshold's higher-order matching work on those vectors; a dense cost
-matrix is built only for the solver, when some row or column holds two
-pairs. Each frame adds the identity and higher-order (gt index,
-predicted index) pairs as int64 keys, counted once at the end.
+threshold's higher-order matching work on those vectors; each matching
+passes its pairs to ``linear_assignment``, which builds a dense cost only
+for the solver, when some row or column holds two pairs. Each frame adds
+the identity and higher-order (gt index, predicted index) pairs as int64
+keys, counted once at the end.
 """
 
 from __future__ import annotations
@@ -113,26 +115,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _max_iou_matching(
-    rows: np.ndarray, cols: np.ndarray, iou: np.ndarray, free_rows: np.ndarray,
-    free_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The maximum-total-IoU matching among the pairs (rows, cols), row-major,
-    with IoUs ``iou``, whose rows and cols lie in the ascending
-    ``free_rows`` and ``free_cols``: its (rows, cols), rows ascending.
-
-    When no row and no column holds two pairs, the pairs are the matching.
-    Otherwise the solver gets the dense (free rows x free cols) cost, 1 - IoU
-    on the pairs and +inf elsewhere.
-    """
-    if len(rows) < 2 or ((rows[1:] != rows[:-1]).all() and np.bincount(cols).max() == 1):
-        return rows, cols
-    cost = np.full((len(free_rows), len(free_cols)), np.inf)
-    cost[np.searchsorted(free_rows, rows), np.searchsorted(free_cols, cols)] = 1.0 - iou
-    r, c = linear_assignment(cost)
-    return free_rows[r], free_cols[c]
-
-
 def match_frame(
     gt: np.ndarray,
     pred: np.ndarray,
@@ -159,9 +141,11 @@ def match_frame(
     free_r, free_c = np.ones(len(gt), dtype=bool), np.ones(len(pred), dtype=bool)
     free_r[gi[kept]] = free_c[pi[kept]] = False
     rest = free_r[gi] & free_c[pi]
-    new_r, new_c = _max_iou_matching(gi[rest], pi[rest], iou[rest], np.flatnonzero(free_r),
-                                     np.flatnonzero(free_c))
-    rows, cols = np.concatenate([gi[kept], new_r]), np.concatenate([pi[kept], new_c])
+    # the rest by maximum total IoU, among the free rows x free cols
+    fr, fc = np.flatnonzero(free_r), np.flatnonzero(free_c)
+    r, c = linear_assignment(np.searchsorted(fr, gi[rest]), np.searchsorted(fc, pi[rest]),
+                             1.0 - iou[rest], (len(fr), len(fc)))
+    rows, cols = np.concatenate([gi[kept], fr[r]]), np.concatenate([pi[kept], fc[c]])
     return gt[rows], pred[cols]
 
 
@@ -185,17 +169,17 @@ def _identity_scores(
     if total_gt == 0 and total_pred == 0:
         return 1.0, 1.0, 1.0
 
-    ng, np_ = len(gt_len), len(pred_len)
-    shared = np.zeros((ng, np_), dtype=np.int64)
+    # the matching that shares the most frames, among the ids that share
+    # one: the optimum of the (gt ids + pred ids)-square cost that charges
+    # an id's boxes unless it is matched, which totals the boxes - 2 idtp
     g, p, count = overlap
+    gt_ids, g = np.unique(g, return_inverse=True)
+    pred_ids, p = np.unique(p, return_inverse=True)
+    shared = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
     shared[g, p] = count
-    cost = np.zeros((ng + np_, ng + np_))
-    cost[:ng, :np_] = gt_len[:, None] + pred_len - 2 * shared
-    cost[:ng, np_:] = gt_len[:, None]  # leave a gt id unmatched: all its boxes are misses
-    cost[ng:, :np_] = pred_len
-    rows, cols = linear_assignment(cost)
-    real = (rows < ng) & (cols < np_)
-    idtp = int(shared[rows[real], cols[real]].sum())
+    rows, cols = np.indices(shared.shape).reshape(2, -1)
+    rows, cols = linear_assignment(rows, cols, -shared.ravel(), shared.shape)
+    idtp = int(shared[rows, cols].sum())
     idp = idtp / total_pred if total_pred else 1.0
     idr = idtp / total_gt if total_gt else 1.0
     idf1 = 2.0 * idtp / (total_gt + total_pred)
@@ -288,10 +272,9 @@ def evaluate(
         if len(gi):
             clear = iou >= iou_threshold
             overlap_keys.append(g[gi[clear]] * n_pred + p[pi[clear]])
-            all_r, all_c = np.arange(len(g)), np.arange(len(p))
             for keys, alpha in zip(hota_keys, alphas):
                 clear = iou >= alpha
-                r, c = _max_iou_matching(gi[clear], pi[clear], iou[clear], all_r, all_c)
+                r, c = linear_assignment(gi[clear], pi[clear], 1.0 - iou[clear], (len(g), len(p)))
                 keys.append(g[r] * n_pred + p[c])
 
     fn = int(gt_len.sum()) - tp

@@ -7,7 +7,7 @@ reproduces it byte for byte.
 
 Embedding sidecar layout (little-endian): 4-byte magic ``EMB1``, int32
 dimension D, int64 row count R, then R*D float32 values; row i belongs to
-line i of the companion CSV.
+the i-th non-blank line of the companion CSV.
 """
 
 from __future__ import annotations

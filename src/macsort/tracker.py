@@ -30,6 +30,7 @@ from .geometry import (
     ZERO_NORM_EPS,
     box_edges,
     iou_of_edges,
+    nonzero_cells,
     overlap_pairs,
     unit_rows,
     uvwh_to_xysr,
@@ -155,11 +156,10 @@ class Tracks:
 
 @dataclass
 class CostBreakdown:
-    """Association cost matrix (rows = tracks, cols = detections) and its
-    ingredients. ``total`` holds +inf where the IoU gate forbids a match.
-    ``rows``/``cols`` are the pairs inside the gate in row-major order, the
-    order of ``total``'s finite cells, and the three terms are (k,) vectors
-    on those pairs; nothing is computed outside them."""
+    """Association cost (rows = tracks, cols = detections) and its
+    ingredients on the pairs inside the IoU gate: ``rows``/``cols`` in
+    row-major order, the three terms and their weighted sum ``cost`` as
+    (k,) vectors on those pairs; nothing is computed outside them."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -169,7 +169,16 @@ class CostBreakdown:
     mu_det: float
     w_aaw: float
     w_amc: float
-    total: np.ndarray
+    cost: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def total(self) -> np.ndarray:
+        """The dense (m, n) cost matrix, built on each read: ``cost`` on the
+        pairs, +inf where the gate forbids a match."""
+        total = np.full(self.shape, np.inf)
+        total[self.rows, self.cols] = self.cost
+        return total
 
 
 def _direction_costs(tracks: Tracks, rows: np.ndarray, centers: np.ndarray,
@@ -199,9 +208,9 @@ def build_cost_matrix(
     cfg: AssocConfig,
     det_embs_unit: np.ndarray,
 ) -> CostBreakdown:
-    """Assemble the weighted cost matrix for already-predicted tracks;
-    ``det_embs_unit`` holds the detections' embeddings as unit rows,
-    ``unit_rows(dets.features)``.
+    """Assemble the weighted cost of the gated pairs for already-predicted
+    tracks; ``det_embs_unit`` holds the detections' embeddings as unit
+    rows, ``unit_rows(dets.features)``.
 
     A pair whose box interiors do not overlap has IoU 0, so under a
     positive gate only the ``overlap_pairs`` are candidates (at gate 0
@@ -215,7 +224,7 @@ def build_cost_matrix(
     if cfg.iou_gate > 0.0:
         rows, cols = overlap_pairs(trk_edges, det_edges)
     else:
-        rows, cols = np.nonzero(np.ones((m, n), dtype=bool))
+        rows, cols = nonzero_cells(np.ones((m, n), dtype=bool))
     iou = iou_of_edges([e[rows] for e in trk_edges], [e[cols] for e in det_edges])
     inside = iou >= cfg.iou_gate
     rows, cols, iou = rows[inside], cols[inside], iou[inside]
@@ -245,29 +254,31 @@ def build_cost_matrix(
         w_aaw, w_amc = adaptive_weights(mu_det, cfg.theta_deg)
 
     iou_term = 1.0 - iou
-    total = np.full((m, n), np.inf)
-    total[rows, cols] = w_amc * iou_term + velocity + w_aaw * appearance
-    return CostBreakdown(rows, cols, iou_term, velocity, appearance, mu_det, w_aaw, w_amc, total)
+    cost = w_amc * iou_term + velocity + w_aaw * appearance
+    return CostBreakdown(rows, cols, iou_term, velocity, appearance, mu_det, w_aaw, w_amc, cost,
+                         (m, n))
 
 
-def linear_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost one-to-one assignment; +inf entries are forbidden.
+def linear_assignment(rows: np.ndarray, cols: np.ndarray, cost: np.ndarray,
+                      shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost one-to-one assignment among the distinct candidate
+    pairs (rows, cols), with finite costs ``cost``, of a ``shape`` = (m, n)
+    problem: the matched (rows, cols) index arrays, rows ascending.
 
-    Returns the matched (rows, cols) index arrays, rows ascending.
-    Infeasible entries are replaced by a value larger than any all-finite
-    assignment before solving, then filtered out of the result. So the
-    solver first matches as many finite entries as it can: when no row and
+    The solver gets the dense cost, every other cell set to a value larger
+    than any assignment of candidates, and only its candidate pairs are
+    kept. So it first matches as many candidates as it can: when no row and
     no column holds two of them, that is all of them, whatever they cost,
     and they are returned without solving.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    finite = np.isfinite(cost)
-    if (finite.sum(axis=0) <= 1).all() and (finite.sum(axis=1) <= 1).all():
-        return np.nonzero(finite)
-    big = float(np.abs(cost[finite]).sum() + np.abs(cost[finite]).max() + 1.0)
-    rows, cols = linear_sum_assignment(np.where(finite, cost, big))
-    kept = finite[rows, cols]
-    return rows[kept], cols[kept]
+    if len(rows) < 2 or ((rows[1:] > rows[:-1]).all() and np.bincount(cols).max() == 1):
+        return rows, cols
+    big = float(np.abs(cost).sum() + np.abs(cost).max() + 1.0)
+    dense = np.full(shape, big)
+    dense[rows, cols] = cost
+    r, c = linear_sum_assignment(dense)
+    kept = dense[r, c] < big  # big exceeds every candidate's cost
+    return r[kept], c[kept]
 
 
 class MacSort:
@@ -339,7 +350,8 @@ class MacSort:
 
         det_embs_unit = unit_rows(dets.features)
         if len(trk) and len(dets):
-            rows, cols = linear_assignment(build_cost_matrix(trk, dets, cfg, det_embs_unit).total)
+            bd = build_cost_matrix(trk, dets, cfg, det_embs_unit)
+            rows, cols = linear_assignment(bd.rows, bd.cols, bd.cost, bd.shape)
         else:
             rows = cols = np.zeros(0, dtype=np.intp)
 

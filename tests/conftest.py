@@ -4,7 +4,7 @@ import pytest
 from macsort.geometry import BBox, unit_rows
 from macsort.metrics import TrackSequence
 from macsort.prompt_filter import PromptDetections
-from macsort.tracker import Tracks, build_cost_matrix
+from macsort.tracker import Tracks, build_cost_matrix, linear_assignment
 from metrics_ref import rows_at
 from motion_ref import Detection
 
@@ -62,11 +62,19 @@ def cost_matrix(tracks, dets, cfg):
     return build_cost_matrix(tracks, dets, cfg, unit_rows(dets.features))
 
 
+def assign(cost):
+    """linear_assignment on a dense cost, +inf forbidden: its finite cells
+    passed as row-major pairs."""
+    cost = np.asarray(cost, dtype=np.float64)
+    rows, cols = np.nonzero(np.isfinite(cost))
+    return linear_assignment(rows, cols, cost[rows, cols], cost.shape)
+
+
 def dense_terms(bd):
     """A CostBreakdown's three per-pair term vectors (iou, velocity,
     appearance) as (m, n) matrices, NaN outside its gated pairs."""
     def dense(values):
-        out = np.full(bd.total.shape, np.nan)
+        out = np.full(bd.shape, np.nan)
         out[bd.rows, bd.cols] = values
         return out
     return dense(bd.iou_term), dense(bd.velocity_term), dense(bd.appearance_term)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cost_matrix, make_tracks, rows_sequence
+from conftest import assign, cost_matrix, make_tracks, rows_sequence
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
 from macsort.geometry import BBox
@@ -32,7 +32,6 @@ from macsort.tracker import (
     MacSort,
     adaptive_weights,
     compute_mu_det,
-    linear_assignment,
 )
 from macsort.motion import kf_init, kf_predict_batch
 
@@ -69,7 +68,7 @@ def test_criterion_1_assignment_oracle():
         cols = np.arange(n)
         for _ in range(1000):
             cost = rng.uniform(0.0, 1.0, (n, n))
-            total = sum(cost[r, c] for r, c in zip(*linear_assignment(cost)))
+            total = sum(cost[r, c] for r, c in zip(*assign(cost)))
             brute = cost[cols, perms].sum(axis=1).min()
             assert total == brute
     elapsed = time.perf_counter() - start
@@ -133,7 +132,7 @@ def test_criterion_4_embedding_scale_invariance():
         finite = np.isfinite(a.total)
         assert np.array_equal(finite, np.isfinite(b.total))
         assert np.all(np.abs(a.total[finite] - b.total[finite]) <= 1e-12)
-        assert all(map(np.array_equal, linear_assignment(a.total), linear_assignment(b.total)))
+        assert all(map(np.array_equal, assign(a.total), assign(b.total)))
     _passed(4, "cost and assignment invariant to embedding scale")
 
 

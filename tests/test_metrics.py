@@ -7,8 +7,9 @@ import pytest
 
 import macsort.geometry
 import macsort.metrics
+import macsort.tracker
 import metrics_ref
-from conftest import boxes_at, rows_sequence
+from conftest import assign, boxes_at, rows_sequence
 from macsort.errors import FrameMismatch
 from macsort.geometry import BBox, iou_matrix
 from macsort.metrics import (
@@ -19,7 +20,6 @@ from macsort.metrics import (
     match_frame,
 )
 from macsort.mot_io import MotTable
-from macsort.tracker import linear_assignment
 
 
 def seq(items, n_frames=None):
@@ -268,7 +268,7 @@ def per_pair_match_frame(gt_frame, pred_frame, iou_threshold, prev_matches=None,
     if rem_g and rem_p:
         ious = iou_matrix([gt_by_id[g] for g in rem_g], [pred_by_id[p] for p in rem_p])
         cost = np.where(ious >= iou_threshold, 1.0 - ious, np.inf)
-        for gi, pi in zip(*linear_assignment(cost)):
+        for gi, pi in zip(*assign(cost)):
             matches[rem_g[gi]] = rem_p[pi]
     return matches
 
@@ -360,7 +360,7 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
             return []
         ious = iou_matrix([b for _, b in gts], [b for _, b in preds])
         cost = np.where(ious >= thr, 1.0 - ious, np.inf)
-        return [(gts[gi][0], preds[pi][0]) for gi, pi in zip(*linear_assignment(cost))]
+        return [(gts[gi][0], preds[pi][0]) for gi, pi in zip(*assign(cost))]
 
     def identity_scores():
         gt_len, pred_len, overlap = {}, {}, {}
@@ -389,7 +389,7 @@ def three_pass_evaluate(gt, pred, iou_threshold=0.5, hota_sweep=False):
             cost[ng:, j] = pred_len[p]
         idtp = sum(
             overlap.get((gt_ids[i], pred_ids[j]), 0)
-            for i, j in zip(*linear_assignment(cost))
+            for i, j in zip(*assign(cost))
             if i < ng and j < np_
         )
         idp = idtp / total_pred if total_pred else 1.0
@@ -657,8 +657,8 @@ class TestEvaluatorOracleCrowd:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(macsort.metrics, "linear_assignment",
-                            counted("solves", macsort.metrics.linear_assignment))
+        monkeypatch.setattr(macsort.tracker, "linear_sum_assignment",
+                            counted("solves", macsort.tracker.linear_sum_assignment))
         monkeypatch.setattr(macsort.geometry, "_sweep", counted("sweeps", macsort.geometry._sweep))
         rng = np.random.default_rng(70)
         cases = [crowd_case(rng) for _ in range(3)]

@@ -10,7 +10,7 @@ import macsort.tracker
 import metrics_ref
 import motion_ref as ref
 from geometry_ref import iou_dense
-from conftest import cost_matrix, dense_terms, make_tracks, mot_rows, table, tables, uvwh
+from conftest import assign, cost_matrix, dense_terms, make_tracks, mot_rows, table, tables, uvwh
 from macsort.cli import main
 from macsort.errors import NonMonotonicFrame
 from macsort.geometry import (
@@ -214,35 +214,35 @@ def _pairs(rows, cols):
 
 class TestLinearAssignment:
     def test_two_by_two_hand_case(self):
-        assert _pairs(*linear_assignment(np.array([[1.0, 2.0], [2.0, 4.0]]))) == [(0, 1), (1, 0)]
+        assert _pairs(*assign(np.array([[1.0, 2.0], [2.0, 4.0]]))) == [(0, 1), (1, 0)]
 
     def test_all_infinite(self):
-        rows, cols = linear_assignment(np.full((2, 3), np.inf))
+        rows, cols = assign(np.full((2, 3), np.inf))
         assert _pairs(rows, cols) == [] and rows.shape == (0,)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty(self, shape):
-        rows, cols = linear_assignment(np.zeros(shape))
+        rows, cols = assign(np.zeros(shape))
         assert _pairs(rows, cols) == [] and rows.shape == (0,)
 
     def test_diagonal_zeros(self):
         cost = np.ones((3, 3))
         np.fill_diagonal(cost, 0.0)
-        assert _pairs(*linear_assignment(cost)) == [(0, 0), (1, 1), (2, 2)]
+        assert _pairs(*assign(cost)) == [(0, 0), (1, 1), (2, 2)]
 
     def test_partial_gating(self):
         cost = np.array([[0.1, np.inf], [np.inf, np.inf]])
-        assert _pairs(*linear_assignment(cost)) == [(0, 0)]
+        assert _pairs(*assign(cost)) == [(0, 0)]
 
     def test_rectangular(self):
-        assert _pairs(*linear_assignment(np.array([[5.0, 1.0, 3.0]]))) == [(0, 1)]
-        assert _pairs(*linear_assignment(np.array([[5.0], [1.0], [3.0]]))) == [(1, 0)]
+        assert _pairs(*assign(np.array([[5.0, 1.0, 3.0]]))) == [(0, 1)]
+        assert _pairs(*assign(np.array([[5.0], [1.0], [3.0]]))) == [(1, 0)]
 
     def test_rows_ascend_on_tall_and_wide_gated_costs(self, rng):
         for _ in range(200):
             m, n = rng.integers(1, 9, 2)
             cost = np.where(rng.random((m, n)) < 0.4, np.inf, rng.uniform(0, 1, (m, n)))
-            pairs = _pairs(*linear_assignment(cost))
+            pairs = _pairs(*assign(cost))
             assert all(np.isfinite(cost[r, c]) for r, c in pairs)
             assert len({c for _, c in pairs}) == len(pairs)
 
@@ -250,7 +250,7 @@ class TestLinearAssignment:
         for n in range(2, 6):
             for _ in range(50):
                 cost = rng.uniform(0, 1, (n, n))
-                total = sum(cost[r, c] for r, c in _pairs(*linear_assignment(cost)))
+                total = sum(cost[r, c] for r, c in _pairs(*assign(cost)))
                 best = min(
                     sum(cost[i, p[i]] for i in range(n))
                     for p in itertools.permutations(range(n))
@@ -292,7 +292,7 @@ class TestForcedAssignment:
             rows, cols = rng.permutation(m)[:k], rng.permutation(n)[:k]
             scale = 10.0 ** rng.integers(-3, 4)
             cost[rows, cols] = rng.uniform(-1, 1, k) * scale  # any sign
-            got = _pairs(*linear_assignment(cost))
+            got = _pairs(*assign(cost))
             assert got == _pairs(*metrics_ref.solver_assignment(cost))
             assert got == sorted(zip(rows.tolist(), cols.tolist()))
         assert solver_calls == []
@@ -300,7 +300,7 @@ class TestForcedAssignment:
     @pytest.mark.parametrize("cost", [np.zeros((0, 4)), np.zeros((4, 0)),
                                       np.full((3, 4), np.inf), np.array([[-5.0]])])
     def test_edge_shapes_skip_the_solver(self, cost, solver_calls):
-        assert _pairs(*linear_assignment(cost)) == _pairs(*metrics_ref.solver_assignment(cost))
+        assert _pairs(*assign(cost)) == _pairs(*metrics_ref.solver_assignment(cost))
         assert solver_calls == []
 
     def test_two_finite_cells_in_a_line_go_to_the_solver(self, rng, solver_calls):
@@ -311,13 +311,37 @@ class TestForcedAssignment:
             if (finite.sum(axis=0) <= 1).all() and (finite.sum(axis=1) <= 1).all():
                 continue
             before = len(solver_calls)
-            rows, cols = linear_assignment(cost)
+            rows, cols = assign(cost)
             assert len(solver_calls) == before + 1
             # the most finite cells, and among those the least total cost
             count, total, _ = min(_matchings(cost), key=lambda t: (-t[0], t[1]))
             assert len(rows) == count
             assert cost[rows, cols].sum() == pytest.approx(total, abs=1e-12)
         assert len(solver_calls) >= 50
+
+    def test_pairs_out_of_row_major_order_go_to_the_solver(self, rng, solver_calls):
+        """Pairs in another order than row-major reach the solver and give
+        the dense solve. A forced check on neighbouring rows being unequal
+        would return row 0 twice for rows [0, 1, 0]."""
+        rows, cols, cost = np.array([0, 1, 0]), np.array([0, 1, 2]), np.array([0.5, 0.2, 0.1])
+        dense = np.full((2, 3), np.inf)
+        dense[rows, cols] = cost
+        got = _pairs(*linear_assignment(rows, cols, cost, (2, 3)))
+        assert got == _pairs(*metrics_ref.solver_assignment(dense)) == [(0, 2), (1, 1)]
+        assert len(solver_calls) == 1
+        for _ in range(200):
+            m, n = rng.integers(1, 7, 2)
+            rows, cols = np.nonzero(rng.random((m, n)) < 0.5)
+            cost = rng.uniform(-1, 1, len(rows))
+            dense = np.full((m, n), np.inf)
+            dense[rows, cols] = cost
+            order = rng.permutation(len(rows))
+            before = len(solver_calls)
+            got = _pairs(*linear_assignment(rows[order], cols[order], cost[order], (m, n)))
+            assert got == _pairs(*metrics_ref.solver_assignment(dense))
+            if (order != np.arange(len(rows))).any():
+                assert len(solver_calls) == before + 1
+        assert len(solver_calls) > 150
 
 
 class TestTrackerStep:
@@ -580,7 +604,8 @@ def test_gated_cost_equals_dense_oracle(cfg):
         got = build_cost_matrix(tracks, table(dets), cfg, embs)
         want, want_terms = _ref_cost(ref_tracks, dets, cfg, embs)
         assert got.total.shape == want.shape and got.total.tobytes() == want.tobytes()
-        assert _pairs(*linear_assignment(got.total)) == _pairs(*linear_assignment(want))
+        assert _pairs(*linear_assignment(got.rows, got.cols, got.cost, got.shape)) == _pairs(
+            *assign(want))
         rows, cols = np.nonzero(np.isfinite(got.total))
         assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
         for term, want_term in zip((got.iou_term, got.velocity_term, got.appearance_term),
@@ -616,7 +641,7 @@ def _reference_sequence(per_frame, cfg, counts):
         embs = unit_rows(np.stack([d.embedding for d in detections]) if detections else np.zeros((0, 1)))
         matches, unmatched = [], list(range(len(detections)))
         if tracks and detections:
-            rows_, cols_ = linear_assignment(_ref_cost(tracks, detections, cfg, embs)[0])
+            rows_, cols_ = assign(_ref_cost(tracks, detections, cfg, embs)[0])
             matches = list(zip(rows_.tolist(), cols_.tolist()))
             unmatched = sorted(set(unmatched) - set(cols_.tolist()))
         fresh = [(m, n) for m, n in matches if tracks[m].time_since_update == 1]
