@@ -24,6 +24,7 @@ from .prompt_filter import (
     PromptDetections,
     TpodConfig,
     ie_classify,
+    ie_overlaps,
     lsm_classify,
     lsm_similarity_profile,
     tpod_frame,

@@ -39,7 +39,7 @@ from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfben
     write_detections,
     write_mot,
 )
-from .prompt_filter import MemoryBank, PromptDetections, tpod_frame
+from .prompt_filter import MemoryBank, PromptDetections, ie_overlaps, tpod_frame
 from .synth import generate, read_spec, write_spec
 from .tracker import track_sequence
 
@@ -84,13 +84,18 @@ def cmd_filter(args, cfg: RunConfig) -> int:
 
     def one(seq_dir: Path) -> str:
         dump = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
+        frames = sorted(dump)
+        max_inc, max_exc = ie_overlaps(dump[frame] for frame in frames)
         memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
         kept, stats = {}, []
         dim = 1
-        for frame in sorted(dump):
-            general, include, exclude = dump[frame]
+        lo = 0  # the frame's first row in max_inc and max_exc
+        for frame in frames:
+            general = dump[frame][0]
             dim = max(dim, general.dim)
-            res = tpod_frame(general, include, exclude, memory, frame, tpod_cfg)
+            hi = lo + len(general)
+            res = tpod_frame(general, max_inc[lo:hi], max_exc[lo:hi], memory, frame, tpod_cfg)
+            lo = hi
             kept[frame] = res.final_tps
             stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)

@@ -1,14 +1,19 @@
 """Detector-side filtering of prompt-based detections.
 
-Two stages run per frame. The include-exclude (IE) stage classifies each
-general-prompt box by overlap against include- and exclude-prompt boxes:
-include overlap keeps it as a true positive, exclude overlap drops it, no
-overlap leaves it unclassified. The long-short memory (LSM) stage then
-rescues or rejects unclassified boxes by comparing their features against
-two confidence-ranked banks of past true positives: a long band over the
+Two stages decide each general-prompt box. The include-exclude (IE) stage
+classifies it by overlap against the include- and exclude-prompt boxes of
+its frame: include overlap keeps it as a true positive, exclude overlap
+drops it, no overlap leaves it unclassified. The overlaps depend on the
+frame's own boxes only, so ``ie_overlaps`` computes every frame's maxima
+in one pass per sequence, and ``ie_classify`` decides one frame from them.
+The long-short memory (LSM) stage then runs frame by frame: it rescues or
+rejects unclassified boxes by comparing their features against two
+confidence-ranked banks of past true positives, a long band over the
 whole sequence and a short band over the last three frames. A box is
 rejected only when it sits strictly below the mean similarity of the whole
-unclassified pool on both bands.
+unclassified pool on both bands. ``tpod_frame`` normalises a frame's
+features once; the bands hold those unit rows, and the filter's output
+keeps the raw features.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, EmptyMemory
-from .geometry import cosine_matrix, iou_matrix, uvwh_array
+from .geometry import box_edges, iou_of_edges, unit_rows, uvwh_array
 
 SHORT_WINDOW_FRAMES = 3
+# ie_overlaps holds at most this many (general, prompt) pairs at a time; a
+# frame with more runs alone
+IE_MAX_PAIRS = 1 << 14
 
 
 def _check_kappas(kappa1: int, kappa2: int) -> None:
@@ -127,7 +135,9 @@ class MemoryBank:
     the short band keeps the top kappa2 scores from the last three frames
     (``window``, the accepted Bands of the last three updates). Bands are
     ranked by score, ties broken by earlier frame, then lower in-frame
-    index: rows enter in that order, and the ranking is stable.
+    index: rows enter in that order, and the ranking is stable. The rows
+    are kept as given; ``tpod_frame`` gives unit feature rows, which
+    ``lsm_similarity_profile`` reads.
     """
 
     kappa1: int = TpodConfig.kappa1
@@ -178,37 +188,86 @@ def _check_dims(*sets: PromptDetections) -> None:
         raise DimensionMismatch(f"prompt feature dims differ: {sorted(dims)}")
 
 
+def _row_maxima(edges, n_general: np.ndarray, prompts: list[PromptDetections]) -> np.ndarray:
+    """Each general row's largest IoU against the prompt rows of its own
+    frame, 0 where there are none. ``edges`` are the general rows' edges,
+    frame after frame, ``n_general`` the frames' general row counts and
+    ``prompts`` the frames' prompt sets."""
+    n_prompt = np.array([len(p) for p in prompts], dtype=np.intp)
+    prompt_edges = box_edges(np.concatenate([np.zeros((0, 4)), *(p.boxes for p in prompts)]))
+    per_row = np.repeat(n_prompt, n_general)  # a row's pairs: its frame's prompt rows
+    first_col = np.repeat(np.cumsum(n_prompt) - n_prompt, n_general)
+    pairs_before = np.concatenate([[0], np.cumsum(per_row)])
+    frame_start = np.concatenate([[0], np.cumsum(n_general)])
+    at_frame = pairs_before[frame_start]
+    out = np.zeros(len(per_row))
+    first = 0
+    while first < len(prompts):
+        # as many frames from ``first`` on as fit in IE_MAX_PAIRS, at least one
+        fit = np.searchsorted(at_frame, at_frame[first] + IE_MAX_PAIRS, side="right") - 1
+        stop = max(int(fit), first + 1)
+        lo, hi = frame_start[first], frame_start[stop]
+        first = stop
+        if pairs_before[hi] == pairs_before[lo]:
+            continue
+        rows = np.repeat(np.arange(lo, hi), per_row[lo:hi])
+        # the k-th pair of row r pairs it with its frame's k-th prompt row
+        cols = first_col[rows] + np.arange(len(rows)) - (pairs_before[rows] - pairs_before[lo])
+        iou = iou_of_edges([e[rows] for e in edges], [e[cols] for e in prompt_edges])
+        paired = lo + np.flatnonzero(per_row[lo:hi])
+        out[paired] = np.maximum.reduceat(iou, pairs_before[paired] - pairs_before[lo])
+    return out
+
+
+def ie_overlaps(frame_sets) -> tuple[np.ndarray, np.ndarray]:
+    """The include/exclude maxima of a sequence.
+
+    ``frame_sets`` holds the ``(general, include, exclude)`` sets of each
+    frame, in frame order. Returns two arrays over the general rows of all
+    frames, frame after frame: each row's largest IoU against the include
+    rows of its own frame, and its largest against the exclude rows, 0
+    where there are none. Every same-frame pair is scored by
+    ``iou_of_edges`` on pair columns, with the bits of the frame's
+    ``iou_matrix`` cell, and reduced per row. At most IE_MAX_PAIRS pairs are
+    held at a time: frames are batched, and a frame with more runs alone.
+
+    Raises DimensionMismatch when a frame's non-empty sets differ in
+    feature dimension.
+    """
+    frame_sets = list(frame_sets)
+    for sets in frame_sets:
+        _check_dims(*sets)
+    generals = [g for g, _, _ in frame_sets]
+    edges = box_edges(np.concatenate([np.zeros((0, 4)), *(g.boxes for g in generals)]))
+    n_general = np.array([len(g) for g in generals], dtype=np.intp)
+    return tuple(_row_maxima(edges, n_general, [sets[side] for sets in frame_sets])
+                 for side in (1, 2))
+
+
 def ie_classify(
-    general: PromptDetections,
-    include: PromptDetections,
-    exclude: PromptDetections,
+    max_inc: np.ndarray,
+    max_exc: np.ndarray,
     overlap_threshold: float = TpodConfig.overlap_threshold,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify general-prompt boxes by include/exclude overlap.
+    """Classify one frame's general-prompt boxes by their include/exclude
+    maxima (``ie_overlaps``).
 
-    Returns the row indices into ``general`` of the true positives and of
-    the unclassified boxes, each ascending; boxes overlapping an exclude
-    box are dropped. A box overlapping both sides goes to the larger IoU,
-    ties falling to the exclude side.
+    Returns the row indices of the true positives and of the unclassified
+    boxes, each ascending; boxes whose exclude overlap is above the
+    threshold are dropped. A box overlapping both sides goes to the larger
+    IoU, ties falling to the exclude side.
     """
     if not (0.0 <= overlap_threshold < 1.0):
         raise ValueError(f"overlap_threshold must be in [0,1), got {overlap_threshold}")
-    _check_dims(general, include, exclude)
-    max_inc, max_exc = (
-        iou_matrix(general.boxes, prompt.boxes).max(axis=1)
-        if len(prompt)
-        else np.zeros(len(general))
-        for prompt in (include, exclude)
-    )
     inc_hit = max_inc > overlap_threshold
     exc_hit = max_exc > overlap_threshold
     tp_mask = inc_hit & (~exc_hit | (max_inc > max_exc))
     return np.flatnonzero(tp_mask), np.flatnonzero(~tp_mask & ~exc_hit)
 
 
-def lsm_similarity_profile(memory: MemoryBank, features: np.ndarray) -> LsmSimilarityProfile:
-    """Mean cosine similarity of each unclassified box's features (n, d)
-    against both bands.
+def lsm_similarity_profile(memory: MemoryBank, unit_features: np.ndarray) -> LsmSimilarityProfile:
+    """Mean cosine similarity of each unclassified box against both bands,
+    from the boxes' unit feature rows (n, d) and the bands' unit rows.
 
     Means run over the actual band occupancy (bands may hold fewer than
     kappa entries early in a sequence); the pooled values are the means of
@@ -216,10 +275,13 @@ def lsm_similarity_profile(memory: MemoryBank, features: np.ndarray) -> LsmSimil
     """
     if not memory.usable:
         raise EmptyMemory("both memory bands must be non-empty")
-    if len(features) == 0:
+    if len(unit_features) == 0:
         raise EmptyInput("no unclassified boxes to profile")
-    sim_long = cosine_matrix(memory.long[0], features).mean(axis=0)
-    sim_short = cosine_matrix(memory.short[0], features).mean(axis=0)
+    band_dim, dim = memory.long[0].shape[1], unit_features.shape[1]
+    if band_dim != dim:
+        raise DimensionMismatch(f"embedding dims differ: {band_dim} vs {dim}")
+    sim_long, sim_short = (np.clip(band @ unit_features.T, -1.0, 1.0).mean(axis=0)
+                           for band, _ in (memory.long, memory.short))
     return LsmSimilarityProfile(
         sim_long=sim_long,
         sim_short=sim_short,
@@ -248,25 +310,28 @@ class TpodFrameResult:
 
 def tpod_frame(
     general: PromptDetections,
-    include: PromptDetections,
-    exclude: PromptDetections,
+    max_inc: np.ndarray,
+    max_exc: np.ndarray,
     memory: MemoryBank,
     frame: int,
     config: TpodConfig | None = None,
 ) -> TpodFrameResult:
-    """One frame of the full filtering pipeline: IE stage, then LSM stage.
+    """One frame of the full filtering pipeline: IE stage on the frame's
+    include/exclude maxima (``ie_overlaps``), then LSM stage.
 
     While the memory bands are still empty (cold start) unclassified boxes
     pass through as TPs by default, otherwise the memory could never fill.
     The final TPs are the IE true positives, then the rescued boxes, each
-    in ``general``'s row order. The memory is updated in place with them.
+    in ``general``'s row order, with their raw features. The memory is
+    updated in place with their unit feature rows.
     """
     config = config or TpodConfig()
-    tp_rows, unclassified = ie_classify(general, include, exclude, config.overlap_threshold)
+    tp_rows, unclassified = ie_classify(max_inc, max_exc, config.overlap_threshold)
+    unit = unit_rows(general.features)
     rescued = rejected = unclassified[:0]
     if len(unclassified):
         if memory.usable:
-            profile = lsm_similarity_profile(memory, general.features[unclassified])
+            profile = lsm_similarity_profile(memory, unit[unclassified])
             fp_mask = lsm_classify(profile)
             rescued, rejected = unclassified[~fp_mask], unclassified[fp_mask]
         elif config.cold_start_passthrough:
@@ -275,7 +340,7 @@ def tpod_frame(
             rejected = unclassified
     final = np.concatenate([tp_rows, rescued])
     accepted = tp_rows if config.memory_from_ie_only else final
-    memory.update(general.features[accepted], general.scores[accepted])
+    memory.update(unit[accepted], general.scores[accepted])
     stats = TpodFrameStats(
         n_general=len(general),
         n_ie_tps=len(tp_rows),

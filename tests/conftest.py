@@ -3,7 +3,7 @@ import pytest
 
 from macsort.geometry import BBox, unit_rows
 from macsort.metrics import TrackSequence
-from macsort.prompt_filter import PromptDetections
+from macsort.prompt_filter import PromptDetections, ie_classify, ie_overlaps, tpod_frame
 from macsort.tracker import Tracks, build_cost_matrix, linear_assignment
 from metrics_ref import rows_at
 from motion_ref import Detection
@@ -105,3 +105,15 @@ def make_tracks(rows):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def ie_split(general, include, exclude, *overlap_threshold):
+    """ie_classify on one frame's prompt sets, its maxima from ie_overlaps
+    on that frame alone."""
+    return ie_classify(*ie_overlaps([(general, include, exclude)]), *overlap_threshold)
+
+
+def filter_frame(general, include, exclude, memory, frame, config=None):
+    """tpod_frame on one frame's prompt sets, its maxima from ie_overlaps
+    on that frame alone."""
+    return tpod_frame(general, *ie_overlaps([(general, include, exclude)]), memory, frame, config)

@@ -10,11 +10,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import assign, cost_matrix, make_tracks, rows_sequence
+from conftest import assign, cost_matrix, filter_frame, make_tracks, rows_sequence
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
 from macsort.geometry import BBox
@@ -24,7 +25,6 @@ from macsort.prompt_filter import (
     MemoryBank,
     PromptDetections,
     TpodConfig,
-    tpod_frame,
 )
 from macsort.synth import ScenarioSpec, generate, write_spec
 from macsort.tracker import (
@@ -34,6 +34,8 @@ from macsort.tracker import (
     compute_mu_det,
 )
 from macsort.motion import kf_init, kf_predict_batch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _passed(n, text):
@@ -161,7 +163,7 @@ def test_criterion_5_lsm_partition_and_bounds():
                 rng.standard_normal((int(k_e), 4)),
                 rng.uniform(0.2, 1.0, int(k_e)),
             ) if k_e else PromptDetections.empty(4)
-            res = tpod_frame(general, include, exclude, memory, frame, cfg)
+            res = filter_frame(general, include, exclude, memory, frame, cfg)
             s = res.stats
             assert len(res.final_tps) + s.n_dropped + s.n_rejected == s.n_general
             assert s.n_ie_tps + s.n_rescued == len(res.final_tps)
@@ -179,13 +181,13 @@ def test_criterion_5_lsm_partition_and_bounds():
             np.stack([e1, e1]),
             np.array([0.9, 0.8]),
         )
-        tpod_frame(seen, seen, PromptDetections.empty(4), memory, frame, cfg)
+        filter_frame(seen, seen, PromptDetections.empty(4), memory, frame, cfg)
     general = PromptDetections(
         [BBox(0, 0, 10, 10), BBox(300, 0, 10, 10)],
         np.stack([e1, e2]),
         np.array([0.9, 0.9]),
     )
-    res = tpod_frame(
+    res = filter_frame(
         general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
     )
     assert res.final_tps.boxes[:, 0].tolist() == [0]
@@ -372,8 +374,10 @@ print(time.perf_counter() - t0)
 def test_criterion_10_throughput():
     """1000 frames x 100 detections x 128-dim embeddings tracked in < 5 s
     single-threaded (fresh process, BLAS pinned to one thread)."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(
         os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, path)),
         OMP_NUM_THREADS="1",
         OPENBLAS_NUM_THREADS="1",
         MKL_NUM_THREADS="1",

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import filter_frame
 from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, _worker_count, main
 from macsort.config import RunConfig, build_config, config_key
 from macsort.errors import InputError
@@ -24,7 +25,7 @@ from macsort.mot_io import (
     write_embeddings,
     write_mot,
 )
-from macsort.prompt_filter import MemoryBank, PromptDetections, tpod_frame
+from macsort.prompt_filter import MemoryBank, PromptDetections
 from macsort.synth import ScenarioSpec, write_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -726,7 +727,7 @@ def _filter_every_frame(seq):
     empty = tuple(PromptDetections.empty(s.dim) for s in dump[1])
     memory, kept, stats = MemoryBank(), [], []
     for frame in range(1, last + 1):
-        res = tpod_frame(*dump.get(frame, empty), memory, frame, RunConfig().tpod_config())
+        res = filter_frame(*dump.get(frame, empty), memory, frame, RunConfig().tpod_config())
         kept.append(res.final_tps)
         stats.append(res.stats)
     rows = PromptDetections.concat(*kept)

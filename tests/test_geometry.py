@@ -9,12 +9,14 @@ from macsort.errors import DimensionMismatch, InvalidState
 from macsort.geometry import (
     SWEEP_MAX_SHARE,
     SWEEP_MIN_CELLS,
+    ZERO_NORM_EPS,
     BBox,
     box_edges,
     cosine_matrix,
     first_unheld_box,
     iou_matrix,
     overlap_pairs,
+    unit_rows,
     uvwh_to_xysr,
     xysr_of,
     xysr_to_uvwh,
@@ -215,6 +217,28 @@ class TestCosine:
     def test_matrix_zero_rows_give_zero(self):
         mat = cosine_matrix(np.zeros((1, 3)), np.eye(3))
         assert np.all(mat == 0.0)
+
+
+class TestUnitRows:
+    """A row's unit row has the same bits whatever batch it is normalised
+    in: the prompt filter's memory bands hold rows normalised with their
+    frame, where they were once normalised with the band."""
+
+    @pytest.mark.parametrize("dim", [3, 8, 64, 200])
+    def test_row_independent(self, dim):
+        rng = np.random.default_rng(dim)
+        scales = 10.0 ** rng.integers(-30, 30, (40, 1))  # float32's range is about 1e±38
+        rows = [*(rng.standard_normal((40, dim)) * scales).astype(np.float32).astype(float),
+                np.zeros(dim), np.full(dim, ZERO_NORM_EPS / (4 * dim)),
+                np.eye(dim)[0] * 3e38, np.eye(dim)[-1] * ZERO_NORM_EPS * 0.99]
+        batch = np.array(rows)
+        alone = np.array([unit_rows(row[None, :])[0] for row in rows])
+        order = rng.permutation(len(rows))
+        assert unit_rows(batch).tobytes() == alone.tobytes()
+        assert unit_rows(batch[order]).tobytes() == alone[order].tobytes()
+        tiny = np.linalg.norm(batch, axis=1) < ZERO_NORM_EPS
+        assert tiny[40:].tolist() == [True, True, False, True]
+        assert np.array_equal(alone[tiny], batch[tiny])  # left as they are
 
 
 class TestXysr:

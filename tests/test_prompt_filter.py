@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from macsort.errors import DimensionMismatch, EmptyInput, EmptyMemory
-from macsort.geometry import BBox
+import macsort.prompt_filter
+from macsort.geometry import SWEEP_MIN_CELLS, BBox, iou_matrix, unit_rows
 from macsort.prompt_filter import (
     MemoryBank,
     PromptDetections,
     TpodConfig,
-    ie_classify,
+    ie_overlaps,
     lsm_classify,
     lsm_similarity_profile,
-    tpod_frame,
 )
+from conftest import filter_frame, ie_split
 import prompt_filter_ref as ref
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -35,46 +36,46 @@ class TestIeClassify:
                        [E1, E1, E1])
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
-        tps, uncl = ie_classify(general, include, exclude)
+        tps, uncl = ie_split(general, include, exclude)
         assert general.boxes[tps, 0].tolist() == [0]
         assert general.boxes[uncl, 0].tolist() == [200]
 
     def test_empty_prompts_leave_all_unclassified(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
-        tps, uncl = ie_classify(general, empty, empty)
+        tps, uncl = ie_split(general, empty, empty)
         assert tps.tolist() == []
         assert uncl.tolist() == [0, 1, 2]
 
     def test_full_include_coverage(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
-        tps, uncl = ie_classify(general, general, PromptDetections.empty(4))
+        tps, uncl = ie_split(general, general, PromptDetections.empty(4))
         assert tps.tolist() == [0, 1, 2] and uncl.tolist() == []
 
     def test_tie_goes_to_exclude(self):
         general = dets([(0, 0, 10, 10)], [E1])
         same = dets([(2, 0, 10, 10)], [E1])
-        tps, uncl = ie_classify(general, same, same)
+        tps, uncl = ie_split(general, same, same)
         assert tps.tolist() == [] and uncl.tolist() == []
 
     def test_higher_iou_wins(self):
         general = dets([(0, 0, 10, 10)], [E1])
         include = dets([(1, 0, 10, 10)], [E1])   # closer overlap
         exclude = dets([(6, 0, 10, 10)], [E1])
-        tps, _ = ie_classify(general, include, exclude)
+        tps, _ = ie_split(general, include, exclude)
         assert tps.tolist() == [0]
 
     def test_overlap_threshold_gates(self):
         general = dets([(0, 0, 10, 10)], [E1])
         include = dets([(8, 0, 10, 10)], [E1])  # iou = 2/18 ~ 0.111
-        tps, uncl = ie_classify(general, include, PromptDetections.empty(4), 0.2)
+        tps, uncl = ie_split(general, include, PromptDetections.empty(4), 0.2)
         assert tps.tolist() == [] and uncl.tolist() == [0]
 
     def test_dim_mismatch(self):
         general = dets([(0, 0, 10, 10)], [E1])
         include = dets([(0, 0, 10, 10)], [[1.0, 0.0]])
         with pytest.raises(DimensionMismatch):
-            ie_classify(general, include, PromptDetections.empty(4))
+            ie_split(general, include, PromptDetections.empty(4))
 
     def test_partition_counts_random(self, rng):
         for _ in range(50):
@@ -84,10 +85,119 @@ class TestIeClassify:
                 rng.standard_normal((n, 4)),
             )
             general = mk(n_g)
-            tps, uncl = ie_classify(general, mk(n_i), mk(n_e))
+            tps, uncl = ie_split(general, mk(n_i), mk(n_e))
             assert len(tps) + len(uncl) <= len(general)
             assert len(set(tps.tolist()) | set(uncl.tolist())) == len(tps) + len(uncl)  # disjoint
             assert np.all(np.diff(tps) > 0) and np.all(np.diff(uncl) > 0)
+
+
+def boxes_near(rng, n, spread=60.0):
+    """n boxes of 5-25 px near the origin, so that boxes of two sets often
+    overlap."""
+    return np.column_stack([rng.uniform(0, spread, (n, 2)), rng.uniform(5, 25, (n, 2))])
+
+
+def frame_sets(rng, n_general, n_include, n_exclude, spread=60.0, dim=3):
+    return tuple(
+        PromptDetections(boxes_near(rng, n, spread), rng.standard_normal((n, dim)),
+                         np.full(n, 0.5))
+        if n else PromptDetections.empty(dim)
+        for n in (n_general, n_include, n_exclude)
+    )
+
+
+def per_frame_maxima(sets):
+    """The oracle: each frame's dense iou_matrix, maximum per general row, 0
+    without prompt rows."""
+    sides = [], []
+    for g, i, e in sets:
+        for side, prompt in zip(sides, (i, e)):
+            side.append(iou_matrix(g.boxes, prompt.boxes).max(axis=1) if len(prompt)
+                        else np.zeros(len(g)))
+    return tuple(np.concatenate([np.zeros(0), *side]) for side in sides)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestIeOverlaps:
+    """ie_overlaps against per-frame iou_matrix maxima, bit for bit."""
+
+    def test_random_sequences(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            counts = rng.choice([0, 0, 1, 2, 5, 9], (int(rng.integers(0, 12)), 3))
+            sets = [frame_sets(rng, *c) for c in counts.tolist()]
+            assert_same_bits(ie_overlaps(sets), per_frame_maxima(sets))
+
+    def test_empty_include_only_and_exclude_only_frames(self, rng):
+        sets = [frame_sets(rng, *c) for c in
+                ((0, 0, 0), (4, 0, 0), (4, 3, 0), (4, 0, 3), (0, 3, 3), (4, 3, 3), (3, 0, 0))]
+        max_inc, max_exc = ie_overlaps(sets)
+        assert_same_bits((max_inc, max_exc), per_frame_maxima(sets))
+        assert len(max_inc) == 4 * 4 + 3
+        assert not max_inc[:4].any() and not max_exc[:8].any() and not max_inc[-3:].any()
+
+    def test_touching_nested_and_identical_boxes(self):
+        general = PromptDetections(
+            [(0, 0, 10, 10), (0, 0, 10, 10), (0, 0, 10, 10), (100, 0, 10, 10)],
+            np.ones((4, 2)), np.full(4, 0.5))
+        include = PromptDetections(
+            [(10, 0, 10, 10),          # touches general 0-2 at an edge: IoU 0
+             (0, 0, 4, 4),             # nested inside general 0-2
+             (100, 0, 10, 10)],        # identical to general 3
+            np.ones((3, 2)), np.full(3, 0.5))
+        exclude = PromptDetections([(0, 0, 10, 10), (105, 0, 10, 10)],
+                                   np.ones((2, 2)), np.full(2, 0.5))
+        sets = [(general, include, exclude)]
+        max_inc, max_exc = ie_overlaps(sets)
+        assert_same_bits((max_inc, max_exc), per_frame_maxima(sets))
+        assert max_inc.tolist() == [0.16, 0.16, 0.16, 1.0]
+        assert max_exc.tolist() == [1.0, 1.0, 1.0, 1 / 3]
+
+    def test_frame_where_iou_matrix_sweeps(self):
+        rng = np.random.default_rng(7)
+        big = frame_sets(rng, 90, 80, 60, spread=400.0)  # 7,200 and 5,400 cells: iou_matrix sweeps
+        sets = [frame_sets(rng, 3, 2, 1), big, frame_sets(rng, 4, 0, 2)]
+        assert len(big[0]) * len(big[2]) >= SWEEP_MIN_CELLS
+        max_inc, max_exc = ie_overlaps(sets)
+        assert_same_bits((max_inc, max_exc), per_frame_maxima(sets))
+        assert 0 < np.count_nonzero(max_inc[3:93]) < 90  # overlaps and misses both
+
+    @pytest.mark.parametrize("cap", [1, 7, 30])
+    def test_batches_split_under_a_small_cap(self, monkeypatch, cap):
+        rng = np.random.default_rng(cap)
+        counts = [(2, 2, 1), (3, 3, 0), (0, 4, 4), (6, 6, 6), (1, 1, 1), (2, 0, 2), (5, 4, 3)]
+        sets = [frame_sets(rng, *c) for c in counts]
+        want = ie_overlaps(sets)  # one batch at the module's cap
+        batches = []
+        real = macsort.prompt_filter.iou_of_edges
+
+        def counted(edges_a, edges_b):
+            batches.append(len(edges_a[0]))
+            return real(edges_a, edges_b)
+
+        monkeypatch.setattr(macsort.prompt_filter, "IE_MAX_PAIRS", cap)
+        monkeypatch.setattr(macsort.prompt_filter, "iou_of_edges", counted)
+        got = ie_overlaps(sets)
+        assert_same_bits(got, want)
+        assert_same_bits(got, per_frame_maxima(sets))
+        assert len(batches) > 2  # batches split mid-sequence
+        # a batch holds at most cap pairs, unless it is one frame with more
+        alone = {len(g) * len(p) for g, i, e in sets for p in (i, e)}
+        assert all(n <= cap or n in alone for n in batches) and max(batches) > cap
+        assert sum(batches) == sum(len(g) * (len(i) + len(e)) for g, i, e in sets)
+
+    def test_no_frames(self):
+        assert_same_bits(ie_overlaps([]), (np.zeros(0), np.zeros(0)))
+
+    def test_dim_mismatch_in_any_frame(self, rng):
+        sets = [frame_sets(rng, 2, 1, 0), frame_sets(rng, 2, 1, 1)]
+        sets[1] = (*sets[1][:2], PromptDetections(boxes_near(rng, 1), np.ones((1, 2)), [0.5]))
+        with pytest.raises(DimensionMismatch):
+            ie_overlaps(sets)
 
 
 def full_memory(feature=E1, n_frames=2):
@@ -142,6 +252,11 @@ class TestLsmProfile:
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInput):
             lsm_similarity_profile(full_memory(), np.zeros((0, 4)))
+
+    def test_dim_mismatch_raises(self):
+        # the bands hold 4-d rows; numpy's matmul would raise ValueError
+        with pytest.raises(DimensionMismatch, match="^embedding dims differ: 4 vs 3$"):
+            lsm_similarity_profile(full_memory(), np.array([[1.0, 0.0, 0.0]]))
 
 
 class TestLsmClassify:
@@ -243,7 +358,7 @@ class TestTpodFrame:
     def test_cold_start_passthrough(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
-        res = tpod_frame(general, empty, empty, MemoryBank(), 0)
+        res = filter_frame(general, empty, empty, MemoryBank(), 0)
         assert len(res.final_tps) == 3
         assert res.stats.n_dropped == 0
 
@@ -251,7 +366,7 @@ class TestTpodFrame:
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
         cfg = TpodConfig(cold_start_passthrough=False)
-        res = tpod_frame(general, empty, empty, MemoryBank(), 0, cfg)
+        res = filter_frame(general, empty, empty, MemoryBank(), 0, cfg)
         assert len(res.final_tps) == 0
         assert res.stats.n_rejected == 3
 
@@ -259,7 +374,7 @@ class TestTpodFrame:
         general = dets([(0, 0, 10, 10), (100, 0, 10, 10)], [E1, E1])
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
-        res = tpod_frame(general, include, exclude, MemoryBank(), 0)
+        res = filter_frame(general, include, exclude, MemoryBank(), 0)
         assert res.final_tps.boxes[:, 0].tolist() == [0]
         assert res.stats.n_dropped == 1
 
@@ -272,10 +387,10 @@ class TestTpodFrame:
         for frame in (1, 2):
             general = dets(spaced_boxes(2), [E1, E1], [0.9, 0.8])
             include = dets(spaced_boxes(2), [E1, E1], [0.9, 0.8])
-            res = tpod_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
+            res = filter_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
             assert len(res.final_tps) == 2
         general = dets([(0, 0, 10, 10), (300, 0, 10, 10)], [E1, E2])
-        res = tpod_frame(
+        res = filter_frame(
             general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
         )
         assert res.final_tps.boxes[:, 0].tolist() == [0]
@@ -287,7 +402,7 @@ class TestTpodFrame:
         memory = MemoryBank()
         general = dets(spaced_boxes(2), [E1, E2], [0.9, 0.8])
         include = dets([(0, 0, 10, 10)], [E1])
-        tpod_frame(general, include, PromptDetections.empty(4), memory, 0, cfg)
+        filter_frame(general, include, PromptDetections.empty(4), memory, 0, cfg)
         # passthrough box excluded from memory: only the IE TP is stored
         assert n_rows(memory.long) == 1
         assert memory.long[1].tolist() == [0.9]
@@ -307,7 +422,7 @@ class TestTpodFrame:
                 [(u, v, 10, 10) for u, v in rng.uniform(0, 100, (m, 2))],
                 rng.standard_normal((m, 4)),
             ) if m else PromptDetections.empty(4)
-            res = tpod_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
+            res = filter_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
             s = res.stats
             assert len(res.final_tps) + s.n_dropped + s.n_rejected == s.n_general
 
@@ -334,8 +449,8 @@ class TestMonotonicity:
                 [(u, v, 10, 10) for u, v in rng.uniform(0, 60, (1, 2))],
                 rng.standard_normal((1, 4)),
             )
-            tps0, uncl0 = ie_classify(general, include, exclude)
-            tps1, uncl1 = ie_classify(
+            tps0, uncl0 = ie_split(general, include, exclude)
+            tps1, uncl1 = ie_split(
                 general, include, PromptDetections.concat(exclude, extra)
             )
             assert len(tps1) <= len(tps0)
@@ -360,8 +475,8 @@ class TestMonotonicity:
                 [(u, v, 10, 10) for u, v in rng.uniform(0, 60, (1, 2))],
                 rng.standard_normal((1, 4)),
             )
-            tps0, _ = ie_classify(general, include, exclude)
-            tps1, _ = ie_classify(
+            tps0, _ = ie_split(general, include, exclude)
+            tps1, _ = ie_split(
                 general, PromptDetections.concat(include, extra), exclude
             )
             assert len(tps1) >= len(tps0)
@@ -385,8 +500,8 @@ def band_bytes(features, scores):
 
 class TestTpodFrameOracle:
     """tpod_frame against the table-passing filter it replaced, frame by
-    frame: the same final rows bit for bit, the same stats and the same
-    memory bands."""
+    frame: the same final rows bit for bit, the same stats, and memory
+    bands that are the unit rows of the oracle's bands."""
 
     @pytest.mark.parametrize("config", [
         TpodConfig(), TpodConfig(cold_start_passthrough=False),
@@ -405,17 +520,20 @@ class TestTpodFrameOracle:
                     random_prompt(rng, int(rng.choice(sizes)), dim, prototypes)
                     for sizes in ([0, 0, 1, 3, 6, 9], [0, 0, 1, 2, 4], [0, 0, 0, 1, 2])
                 )
-                got = tpod_frame(general, include, exclude, memory, frame, config)
+                got = filter_frame(general, include, exclude, memory, frame, config)
                 want = ref.tpod_frame(general, include, exclude, want_memory, frame, config)
                 for col in ("boxes", "features", "scores"):
                     a, b = getattr(got.final_tps, col), getattr(want.final_tps, col)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert got.stats == want.stats
+                # the bands hold unit rows; unit_rows is row-independent, so
+                # normalising the oracle's raw bands gives the same bits
                 for band, want_band in ((memory.long, want_memory.long),
                                         (memory.short, want_memory.short)):
-                    assert band_bytes(*band) == band_bytes(want_band.features, want_band.scores)
+                    assert band_bytes(*band) == band_bytes(unit_rows(want_band.features),
+                                                           want_band.scores)
                 assert [band_bytes(*e) for e in memory.window] == [
-                    band_bytes(e.features, e.scores) for e in want_memory.window]
+                    band_bytes(unit_rows(e.features), e.scores) for e in want_memory.window]
                 s = got.stats
                 totals += (s.n_general == 0 and len(include) > 0, s.n_ie_tps, s.n_dropped,
                            s.n_rescued, s.n_rejected)

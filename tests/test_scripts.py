@@ -1,5 +1,7 @@
 """Golden output of the experiment scripts: the tables they print."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +67,46 @@ def test_output_digests_are_stable():
     assert [row[1] for row in by_seed["0"]] != [row[1] for row in by_seed["1"]]
     one = _run("output_digests.py", "--workload", "crowd_dense", "--seed", "1")
     assert [line.split() for line in one.splitlines()] == by_seed["1"]
+
+
+def _bench_ab():
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_row(side, seed, filter_s, hota, correct=True):
+    metrics = {"filter_s": {"value": filter_s, "unit": "s"}, "hota": {"value": hota, "unit": "1"}}
+    return {"rev": "abc1234", "side": side, "workload": "w", "seed": seed, "exit": 0,
+            "correct": correct, "attempted": 3, "failed": int(not correct), "metrics": metrics}
+
+
+def test_bench_ab_summary_of_canned_rows():
+    bench_ab = _bench_ab()
+    parent = [1.0, 1.2, 1.1, 1.4, 0.9]
+    change = [0.8, 1.2, 0.7, 0.9, 1.0]  # wins, tie, win, win, loss
+    rows = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        pair = [_bench_row("parent", 20 + i, p, 0.5), _bench_row("change", 20 + i, c, 0.5)]
+        rows += pair if i % 2 == 0 else pair[::-1]  # the sides alternate going first
+    rows.append(_bench_row("parent", 99, 5.0, 0.1))  # no partner: left out
+    summary = bench_ab.summarize(rows, [("filter_s", "lower"), ("hota", "higher"),
+                                        ("absent", "lower")])
+    assert summary == {
+        "workload": "w", "seeds": [20, 21, 22, 23, 24], "pairs": 5, "correct": True, "failed": 0,
+        "filter_s": {"parent_median": 1.1, "parent_iqr": 0.2, "median": 0.9, "wins": 3,
+                     "change_pct": -18.2},
+        "hota": {"parent_median": 0.5, "parent_iqr": 0.0, "median": 0.5, "wins": 0,
+                 "change_pct": 0.0, "equal": True},
+    }
+    rows[3]["correct"], rows[3]["failed"] = False, 2
+    assert bench_ab.summarize(rows, [])["failed"] == 2
+    assert not bench_ab.summarize(rows, [])["correct"]
+
+
+def test_bench_ab_reads_the_end_to_end_metrics():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = _bench_ab().end_to_end_metrics()
+    assert metrics == [(m["name"], m["better"]) for m in declared]
+    assert ("filter_s", "lower") in metrics and ("hota", "higher") in metrics
