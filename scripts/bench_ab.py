@@ -8,10 +8,13 @@ second, and so on. Each run's last stdout line, the benchmark's JSON, is
 appended to ``--out`` as one JSON line, with the checkout's git revision,
 the side (``parent`` or ``change``), the workload and the seed. Then it
 prints one summary line: for each end-to-end metric of BENCHMARK.json, the
-parent's median and interquartile range, this checkout's median, the
-pairs that this checkout won (ties count for neither side), and the change
-of the median in percent, with ``equal`` when every pair read the same.
-The benchmark itself is only run, never edited.
+parent's median and interquartile range, this checkout's median and
+interquartile range, the pairs that this checkout won (ties count for
+neither side), the change of the median in percent, with ``equal`` when
+every pair read the same, and ``holds``: whether a gain on that metric is
+shown, that is this checkout won at least 9 in 10 of the pairs and the
+medians differ by more than the parent's interquartile range. The
+benchmark itself is only run, never edited.
 
 Usage:
     python scripts/bench_ab.py --parent ../parent --workload prompts_multi \\
@@ -59,8 +62,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
     """The summary of one workload's paired rows: per metric, the parent's
-    median and interquartile range, the change's median, its wins and the
-    median's change in percent. Only seeds run on both sides count."""
+    and the change's median and interquartile range, the change's wins, the
+    median's change in percent and whether the gain holds. Only seeds run
+    on both sides count."""
     sides = {side: {r["seed"]: r for r in rows if r["side"] == side}
              for side in ("parent", "change")}
     seeds = [seed for seed in sides["parent"] if seed in sides["change"]]
@@ -80,16 +84,20 @@ def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
         if not pairs:
             continue
         parent, change = np.array(pairs).T
-        q1, parent_median, q3 = np.percentile(parent, [25, 50, 75])
-        median = float(np.median(change))
+        q1, parent_median, q3 = np.percentile(parent, [25, 50, 75]).tolist()
+        c1, median, c3 = np.percentile(change, [25, 50, 75]).tolist()
         gain = change - parent if better == "higher" else parent - change
+        wins = int((gain > 0).sum())
         entry = {
-            "parent_median": round(float(parent_median), 4),
-            "parent_iqr": round(float(q3 - q1), 4),
+            "parent_median": round(parent_median, 4),
+            "parent_iqr": round(q3 - q1, 4),
             "median": round(median, 4),
-            "wins": int((gain > 0).sum()),
+            "iqr": round(c3 - c1, 4),
+            "wins": wins,
             "change_pct": round(100.0 * (median - parent_median) / parent_median, 1)
             if parent_median else None,
+            # at least 9 wins in 10 pairs, and a gap wider than the parent's spread
+            "holds": 10 * wins >= 9 * len(pairs) and abs(median - parent_median) > q3 - q1,
         }
         if np.array_equal(parent, change):
             entry["equal"] = True

@@ -8,7 +8,13 @@ the frame's detections look: with mu_det the mean cosine of all detection
 embeddings to their mean, w_aaw = (1 - mu_det) / (1 - cos(theta)) and
 w_amc = 2 - w_aaw. Crowds of near-identical objects (mu_det -> 1) are
 therefore associated almost purely by motion, while visually diverse
-scenes lean on appearance.
+scenes lean on appearance. For unit rows u_i with mean m, that mean cosine
+is (1/n) sum u_i . m/|m| = |m|, so mu_det is the length of the mean unit
+row.
+
+Only pairs inside the IoU gate are scored, the appearance term as one dot
+product per pair; ``MacSort.step`` makes the frame's embeddings unit rows
+once and passes them on.
 
 The tracker runs on arrays: the live tracks are one ``Tracks`` table of
 filter states and boxes, a frame's detections one ``PromptDetections``
@@ -81,24 +87,29 @@ class AssocConfig:
             raise ValueError(f"ema_alpha must be in [0, 1], got {self.ema_alpha}")
 
 
+def _mean_unit_length(unit: np.ndarray, theta_deg: float) -> float:
+    """mu_det of unit rows (zero rows allowed): the length of their mean,
+    which is the mean cosine of the rows to the mean's direction. Fewer
+    than two rows, or a zero mean, give the neutral cos(theta)."""
+    if len(unit) <= 1:
+        return math.cos(math.radians(theta_deg))
+    length = float(np.linalg.norm(unit.mean(axis=0)))
+    if length < ZERO_NORM_EPS:
+        return math.cos(math.radians(theta_deg))
+    return min(length, 1.0)  # no cosine exceeds 1; rounding may
+
+
 def compute_mu_det(embeddings: np.ndarray, theta_deg: float) -> float:
-    """Appearance homogeneity of one frame's detections.
+    """Appearance homogeneity of one frame's detections: the mean cosine of
+    the embeddings to their mean.
 
     Embeddings are row-normalized first (magnitudes carry no meaning under
-    cosine matching). Degenerate inputs (fewer than two detections, or a
-    zero mean vector) return cos(theta) so the adaptive weights fall back
-    to the neutral 1/1 split.
+    cosine matching); zero rows stay zero and still count. Degenerate
+    inputs (fewer than two detections, or a zero mean vector) return
+    cos(theta) so the adaptive weights fall back to the neutral 1/1 split.
     """
-    neutral = math.cos(math.radians(theta_deg))
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    if len(embeddings) <= 1:
-        return neutral
-    unit = unit_rows(embeddings)
-    mu = unit.mean(axis=0)
-    if np.linalg.norm(mu) < ZERO_NORM_EPS:
-        return neutral
-    # cosine_matrix(unit, mu) would normalize the unit rows again
-    return float(np.clip(unit @ unit_rows(mu[None, :]).T, -1.0, 1.0).mean())
+    return _mean_unit_length(unit_rows(embeddings), theta_deg)
 
 
 def adaptive_weights(mu_det: float, theta_deg: float) -> tuple[float, float]:
@@ -215,9 +226,16 @@ def build_cost_matrix(
     A pair whose box interiors do not overlap has IoU 0, so under a
     positive gate only the ``overlap_pairs`` are candidates (at gate 0
     every pair is); the terms are computed on the candidates that pass the
-    gate.
+    gate, the appearance term as one dot product per pair. Raises
+    DimensionMismatch when the tracks' appearance dimension differs from
+    the detections' embedding dimension, whether appearance is used or not.
     """
     m, n = len(tracks), len(dets)
+    if m and n and tracks.appearance.shape[1] != det_embs_unit.shape[1]:
+        raise DimensionMismatch(
+            f"track appearance dim {tracks.appearance.shape[1]} vs "
+            f"detection embedding dim {det_embs_unit.shape[1]}"
+        )
     det_uvwh = dets.boxes
 
     trk_edges, det_edges = box_edges(xysr_to_uvwh(tracks.x)), box_edges(det_uvwh)
@@ -234,20 +252,14 @@ def build_cost_matrix(
     else:
         velocity = np.zeros(len(rows))
 
-    if cfg.use_appearance and m and n:
-        apps = tracks.appearance
-        if apps.shape[1] != det_embs_unit.shape[1]:
-            raise DimensionMismatch(
-                f"track appearance dim {apps.shape[1]} vs "
-                f"detection embedding dim {det_embs_unit.shape[1]}"
-            )
+    if cfg.use_appearance and len(rows):
         # track appearances are unit by construction; zero rows fall out as 0
-        similarity = (apps @ det_embs_unit.T)[rows, cols]
+        similarity = np.einsum("ij,ij->i", tracks.appearance[rows], det_embs_unit[cols])
         appearance = (1.0 - np.clip(similarity, -1.0, 1.0)) / 2.0
     else:
         appearance = np.zeros(len(rows))
 
-    mu_det = compute_mu_det(det_embs_unit, cfg.theta_deg)
+    mu_det = _mean_unit_length(det_embs_unit, cfg.theta_deg)
     if cfg.fixed_w_aaw is not None:
         w_aaw, w_amc = cfg.fixed_w_aaw, 2.0 - cfg.fixed_w_aaw
     else:

@@ -76,30 +76,52 @@ def _bench_ab():
     return module
 
 
-def _bench_row(side, seed, filter_s, hota, correct=True):
-    metrics = {"filter_s": {"value": filter_s, "unit": "s"}, "hota": {"value": hota, "unit": "1"}}
+def _bench_row(side, seed, filter_s, hota, track_s, correct=True):
+    metrics = {"filter_s": {"value": filter_s, "unit": "s"}, "hota": {"value": hota, "unit": "1"},
+               "track_s": {"value": track_s, "unit": "s"}}
     return {"rev": "abc1234", "side": side, "workload": "w", "seed": seed, "exit": 0,
             "correct": correct, "attempted": 3, "failed": int(not correct), "metrics": metrics}
+
+
+def _track_verdict(bench_ab, rows, metrics):
+    entry = bench_ab.summarize(rows, metrics)["track_s"]
+    return entry["wins"], entry["holds"]
 
 
 def test_bench_ab_summary_of_canned_rows():
     bench_ab = _bench_ab()
     parent = [1.0, 1.2, 1.1, 1.4, 0.9]
     change = [0.8, 1.2, 0.7, 0.9, 1.0]  # wins, tie, win, win, loss
+    track_parent = [2.0, 2.1, 2.2, 2.3, 2.4]
+    track_change = [1.6, 1.7, 1.8, 1.9, 2.0]  # five wins, each by 0.4
     rows = []
     for i, (p, c) in enumerate(zip(parent, change)):
-        pair = [_bench_row("parent", 20 + i, p, 0.5), _bench_row("change", 20 + i, c, 0.5)]
+        pair = [_bench_row("parent", 20 + i, p, 0.5, track_parent[i]),
+                _bench_row("change", 20 + i, c, 0.5, track_change[i])]
         rows += pair if i % 2 == 0 else pair[::-1]  # the sides alternate going first
-    rows.append(_bench_row("parent", 99, 5.0, 0.1))  # no partner: left out
-    summary = bench_ab.summarize(rows, [("filter_s", "lower"), ("hota", "higher"),
-                                        ("absent", "lower")])
+    rows.append(_bench_row("parent", 99, 5.0, 0.1, 9.0))  # no partner: left out
+    metrics = [("filter_s", "lower"), ("hota", "higher"), ("track_s", "lower"),
+               ("absent", "lower")]
+    summary = bench_ab.summarize(rows, metrics)
     assert summary == {
         "workload": "w", "seeds": [20, 21, 22, 23, 24], "pairs": 5, "correct": True, "failed": 0,
-        "filter_s": {"parent_median": 1.1, "parent_iqr": 0.2, "median": 0.9, "wins": 3,
-                     "change_pct": -18.2},
-        "hota": {"parent_median": 0.5, "parent_iqr": 0.0, "median": 0.5, "wins": 0,
-                 "change_pct": 0.0, "equal": True},
+        "filter_s": {"parent_median": 1.1, "parent_iqr": 0.2, "median": 0.9, "iqr": 0.2,
+                     "wins": 3, "change_pct": -18.2, "holds": False},
+        "hota": {"parent_median": 0.5, "parent_iqr": 0.0, "median": 0.5, "iqr": 0.0, "wins": 0,
+                 "change_pct": 0.0, "holds": False, "equal": True},
+        # 5/5 wins and a gap of 0.4 against the parent's IQR of 0.2
+        "track_s": {"parent_median": 2.2, "parent_iqr": 0.2, "median": 1.8, "iqr": 0.2,
+                    "wins": 5, "change_pct": -18.2, "holds": True},
     }
+    # a gap inside the parent's IQR does not hold, nor do 4 wins in 5
+    changed = {row["seed"]: row["metrics"]["track_s"] for row in rows if row["side"] == "change"}
+    for seed, metric in changed.items():
+        metric["value"] = track_parent[seed - 20] - 0.15
+    assert _track_verdict(bench_ab, rows, metrics) == (5, False)
+    for seed, metric in changed.items():
+        metric["value"] = track_change[seed - 20]
+    changed[20]["value"] = 2.5
+    assert _track_verdict(bench_ab, rows, metrics) == (4, False)
     rows[3]["correct"], rows[3]["failed"] = False, 2
     assert bench_ab.summarize(rows, [])["failed"] == 2
     assert not bench_ab.summarize(rows, [])["correct"]

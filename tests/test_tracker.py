@@ -57,7 +57,40 @@ def make_track(tid, d, history_points=()):
     return (tid, state, last, emb / np.linalg.norm(emb), prev)
 
 
+def mu_det_by_definition(embeddings, theta_deg):
+    """mu_det as the paper defines it: the mean cosine, clipped to [-1, 1],
+    of the unit embedding rows to their normalised mean; cos(theta) for at
+    most one row or a zero mean."""
+    neutral = math.cos(math.radians(theta_deg))
+    unit = unit_rows(np.atleast_2d(np.asarray(embeddings, dtype=float)))
+    if len(unit) <= 1:
+        return neutral
+    mean = unit.mean(axis=0)
+    norm = np.linalg.norm(mean)
+    if norm < ZERO_NORM_EPS:
+        return neutral
+    return float(np.clip(unit @ (mean / norm), -1.0, 1.0).mean())
+
+
 class TestMuDet:
+    def test_equals_the_definition(self, rng):
+        """compute_mu_det takes the length of the mean unit row, which is
+        the mean cosine to the mean's direction."""
+        base = rng.standard_normal((7, 5))
+        cases = [np.zeros((0, 5)), base[:1], base, base * 1e-3, np.repeat(base[:1], 5, axis=0)]
+        for _ in range(200):
+            embs = rng.standard_normal((int(rng.integers(2, 40)), int(rng.integers(1, 9))))
+            embs[rng.random(len(embs)) < 0.2] = 0.0  # zero rows count in n
+            embs[rng.random(len(embs)) < 0.2] = embs[0]  # repeated rows
+            cases.append(embs)
+            cases.append(np.concatenate([embs, -embs[: int(rng.integers(1, len(embs) + 1))]]))
+        cases += [np.stack([E1, -E1]), np.stack([E1, -E1, E2]), np.zeros((3, 4)),
+                  np.stack([E1, np.zeros(4)]), np.stack([E1, E1, -E1])]
+        for embs in cases:
+            for theta in (45.0, 70.0):
+                assert compute_mu_det(embs, theta) == pytest.approx(
+                    mu_det_by_definition(embs, theta), abs=1e-12, rel=0)
+
     def test_identical_features(self):
         assert compute_mu_det(np.stack([E1, E1, E1]), 45.0) == pytest.approx(1.0)
 
@@ -462,6 +495,15 @@ class TestErrorPaths:
         with pytest.raises(DimensionMismatch):
             cost_matrix(make_tracks([track]), table([bad]), AssocConfig())
 
+    @pytest.mark.parametrize("use_appearance", [True, False])
+    @pytest.mark.parametrize("u", [50, 300], ids=["matched", "born"])
+    def test_step_rejects_a_frame_of_another_dimension(self, use_appearance, u):
+        from macsort.errors import DimensionMismatch
+        tracker = MacSort(AssocConfig(use_appearance=use_appearance))
+        tracker.step(table([det(1, 50, 50, emb=E1)]), 1)
+        with pytest.raises(DimensionMismatch):
+            tracker.step(table([det(2, u, 50, emb=np.array([1.0, 0.0]))]), 2)
+
 
 class TestTrackSequence:
     def test_equals_stepping_every_frame(self):
@@ -528,7 +570,8 @@ def _ref_cost(tracks, detections, cfg, det_embs_unit):
     if cfg.fixed_w_aaw is not None:
         w_aaw, w_amc = cfg.fixed_w_aaw, 2.0 - cfg.fixed_w_aaw
     else:
-        w_aaw, w_amc = adaptive_weights(compute_mu_det(det_embs_unit, cfg.theta_deg), cfg.theta_deg)
+        mu_det = mu_det_by_definition(det_embs_unit, cfg.theta_deg)
+        w_aaw, w_amc = adaptive_weights(mu_det, cfg.theta_deg)
     total = w_amc * (1.0 - iou) + velocity + w_aaw * appearance
     total[iou < cfg.iou_gate] = np.inf
     return total, (1.0 - iou, velocity, appearance)
@@ -569,6 +612,11 @@ def _oracle_frame(rng, m, n, grid, dim=4, spread=1):
     return tracks, ref_tracks, dets
 
 
+# how far an appearance term or a total may be from the dense oracle's: the
+# largest differences seen are 2.2e-16 and 1.1e-15, a few ulp
+TERM_TOL = 1e-14
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -587,10 +635,14 @@ def _oracle_frame(rng, m, n, grid, dim=4, spread=1):
 )
 def test_gated_cost_equals_dense_oracle(cfg):
     """build_cost_matrix scores only the pairs whose boxes overlap; its
-    total equals the dense oracle's bit for bit, inf outside the gate, and
-    so does the assignment. Its pairs are the total's finite cells in
-    row-major order, and its term vectors the oracle's term matrices at
-    those cells, bit for bit."""
+    total equals the dense oracle's, inf outside the gate, and so does the
+    assignment. Its pairs are the total's finite cells in row-major order,
+    and its IoU and direction terms the oracle's term matrices at those
+    cells, bit for bit. The appearance term is a dot product per pair and
+    mu_det the length of the mean unit row, where the oracle takes a dense
+    matrix product and the mean cosine to the normalised mean: they round
+    differently, so the appearance term and the total agree within
+    TERM_TOL, and an assignment that differs must cost the same."""
     rng = np.random.default_rng(20261019)
     # (80, 70) is above the gate's sweep crossover: spread 1 clumps its
     # boxes, which leaves the dense compares, and spread 8 sweeps
@@ -603,14 +655,18 @@ def test_gated_cost_equals_dense_oracle(cfg):
         embs = unit_rows(np.stack([d.embedding for d in dets]))
         got = build_cost_matrix(tracks, table(dets), cfg, embs)
         want, want_terms = _ref_cost(ref_tracks, dets, cfg, embs)
-        assert got.total.shape == want.shape and got.total.tobytes() == want.tobytes()
-        assert _pairs(*linear_assignment(got.rows, got.cols, got.cost, got.shape)) == _pairs(
-            *assign(want))
-        rows, cols = np.nonzero(np.isfinite(got.total))
+        rows, cols = np.nonzero(np.isfinite(want))
         assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
-        for term, want_term in zip((got.iou_term, got.velocity_term, got.appearance_term),
-                                   want_terms):
+        np.testing.assert_allclose(got.total, want, rtol=0, atol=TERM_TOL)
+        for term, want_term in zip((got.iou_term, got.velocity_term), want_terms):
             assert term.tobytes() == want_term[rows, cols].tobytes()
+        np.testing.assert_allclose(got.appearance_term, want_terms[2][rows, cols], rtol=0,
+                                   atol=TERM_TOL)
+        got_pairs = linear_assignment(got.rows, got.cols, got.cost, got.shape)
+        want_pairs = assign(want)
+        if _pairs(*got_pairs) != _pairs(*want_pairs):
+            assert len(got_pairs[0]) == len(want_pairs[0])
+            assert want[got_pairs].sum() == pytest.approx(want[want_pairs].sum(), abs=TERM_TOL * m)
         trk_uvwh, det_uvwh = xysr_to_uvwh(tracks.x), table(dets).boxes
         iou = iou_matrix(trk_uvwh, det_uvwh)
         # boxes that touch: overlap exactly 0 along one axis, positive along the other
