@@ -5,14 +5,17 @@ Pipeline stages, each usable on its own:
 - geometry: the BBox value type, (u, v, w, h) box arrays, the one box <->
   filter-state (u, v, s, r) conversion and similarity primitives
 - captions: annotation JSON and caption-template parsing
-- prompt_filter: include/exclude classification + long-short memory rescue
+- prompt_filter: include/exclude classification, on a sequence's
+  frame-sorted box columns, + long-short memory rescue; a frame's kept
+  rows come back as row indices
 - motion: constant-velocity Kalman filtering and occlusion recovery on
   (x, P) state arrays, each covariance held as its four (pos, vel) blocks
 - tracker: adaptive motion-appearance association (MAC-SORT) over
   PromptDetections tables; results come out as mot_io.MotTable rows, and
   no BBox is built
 - metrics: MOTA / identity F1 / higher-order accuracy evaluation
-- mot_io: MOT-Challenge CSV and embedding sidecar files
+- mot_io: MOT-Challenge CSV and embedding sidecar files; a prompt dump
+  reads as one frame-sorted column set per prompt file
 - synth: deterministic synthetic scenario generator
 - cli: filter / track / eval / synth / parse-captions subcommands
 """

@@ -83,31 +83,30 @@ def cmd_filter(args, cfg: RunConfig) -> int:
         )
 
     def one(seq_dir: Path) -> str:
-        dump = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
-        frames = sorted(dump)
-        max_inc, max_exc = ie_overlaps(dump[frame] for frame in frames)
+        frames, sides = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
+        max_inc, max_exc = ie_overlaps(*((frame, rows.boxes) for frame, rows in sides))
+        frame_col, general = sides[0]
+        starts = np.searchsorted(frame_col, frames, side="left").tolist()
+        ends = np.searchsorted(frame_col, frames, side="right").tolist()
         memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
-        kept, stats = {}, []
-        dim = 1
-        lo = 0  # the frame's first row in max_inc and max_exc
-        for frame in frames:
-            general = dump[frame][0]
-            dim = max(dim, general.dim)
-            hi = lo + len(general)
-            res = tpod_frame(general, max_inc[lo:hi], max_exc[lo:hi], memory, frame, tpod_cfg)
-            lo = hi
-            kept[frame] = res.final_tps
+        kept, stats = [np.zeros(0, np.intp)], []
+        for frame, lo, hi in zip(frames, starts, ends):
+            dets = PromptDetections(general.boxes[lo:hi], general.features[lo:hi],
+                                    general.scores[lo:hi])
+            res = tpod_frame(dets, max_inc[lo:hi], max_exc[lo:hi], memory, frame, tpod_cfg)
+            kept.append(lo + res.rows)
             stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)
-        rows = PromptDetections.concat(*kept.values(), PromptDetections.empty(dim))
-        frames = np.repeat(list(kept), [len(s) for s in kept.values()])
-        table = MotTable.from_uvwh(frames, DETECTION_ID, rows.boxes, rows.scores)
-        write_detections(out / "filtered.txt", out / "filtered.emb", table, rows.features)
+        rows = np.concatenate(kept)
+        table = MotTable.from_uvwh(frame_col[rows], DETECTION_ID, general.boxes[rows],
+                                   general.scores[rows])
+        write_detections(out / "filtered.txt", out / "filtered.emb", table,
+                         general.features[rows])
         counts = " ".join(
             f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
             for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
         )
-        return f"[filter] {seq_dir} frames={max(dump, default=0)} {counts} final={len(table)}"
+        return f"[filter] {seq_dir} frames={max(frames, default=0)} {counts} final={len(table)}"
 
     for report in _run_sequences(cfg, args.seq_dirs, one):
         print(report)

@@ -244,7 +244,7 @@ def write_mot(records, path: str | Path) -> None:
 
 def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
     """Write a (R, D) array as an EMB1 sidecar (values stored as float32)."""
-    arr = np.atleast_2d(np.asarray(embs, dtype=np.float32))
+    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(embs, dtype="<f4")))
     rows, dim = arr.shape
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
@@ -252,7 +252,7 @@ def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<i", dim))
         fh.write(struct.pack("<q", rows))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+        fh.write(arr)  # its buffer, not a bytes copy of it
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
@@ -349,44 +349,50 @@ def _load_prompt_file(
 
 def read_prompt_dump_all(
     seq_dir: str | Path, detection_threshold: float = TpodConfig.detection_threshold
-) -> dict[int, tuple[PromptDetections, PromptDetections, PromptDetections]]:
-    """Load a whole prompt dump as general/include/exclude sets per frame.
+) -> tuple[list[int], tuple[tuple[np.ndarray, PromptDetections], ...]]:
+    """Load a whole prompt dump as the frames to step and the general,
+    include and exclude rows, each a ``(frame column, PromptDetections)``
+    pair of the rows at or above the detection threshold, stably sorted
+    by frame.
 
     Frames run 1..max frame seen in any prompt file; frames with no rows
-    get empty sets so that downstream memory windows still advance, up to
-    SHORT_WINDOW_FRAMES of them in a row: later ones are left out. Absent
-    include/exclude files mean empty prompt sets; scores below the
-    detection threshold are dropped. Prompt files that hold rows must share
-    the general file's embedding dimension (SidecarMismatch otherwise).
+    are kept so that downstream memory windows still advance, up to
+    SHORT_WINDOW_FRAMES of them in a row: later ones are left out. An
+    absent include/exclude file means no prompt rows. A file without rows
+    takes the general file's embedding dimension, or 1 when that has none
+    either. Prompt files that hold rows must share one embedding
+    dimension (SidecarMismatch otherwise).
     """
     seq_dir = Path(seq_dir)
-    general = _load_prompt_file(seq_dir, "general", required=True)
-    dim = general[1].shape[1] if len(general[1]) else 1
-    files = [general]
+    files = {"general": _load_prompt_file(seq_dir, "general", required=True)}
     for stem in ("include", "exclude"):
-        table, embs = _load_prompt_file(seq_dir, stem, required=False) or (
-            MotTable.from_records([]), np.zeros((0, dim))
+        files[stem] = _load_prompt_file(seq_dir, stem, required=False) or (
+            MotTable.from_records([]), np.zeros((0, 1))
         )
-        if len(embs) and len(general[1]) and embs.shape[1] != dim:
+    dims = {stem: embs.shape[1] for stem, (_, embs) in files.items() if len(embs)}
+    first = next(iter(dims), None)
+    for stem, dim in dims.items():
+        if dim != dims[first]:
             raise SidecarMismatch(
-                f"{seq_dir / stem}.emb: embedding dimension {embs.shape[1]} "
-                f"differs from general's {dim}"
+                f"{seq_dir / stem}.emb: embedding dimension {dim} "
+                f"differs from {first}'s {dims[first]}"
             )
-        files.append((table, embs))
-    with_rows = np.unique(np.concatenate([table.frame for table, _ in files])).tolist()
+    dim = dims.get("general", 1)
+    with_rows = np.unique(np.concatenate([table.frame for table, _ in files.values()])).tolist()
     last = with_rows[-1] if with_rows else 0
     # a frame is left out after SHORT_WINDOW_FRAMES frames without rows (from
     # frame 0 on): those emptied the short memory band, so it changes nothing
     frames = sorted({f + k for f in [0, *with_rows] for k in range(SHORT_WINDOW_FRAMES + 1)
                      if 1 <= f + k <= last})
 
-    per_file = []
-    for table, embs in files:
-        empty = PromptDetections.empty(embs.shape[1] if len(embs) else dim)
-        kept = table.conf >= detection_threshold
-        sets = detection_sets(table.take(kept), embs[kept])
-        per_file.append([sets.get(frame, empty) for frame in frames])
-    return dict(zip(frames, zip(*per_file)))
+    sides = []
+    for table, embs in files.values():
+        rows = np.flatnonzero(table.conf >= detection_threshold)
+        rows = rows[by_frame(table.frame[rows])[0]]
+        table = table.take(rows)
+        features = embs[rows] if len(embs) else np.zeros((0, dim))
+        sides.append((table.frame, PromptDetections(table.uvwh(), features, table.conf)))
+    return frames, tuple(sides)
 
 
 def detection_sets(table: MotTable, embs: np.ndarray) -> dict[int, PromptDetections]:

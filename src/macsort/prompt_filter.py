@@ -4,16 +4,18 @@ Two stages decide each general-prompt box. The include-exclude (IE) stage
 classifies it by overlap against the include- and exclude-prompt boxes of
 its frame: include overlap keeps it as a true positive, exclude overlap
 drops it, no overlap leaves it unclassified. The overlaps depend on the
-frame's own boxes only, so ``ie_overlaps`` computes every frame's maxima
-in one pass per sequence, and ``ie_classify`` decides one frame from them.
+frame's own boxes only, so ``ie_overlaps`` computes every row's maxima in
+one pass over the sequence's frame-sorted columns, and ``ie_classify``
+decides one frame from them.
 The long-short memory (LSM) stage then runs frame by frame: it rescues or
 rejects unclassified boxes by comparing their features against two
 confidence-ranked banks of past true positives, a long band over the
 whole sequence and a short band over the last three frames. A box is
 rejected only when it sits strictly below the mean similarity of the whole
 unclassified pool on both bands. ``tpod_frame`` normalises a frame's
-features once; the bands hold those unit rows, and the filter's output
-keeps the raw features.
+features once; the bands hold those unit rows. It returns the kept rows
+as indices into the frame's general rows, so the filter's output is one
+take of the general columns, with the raw features.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .geometry import box_edges, iou_of_edges, unit_rows, uvwh_array
 
 SHORT_WINDOW_FRAMES = 3
 # ie_overlaps holds at most this many (general, prompt) pairs at a time; a
-# frame with more runs alone
+# general row with more runs alone
 IE_MAX_PAIRS = 1 << 14
 
 
@@ -95,12 +97,6 @@ class PromptDetections:
     @classmethod
     def empty(cls, dim: int = 1) -> "PromptDetections":
         return cls(np.zeros((0, 4)), np.zeros((0, max(dim, 1))), np.zeros(0))
-
-    @staticmethod
-    def concat(*sets: "PromptDetections") -> "PromptDetections":
-        """The rows of all sets in order; an empty set adds nothing, and when
-        all are empty the last one's columns are kept."""
-        return PromptDetections(*_concat_rows(*((s.boxes, s.features, s.scores) for s in sets)))
 
 
 # a memory band or short-window entry: features (n, d) and scores (n,)
@@ -182,66 +178,47 @@ class TpodFrameStats:
     n_rejected: int
 
 
-def _check_dims(*sets: PromptDetections) -> None:
-    dims = {s.dim for s in sets if len(s) > 0}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"prompt feature dims differ: {sorted(dims)}")
-
-
-def _row_maxima(edges, n_general: np.ndarray, prompts: list[PromptDetections]) -> np.ndarray:
+def _row_maxima(g_frame, g_edges, p_frame, p_edges) -> np.ndarray:
     """Each general row's largest IoU against the prompt rows of its own
-    frame, 0 where there are none. ``edges`` are the general rows' edges,
-    frame after frame, ``n_general`` the frames' general row counts and
-    ``prompts`` the frames' prompt sets."""
-    n_prompt = np.array([len(p) for p in prompts], dtype=np.intp)
-    prompt_edges = box_edges(np.concatenate([np.zeros((0, 4)), *(p.boxes for p in prompts)]))
-    per_row = np.repeat(n_prompt, n_general)  # a row's pairs: its frame's prompt rows
-    first_col = np.repeat(np.cumsum(n_prompt) - n_prompt, n_general)
+    frame, 0 where there are none, from both sides' frame-sorted frame
+    columns and box edges."""
+    first_col = np.searchsorted(p_frame, g_frame, side="left")  # a row's pairs: its frame's rows
+    per_row = np.searchsorted(p_frame, g_frame, side="right") - first_col
     pairs_before = np.concatenate([[0], np.cumsum(per_row)])
-    frame_start = np.concatenate([[0], np.cumsum(n_general)])
-    at_frame = pairs_before[frame_start]
     out = np.zeros(len(per_row))
-    first = 0
-    while first < len(prompts):
-        # as many frames from ``first`` on as fit in IE_MAX_PAIRS, at least one
-        fit = np.searchsorted(at_frame, at_frame[first] + IE_MAX_PAIRS, side="right") - 1
-        stop = max(int(fit), first + 1)
-        lo, hi = frame_start[first], frame_start[stop]
-        first = stop
-        if pairs_before[hi] == pairs_before[lo]:
-            continue
-        rows = np.repeat(np.arange(lo, hi), per_row[lo:hi])
-        # the k-th pair of row r pairs it with its frame's k-th prompt row
-        cols = first_col[rows] + np.arange(len(rows)) - (pairs_before[rows] - pairs_before[lo])
-        iou = iou_of_edges([e[rows] for e in edges], [e[cols] for e in prompt_edges])
-        paired = lo + np.flatnonzero(per_row[lo:hi])
-        out[paired] = np.maximum.reduceat(iou, pairs_before[paired] - pairs_before[lo])
+    lo = 0
+    while lo < len(per_row):
+        # as many rows from ``lo`` on as fit in IE_MAX_PAIRS, at least one
+        fit = np.searchsorted(pairs_before, pairs_before[lo] + IE_MAX_PAIRS, side="right") - 1
+        hi = max(int(fit), lo + 1)
+        if pairs_before[hi] > pairs_before[lo]:
+            before = pairs_before[lo:hi] - pairs_before[lo]
+            rows = np.repeat(np.arange(lo, hi), per_row[lo:hi])
+            # the k-th pair of row r pairs it with its frame's k-th prompt row
+            cols = first_col[rows] + np.arange(len(rows)) - before[rows - lo]
+            iou = iou_of_edges([e[rows] for e in g_edges], [e[cols] for e in p_edges])
+            paired = np.flatnonzero(per_row[lo:hi])
+            out[lo + paired] = np.maximum.reduceat(iou, before[paired])
+        lo = hi
     return out
 
 
-def ie_overlaps(frame_sets) -> tuple[np.ndarray, np.ndarray]:
+def ie_overlaps(general, include, exclude) -> tuple[np.ndarray, np.ndarray]:
     """The include/exclude maxima of a sequence.
 
-    ``frame_sets`` holds the ``(general, include, exclude)`` sets of each
-    frame, in frame order. Returns two arrays over the general rows of all
-    frames, frame after frame: each row's largest IoU against the include
+    Each argument is a ``(frame column, boxes)`` pair of (n,) frames and
+    (n, 4) (u, v, w, h) boxes, rows sorted by frame. Returns two arrays
+    over the general rows: each row's largest IoU against the include
     rows of its own frame, and its largest against the exclude rows, 0
     where there are none. Every same-frame pair is scored by
     ``iou_of_edges`` on pair columns, with the bits of the frame's
     ``iou_matrix`` cell, and reduced per row. At most IE_MAX_PAIRS pairs are
-    held at a time: frames are batched, and a frame with more runs alone.
-
-    Raises DimensionMismatch when a frame's non-empty sets differ in
-    feature dimension.
+    held at a time: rows are batched, and a row with more runs alone.
     """
-    frame_sets = list(frame_sets)
-    for sets in frame_sets:
-        _check_dims(*sets)
-    generals = [g for g, _, _ in frame_sets]
-    edges = box_edges(np.concatenate([np.zeros((0, 4)), *(g.boxes for g in generals)]))
-    n_general = np.array([len(g) for g in generals], dtype=np.intp)
-    return tuple(_row_maxima(edges, n_general, [sets[side] for sets in frame_sets])
-                 for side in (1, 2))
+    g_frame, g_boxes = general
+    g_edges = box_edges(g_boxes)
+    return tuple(_row_maxima(g_frame, g_edges, frame, box_edges(boxes))
+                 for frame, boxes in (include, exclude))
 
 
 def ie_classify(
@@ -304,7 +281,7 @@ def lsm_classify(profile: LsmSimilarityProfile) -> np.ndarray:
 
 @dataclass
 class TpodFrameResult:
-    final_tps: PromptDetections
+    rows: np.ndarray  # the final true positives, as row indices into general
     stats: TpodFrameStats
 
 
@@ -322,8 +299,8 @@ def tpod_frame(
     While the memory bands are still empty (cold start) unclassified boxes
     pass through as TPs by default, otherwise the memory could never fill.
     The final TPs are the IE true positives, then the rescued boxes, each
-    in ``general``'s row order, with their raw features. The memory is
-    updated in place with their unit feature rows.
+    in ``general``'s row order, returned as row indices into ``general``.
+    The memory is updated in place with their unit feature rows.
     """
     config = config or TpodConfig()
     tp_rows, unclassified = ie_classify(max_inc, max_exc, config.overlap_threshold)
@@ -349,5 +326,4 @@ def tpod_frame(
         n_rescued=len(rescued),
         n_rejected=len(rejected),
     )
-    rows = general.boxes[final], general.features[final], general.scores[final]
-    return TpodFrameResult(final_tps=PromptDetections(*rows), stats=stats)
+    return TpodFrameResult(rows=final, stats=stats)

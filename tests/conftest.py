@@ -107,13 +107,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def frame_columns(*sets):
+    """One frame's PromptDetections sets as the (frame column, boxes) pairs
+    that ie_overlaps reads, every row in frame 1."""
+    return [(np.ones(len(s), dtype=np.int64), s.boxes) for s in sets]
+
+
 def ie_split(general, include, exclude, *overlap_threshold):
     """ie_classify on one frame's prompt sets, its maxima from ie_overlaps
     on that frame alone."""
-    return ie_classify(*ie_overlaps([(general, include, exclude)]), *overlap_threshold)
+    return ie_classify(*ie_overlaps(*frame_columns(general, include, exclude)),
+                       *overlap_threshold)
 
 
 def filter_frame(general, include, exclude, memory, frame, config=None):
     """tpod_frame on one frame's prompt sets, its maxima from ie_overlaps
     on that frame alone."""
-    return tpod_frame(general, *ie_overlaps([(general, include, exclude)]), memory, frame, config)
+    maxima = ie_overlaps(*frame_columns(general, include, exclude))
+    return tpod_frame(general, *maxima, memory, frame, config)

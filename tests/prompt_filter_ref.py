@@ -15,7 +15,6 @@ from macsort.prompt_filter import (
     LsmSimilarityProfile,
     PromptDetections,
     TpodConfig,
-    TpodFrameResult,
     TpodFrameStats,
 )
 
@@ -61,6 +60,14 @@ class MemoryBank:
         self.window = [*self.window, accepted][-SHORT_WINDOW_FRAMES:]
         self.short = _top_k(concat(*self.window), self.kappa2)
         return self
+
+
+@dataclass
+class TpodFrameResult:
+    """The frame's final true positives as a table of their rows."""
+
+    final_tps: PromptDetections
+    stats: TpodFrameStats
 
 
 def _check_dims(*sets):

@@ -165,8 +165,8 @@ def test_criterion_5_lsm_partition_and_bounds():
             ) if k_e else PromptDetections.empty(4)
             res = filter_frame(general, include, exclude, memory, frame, cfg)
             s = res.stats
-            assert len(res.final_tps) + s.n_dropped + s.n_rejected == s.n_general
-            assert s.n_ie_tps + s.n_rescued == len(res.final_tps)
+            assert len(res.rows) + s.n_dropped + s.n_rejected == s.n_general
+            assert s.n_ie_tps + s.n_rescued == len(res.rows)
             for (features, scores), kappa in ((memory.long, 9), (memory.short, 3)):
                 assert len(features) == len(scores) <= kappa
         assert len(memory.long[1]) == 9  # the bound is reached, not only kept
@@ -190,7 +190,7 @@ def test_criterion_5_lsm_partition_and_bounds():
     res = filter_frame(
         general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
     )
-    assert res.final_tps.boxes[:, 0].tolist() == [0]
+    assert general.boxes[res.rows, 0].tolist() == [0]
     assert res.stats.n_rescued == 1 and res.stats.n_rejected == 1
     _passed(5, "partition, memory bounds, and rescue all hold")
 

@@ -27,6 +27,7 @@ from macsort.mot_io import (
 )
 from macsort.prompt_filter import MemoryBank, PromptDetections
 from macsort.synth import ScenarioSpec, write_spec
+import prompt_filter_ref as ref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -232,6 +233,24 @@ class TestInputContract:
         self._one_error_line(
             capsys, ["filter", str(seq)],
             f"SidecarMismatch: {seq / stem}.emb: embedding dimension 8 differs from general's 4",
+        )
+        assert not (seq / "filtered.txt").exists()
+
+    @pytest.mark.parametrize("exclude_frame", [1, 2])
+    def test_prompt_dimensions_differ_without_general_rows(self, tmp_path, capsys,
+                                                           exclude_frame):
+        # general.txt holds no rows: include and exclude are checked against
+        # each other, whether or not they share a frame
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        write_detections(seq / "general.txt", seq / "general.emb", [], np.zeros((0, 3)))
+        for stem, frame, dim in (("include", 1, 3), ("exclude", exclude_frame, 5)):
+            write_detections(seq / f"{stem}.txt", seq / f"{stem}.emb",
+                             [MotRecord(frame, -1, 0, 0, 10, 10, 0.9)], np.eye(1, dim))
+        self._one_error_line(
+            capsys, ["filter", str(seq)],
+            f"SidecarMismatch: {seq / 'exclude'}.emb: embedding dimension 5 differs from "
+            f"include's 3",
         )
         assert not (seq / "filtered.txt").exists()
 
@@ -719,25 +738,43 @@ def _sparse_dump(seq, rng):
         write_detections(seq / f"{stem}.txt", seq / f"{stem}.emb", rows, np.reshape(embs, (-1, 3)))
 
 
+def _frame_sets(path, threshold):
+    """A prompt file's rows at or above ``threshold`` as one PromptDetections
+    per frame that has any, file order within a frame, read line by line."""
+    if not path.with_suffix(".txt").exists():
+        return {}
+    records = read_mot_lines(path.with_suffix(".txt"))
+    embs = read_embeddings(path.with_suffix(".emb"))
+    sets = {}
+    for frame in sorted({r.frame for r in records}):
+        idx = [i for i, r in enumerate(records) if r.frame == frame and r.conf >= threshold]
+        sets[frame] = PromptDetections([records[i].bbox() for i in idx], embs[idx],
+                                       [records[i].conf for i in idx])
+    return sets
+
+
 def _filter_every_frame(seq):
-    """The filter run over every frame 1..last, as its report and files:
-    the frames that read_prompt_dump_all leaves out are given empty sets."""
-    dump = read_prompt_dump_all(seq, RunConfig().detection_threshold)
-    last = max(dump)
-    empty = tuple(PromptDetections.empty(s.dim) for s in dump[1])
+    """The filter run over every frame 1..last, as its report and files,
+    with the frame count read_prompt_dump_all steps."""
+    threshold = RunConfig().detection_threshold
+    per_stem = [_frame_sets(seq / stem, threshold) for stem in ("general", "include", "exclude")]
+    last = max(max(sets, default=0) for sets in per_stem)
+    empty = PromptDetections.empty(3)
     memory, kept, stats = MemoryBank(), [], []
     for frame in range(1, last + 1):
-        res = filter_frame(*dump.get(frame, empty), memory, frame, RunConfig().tpod_config())
-        kept.append(res.final_tps)
+        general, include, exclude = (sets.get(frame, empty) for sets in per_stem)
+        res = filter_frame(general, include, exclude, memory, frame, RunConfig().tpod_config())
+        kept.append(ref.subset(general, res.rows))
         stats.append(res.stats)
-    rows = PromptDetections.concat(*kept)
+    rows = ref.concat(*kept, empty)
     frames = np.repeat(np.arange(1, last + 1), [len(s) for s in kept])
     table = MotTable.from_uvwh(frames, -1, rows.boxes, rows.scores)
     counts = " ".join(
         f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
         for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
     )
-    return f"frames={last} {counts} final={len(table)}", table.to_text(), rows.features, len(dump)
+    n_stepped = len(read_prompt_dump_all(seq, threshold)[0])
+    return f"frames={last} {counts} final={len(table)}", table.to_text(), rows.features, n_stepped
 
 
 class TestSparseFrames:

@@ -193,20 +193,22 @@ class TestPromptDump:
     def test_general_only(self, tmp_path):
         rows = [MotRecord(1, -1, 0, 0, 10, 10, 0.8)]
         _write_prompt(tmp_path, "general", rows, [[1.0, 0.0]])
-        general, include, exclude = read_prompt_dump_all(tmp_path)[1]
-        assert len(general) == 1
-        assert len(include) == 0 and len(exclude) == 0
+        frames, (general, include, exclude) = read_prompt_dump_all(tmp_path)
+        assert frames == [1]
+        assert general[0].tolist() == [1] and len(general[1]) == 1
+        for frame, rows in (include, exclude):
+            assert len(frame) == len(rows) == 0 and rows.features.shape == (0, 2)
 
     def test_all_three_present(self, tmp_path):
         rows = [MotRecord(1, -1, 0, 0, 10, 10, 0.8)]
         for stem in ("general", "include", "exclude"):
             _write_prompt(tmp_path, stem, rows, [[1.0, 0.0]])
-        triple = read_prompt_dump_all(tmp_path)[1]
-        assert all(len(s) == 1 for s in triple)
+        _, sides = read_prompt_dump_all(tmp_path)
+        assert all(len(s[1]) == 1 for s in sides)
 
     def test_missing_general(self, tmp_path):
         with pytest.raises(MissingGeneralFile):
-            read_prompt_dump_all(tmp_path)[1]
+            read_prompt_dump_all(tmp_path)
 
     def test_sidecar_mismatch(self, tmp_path):
         rows = [MotRecord(1, -1, 0, 0, 10, 10, 0.8)] * 2
@@ -217,7 +219,7 @@ class TestPromptDump:
             fh.write("1,-1,0.00,0.00,10.00,10.00,0.8000,-1,-1,-1\n" * 2)
         write_embeddings(np.ones((1, 2)), tmp_path / "general.emb")
         with pytest.raises(SidecarMismatch):
-            read_prompt_dump_all(tmp_path)[1]
+            read_prompt_dump_all(tmp_path)
 
     def test_threshold_drops_rows(self, tmp_path):
         rows = [
@@ -225,8 +227,8 @@ class TestPromptDump:
             MotRecord(1, -1, 30, 0, 10, 10, 0.90),
         ]
         _write_prompt(tmp_path, "general", rows, [[1.0, 0.0], [0.0, 1.0]])
-        general, _, _ = read_prompt_dump_all(tmp_path, detection_threshold=0.2)[1]
-        assert len(general) == 1
+        _, ((frame, general), _, _) = read_prompt_dump_all(tmp_path, detection_threshold=0.2)
+        assert frame.tolist() == [1] and len(general) == 1
         assert general.scores[0] == pytest.approx(0.9)
         assert np.allclose(general.features[0], [0.0, 1.0])
 
@@ -236,9 +238,9 @@ class TestPromptDump:
             MotRecord(3, -1, 0, 0, 10, 10, 0.8),
         ]
         _write_prompt(tmp_path, "general", rows, [[1.0, 0.0], [0.0, 1.0]])
-        dump = read_prompt_dump_all(tmp_path)
-        assert sorted(dump) == [1, 2, 3]
-        assert len(dump[2][0]) == 0
+        frames, ((frame, _), _, _) = read_prompt_dump_all(tmp_path)
+        assert frames == [1, 2, 3]
+        assert frame.tolist() == [1, 3]
 
 
 THRESHOLD = 0.2
@@ -291,23 +293,28 @@ class TestPromptDumpOracle:
                 _write_prompt(seq, stem, records, embs)
                 frames.update(f for f, *_ in rows)
 
-            dump = read_prompt_dump_all(seq, THRESHOLD)
+            frames_stepped, sides = read_prompt_dump_all(seq, THRESHOLD)
 
             # frames 1..last, less each frame without rows that follows
             # SHORT_WINDOW_FRAMES such frames (frame 0 counts as one with rows)
             with_rows = frames | {0}
-            assert sorted(dump) == [
-                f for f in range(1, max(frames, default=0) + 1)
+            last = max(frames, default=0)
+            assert frames_stepped == [
+                f for f in range(1, last + 1)
                 if any(f - k in with_rows for k in range(SHORT_WINDOW_FRAMES + 1))
             ]
             general_dim = dim if general else 1
-            for frame, triple in dump.items():
-                for stem, got in zip(("general", "include", "exclude"), triple):
+            for stem, (frame_col, got) in zip(("general", "include", "exclude"), sides):
+                assert frame_col.dtype == np.int64 and len(frame_col) == len(got)
+                assert (np.diff(frame_col) >= 0).all()
+                assert set(frame_col.tolist()) <= set(frames_stepped)
+                for frame in range(1, last + 1):
+                    at = frame_col == frame
                     boxes, feats, scores = _select_frame_oracle(seq / stem, frame, general_dim)
-                    assert got.boxes.tolist() == [[b.u, b.v, b.w, b.h] for b in boxes]
-                    assert got.features.shape == feats.shape
-                    assert np.array_equal(got.features, feats)
-                    assert got.scores.tolist() == scores
+                    assert got.boxes[at].tolist() == [[b.u, b.v, b.w, b.h] for b in boxes]
+                    assert got.features[at].shape == feats.shape
+                    assert np.array_equal(got.features[at], feats)
+                    assert got.scores[at].tolist() == scores
 
 
 _CELLS = ["1", "-1", "0", "3", "2.5", "-0.5", "0.9", "1.7", "nan", "inf", "1e309", "", " ", "x"]

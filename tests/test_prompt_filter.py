@@ -71,12 +71,6 @@ class TestIeClassify:
         tps, uncl = ie_split(general, include, PromptDetections.empty(4), 0.2)
         assert tps.tolist() == [] and uncl.tolist() == [0]
 
-    def test_dim_mismatch(self):
-        general = dets([(0, 0, 10, 10)], [E1])
-        include = dets([(0, 0, 10, 10)], [[1.0, 0.0]])
-        with pytest.raises(DimensionMismatch):
-            ie_split(general, include, PromptDetections.empty(4))
-
     def test_partition_counts_random(self, rng):
         for _ in range(50):
             n_g, n_i, n_e = rng.integers(1, 8, 3)
@@ -117,6 +111,19 @@ def per_frame_maxima(sets):
     return tuple(np.concatenate([np.zeros(0), *side]) for side in sides)
 
 
+def sequence_columns(sets):
+    """A sequence's per-frame (general, include, exclude) sets, in frames 1,
+    4, 7, ..., as the three (frame column, boxes) pairs of ie_overlaps."""
+    frames = np.arange(len(sets)) * 3 + 1
+    return [(np.repeat(frames, [len(s[side]) for s in sets]).astype(np.int64),
+             np.concatenate([np.zeros((0, 4)), *(s[side].boxes for s in sets)]))
+            for side in range(3)]
+
+
+def overlaps(sets):
+    return ie_overlaps(*sequence_columns(sets))
+
+
 def assert_same_bits(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -130,12 +137,12 @@ class TestIeOverlaps:
         for _ in range(60):
             counts = rng.choice([0, 0, 1, 2, 5, 9], (int(rng.integers(0, 12)), 3))
             sets = [frame_sets(rng, *c) for c in counts.tolist()]
-            assert_same_bits(ie_overlaps(sets), per_frame_maxima(sets))
+            assert_same_bits(overlaps(sets), per_frame_maxima(sets))
 
     def test_empty_include_only_and_exclude_only_frames(self, rng):
         sets = [frame_sets(rng, *c) for c in
                 ((0, 0, 0), (4, 0, 0), (4, 3, 0), (4, 0, 3), (0, 3, 3), (4, 3, 3), (3, 0, 0))]
-        max_inc, max_exc = ie_overlaps(sets)
+        max_inc, max_exc = overlaps(sets)
         assert_same_bits((max_inc, max_exc), per_frame_maxima(sets))
         assert len(max_inc) == 4 * 4 + 3
         assert not max_inc[:4].any() and not max_exc[:8].any() and not max_inc[-3:].any()
@@ -152,7 +159,7 @@ class TestIeOverlaps:
         exclude = PromptDetections([(0, 0, 10, 10), (105, 0, 10, 10)],
                                    np.ones((2, 2)), np.full(2, 0.5))
         sets = [(general, include, exclude)]
-        max_inc, max_exc = ie_overlaps(sets)
+        max_inc, max_exc = overlaps(sets)
         assert_same_bits((max_inc, max_exc), per_frame_maxima(sets))
         assert max_inc.tolist() == [0.16, 0.16, 0.16, 1.0]
         assert max_exc.tolist() == [1.0, 1.0, 1.0, 1 / 3]
@@ -162,7 +169,7 @@ class TestIeOverlaps:
         big = frame_sets(rng, 90, 80, 60, spread=400.0)  # 7,200 and 5,400 cells: iou_matrix sweeps
         sets = [frame_sets(rng, 3, 2, 1), big, frame_sets(rng, 4, 0, 2)]
         assert len(big[0]) * len(big[2]) >= SWEEP_MIN_CELLS
-        max_inc, max_exc = ie_overlaps(sets)
+        max_inc, max_exc = overlaps(sets)
         assert_same_bits((max_inc, max_exc), per_frame_maxima(sets))
         assert 0 < np.count_nonzero(max_inc[3:93]) < 90  # overlaps and misses both
 
@@ -171,33 +178,28 @@ class TestIeOverlaps:
         rng = np.random.default_rng(cap)
         counts = [(2, 2, 1), (3, 3, 0), (0, 4, 4), (6, 6, 6), (1, 1, 1), (2, 0, 2), (5, 4, 3)]
         sets = [frame_sets(rng, *c) for c in counts]
-        want = ie_overlaps(sets)  # one batch at the module's cap
+        want = overlaps(sets)  # one batch at the module's cap
         batches = []
         real = macsort.prompt_filter.iou_of_edges
 
         def counted(edges_a, edges_b):
-            batches.append(len(edges_a[0]))
+            # pairs, and general rows (their left edges are distinct here)
+            batches.append((len(edges_a[0]), len(np.unique(edges_a[0]))))
             return real(edges_a, edges_b)
 
         monkeypatch.setattr(macsort.prompt_filter, "IE_MAX_PAIRS", cap)
         monkeypatch.setattr(macsort.prompt_filter, "iou_of_edges", counted)
-        got = ie_overlaps(sets)
+        got = overlaps(sets)
         assert_same_bits(got, want)
         assert_same_bits(got, per_frame_maxima(sets))
         assert len(batches) > 2  # batches split mid-sequence
-        # a batch holds at most cap pairs, unless it is one frame with more
-        alone = {len(g) * len(p) for g, i, e in sets for p in (i, e)}
-        assert all(n <= cap or n in alone for n in batches) and max(batches) > cap
-        assert sum(batches) == sum(len(g) * (len(i) + len(e)) for g, i, e in sets)
+        # a batch holds at most cap pairs, unless it is one row with more
+        assert all(n <= cap or rows == 1 for n, rows in batches)
+        assert (max(batches)[0] > cap) == (cap < 6)  # 6: the most pairs of one row
+        assert sum(n for n, _ in batches) == sum(len(g) * (len(i) + len(e)) for g, i, e in sets)
 
     def test_no_frames(self):
-        assert_same_bits(ie_overlaps([]), (np.zeros(0), np.zeros(0)))
-
-    def test_dim_mismatch_in_any_frame(self, rng):
-        sets = [frame_sets(rng, 2, 1, 0), frame_sets(rng, 2, 1, 1)]
-        sets[1] = (*sets[1][:2], PromptDetections(boxes_near(rng, 1), np.ones((1, 2)), [0.5]))
-        with pytest.raises(DimensionMismatch):
-            ie_overlaps(sets)
+        assert_same_bits(overlaps([]), (np.zeros(0), np.zeros(0)))
 
 
 def full_memory(feature=E1, n_frames=2):
@@ -359,7 +361,7 @@ class TestTpodFrame:
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
         res = filter_frame(general, empty, empty, MemoryBank(), 0)
-        assert len(res.final_tps) == 3
+        assert res.rows.tolist() == [0, 1, 2]
         assert res.stats.n_dropped == 0
 
     def test_cold_start_reject_mode(self):
@@ -367,7 +369,7 @@ class TestTpodFrame:
         empty = PromptDetections.empty(4)
         cfg = TpodConfig(cold_start_passthrough=False)
         res = filter_frame(general, empty, empty, MemoryBank(), 0, cfg)
-        assert len(res.final_tps) == 0
+        assert len(res.rows) == 0
         assert res.stats.n_rejected == 3
 
     def test_ie_example_composition(self):
@@ -375,7 +377,7 @@ class TestTpodFrame:
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
         res = filter_frame(general, include, exclude, MemoryBank(), 0)
-        assert res.final_tps.boxes[:, 0].tolist() == [0]
+        assert general.boxes[res.rows, 0].tolist() == [0]
         assert res.stats.n_dropped == 1
 
     def test_rescue_scenario(self):
@@ -388,12 +390,12 @@ class TestTpodFrame:
             general = dets(spaced_boxes(2), [E1, E1], [0.9, 0.8])
             include = dets(spaced_boxes(2), [E1, E1], [0.9, 0.8])
             res = filter_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
-            assert len(res.final_tps) == 2
+            assert res.rows.tolist() == [0, 1]
         general = dets([(0, 0, 10, 10), (300, 0, 10, 10)], [E1, E2])
         res = filter_frame(
             general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
         )
-        assert res.final_tps.boxes[:, 0].tolist() == [0]
+        assert general.boxes[res.rows, 0].tolist() == [0]
         assert res.stats.n_rescued == 1
         assert res.stats.n_rejected == 1
 
@@ -424,7 +426,7 @@ class TestTpodFrame:
             ) if m else PromptDetections.empty(4)
             res = filter_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
             s = res.stats
-            assert len(res.final_tps) + s.n_dropped + s.n_rejected == s.n_general
+            assert len(res.rows) + s.n_dropped + s.n_rejected == s.n_general
 
 
 class TestMonotonicity:
@@ -451,7 +453,7 @@ class TestMonotonicity:
             )
             tps0, uncl0 = ie_split(general, include, exclude)
             tps1, uncl1 = ie_split(
-                general, include, PromptDetections.concat(exclude, extra)
+                general, include, ref.concat(exclude, extra)
             )
             assert len(tps1) <= len(tps0)
             assert len(tps1) + len(uncl1) <= len(tps0) + len(uncl0)
@@ -477,7 +479,7 @@ class TestMonotonicity:
             )
             tps0, _ = ie_split(general, include, exclude)
             tps1, _ = ie_split(
-                general, PromptDetections.concat(include, extra), exclude
+                general, ref.concat(include, extra), exclude
             )
             assert len(tps1) >= len(tps0)
 
@@ -523,7 +525,7 @@ class TestTpodFrameOracle:
                 got = filter_frame(general, include, exclude, memory, frame, config)
                 want = ref.tpod_frame(general, include, exclude, want_memory, frame, config)
                 for col in ("boxes", "features", "scores"):
-                    a, b = getattr(got.final_tps, col), getattr(want.final_tps, col)
+                    a, b = getattr(general, col)[got.rows], getattr(want.final_tps, col)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert got.stats == want.stats
                 # the bands hold unit rows; unit_rows is row-independent, so
