@@ -11,16 +11,20 @@ Pipeline stages, each usable on its own:
 - motion: constant-velocity Kalman filtering and occlusion recovery on
   (x, P) state arrays, each covariance held as its four (pos, vel) blocks
 - tracker: adaptive motion-appearance association (MAC-SORT) over
-  PromptDetections tables; results come out as mot_io.MotTable rows, and
-  no BBox is built
+  PromptDetections tables; ``track_sequence`` reads a sequence's frame
+  column and one table, results come out as mot_io.MotTable rows, and no
+  BBox is built
 - metrics: MOTA / identity F1 / higher-order accuracy evaluation
 - mot_io: MOT-Challenge CSV and embedding sidecar files; a prompt dump
-  reads as one frame-sorted column set per prompt file
+  reads as one frame-sorted column set per prompt file. ``walk_frames``
+  is the one frame walk of filter, track and eval: each skips a frame
+  without rows only while its own ``idle`` test says stepping it would
+  change nothing
 - synth: deterministic synthetic scenario generator
 - cli: filter / track / eval / synth / parse-captions subcommands
 """
 
-from .geometry import BBox, cosine_matrix, iou_matrix, uvwh_to_xysr, xysr_to_uvwh
+from .geometry import BBox, iou_matrix, uvwh_to_xysr, xysr_to_uvwh
 from .captions import CaptionQuery, GmotAnnotation, load_annotation, parse_annotation, parse_caption
 from .prompt_filter import (
     MemoryBank,

@@ -31,11 +31,12 @@ from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfben
     DETECTION_ID,
     MotTable,
     _load_prompt_file,
+    by_frame,
     check_boxes,
-    detection_sets,
     read_embeddings,
     read_mot_lines,
     read_prompt_dump_all,
+    walk_frames,
     write_detections,
     write_mot,
 )
@@ -83,30 +84,27 @@ def cmd_filter(args, cfg: RunConfig) -> int:
         )
 
     def one(seq_dir: Path) -> str:
-        frames, sides = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
+        last, sides = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
         max_inc, max_exc = ie_overlaps(*((frame, rows.boxes) for frame, rows in sides))
         frame_col, general = sides[0]
-        starts = np.searchsorted(frame_col, frames, side="left").tolist()
-        ends = np.searchsorted(frame_col, frames, side="right").tolist()
+        frame_rows = by_frame(frame_col)[1]
         memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
         kept, stats = [np.zeros(0, np.intp)], []
-        for frame, lo, hi in zip(frames, starts, ends):
-            dets = PromptDetections(general.boxes[lo:hi], general.features[lo:hi],
-                                    general.scores[lo:hi])
-            res = tpod_frame(dets, max_inc[lo:hi], max_exc[lo:hi], memory, frame, tpod_cfg)
-            kept.append(lo + res.rows)
+        for frame in walk_frames(frame_col, lambda: memory.idle):
+            at = frame_rows.get(frame, slice(0, 0))
+            res = tpod_frame(general.take(at), max_inc[at], max_exc[at], memory, frame, tpod_cfg)
+            kept.append(at.start + res.rows)
             stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)
         rows = np.concatenate(kept)
-        table = MotTable.from_uvwh(frame_col[rows], DETECTION_ID, general.boxes[rows],
-                                   general.scores[rows])
-        write_detections(out / "filtered.txt", out / "filtered.emb", table,
-                         general.features[rows])
+        final = general.take(rows)
+        table = MotTable.from_uvwh(frame_col[rows], DETECTION_ID, final.boxes, final.scores)
+        write_detections(out / "filtered.txt", out / "filtered.emb", table, final.features)
         counts = " ".join(
             f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
             for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
         )
-        return f"[filter] {seq_dir} frames={max(frames, default=0)} {counts} final={len(table)}"
+        return f"[filter] {seq_dir} frames={last} {counts} final={len(table)}"
 
     for report in _run_sequences(cfg, args.seq_dirs, one):
         print(report)
@@ -119,21 +117,22 @@ def _load_detections(seq_dir: Path, which: str):
     loaded = _load_prompt_file(seq_dir, which, required=False)
     if loaded is None:
         raise InputError(f"detection file {seq_dir / which}.txt not found")
-    return which, detection_sets(*loaded)
+    table, embs = loaded
+    return which, table.frame, PromptDetections(table.uvwh(), embs, table.conf)
 
 
 def cmd_track(args, cfg: RunConfig) -> int:
     assoc_cfg = cfg.assoc_config()
 
     def one(seq_dir: Path) -> str:
-        which, per_frame = _load_detections(seq_dir, args.detections)
+        which, frame, dets = _load_detections(seq_dir, args.detections)
         start = time.perf_counter()
-        rows = track_sequence(per_frame, assoc_cfg)
+        rows = track_sequence(frame, dets, assoc_cfg)
         elapsed = time.perf_counter() - start
         out = _out_dir(cfg, seq_dir)
         write_mot(rows, out / "results.txt")
         return (
-            f"[track] {seq_dir} detections={which} frames={max(per_frame, default=0)} "
+            f"[track] {seq_dir} detections={which} frames={frame.max(initial=0)} "
             f"rows={len(rows)} time={elapsed:.3f}s"
         )
 

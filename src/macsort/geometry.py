@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState
+from .errors import InvalidState
 
 ZERO_NORM_EPS = 1e-12
 # overlap_pairs sweeps from this many (m, n) pairs on, unless the better
@@ -141,18 +141,6 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     safe = np.where(norms < ZERO_NORM_EPS, 1.0, norms)
     return x / safe
-
-
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity between rows of a and b.
-
-    Zero-norm rows yield similarity 0 (soft degenerate convention).
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
-    return np.clip(unit_rows(a) @ unit_rows(b).T, -1.0, 1.0)
 
 
 def xysr_of(u, v, w, h):

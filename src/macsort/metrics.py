@@ -33,7 +33,7 @@ import numpy as np
 from .config import CliConfig
 from .errors import FrameMismatch
 from .geometry import iou_matrix, nonzero_cells, uvwh_array
-from .mot_io import by_frame
+from .mot_io import by_frame, walk_frames
 from .tracker import linear_assignment
 
 MT_COVERAGE = 0.8
@@ -224,11 +224,6 @@ def evaluate(
         )
     alphas = SWEEP_THRESHOLDS if hota_sweep else [iou_threshold]
     lowest = min(iou_threshold, *alphas)
-    # a frame without rows only clears the carried-over matches, so of a run
-    # of them only the first is walked
-    with_rows = np.union1d(gt.frame, pred.frame)
-    walk = np.union1d(with_rows, with_rows + 1)
-    walk = walk[(walk >= 1) & (walk <= last)]
 
     # dense id indices; gt rows before frame 1 are not walked and count
     # only in MOTA's denominator
@@ -246,7 +241,9 @@ def evaluate(
     tp = idsw = 0
     prev = np.full(n_gt, -1)  # the previous frame's match per gt index
     last_match = np.full(n_gt, -1)  # the latest match per gt index
-    for f in walk.tolist():
+    # a frame without rows only clears the carried-over matches: once none
+    # is carried over, it is skipped
+    for f in walk_frames(np.concatenate([gt.frame, pred.frame]), lambda: (prev < 0).all()):
         gt_rows = gt.frame_rows.get(f, slice(0))
         pred_rows = pred.frame_rows.get(f, slice(0))
         g, p = gt_index[gt_rows], pred_index[pred_rows]

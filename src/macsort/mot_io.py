@@ -16,6 +16,7 @@ import math
 import struct
 import threading
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -33,7 +34,7 @@ from .errors import (
     TruncatedBody,
 )
 from .geometry import BBox, first_unheld_box, uvwh_array
-from .prompt_filter import SHORT_WINDOW_FRAMES, PromptDetections, TpodConfig
+from .prompt_filter import PromptDetections, TpodConfig
 
 EMB_MAGIC = b"EMB1"
 DETECTION_ID = -1
@@ -151,6 +152,23 @@ def by_frame(frame: np.ndarray) -> tuple[slice | np.ndarray, dict[int, slice]]:
     ends = np.append(starts[1:], len(frame))
     bounds = zip(frames.tolist(), starts.tolist(), ends.tolist())
     return order, {f: slice(a, b) for f, a, b in bounds}
+
+
+def walk_frames(given, idle: Callable[[], bool]) -> Iterator[int]:
+    """Frames 1..max(given) in order, ``given`` holding the frame of each
+    row (any order, repeats allowed). A frame without rows is left out
+    while ``idle()`` is true, which the caller makes true when stepping
+    such a frame would change nothing; it is asked once the frame before
+    has been stepped. Frames below 1 are not walked."""
+    frame = 1
+    for with_rows in np.unique(given).tolist():
+        if with_rows < frame:
+            continue
+        while frame < with_rows and not idle():
+            yield frame
+            frame += 1
+        yield with_rows
+        frame = with_rows + 1
 
 
 def _parse_line(line: str, lineno: int) -> MotRecord:
@@ -271,12 +289,13 @@ def read_embeddings(path: str | Path) -> np.ndarray:
     expected = rows * dim * 4
     if len(data) - 16 != expected:
         raise TruncatedBody(f"{path}: body has {len(data) - 16} bytes, expected {expected}")
-    # read in place: slicing the body off would copy it
-    arr = np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, dim).astype(np.float64)
-    bad = ~np.isfinite(arr).all(axis=1)
+    # read in place: slicing the body off would copy it; checked before the
+    # cast, which warns of a signalling NaN
+    body = np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, dim)
+    bad = ~np.isfinite(body).all(axis=1)
     if bad.any():
         raise NonFiniteEmbedding(f"{path}: row {int(np.argmax(bad)) + 1} is not finite")
-    return arr
+    return body.astype(np.float64)
 
 
 def write_detections(
@@ -349,19 +368,16 @@ def _load_prompt_file(
 
 def read_prompt_dump_all(
     seq_dir: str | Path, detection_threshold: float = TpodConfig.detection_threshold
-) -> tuple[list[int], tuple[tuple[np.ndarray, PromptDetections], ...]]:
-    """Load a whole prompt dump as the frames to step and the general,
-    include and exclude rows, each a ``(frame column, PromptDetections)``
-    pair of the rows at or above the detection threshold, stably sorted
-    by frame.
+) -> tuple[int, tuple[tuple[np.ndarray, PromptDetections], ...]]:
+    """Load a whole prompt dump as its last frame and the general, include
+    and exclude rows, each a ``(frame column, PromptDetections)`` pair of
+    the rows at or above the detection threshold, stably sorted by frame.
 
-    Frames run 1..max frame seen in any prompt file; frames with no rows
-    are kept so that downstream memory windows still advance, up to
-    SHORT_WINDOW_FRAMES of them in a row: later ones are left out. An
-    absent include/exclude file means no prompt rows. A file without rows
-    takes the general file's embedding dimension, or 1 when that has none
-    either. Prompt files that hold rows must share one embedding
-    dimension (SidecarMismatch otherwise).
+    The last frame is the largest frame of any row in any prompt file,
+    whatever its confidence, or 0. An absent include/exclude file means no
+    prompt rows. A file without rows takes the general file's embedding
+    dimension, or 1 when that has none either. Prompt files that hold rows
+    must share one embedding dimension (SidecarMismatch otherwise).
     """
     seq_dir = Path(seq_dir)
     files = {"general": _load_prompt_file(seq_dir, "general", required=True)}
@@ -378,12 +394,7 @@ def read_prompt_dump_all(
                 f"differs from {first}'s {dims[first]}"
             )
     dim = dims.get("general", 1)
-    with_rows = np.unique(np.concatenate([table.frame for table, _ in files.values()])).tolist()
-    last = with_rows[-1] if with_rows else 0
-    # a frame is left out after SHORT_WINDOW_FRAMES frames without rows (from
-    # frame 0 on): those emptied the short memory band, so it changes nothing
-    frames = sorted({f + k for f in [0, *with_rows] for k in range(SHORT_WINDOW_FRAMES + 1)
-                     if 1 <= f + k <= last})
+    last = max((int(table.frame.max()) for table, _ in files.values() if len(table)), default=0)
 
     sides = []
     for table, embs in files.values():
@@ -392,17 +403,4 @@ def read_prompt_dump_all(
         table = table.take(rows)
         features = embs[rows] if len(embs) else np.zeros((0, dim))
         sides.append((table.frame, PromptDetections(table.uvwh(), features, table.conf)))
-    return frames, tuple(sides)
-
-
-def detection_sets(table: MotTable, embs: np.ndarray) -> dict[int, PromptDetections]:
-    """One detection table per frame that has rows, frames ascending, file
-    order within a frame; ``embs`` holds the rows' embeddings. The tables
-    view the rows of a frame-sorted file rather than copy them."""
-    order, frames = by_frame(table.frame)
-    table, embs = table.take(order), embs[order]
-    uvwh = table.uvwh()
-    return {
-        frame: PromptDetections(uvwh[rows], embs[rows], table.conf[rows])
-        for frame, rows in frames.items()
-    }
+    return last, tuple(sides)

@@ -64,10 +64,10 @@ class TpodConfig:
 
 @dataclass
 class PromptDetections:
-    """One frame's detections of one prompt as parallel arrays: boxes (n, 4)
-    as (u, v, w, h), features (n, d) and scores (n,). It is also the frame's
-    detection table that MacSort.step reads. Boxes may be given as a list
-    of BBox."""
+    """Detections of one prompt as parallel arrays: boxes (n, 4) as (u, v,
+    w, h), features (n, d) and scores (n,), for one frame or, next to a
+    frame column, for a sequence. A frame's table is also what MacSort.step
+    reads. Boxes may be given as a list of BBox."""
 
     boxes: np.ndarray
     features: np.ndarray
@@ -97,6 +97,11 @@ class PromptDetections:
     @classmethod
     def empty(cls, dim: int = 1) -> "PromptDetections":
         return cls(np.zeros((0, 4)), np.zeros((0, max(dim, 1))), np.zeros(0))
+
+    def take(self, rows) -> "PromptDetections":
+        """The rows selected by an index array, boolean mask or slice; a
+        slice views them."""
+        return PromptDetections(self.boxes[rows], self.features[rows], self.scores[rows])
 
 
 # a memory band or short-window entry: features (n, d) and scores (n,)
@@ -148,6 +153,12 @@ class MemoryBank:
     @property
     def usable(self) -> bool:
         return len(self.long[1]) > 0 and len(self.short[1]) > 0
+
+    @property
+    def idle(self) -> bool:
+        """True when an update with no rows would change nothing: the short
+        window holds no rows, so the short band is empty and stays so."""
+        return not any(len(scores) for _, scores in self.window)
 
     def update(self, features: np.ndarray, scores: np.ndarray) -> "MemoryBank":
         """Fold one frame's accepted true positives into both bands; frames

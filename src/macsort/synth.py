@@ -142,8 +142,8 @@ class Scenario:
     """One generated sequence as columns, rows in frame order and boxes as
     (u, v, w, h). Ground-truth row i is object ``gt_id[i]`` at frame
     ``gt_frame[i]``; detection row i has embedding ``embeddings[i]``.
-    ``gt`` views the ground-truth rows as a TrackSequence, ``frame_sets``
-    the detection rows as one PromptDetections table per frame."""
+    ``gt`` views the ground-truth rows as a TrackSequence, ``detections``
+    the detection rows as one PromptDetections table next to ``det_frame``."""
 
     spec: ScenarioSpec
     gt_frame: np.ndarray  # (m,) int
@@ -160,14 +160,9 @@ class Scenario:
     def detection_table(self) -> MotTable:
         return MotTable.from_uvwh(self.det_frame, DETECTION_ID, self.det_boxes, self.det_conf)
 
-    def frame_sets(self) -> dict[int, PromptDetections]:
-        """Each frame's detections as one table, frames 1..n_frames; the
-        tables view the columns."""
-        ends = np.searchsorted(self.det_frame, np.arange(self.spec.n_frames + 1), "right")
-        return {
-            frame: PromptDetections(self.det_boxes[a:b], self.embeddings[a:b], self.det_conf[a:b])
-            for frame, (a, b) in enumerate(zip(ends.tolist(), ends[1:].tolist()), start=1)
-        }
+    def detections(self) -> PromptDetections:
+        """The detection rows as one table; it views the columns."""
+        return PromptDetections(self.det_boxes, self.embeddings, self.det_conf)
 
     @cached_property
     def gt(self) -> TrackSequence:

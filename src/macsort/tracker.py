@@ -24,7 +24,6 @@ and its result rows one ``MotTable``; it builds no ``BBox``.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .geometry import (
     xysr_to_uvwh,
 )
 from .motion import kf_init, kf_predict_batch, kf_update_batch, ocr_reupdate
-from .mot_io import MotTable
+from .mot_io import MotTable, by_frame, walk_frames
 from .prompt_filter import PromptDetections
 
 
@@ -389,18 +388,15 @@ class MacSort:
 
 
 def track_sequence(
-    per_frame: dict[int, PromptDetections], config: AssocConfig | None = None
+    frame: np.ndarray, dets: PromptDetections, config: AssocConfig | None = None
 ) -> MotTable:
-    """Track one sequence through frames 1..max(per_frame), feeding no
-    detections to frames absent from ``per_frame``; returns the result rows
-    of every frame in order. While the tracker is idle, absent frames are
-    skipped: stepping them would change nothing."""
-    tracker = MacSort(config)
-    given, empty = sorted(per_frame), PromptDetections.empty()
-    tables, frame = [], 1
-    while given and frame <= given[-1]:
-        if frame not in per_frame and tracker.idle:
-            frame = given[bisect.bisect(given, frame)]
-        tables.append(tracker.step(per_frame.get(frame, empty), frame))
-        frame += 1
+    """Track one sequence through frames 1..max(frame), ``frame`` holding
+    the frame of each row of ``dets`` (any order; a frame's rows are stepped
+    in their given order); returns the result rows of every frame in order.
+    A frame without rows is stepped with none, and skipped while the
+    tracker is idle, where stepping it would change nothing."""
+    order, rows = by_frame(np.asarray(frame, dtype=np.int64))
+    dets, tracker = dets.take(order), MacSort(config)
+    tables = [tracker.step(dets.take(rows.get(f, slice(0))), f)
+              for f in walk_frames(frame, lambda: tracker.idle)]
     return MotTable.concat(tables)

@@ -35,6 +35,23 @@ def tables(per_frame):
     return {frame: table(dets) for frame, dets in per_frame.items()}
 
 
+def columns(per_frame):
+    """A frame -> Detection records dict as the (frame column, table) pair
+    that track_sequence reads, rows in key order."""
+    frames = [frame for frame, dets in per_frame.items() for _ in dets]
+    rows = [d for dets in per_frame.values() for d in dets]
+    return np.array(frames, dtype=np.int64), table(rows)
+
+
+def frame_tables(scenario):
+    """A synthetic scenario's detections as one table per frame,
+    frames 1..n_frames; the tables view the columns."""
+    dets = scenario.detections()
+    ends = np.searchsorted(scenario.det_frame, np.arange(scenario.spec.n_frames + 1), "right")
+    return {frame: dets.take(slice(a, b))
+            for frame, (a, b) in enumerate(zip(ends.tolist(), ends[1:].tolist()), start=1)}
+
+
 def rows_sequence(rows, n_frames=None):
     """A TrackSequence of (frame, id, box) rows in any order, boxes as BBox
     or (u, v, w, h)."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from macsort.errors import DimensionMismatch, EmptyInput, EmptyMemory
-from macsort.geometry import cosine_matrix, iou_matrix
+from macsort.geometry import iou_matrix, unit_rows
 from macsort.prompt_filter import (
     SHORT_WINDOW_FRAMES,
     LsmSimilarityProfile,
@@ -17,6 +17,13 @@ from macsort.prompt_filter import (
     TpodConfig,
     TpodFrameStats,
 )
+
+
+def cosine_matrix(a, b):
+    """Pairwise cosine similarity of the rows of a and b; a zero row gives 0."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
+    return np.clip(unit_rows(a) @ unit_rows(b).T, -1.0, 1.0)
 
 
 def subset(rows, indices):

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assign, cost_matrix, filter_frame, make_tracks, rows_sequence
+from conftest import (assign, cost_matrix, filter_frame, frame_tables, make_tracks,
+                      rows_sequence)
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
 from macsort.geometry import BBox
@@ -232,7 +233,7 @@ def test_criterion_6_metrics_oracle():
 def _run_tracker(scenario, cfg):
     tracker = MacSort(cfg)
     rows = MotTable.concat(tracker.step(dets, frame)
-                           for frame, dets in scenario.frame_sets().items())
+                           for frame, dets in frame_tables(scenario).items())
     return tracker, TrackSequence.from_mot(rows)
 
 
@@ -277,7 +278,7 @@ def test_criterion_8_occlusion_recovery():
     tracker = MacSort(AssocConfig())
     rows = []
     velocity_after = None
-    for frame, dets in scenario.frame_sets().items():
+    for frame, dets in frame_tables(scenario).items():
         out = tracker.step(dets, frame)
         rows.append(out)
         if frame == 25:

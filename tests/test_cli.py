@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import macsort.cli
 from conftest import filter_frame
 from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, _worker_count, main
 from macsort.config import RunConfig, build_config, config_key
@@ -20,7 +21,6 @@ from macsort.mot_io import (
     MotTable,
     read_embeddings,
     read_mot_lines,
-    read_prompt_dump_all,
     write_detections,
     write_embeddings,
     write_mot,
@@ -754,8 +754,7 @@ def _frame_sets(path, threshold):
 
 
 def _filter_every_frame(seq):
-    """The filter run over every frame 1..last, as its report and files,
-    with the frame count read_prompt_dump_all steps."""
+    """The filter run over every frame 1..last, as its report and files."""
     threshold = RunConfig().detection_threshold
     per_stem = [_frame_sets(seq / stem, threshold) for stem in ("general", "include", "exclude")]
     last = max(max(sets, default=0) for sets in per_stem)
@@ -773,8 +772,7 @@ def _filter_every_frame(seq):
         f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
         for name in ("general", "ie_tps", "dropped", "rescued", "rejected")
     )
-    n_stepped = len(read_prompt_dump_all(seq, threshold)[0])
-    return f"frames={last} {counts} final={len(table)}", table.to_text(), rows.features, n_stepped
+    return f"frames={last} {counts} final={len(table)}", table.to_text(), rows.features
 
 
 class TestSparseFrames:
@@ -782,17 +780,20 @@ class TestSparseFrames:
     nothing, so outputs equal a run that steps every frame."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_filter_equals_stepping_every_frame(self, tmp_path, capsys, seed):
+    def test_filter_equals_stepping_every_frame(self, tmp_path, capsys, monkeypatch, seed):
         seq = tmp_path / "seq"
         seq.mkdir()
         _sparse_dump(seq, np.random.default_rng(seed))
-        report, text, features, n_stepped = _filter_every_frame(seq)
+        report, text, features = _filter_every_frame(seq)
+        step, stepped = macsort.cli.tpod_frame, []
+        monkeypatch.setattr(macsort.cli, "tpod_frame", lambda *args: (
+            stepped.append(args[4]), step(*args))[1])
         assert main(["filter", str(seq)]) == 0
         assert capsys.readouterr().out == f"[filter] {seq} {report}\n"
         assert (seq / "filtered.txt").read_text() == text
         assert np.array_equal(read_embeddings(seq / "filtered.emb"),
                               features.astype(np.float32).astype(np.float64))
-        assert n_stepped < int(report.split()[0].split("=")[1])  # some frames were left out
+        assert len(stepped) < int(report.split()[0].split("=")[1])  # some frames were left out
 
     def test_far_frame_finishes(self, tmp_path):
         seq = tmp_path / "seq"

@@ -28,11 +28,11 @@ from macsort.mot_io import (
     read_embeddings,
     read_mot_lines,
     read_prompt_dump_all,
+    walk_frames,
     write_detections,
     write_embeddings,
     write_mot,
 )
-from macsort.prompt_filter import SHORT_WINDOW_FRAMES
 
 
 class TestMotCsv:
@@ -193,8 +193,8 @@ class TestPromptDump:
     def test_general_only(self, tmp_path):
         rows = [MotRecord(1, -1, 0, 0, 10, 10, 0.8)]
         _write_prompt(tmp_path, "general", rows, [[1.0, 0.0]])
-        frames, (general, include, exclude) = read_prompt_dump_all(tmp_path)
-        assert frames == [1]
+        last, (general, include, exclude) = read_prompt_dump_all(tmp_path)
+        assert last == 1
         assert general[0].tolist() == [1] and len(general[1]) == 1
         for frame, rows in (include, exclude):
             assert len(frame) == len(rows) == 0 and rows.features.shape == (0, 2)
@@ -238,9 +238,15 @@ class TestPromptDump:
             MotRecord(3, -1, 0, 0, 10, 10, 0.8),
         ]
         _write_prompt(tmp_path, "general", rows, [[1.0, 0.0], [0.0, 1.0]])
-        frames, ((frame, _), _, _) = read_prompt_dump_all(tmp_path)
-        assert frames == [1, 2, 3]
+        last, ((frame, _), _, _) = read_prompt_dump_all(tmp_path)
+        assert last == 3
         assert frame.tolist() == [1, 3]
+
+    def test_last_frame_counts_rows_below_the_threshold(self, tmp_path):
+        _write_prompt(tmp_path, "general", [MotRecord(2, -1, 0, 0, 10, 10, 0.8)], [[1.0]])
+        _write_prompt(tmp_path, "exclude", [MotRecord(7, -1, 0, 0, 10, 10, 0.1)], [[1.0]])
+        last, (_, _, (frame, exclude)) = read_prompt_dump_all(tmp_path, detection_threshold=0.2)
+        assert last == 7 and len(frame) == len(exclude) == 0
 
 
 THRESHOLD = 0.2
@@ -293,21 +299,16 @@ class TestPromptDumpOracle:
                 _write_prompt(seq, stem, records, embs)
                 frames.update(f for f, *_ in rows)
 
-            frames_stepped, sides = read_prompt_dump_all(seq, THRESHOLD)
+            got_last, sides = read_prompt_dump_all(seq, THRESHOLD)
 
-            # frames 1..last, less each frame without rows that follows
-            # SHORT_WINDOW_FRAMES such frames (frame 0 counts as one with rows)
-            with_rows = frames | {0}
+            # the last frame of any row, whatever its confidence
             last = max(frames, default=0)
-            assert frames_stepped == [
-                f for f in range(1, last + 1)
-                if any(f - k in with_rows for k in range(SHORT_WINDOW_FRAMES + 1))
-            ]
+            assert got_last == last
             general_dim = dim if general else 1
             for stem, (frame_col, got) in zip(("general", "include", "exclude"), sides):
                 assert frame_col.dtype == np.int64 and len(frame_col) == len(got)
                 assert (np.diff(frame_col) >= 0).all()
-                assert set(frame_col.tolist()) <= set(frames_stepped)
+                assert set(frame_col.tolist()) <= set(range(1, last + 1))
                 for frame in range(1, last + 1):
                     at = frame_col == frame
                     boxes, feats, scores = _select_frame_oracle(seq / stem, frame, general_dim)
@@ -315,6 +316,52 @@ class TestPromptDumpOracle:
                     assert got.features[at].shape == feats.shape
                     assert np.array_equal(got.features[at], feats)
                     assert got.scores[at].tolist() == scores
+
+
+class TestWalkFrames:
+    """walk_frames against stepping every frame: a frame without rows is
+    left out exactly where a step would change nothing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(given_frames=st.lists(st.integers(-3, 40), max_size=12),
+           hold=st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    def test_equals_stepping_every_frame(self, given_frames, hold):
+        # a countdown stands in for a stage's state: a frame with rows sets
+        # it, an empty frame counts it down, and it is idle at 0, where an
+        # empty step leaves it as it is
+        with_rows = set(given_frames)
+
+        def step(left, frame):
+            return hold[frame % len(hold)] if frame in with_rows else max(left - 1, 0)
+
+        left, expected = 0, []
+        for frame in range(1, max(given_frames, default=0) + 1):
+            if frame in with_rows or left:
+                expected.append(frame)
+            left = step(left, frame)
+        state, walked = [0], []
+        for frame in walk_frames(np.array(given_frames, dtype=np.int64), lambda: state[0] == 0):
+            walked.append(frame)
+            state[0] = step(state[0], frame)
+        assert walked == expected
+        assert {f for f in with_rows if f >= 1} <= set(walked)
+
+    def test_skips_only_while_idle(self):
+        given = np.array([6, 2, 2, 9])
+        assert list(walk_frames(given, lambda: False)) == list(range(1, 10))
+        assert list(walk_frames(given, lambda: True)) == [2, 6, 9]
+
+    def test_idle_is_asked_after_the_frame_before_is_stepped(self):
+        stepped, asked = [], []
+        for frame in walk_frames([1, 5], lambda: asked.append(stepped[-1]) or len(stepped) > 2):
+            stepped.append(frame)
+        assert stepped == [1, 2, 3, 5] and asked == [1, 2, 3]
+
+    def test_empty_and_below_one(self):
+        assert list(walk_frames(np.zeros(0, dtype=np.int64), lambda: False)) == []
+        assert list(walk_frames([-2, 0], lambda: False)) == []
+        assert list(walk_frames([-2, 0, 3], lambda: False)) == [1, 2, 3]
+        assert list(walk_frames([0, 3], lambda: True)) == [3]
 
 
 _CELLS = ["1", "-1", "0", "3", "2.5", "-0.5", "0.9", "1.7", "nan", "inf", "1e309", "", " ", "x"]
@@ -369,6 +416,7 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_sidecars(), st.binary(max_size=40)))
     @example(b"EMB1" + struct.pack("<i", 2**31 - 1) + struct.pack("<q", 0))
+    @example(b"EMB1" + struct.pack("<i", 1) + struct.pack("<q", 1) + b"\x00\x00\x81\x7f")
     def test_read_embeddings(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "fuzz.emb"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macsort.errors import DimensionMismatch, EmptyInput, EmptyMemory
 import macsort.prompt_filter
@@ -347,6 +348,38 @@ class TestMemoryBank:
                     assert band_scores.tolist() == [e.score for e in want]
                     assert np.array_equal(band_features.reshape(-1, 3),
                                           np.array([e.feature for e in want]).reshape(-1, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kappa1=st.integers(1, 5), kappa2=st.integers(1, 5), dim=st.integers(1, 3),
+           counts=st.lists(st.sampled_from([0, 0, 1, 2, 4]), max_size=10), seed=st.integers(0, 99))
+    def test_idle_update_without_rows_changes_nothing(self, kappa1, kappa2, dim, counts, seed):
+        """Whenever the bank is idle, an update with no rows leaves both
+        bands and the window's rows as they are: the frame walk may skip it."""
+        rng = np.random.default_rng(seed)
+        memory = MemoryBank(kappa1, kappa2)
+
+        def rows(memory):  # long, short, then the window's entries that hold rows
+            window = [band for band in memory.window if len(band[1])]
+            return [(features.tolist(), scores.tolist())
+                    for features, scores in (memory.long, memory.short, *window)]
+
+        for n in counts:
+            memory.update(rng.standard_normal((n, dim)), rng.choice([0.3, 0.6, 0.9], n))
+            if memory.idle:
+                before = rows(memory)
+                memory.update(np.zeros((0, dim)), np.zeros(0))
+                assert memory.idle
+                assert rows(memory) == before
+
+    def test_update_without_rows_changes_a_bank_that_is_not_idle(self):
+        memory = MemoryBank(kappa2=1)
+        assert memory.idle
+        memory.update(*tagged(0, [0.9]))
+        for _ in range(2):
+            memory.update(np.zeros((0, 4)), np.zeros(0))
+            assert not memory.idle and memory.short[1].tolist() == [0.9]
+        memory.update(np.zeros((0, 4)), np.zeros(0))  # the frame-0 row leaves the window
+        assert memory.idle and n_rows(memory.short) == 0 and n_rows(memory.long) == 1
 
     @pytest.mark.parametrize("kappas", [(-1, 3), (0, 3), (9, 0), (9, -2)])
     def test_kappas_below_one_rejected(self, kappas):

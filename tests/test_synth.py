@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import spearmanr
 
-from conftest import OTHER_LINE_BREAKS, boxes_at
+from conftest import OTHER_LINE_BREAKS, boxes_at, frame_tables
 from metrics_ref import rows_at
 from macsort.errors import SpecError
 from macsort.geometry import BBox
@@ -62,14 +62,14 @@ class TestGenerate:
     def test_noiseless_identity(self):
         spec = ScenarioSpec(n_objects=3, n_frames=10)
         scenario = generate(spec)
-        for frame, dets in scenario.frame_sets().items():
+        for frame, dets in frame_tables(scenario).items():
             _, gt_boxes = rows_at(scenario.gt, frame)
             assert np.array_equal(dets.boxes, gt_boxes)
 
     def test_full_homogeneity_gives_mu_one(self):
         spec = ScenarioSpec(appearance_homogeneity=1.0, n_objects=5, n_frames=3)
         scenario = generate(spec)
-        assert compute_mu_det(scenario.frame_sets()[1].features, 45.0) == pytest.approx(1.0)
+        assert compute_mu_det(frame_tables(scenario)[1].features, 45.0) == pytest.approx(1.0)
 
     def test_same_seed_identical(self):
         spec = ScenarioSpec(seed=99, detection_noise_px=1.0, miss_rate=0.1, clutter_rate=0.1)
@@ -87,7 +87,7 @@ class TestGenerate:
     def test_occlusion_window_drops_detections(self):
         spec = ScenarioSpec(n_objects=2, n_frames=10, occlusion_windows=[(1, 4, 6)])
         scenario = generate(spec)
-        sets = scenario.frame_sets()
+        sets = frame_tables(scenario)
         for frame in (4, 5, 6):
             assert len(sets[frame]) == 1
             assert len(boxes_at(scenario.gt, frame)) == 2  # gt continues through
@@ -128,7 +128,7 @@ class TestGenerate:
         )
         a, b = generate(base), generate(swapped)
         # geometry identical, embeddings exchanged from the swap frame on
-        sa, sb = a.frame_sets(), b.frame_sets()
+        sa, sb = frame_tables(a), frame_tables(b)
         for f in range(1, 20):
             assert np.array_equal(sa[f].boxes, sb[f].boxes)
         before = sa[9].features
@@ -148,7 +148,7 @@ class TestGenerate:
                 )
                 scenario = generate(spec)
                 hs.append(h)
-                mus.append(compute_mu_det(scenario.frame_sets()[1].features, 45.0))
+                mus.append(compute_mu_det(frame_tables(scenario)[1].features, 45.0))
         rho = spearmanr(hs, mus).statistic
         assert rho > 0.95
 
@@ -449,12 +449,8 @@ class TestColumnsEqualPerDrawOracle:
         for frame, obj_id, box in gt:
             ref_gt.setdefault(frame, []).append((obj_id, box))
         assert {f: boxes_at(got.gt, f) for f in got.gt.frame_rows} == ref_gt
-        tables = got.frame_sets()
-        assert sorted(tables) == list(range(1, spec.n_frames + 1))
-        for frame, ref in detections.items():
-            table = tables[frame]
-            assert _bits(table.boxes) == _bits([[d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h]
-                                                for d in ref] or np.zeros((0, 4)))
-            assert _bits(table.scores) == _bits([d.confidence for d in ref])
-            assert _bits(table.features) == _bits(
-                [d.embedding for d in ref] or np.zeros((0, spec.embedding_dim)))
+        table = got.detections()
+        for col, view in ((got.det_boxes, table.boxes), (got.det_conf, table.scores),
+                          (got.embeddings, table.features)):
+            assert view.shape == col.shape and _bits(view) == _bits(col)
+            assert np.shares_memory(view, col) or not col.size

@@ -10,7 +10,8 @@ import macsort.tracker
 import metrics_ref
 import motion_ref as ref
 from geometry_ref import iou_dense
-from conftest import assign, cost_matrix, dense_terms, make_tracks, mot_rows, table, tables, uvwh
+from conftest import (assign, cost_matrix, columns, dense_terms, make_tracks, mot_rows, table,
+                      tables, uvwh)
 from macsort.cli import main
 from macsort.errors import NonMonotonicFrame
 from macsort.geometry import (
@@ -507,8 +508,8 @@ class TestErrorPaths:
 
 class TestTrackSequence:
     def test_equals_stepping_every_frame(self):
-        # frame 3 has no key: it is stepped with no detections, so the
-        # track coasts through it and frame 4's match is a gap of 2
+        # frame 3 has no rows: it is stepped with none, so the track
+        # coasts through it and frame 4's match is a gap of 2
         per_frame = {
             1: [det(1, 50, 50)],
             2: [det(2, 52, 50)],
@@ -520,11 +521,11 @@ class TestTrackSequence:
         expected = MotTable.concat(
             tracker.step(table(per_frame.get(frame, [])), frame) for frame in range(1, 6)
         )
-        assert mot_rows(track_sequence(tables(per_frame), cfg)) == mot_rows(expected)
+        assert mot_rows(track_sequence(*columns(per_frame), cfg)) == mot_rows(expected)
         assert expected.frame.tolist() == [1, 2, 4, 5, 5]
 
     def test_empty_input(self):
-        rows = track_sequence({})
+        rows = track_sequence(np.zeros(0, dtype=np.int64), PromptDetections.empty())
         assert mot_rows(rows) == [] and rows.ltwh.shape == (0, 4) and rows.xyz.shape == (0, 3)
 
 
@@ -813,7 +814,7 @@ def test_track_table_equals_track_list_tracker(cfg):
     for _ in range(25):
         per_frame = _random_stream(rng)
         expected = _reference_sequence(per_frame, cfg, counts)
-        got = track_sequence(tables(per_frame), cfg)
+        got = track_sequence(*columns(per_frame), cfg)
         assert got.frame.tolist() == [f for f, _, _ in expected]
         assert got.id.tolist() == [tid for _, tid, _ in expected]
         # the block filter sums in another order than the 7x7 oracle
@@ -840,8 +841,8 @@ def _spread(rng, per_frame):
     ids=lambda c: f"age{c.max_age}-hits{c.min_hits}",
 )
 def test_sparse_frames_equal_stepping_every_frame(cfg, monkeypatch):
-    """track_sequence skips absent frames only while the tracker is idle,
-    where a step would change nothing."""
+    """track_sequence skips frames without rows only while the tracker is
+    idle, where a step would change nothing."""
     rng = np.random.default_rng(99)
     step, stepped = MacSort.step, []
     monkeypatch.setattr(MacSort, "step", lambda self, dets, frame: (
@@ -849,12 +850,13 @@ def test_sparse_frames_equal_stepping_every_frame(cfg, monkeypatch):
     skipped = 0
     empty = PromptDetections.empty()
     for _ in range(20):
-        per_frame = tables(_spread(rng, _random_stream(rng)))
-        last, tracker = max(per_frame), MacSort(cfg)
-        expected = MotTable.concat(step(tracker, per_frame.get(frame, empty), frame)
+        per_frame = _spread(rng, _random_stream(rng))
+        frame_sets, tracker = tables(per_frame), MacSort(cfg)
+        last = max((frame for frame, dets in per_frame.items() if dets), default=0)
+        expected = MotTable.concat(step(tracker, frame_sets.get(frame, empty), frame)
                                    for frame in range(1, last + 1))
         stepped.clear()
-        assert mot_rows(track_sequence(per_frame, cfg)) == mot_rows(expected)
+        assert mot_rows(track_sequence(*columns(per_frame), cfg)) == mot_rows(expected)
         skipped += last - len(stepped)
     assert skipped > 0
 
@@ -871,10 +873,10 @@ def test_track_builds_no_bbox(monkeypatch, tmp_path):
                                      [d.confidence for d in dets])
     write_detections(tmp_path / "general.txt", tmp_path / "general.emb", detections,
                      np.stack([d.embedding for d in dets]))
-    per_frame = tables(per_frame)
+    frame, detections = columns(per_frame)
     init, built = BBox.__post_init__, []
     monkeypatch.setattr(BBox, "__post_init__", lambda box: (built.append(box), init(box))[1])
-    rows = track_sequence(per_frame, cfg)
+    rows = track_sequence(frame, detections, cfg)
     assert main(["track", str(tmp_path), "--max-age", "3"]) == 0
     assert len(rows) > 0 and len(read_mot_lines(tmp_path / "results.txt")) > 0
     assert built == []
