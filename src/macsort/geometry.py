@@ -4,7 +4,8 @@ Boxes are stored center-based as (u, v, w, h); the MOT top-left convention
 is converted at the I/O layer only. The Kalman filter measures a box as
 (u, v, s, r), scale s = w*h and aspect r = w/h; xysr_of is that formula,
 which uvwh_to_xysr runs on box rows, and xysr_to_uvwh the inverse. All
-reals are float64.
+reals are float64, except embeddings, which may come as float32, the
+width their sidecar stores; unit_rows widens them.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
-    """Row-normalize a (n, d) matrix; zero rows stay zero."""
+    """Row-normalize a (n, d) matrix in float64, widening float32 rows
+    first; zero rows stay zero."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     safe = np.where(norms < ZERO_NORM_EPS, 1.0, norms)

@@ -7,12 +7,17 @@ reproduces it byte for byte.
 
 Embedding sidecar layout (little-endian): 4-byte magic ``EMB1``, int32
 dimension D, int64 row count R, then R*D float32 values; row i belongs to
-the i-th non-blank line of the companion CSV.
+the i-th non-blank line of the companion CSV. Embeddings are read as
+float32, the width the sidecar stores.
+
+The writers write WRITE_BLOCK_ROWS rows at a time, so that a file's text or
+float32 body is never held whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import threading
 import warnings
@@ -42,6 +47,7 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # catch_warnings swaps the process-wide filters: one parse at a time does so
 _WARNINGS_LOCK = threading.Lock()
 _LINE = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,%d,%d,%d\n"  # one line in canonical form
+WRITE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -252,17 +258,24 @@ def read_mot_lines(path: str | Path) -> MotTable:
     return MotTable.from_records(records)
 
 
+def _write_text(table: MotTable, path: str | Path) -> None:
+    """Write ``table.to_text()``, one block of rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(table), WRITE_BLOCK_ROWS):
+            fh.write(table.take(slice(start, start + WRITE_BLOCK_ROWS)).to_text())
+
+
 def write_mot(records, path: str | Path) -> None:
     """Write a table or records frame-sorted (stable within a frame) in
     canonical form."""
     table = MotTable.from_records(records)
-    table = table.take(by_frame(table.frame)[0])
-    Path(path).write_text(table.to_text(), encoding="utf-8")
+    _write_text(table.take(by_frame(table.frame)[0]), path)
 
 
 def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
-    """Write a (R, D) array as an EMB1 sidecar (values stored as float32)."""
-    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(embs, dtype="<f4")))
+    """Write a (R, D) array as an EMB1 sidecar (values stored as float32),
+    converting one block of rows at a time."""
+    arr = np.atleast_2d(np.asarray(embs))
     rows, dim = arr.shape
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
@@ -270,32 +283,36 @@ def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<i", dim))
         fh.write(struct.pack("<q", rows))
-        fh.write(arr)  # its buffer, not a bytes copy of it
+        for start in range(0, rows, WRITE_BLOCK_ROWS):
+            # its buffer, not a bytes copy of it; a float32 block is not copied
+            fh.write(np.ascontiguousarray(arr[start:start + WRITE_BLOCK_ROWS], dtype="<f4"))
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
-    """Read an EMB1 sidecar into a (R, D) float64 array.
+    """Read an EMB1 sidecar into a (R, D) float32 array, writable and
+    C-contiguous, read in place without a bytes copy of the body.
 
     Raises NonFiniteEmbedding naming the first (1-based) row that holds a
     NaN or an infinity.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != EMB_MAGIC:
-        raise BadMagic(f"{path}: not an EMB1 sidecar")
-    dim = struct.unpack("<i", data[4:8])[0]
-    rows = struct.unpack("<q", data[8:16])[0]
-    if dim < 1 or rows < 0:
-        raise TruncatedBody(f"{path}: bad header dim={dim}, rows={rows}")
-    expected = rows * dim * 4
-    if len(data) - 16 != expected:
-        raise TruncatedBody(f"{path}: body has {len(data) - 16} bytes, expected {expected}")
-    # read in place: slicing the body off would copy it; checked before the
-    # cast, which warns of a signalling NaN
-    body = np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, dim)
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != EMB_MAGIC:
+            raise BadMagic(f"{path}: not an EMB1 sidecar")
+        dim, rows = struct.unpack("<iq", head[4:])
+        if dim < 1 or rows < 0:
+            raise TruncatedBody(f"{path}: bad header dim={dim}, rows={rows}")
+        expected = rows * dim * 4
+        size = os.fstat(fh.fileno()).st_size - 16
+        if size != expected:
+            raise TruncatedBody(f"{path}: body has {size} bytes, expected {expected}")
+        body = np.empty((rows, dim), dtype="<f4")
+        if (got := fh.readinto(body)) != expected:  # a shorter file than fstat saw
+            raise TruncatedBody(f"{path}: body has {got} bytes, expected {expected}")
     bad = ~np.isfinite(body).all(axis=1)
     if bad.any():
         raise NonFiniteEmbedding(f"{path}: row {int(np.argmax(bad)) + 1} is not finite")
-    return body.astype(np.float64)
+    return body
 
 
 def write_detections(
@@ -314,8 +331,8 @@ def write_detections(
         raise SidecarMismatch(
             f"{csv_path}: {len(records)} records vs {len(embeddings)} embedding rows"
         )
-    Path(csv_path).write_text(MotTable.from_records(records).to_text(), encoding="utf-8")
-    write_embeddings(np.asarray(embeddings), emb_path)
+    _write_text(MotTable.from_records(records), csv_path)
+    write_embeddings(embeddings, emb_path)
 
 
 def _line_of(path: str | Path, row: int) -> int:
@@ -398,8 +415,10 @@ def read_prompt_dump_all(
 
     sides = []
     for table, embs in files.values():
-        rows = np.flatnonzero(table.conf >= detection_threshold)
-        rows = rows[by_frame(table.frame[rows])[0]]
+        keep = table.conf >= detection_threshold
+        order = by_frame(table.frame[keep])[0]
+        # every row kept from a frame-sorted file: by_frame's slice views the columns
+        rows = order if keep.all() else np.flatnonzero(keep)[order]
         table = table.take(rows)
         features = embs[rows] if len(embs) else np.zeros((0, dim))
         sides.append((table.frame, PromptDetections(table.uvwh(), features, table.conf)))

@@ -67,7 +67,10 @@ class PromptDetections:
     """Detections of one prompt as parallel arrays: boxes (n, 4) as (u, v,
     w, h), features (n, d) and scores (n,), for one frame or, next to a
     frame column, for a sequence. A frame's table is also what MacSort.step
-    reads. Boxes may be given as a list of BBox."""
+    reads. Boxes may be given as a list of BBox. Float32 or float64
+    features are kept as given (a sidecar's embeddings stay float32);
+    features of any other type are read as float64. Every computation on
+    features starts from ``unit_rows``, which widens them to float64."""
 
     boxes: np.ndarray
     features: np.ndarray
@@ -75,7 +78,10 @@ class PromptDetections:
 
     def __post_init__(self):
         self.boxes = uvwh_array(self.boxes)
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        features = np.asarray(self.features)
+        if features.dtype not in (np.float32, np.float64):
+            features = features.astype(np.float64)
+        self.features = np.atleast_2d(features)
         self.scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if len(self.boxes) == 0 and self.features.size == 0:
             self.features = self.features.reshape(0, self.features.shape[-1] or 1)
@@ -100,8 +106,12 @@ class PromptDetections:
 
     def take(self, rows) -> "PromptDetections":
         """The rows selected by an index array, boolean mask or slice; a
-        slice views them."""
-        return PromptDetections(self.boxes[rows], self.features[rows], self.scores[rows])
+        slice views them. The rows of a checked table need no new check, so
+        ``__post_init__`` is not run again."""
+        out = object.__new__(PromptDetections)
+        out.boxes, out.features, out.scores = (
+            self.boxes[rows], self.features[rows], self.scores[rows])
+        return out
 
 
 # a memory band or short-window entry: features (n, d) and scores (n,)

@@ -20,7 +20,9 @@ from macsort.errors import (
     TruncatedBody,
 )
 from macsort.geometry import BBox
+import macsort.mot_io
 from macsort.mot_io import (
+    EMB_MAGIC,
     MotRecord,
     MotTable,
     _parse_line,
@@ -180,6 +182,50 @@ class TestEmbeddings:
         p.write_bytes(data[:-5])
         with pytest.raises(TruncatedBody):
             read_embeddings(p)
+
+    def test_read_is_a_writable_contiguous_float32_array(self, tmp_path, rng):
+        p = tmp_path / "e.emb"
+        write_embeddings(rng.standard_normal((5, 3)), p)
+        got = read_embeddings(p)
+        assert got.dtype == np.float32 and got.shape == (5, 3)
+        assert got.flags.writeable and got.flags.c_contiguous
+        got[0, 0] = 1.0  # the caller owns the array, not the file
+
+    @pytest.mark.parametrize("rows, body", [(0, b""), (2, b""), (1, b"\0" * 4),
+                                            (1, b"\0" * 12), (0, b"\0")])
+    def test_header_only_and_body_size_mismatch(self, tmp_path, rows, body):
+        p = tmp_path / "e.emb"
+        p.write_bytes(EMB_MAGIC + struct.pack("<iq", 2, rows) + body)
+        if len(body) == rows * 2 * 4:
+            assert read_embeddings(p).shape == (0, 2)
+        else:
+            with pytest.raises(TruncatedBody, match=f"body has {len(body)} bytes, "
+                                                    f"expected {rows * 8}"):
+                read_embeddings(p)
+
+
+class TestStreamedWriters:
+    """The writers write WRITE_BLOCK_ROWS rows at a time: the bytes are those
+    of one whole-table ``to_text()`` and one whole-array ``astype("<f4")``."""
+
+    B = 4
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_write_the_one_shot_bytes(self, tmp_path, monkeypatch, rng, n):
+        monkeypatch.setattr(macsort.mot_io, "WRITE_BLOCK_ROWS", self.B)
+        table = MotTable(rng.integers(1, 4, n), np.full(n, -1), rng.uniform(1, 99, (n, 4)),
+                         rng.uniform(0, 1, n), np.full((n, 3), -1.0))
+        # float64 values float32 cannot hold exactly: the file holds their rounding
+        embs = rng.standard_normal((n, 3)) / 3.0
+        csv, emb, mot = tmp_path / "d.txt", tmp_path / "d.emb", tmp_path / "m.txt"
+        write_detections(csv, emb, table, embs)
+        write_mot(table, mot)
+        assert csv.read_text(encoding="utf-8") == table.to_text()
+        in_order = table.take(np.argsort(table.frame, kind="stable"))
+        assert mot.read_text(encoding="utf-8") == in_order.to_text()
+        header = EMB_MAGIC + struct.pack("<iq", 3, n)
+        assert emb.read_bytes() == header + embs.astype("<f4").tobytes()
+        assert np.array_equal(read_embeddings(emb), embs.astype(np.float32))
 
 
 def _write_prompt(seq_dir, stem, rows, embs):
@@ -427,7 +473,7 @@ class TestReaderFuzz:
                 assert str(p) in str(exc)
                 return
         dim, rows = struct.unpack("<i", data[4:8])[0], struct.unpack("<q", data[8:16])[0]
-        assert embs.shape == (rows, dim) and embs.dtype == np.float64
+        assert embs.shape == (rows, dim) and embs.dtype == np.float32
         assert np.isfinite(embs).all()
 
 

@@ -290,6 +290,37 @@ def frame_index(band):
     return [tuple(row) for row in features[:, :2].astype(int).tolist()]
 
 
+class TestPromptDetections:
+    def test_feature_widths(self):
+        boxes, scores = [(0.0, 0.0, 1.0, 1.0)] * 2, [0.5, 0.5]
+        for given, want in ((np.float32, np.float32), (np.float64, np.float64),
+                            (np.int64, np.float64), (np.float16, np.float64)):
+            got = PromptDetections(boxes, np.ones((2, 3), dtype=given), scores)
+            assert got.features.dtype == want
+        assert PromptDetections(boxes, [[1, 2], [3, 4]], scores).features.dtype == np.float64
+
+    def test_take_keeps_float32_and_views_a_slice(self, rng):
+        table = PromptDetections(rng.uniform(1, 9, (6, 4)),
+                                 rng.standard_normal((6, 3)).astype(np.float32),
+                                 rng.uniform(0, 1, 6))
+        part = table.take(slice(1, 4))
+        assert part.features.dtype == np.float32 and len(part) == 3
+        for name in ("boxes", "features", "scores"):
+            assert np.shares_memory(getattr(part, name), getattr(table, name))
+        rows = np.array([4, 0])
+        picked = table.take(rows)
+        want = PromptDetections(table.boxes[rows], table.features[rows], table.scores[rows])
+        for name in ("boxes", "features", "scores"):
+            assert np.array_equal(getattr(picked, name), getattr(want, name))
+        assert table.take(np.zeros(0, np.intp)).features.shape == (0, 3)
+
+    def test_construction_still_checks(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            PromptDetections([(0.0, 0.0, 1.0, 1.0)], np.ones((2, 3), np.float32), [0.5])
+        with pytest.raises(ValueError, match="scores"):
+            PromptDetections([(0.0, 0.0, 1.0, 1.0)], np.ones((1, 3), np.float32), [1.5])
+
+
 class TestMemoryBank:
     def test_top_k_selection(self, rng):
         memory = MemoryBank(kappa1=9, kappa2=3)

@@ -69,6 +69,16 @@ def test_output_digests_are_stable():
     assert [line.split() for line in one.splitlines()] == by_seed["1"]
 
 
+def test_stage_peaks_prints_each_stage():
+    out = _run("stage_peaks.py", "--workload", "crowd_dense", "--seed", "0")
+    rows = [line.split() for line in out.splitlines()]
+    stages = ["synth", "filter", "track", "eval"]
+    assert [(row[0], row[1], row[2]) for row in rows] == [
+        ("0", seq, stage) for seq in ("crowd0", "crowd1") for stage in stages]
+    for _, _, _, mib, ratio in rows:
+        assert float(mib) > 0 and float(ratio) > 0
+
+
 def _bench_ab():
     spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
     module = importlib.util.module_from_spec(spec)
