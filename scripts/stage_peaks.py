@@ -9,7 +9,10 @@ through ``macsort.cli.main`` on one sequence at a time: ``synth`` again
 from the sequence's ``scenario.spec`` into a directory of its own, then
 ``filter``, ``track`` and ``eval`` on the sequence. A stage's peak is the
 most memory that numpy and Python objects held during it beyond what was
-held before it; the interpreter and its imports are not counted. Prints
+held before it; the interpreter and its imports are not counted. So the
+first line, ``import <MiB>``, is the peak resident set of a fresh
+interpreter that only imports ``macsort.cli``: the share of the
+benchmark's ``peak_rss_mb`` that tracemalloc does not see. Then it prints
 one ``<seed> <sequence> <stage> <peak MiB> <peak / body>`` line per stage.
 
 Usage: python scripts/stage_peaks.py --workload lanes_long --seed 0
@@ -19,6 +22,7 @@ import argparse
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -53,12 +57,24 @@ def stage_peak(*argv: str) -> int:
     return peak
 
 
+def import_rss() -> int:
+    """The peak resident set, in bytes, of a fresh interpreter that only
+    imports ``macsort.cli``."""
+    code = "import resource, macsort.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return int(proc.stdout) * 1024  # ru_maxrss is in KiB on Linux
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, nargs="+", default=[0])
     args = ap.parse_args()
     workload = WORKLOADS[args.workload]
+    print(f"import {import_rss() / 2**20:.1f}")
     for seed in args.seed:
         with tempfile.TemporaryDirectory() as tmp:
             seqs = generate(workload.specs(seed), Path(tmp) / "seqs", workload.prompts)

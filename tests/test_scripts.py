@@ -71,7 +71,8 @@ def test_output_digests_are_stable():
 
 def test_stage_peaks_prints_each_stage():
     out = _run("stage_peaks.py", "--workload", "crowd_dense", "--seed", "0")
-    rows = [line.split() for line in out.splitlines()]
+    first, *rows = [line.split() for line in out.splitlines()]
+    assert first[0] == "import" and len(first) == 2 and float(first[1]) > 0
     stages = ["synth", "filter", "track", "eval"]
     assert [(row[0], row[1], row[2]) for row in rows] == [
         ("0", seq, stage) for seq in ("crowd0", "crowd1") for stage in stages]

@@ -1,6 +1,12 @@
+import importlib.metadata
+import importlib.machinery
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +382,79 @@ class TestForcedAssignment:
             if (order != np.arange(len(rows))).any():
                 assert len(solver_calls) == before + 1
         assert len(solver_calls) > 150
+
+
+def _solver_cases():
+    """Tall, wide and empty shapes, constant costs and integer-valued costs
+    full of ties."""
+    rng = np.random.default_rng(2024)
+    cases = {
+        "tall": rng.uniform(0, 1, (7, 3)),
+        "wide": rng.uniform(0, 1, (3, 7)),
+        "empty": np.zeros((0, 0)),
+        "empty_rows": np.zeros((0, 4)),
+        "empty_cols": np.zeros((4, 0)),
+        "constant": np.full((5, 5), 2.5),
+        "constant_wide": np.full((3, 6), -1.0),
+        "constant_tall": np.full((6, 2), 0.0),
+        "ties": rng.integers(0, 3, (6, 6)).astype(np.float64),
+        "ties_tall": rng.integers(0, 3, (8, 5)).astype(np.float64),
+        "ties_wide": rng.integers(0, 3, (5, 8)).astype(np.float64),
+        "ties_int64": rng.integers(0, 2, (6, 6)),
+        # every permutation of an outer sum costs the same
+        "all_permutations_tie": np.add.outer(np.arange(5.0), np.arange(5.0)),
+    }
+    return [pytest.param(cost, id=name) for name, cost in cases.items()]
+
+
+class TestSolver:
+    """The tracker's solver is scipy's compiled one, loaded without running
+    scipy.optimize's package init."""
+
+    @pytest.mark.parametrize("cost", _solver_cases())
+    def test_equals_public_scipy(self, cost):
+        got = macsort.tracker.linear_sum_assignment(cost)
+        want = linear_sum_assignment(cost)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_cli_imports_no_scipy_package(self):
+        """A fresh interpreter that imports the CLI and solves a contested
+        frame (two candidates in one row, so the solver runs) holds none of
+        scipy.optimize, scipy.sparse or scipy.linalg."""
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import macsort.cli",
+            "from macsort.tracker import linear_assignment",
+            "rows, cols = linear_assignment(np.array([0, 0]), np.array([0, 1]),",
+            "                               np.array([0.5, 0.2]), (1, 2))",
+            "assert rows.tolist() == [0] and cols.tolist() == [1]",
+            "print(*sorted({'scipy.optimize', 'scipy.sparse', 'scipy.linalg'} & set(sys.modules)))",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("scipy_dir", ["missing", "empty"])
+    def test_missing_module_names_it_and_the_scipy_version(self, scipy_dir, tmp_path,
+                                                            monkeypatch):
+        spec = None
+        if scipy_dir == "empty":
+            spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+            spec.submodule_search_locations.append(str(tmp_path))
+        monkeypatch.setattr(macsort.tracker, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError) as err:
+            macsort.tracker._load_lsap()
+        assert err.value.name == macsort.tracker.LSAP_MODULE == "scipy.optimize._lsap"
+        assert str(err.value) == (
+            "scipy.optimize._lsap, scipy's compiled assignment solver, was not found "
+            f"(scipy {importlib.metadata.version('scipy')} is installed)")
 
 
 class TestTrackerStep:
