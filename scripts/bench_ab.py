@@ -11,10 +11,12 @@ prints one summary line: for each end-to-end metric of BENCHMARK.json, the
 parent's median and interquartile range, this checkout's median and
 interquartile range, the pairs that this checkout won (ties count for
 neither side), the change of the median in percent, with ``equal`` when
-every pair read the same, and ``holds``: whether a gain on that metric is
+every pair read the same, ``holds``: whether a gain on that metric is
 shown, that is this checkout won at least 9 in 10 of the pairs and the
-medians differ by more than the parent's interquartile range. The
-benchmark itself is only run, never edited.
+medians differ by more than the parent's interquartile range, and
+``worse_beyond_bound``: whether this checkout's median is worse than the
+parent's by more than the metric's ``bound`` (a fraction of the parent's
+median). The benchmark and BENCHMARK.json are only read, never edited.
 
 Usage:
     python scripts/bench_ab.py --parent ../parent --workload prompts_multi \\
@@ -32,10 +34,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def end_to_end_metrics(bench_json: Path = ROOT / "BENCHMARK.json") -> list[tuple[str, str]]:
-    """(name, better) of each end-to-end metric the benchmark declares."""
+def end_to_end_metrics(
+    bench_json: Path = ROOT / "BENCHMARK.json",
+) -> list[tuple[str, str, float]]:
+    """(name, better, bound) of each end-to-end metric the benchmark declares."""
     spec = json.loads(bench_json.read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def git_rev(checkout: Path) -> str:
@@ -63,8 +67,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
     """The summary of one workload's paired rows: per metric, the parent's
     and the change's median and interquartile range, the change's wins, the
-    median's change in percent and whether the gain holds. Only seeds run
-    on both sides count."""
+    median's change in percent, whether the gain holds and whether the
+    median is worse than the parent's by more than the bound. Only seeds
+    run on both sides count."""
     sides = {side: {r["seed"]: r for r in rows if r["side"] == side}
              for side in ("parent", "change")}
     seeds = [seed for seed in sides["parent"] if seed in sides["change"]]
@@ -76,7 +81,7 @@ def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
         "correct": all(row["correct"] and row["exit"] == 0 for row in paired),
         "failed": sum(row["failed"] for row in paired),
     }
-    for name, better in metrics:
+    for name, better, bound in metrics:
         pairs = [(sides["parent"][s]["metrics"][name]["value"],
                   sides["change"][s]["metrics"][name]["value"])
                  for s in seeds
@@ -86,7 +91,8 @@ def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
         parent, change = np.array(pairs).T
         q1, parent_median, q3 = np.percentile(parent, [25, 50, 75]).tolist()
         c1, median, c3 = np.percentile(change, [25, 50, 75]).tolist()
-        gain = change - parent if better == "higher" else parent - change
+        sign = 1.0 if better == "higher" else -1.0
+        gain = sign * (change - parent)
         wins = int((gain > 0).sum())
         entry = {
             "parent_median": round(parent_median, 4),
@@ -98,6 +104,7 @@ def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
             if parent_median else None,
             # at least 9 wins in 10 pairs, and a gap wider than the parent's spread
             "holds": 10 * wins >= 9 * len(pairs) and abs(median - parent_median) > q3 - q1,
+            "worse_beyond_bound": sign * (parent_median - median) > bound * abs(parent_median),
         }
         if np.array_equal(parent, change):
             entry["equal"] = True

@@ -15,11 +15,12 @@ Pipeline stages, each usable on its own:
   column and one table, results come out as mot_io.MotTable rows, and no
   BBox is built
 - metrics: MOTA / identity F1 / higher-order accuracy evaluation
-- mot_io: MOT-Challenge CSV and embedding sidecar files; a prompt dump
-  reads as one frame-sorted column set per prompt file. ``walk_frames``
-  is the one frame walk of filter, track and eval: each skips a frame
-  without rows only while its own ``idle`` test says stepping it would
-  change nothing
+- mot_io: MOT-Challenge CSV and embedding sidecar files, the one reader
+  of a detection file and its sidecar (``read_detections``) for prompt
+  dumps and ``track``, and ``walk_frames``, the one frame walk of filter,
+  track and eval: it hands over each frame's rows as one slice per
+  frame-sorted column, and skips a frame without rows only while the
+  stage's own ``idle`` test says stepping it would change nothing
 - synth: deterministic synthetic scenario generator
 - cli: filter / track / eval / synth / parse-captions subcommands
 """

@@ -30,9 +30,8 @@ from .metrics import TrackSequence, evaluate
 from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfbench
     DETECTION_ID,
     MotTable,
-    _load_prompt_file,
-    by_frame,
     check_boxes,
+    read_detections,
     read_embeddings,
     read_mot_lines,
     read_prompt_dump_all,
@@ -40,7 +39,7 @@ from .mot_io import (  # read_mot_lines, read_embeddings: hooked here by perfben
     write_detections,
     write_mot,
 )
-from .prompt_filter import MemoryBank, PromptDetections, ie_overlaps, tpod_frame
+from .prompt_filter import MemoryBank, ie_overlaps, tpod_frame
 from .synth import generate, read_spec, write_spec
 from .tracker import track_sequence
 
@@ -87,11 +86,9 @@ def cmd_filter(args, cfg: RunConfig) -> int:
         last, sides = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
         max_inc, max_exc = ie_overlaps(*((frame, rows.boxes) for frame, rows in sides))
         frame_col, general = sides[0]
-        frame_rows = by_frame(frame_col)[1]
         memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
         kept, stats = [np.zeros(0, np.intp)], []
-        for frame in walk_frames(frame_col, lambda: memory.idle):
-            at = frame_rows.get(frame, slice(0, 0))
+        for frame, at in walk_frames(lambda: memory.idle, frame_col):
             res = tpod_frame(general.take(at), max_inc[at], max_exc[at], memory, frame, tpod_cfg)
             kept.append(at.start + res.rows)
             stats.append(res.stats)
@@ -111,21 +108,16 @@ def cmd_filter(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_detections(seq_dir: Path, which: str):
-    if which == "auto":
-        which = "filtered" if (seq_dir / "filtered.txt").exists() else "general"
-    loaded = _load_prompt_file(seq_dir, which, required=False)
-    if loaded is None:
-        raise InputError(f"detection file {seq_dir / which}.txt not found")
-    table, embs = loaded
-    return which, table.frame, PromptDetections(table.uvwh(), embs, table.conf)
-
-
 def cmd_track(args, cfg: RunConfig) -> int:
     assoc_cfg = cfg.assoc_config()
 
     def one(seq_dir: Path) -> str:
-        which, frame, dets = _load_detections(seq_dir, args.detections)
+        which = args.detections
+        if which == "auto":
+            which = "filtered" if (seq_dir / "filtered.txt").exists() else "general"
+        if (loaded := read_detections(seq_dir, which)) is None:
+            raise InputError(f"detection file {seq_dir / which}.txt not found")
+        frame, dets = loaded
         start = time.perf_counter()
         rows = track_sequence(frame, dets, assoc_cfg)
         elapsed = time.perf_counter() - start

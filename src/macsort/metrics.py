@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import CliConfig
 from .errors import FrameMismatch
 from .geometry import iou_matrix, nonzero_cells, uvwh_array
-from .mot_io import by_frame, walk_frames
+from .mot_io import frame_order, walk_frames
 from .tracker import linear_assignment
 
 MT_COVERAGE = 0.8
@@ -45,18 +45,17 @@ SWEEP_THRESHOLDS = [round(0.05 * k, 2) for k in range(1, 20)]
 class TrackSequence:
     """One sequence's rows (gt or results) as columns, stably sorted by
     frame: int64 ``frame`` and ``id``, and (n, 4) (u, v, w, h) ``boxes``,
-    which may be given as a list of BBox. ``frame_rows`` holds each frame's
-    rows as a slice. Raises ValueError on a repeated (frame, id)."""
+    which may be given as a list of BBox. Raises ValueError on a repeated
+    (frame, id)."""
 
     frame: np.ndarray
     id: np.ndarray
     boxes: np.ndarray
     n_frames: int | None = None
-    frame_rows: dict[int, slice] = field(init=False, repr=False)
 
     def __post_init__(self):
         frame = np.asarray(self.frame, dtype=np.int64)
-        order, self.frame_rows = by_frame(frame)
+        order = frame_order(frame)
         self.frame = frame[order]
         self.id = np.asarray(self.id, dtype=np.int64)[order]
         self.boxes = uvwh_array(self.boxes)[order]
@@ -243,9 +242,7 @@ def evaluate(
     last_match = np.full(n_gt, -1)  # the latest match per gt index
     # a frame without rows only clears the carried-over matches: once none
     # is carried over, it is skipped
-    for f in walk_frames(np.concatenate([gt.frame, pred.frame]), lambda: (prev < 0).all()):
-        gt_rows = gt.frame_rows.get(f, slice(0))
-        pred_rows = pred.frame_rows.get(f, slice(0))
+    for f, gt_rows, pred_rows in walk_frames(lambda: (prev < 0).all(), gt.frame, pred.frame):
         g, p = gt_index[gt_rows], pred_index[pred_rows]
 
         # every threshold is > 0, so the pairs at the lowest one hold all

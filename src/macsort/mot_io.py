@@ -148,32 +148,31 @@ class MotTable:
         return (_LINE * len(self)) % tuple(chain.from_iterable(zip(*cols, *xyz)))
 
 
-def by_frame(frame: np.ndarray) -> tuple[slice | np.ndarray, dict[int, slice]]:
-    """The stable row order of a frame column, and each frame's rows as a
-    slice of the rows in that order, frames ascending. The order is a slice
-    when the rows already are in frame order, so taking it copies nothing."""
-    sorted_ = (frame[1:] >= frame[:-1]).all()
-    order = slice(None) if sorted_ else np.argsort(frame, kind="stable")
-    frames, starts = np.unique(frame[order], return_index=True)
-    ends = np.append(starts[1:], len(frame))
-    bounds = zip(frames.tolist(), starts.tolist(), ends.tolist())
-    return order, {f: slice(a, b) for f, a, b in bounds}
+def frame_order(frame: np.ndarray) -> slice | np.ndarray:
+    """The stable row order of a frame column: a slice, which copies nothing
+    when taken, when the rows already are in frame order."""
+    if (frame[1:] >= frame[:-1]).all():
+        return slice(None)
+    return np.argsort(frame, kind="stable")
 
 
-def walk_frames(given, idle: Callable[[], bool]) -> Iterator[int]:
-    """Frames 1..max(given) in order, ``given`` holding the frame of each
-    row (any order, repeats allowed). A frame without rows is left out
-    while ``idle()`` is true, which the caller makes true when stepping
-    such a frame would change nothing; it is asked once the frame before
-    has been stepped. Frames below 1 are not walked."""
+def walk_frames(idle: Callable[[], bool], *frames: np.ndarray) -> Iterator[tuple]:
+    """Frames 1..the last frame that has rows in any of ``frames``, each a
+    frame-sorted frame column, as ``(frame, rows...)``: one slice of each
+    column's rows at that frame. A frame without rows is left out while
+    ``idle()`` is true, which the caller makes true when stepping such a
+    frame would change nothing; it is asked once the frame before has been
+    stepped. Frames below 1 are not walked."""
+    given = np.unique(np.concatenate([np.zeros(0, np.int64), *frames]))
+    given = given[np.searchsorted(given, 1):]
+    slices = [map(slice, np.searchsorted(col, given).tolist(),
+                  np.searchsorted(col, given, "right").tolist()) for col in frames]
     frame = 1
-    for with_rows in np.unique(given).tolist():
-        if with_rows < frame:
-            continue
+    for with_rows, *rows in zip(given.tolist(), *slices):
         while frame < with_rows and not idle():
-            yield frame
+            yield (frame, *[slice(0, 0)] * len(frames))
             frame += 1
-        yield with_rows
+        yield (with_rows, *rows)
         frame = with_rows + 1
 
 
@@ -269,7 +268,7 @@ def write_mot(records, path: str | Path) -> None:
     """Write a table or records frame-sorted (stable within a frame) in
     canonical form."""
     table = MotTable.from_records(records)
-    _write_text(table.take(by_frame(table.frame)[0]), path)
+    _write_text(table.take(frame_order(table.frame)), path)
 
 
 def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
@@ -356,14 +355,13 @@ def check_boxes(table: MotTable, path: str | Path) -> None:
                          f"w={w}, h={h} overflows float64 or has no extent at its position")
 
 
-def _load_prompt_file(
-    seq_dir: Path, stem: str, required: bool
-) -> tuple[MotTable, np.ndarray] | None:
+def read_detections(seq_dir: Path, stem: str) -> tuple[np.ndarray, PromptDetections] | None:
+    """``<stem>.txt`` in ``seq_dir`` and its ``.emb`` sidecar as a (frame
+    column, PromptDetections) pair, rows in file order, or None when the CSV
+    is absent. Raises ParseError or SidecarMismatch naming the file."""
     csv_path = seq_dir / f"{stem}.txt"
     emb_path = seq_dir / f"{stem}.emb"
     if not csv_path.exists():
-        if required:
-            raise MissingGeneralFile(f"{csv_path} not found")
         return None
     table = read_mot_lines(csv_path)
     bad = np.flatnonzero((table.conf < 0.0) | (table.conf > 1.0))
@@ -380,7 +378,7 @@ def _load_prompt_file(
         raise SidecarMismatch(
             f"{csv_path}: {len(table)} rows vs {len(embs)} embedding rows"
         )
-    return table, embs
+    return table.frame, PromptDetections(table.uvwh(), embs, table.conf)
 
 
 def read_prompt_dump_all(
@@ -397,12 +395,13 @@ def read_prompt_dump_all(
     must share one embedding dimension (SidecarMismatch otherwise).
     """
     seq_dir = Path(seq_dir)
-    files = {"general": _load_prompt_file(seq_dir, "general", required=True)}
+    files = {"general": read_detections(seq_dir, "general")}
+    if files["general"] is None:
+        raise MissingGeneralFile(f"{seq_dir / 'general.txt'} not found")
     for stem in ("include", "exclude"):
-        files[stem] = _load_prompt_file(seq_dir, stem, required=False) or (
-            MotTable.from_records([]), np.zeros((0, 1))
-        )
-    dims = {stem: embs.shape[1] for stem, (_, embs) in files.items() if len(embs)}
+        files[stem] = read_detections(seq_dir, stem) or (np.zeros(0, np.int64),
+                                                         PromptDetections.empty())
+    dims = {stem: dets.dim for stem, (_, dets) in files.items() if len(dets)}
     first = next(iter(dims), None)
     for stem, dim in dims.items():
         if dim != dims[first]:
@@ -411,15 +410,13 @@ def read_prompt_dump_all(
                 f"differs from {first}'s {dims[first]}"
             )
     dim = dims.get("general", 1)
-    last = max((int(table.frame.max()) for table, _ in files.values() if len(table)), default=0)
+    last = max((int(frame.max()) for frame, _ in files.values() if len(frame)), default=0)
 
     sides = []
-    for table, embs in files.values():
-        keep = table.conf >= detection_threshold
-        order = by_frame(table.frame[keep])[0]
-        # every row kept from a frame-sorted file: by_frame's slice views the columns
+    for frame, dets in files.values():
+        keep = dets.scores >= detection_threshold
+        order = frame_order(frame[keep])
+        # every row kept from a frame-sorted file: frame_order's slice views the columns
         rows = order if keep.all() else np.flatnonzero(keep)[order]
-        table = table.take(rows)
-        features = embs[rows] if len(embs) else np.zeros((0, dim))
-        sides.append((table.frame, PromptDetections(table.uvwh(), features, table.conf)))
+        sides.append((frame[rows], (dets if len(dets) else PromptDetections.empty(dim)).take(rows)))
     return last, tuple(sides)

@@ -52,7 +52,7 @@ from .geometry import (
     xysr_to_uvwh,
 )
 from .motion import kf_init, kf_predict_batch, kf_update_batch, ocr_reupdate
-from .mot_io import MotTable, by_frame, walk_frames
+from .mot_io import MotTable, frame_order, walk_frames
 from .prompt_filter import PromptDetections
 
 LSAP_MODULE = "scipy.optimize._lsap"
@@ -433,8 +433,9 @@ def track_sequence(
     in their given order); returns the result rows of every frame in order.
     A frame without rows is stepped with none, and skipped while the
     tracker is idle, where stepping it would change nothing."""
-    order, rows = by_frame(np.asarray(frame, dtype=np.int64))
+    frame = np.asarray(frame, dtype=np.int64)
+    order = frame_order(frame)
     dets, tracker = dets.take(order), MacSort(config)
-    tables = [tracker.step(dets.take(rows.get(f, slice(0))), f)
-              for f in walk_frames(frame, lambda: tracker.idle)]
+    tables = [tracker.step(dets.take(rows), f)
+              for f, rows in walk_frames(lambda: tracker.idle, frame[order])]
     return MotTable.concat(tables)

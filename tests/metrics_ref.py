@@ -15,9 +15,9 @@ from geometry_ref import iou_dense
 
 
 def rows_at(sequence, frame):
-    """A TrackSequence frame's ids (a list) and (n, 4) boxes, sliced
-    through its ``frame_rows``."""
-    rows = sequence.frame_rows.get(frame, slice(0))
+    """A TrackSequence frame's ids (a list) and (n, 4) boxes, selected by
+    mask."""
+    rows = sequence.frame == frame
     return sequence.id[rows].tolist(), sequence.boxes[rows]
 
 

@@ -1,16 +1,22 @@
 import argparse
+import contextlib
+import functools
 import importlib.util
 import io
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import macsort.cli
 from conftest import filter_frame
@@ -27,7 +33,7 @@ from macsort.mot_io import (
     write_mot,
 )
 from macsort.prompt_filter import MemoryBank, PromptDetections
-from macsort.synth import ScenarioSpec, write_spec
+from macsort.synth import ScenarioSpec, generate, write_spec
 import prompt_filter_ref as ref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -327,6 +333,113 @@ class TestInputContract:
         self._one_error_line(capsys, ["track", str(synth_seq), "--theta-deg", theta],
                              "ConfigError: theta_deg")
         assert not (synth_seq / "results.txt").exists()
+
+
+@functools.cache
+def _contract_dump() -> dict[str, bytes]:
+    """A small prompt dump as file name -> bytes: a synthetic scenario's
+    ground truth and general rows, include rows on every second general
+    row, exclude rows on every third, and a copy of the general rows as
+    ``dets``, the stem that ``track --detections dets`` reads."""
+    scenario = generate(ScenarioSpec(seed=5, n_objects=3, n_frames=8, detection_noise_px=0.3))
+    table, embs = scenario.detection_table(), scenario.embeddings
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = Path(tmp)
+        write_mot(scenario.gt_table(), seq / "gt.txt")
+        for stem, step in (("general", 1), ("include", 2), ("exclude", 3), ("dets", 1)):
+            write_detections(seq / f"{stem}.txt", seq / f"{stem}.emb",
+                             table.take(slice(None, None, step)), embs[::step])
+        return {path.name: path.read_bytes() for path in seq.iterdir()}
+
+
+_STEMS = ["general", "include", "exclude", "dets"]
+_CELLS = ["0", "1", "-1", "0.5", "1.5", "-0.5", "1e308", "-1e308", "1e309", "nan", "inf", "",
+          "x", "1_0", "9223372036854775808", "2.5e-320"]
+_FLOATS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1e-45, 3.4e38, -3.4e38]
+# (kind, stem, position, value); a position past the end wraps round
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("cell"), st.sampled_from(_STEMS), st.integers(0, 10**4),
+              st.sampled_from(_CELLS)),
+    st.tuples(st.just("float"), st.sampled_from(_STEMS), st.integers(0, 10**4),
+              st.sampled_from(_FLOATS)),
+    # the header's magic, dimension or row count
+    st.tuples(st.just("header"), st.sampled_from(_STEMS), st.sampled_from([0, 4, 8]),
+              st.sampled_from([-1, 0, 1, 2, 2**31 - 1])),
+    st.tuples(st.just("dim"), st.sampled_from(["include", "exclude"]), st.just(0),
+              st.sampled_from([1, 3, 9])),
+)
+
+
+def _mutate(seq: Path, kind: str, stem: str, at: int, value) -> None:
+    """Change one input of the dump in ``seq``."""
+    csv, emb = seq / f"{stem}.txt", seq / f"{stem}.emb"
+    if kind == "cell":  # one cell of one data line
+        lines = csv.read_text().split("\n")
+        data = [i for i, line in enumerate(lines) if line.strip()]
+        cells = lines[data[at % len(data)]].split(",")
+        cells[at // len(data) % len(cells)] = value
+        lines[data[at % len(data)]] = ",".join(cells)
+        csv.write_text("\n".join(lines))
+    elif kind == "float":  # one float32 of the body
+        body = bytearray(emb.read_bytes())
+        n = (len(body) - 16) // 4
+        struct.pack_into("<f", body, 16 + 4 * (at % n), value)
+        emb.write_bytes(body)
+    elif kind == "header":
+        body = bytearray(emb.read_bytes())
+        struct.pack_into("<q" if at == 8 else "<i", body, at, value)
+        emb.write_bytes(body)
+    else:  # the prompt file's embeddings in another dimension
+        rows = len(read_embeddings(emb))
+        write_embeddings(np.linspace(0.1, 1.0, rows * value).reshape(rows, value), emb)
+
+
+def _run_main(argv: list[str]) -> bool:
+    """Run ``main``: true when it exits 0; an exit 2 must print exactly one
+    ``Name: detail`` line on stderr, and no other exit is allowed."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), (argv, code, lines)
+    if code == 2:
+        assert len(lines) == 1 and re.fullmatch(r"[A-Za-z]\w*: \S.*", lines[0]), lines
+    return code == 0
+
+
+def _track_and_eval(seq: Path, *track_args: str) -> None:
+    if not _run_main(["track", str(seq), *track_args]):
+        return
+    results = read_mot_lines(seq / "results.txt")
+    assert np.isfinite(results.ltwh).all() and np.isfinite(results.conf).all()
+    if _run_main(["eval", str(seq / "gt.txt"), str(seq / "results.txt")]):
+        text = (seq / "results.txt.metrics.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        json.loads(text)
+
+
+class TestReaderContract:
+    """filter -> track -> eval on a prompt dump with one input changed:
+    each command exits 0 with finite outputs, or exits 2 with one error
+    line. Both pipelines run: filter's, whose track reads filtered.txt, and
+    ``track --detections dets``."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(mutation=_MUTATIONS)
+    @example(mutation=("cell", "general", 0, "1e308"))
+    @example(mutation=("dim", "exclude", 0, 3))
+    def test_one_changed_input(self, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            seq = Path(tmp)
+            for name, data in _contract_dump().items():
+                (seq / name).write_bytes(data)
+            _mutate(seq, *mutation)
+            if _run_main(["filter", str(seq)]):
+                read_embeddings(seq / "filtered.emb")  # raises on a non-finite row
+                filtered = read_mot_lines(seq / "filtered.txt")
+                assert np.isfinite(filtered.ltwh).all() and np.isfinite(filtered.conf).all()
+                _track_and_eval(seq)
+            _track_and_eval(seq, "--detections", "dets")
 
 
 class TestOSErrorExits2:

@@ -26,7 +26,7 @@ from macsort.mot_io import (
     MotRecord,
     MotTable,
     _parse_line,
-    by_frame,
+    frame_order,
     read_embeddings,
     read_mot_lines,
     read_prompt_dump_all,
@@ -42,7 +42,7 @@ class TestMotCsv:
         p = tmp_path / "det.txt"
         p.write_text("1,1,100,50,20,40,0.9,-1,-1,-1\n")
         table = read_mot_lines(p)
-        assert by_frame(table.frame)[1] == {1: slice(0, 1)}
+        assert table.frame.tolist() == [1] and frame_order(table.frame) == slice(None)
         rec = table[0]
         assert (rec.frame, rec.id) == (1, 1)
         assert (rec.left, rec.top, rec.width, rec.height) == (100, 50, 20, 40)
@@ -59,7 +59,7 @@ class TestMotCsv:
         p = tmp_path / "empty.txt"
         p.write_text("")
         table = read_mot_lines(p)
-        assert len(table) == 0 and by_frame(table.frame)[1] == {}
+        assert len(table) == 0 and frame_order(table.frame) == slice(None)
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -365,49 +365,72 @@ class TestPromptDumpOracle:
 
 
 class TestWalkFrames:
-    """walk_frames against stepping every frame: a frame without rows is
-    left out exactly where a step would change nothing."""
+    """walk_frames against stepping every frame 1..max and selecting each
+    column's rows by mask: a frame without rows is left out exactly where a
+    step would change nothing, and ``idle`` is asked only once the frame
+    before has been stepped."""
 
     @settings(max_examples=200, deadline=None)
-    @given(given_frames=st.lists(st.integers(-3, 40), max_size=12),
+    @given(columns=st.lists(st.lists(st.integers(-3, 40), max_size=12), min_size=1, max_size=2),
            hold=st.lists(st.integers(0, 4), min_size=1, max_size=8))
-    def test_equals_stepping_every_frame(self, given_frames, hold):
+    @example(columns=[[0, -2, 3, 3, 7], []], hold=[2])  # eval with no predictions
+    @example(columns=[[2, 7], [6]], hold=[2])  # idle at 1, busy at 3-4, idle at 5
+    def test_equals_stepping_every_frame(self, columns, hold):
         # a countdown stands in for a stage's state: a frame with rows sets
         # it, an empty frame counts it down, and it is idle at 0, where an
         # empty step leaves it as it is
-        with_rows = set(given_frames)
+        columns = [np.sort(np.array(c, dtype=np.int64)) for c in columns]
+        with_rows = {f for c in columns for f in c.tolist() if f >= 1}
+        last = max(with_rows, default=0)
 
         def step(left, frame):
             return hold[frame % len(hold)] if frame in with_rows else max(left - 1, 0)
 
         left, expected = 0, []
-        for frame in range(1, max(given_frames, default=0) + 1):
+        for frame in range(1, last + 1):
             if frame in with_rows or left:
-                expected.append(frame)
+                expected.append((frame, *(np.flatnonzero(c == frame).tolist() for c in columns)))
             left = step(left, frame)
-        state, walked = [0], []
-        for frame in walk_frames(np.array(given_frames, dtype=np.int64), lambda: state[0] == 0):
-            walked.append(frame)
+        # idle is asked after each walked frame f, and before frame 1 (f = 0),
+        # when f + 1 has no rows and a later frame has
+        expected_asks = [f for f in [0, *(e[0] for e in expected)]
+                         if f + 1 not in with_rows and f + 1 < last]
+
+        state, stepped, asked, walked = [0], [0], [], []
+
+        def idle():
+            asked.append(stepped[-1])
+            return state[0] == 0
+
+        for frame, *rows in walk_frames(idle, *columns):
+            walked.append((frame, *(np.arange(len(c))[r].tolist() for c, r in zip(columns, rows))))
             state[0] = step(state[0], frame)
+            stepped.append(frame)
         assert walked == expected
-        assert {f for f in with_rows if f >= 1} <= set(walked)
+        assert asked == expected_asks
 
     def test_skips_only_while_idle(self):
-        given = np.array([6, 2, 2, 9])
-        assert list(walk_frames(given, lambda: False)) == list(range(1, 10))
-        assert list(walk_frames(given, lambda: True)) == [2, 6, 9]
+        given = np.array([2, 2, 6, 9])
+        assert [f for f, _ in walk_frames(lambda: False, given)] == list(range(1, 10))
+        assert list(walk_frames(lambda: True, given, np.array([6, 9]))) == [
+            (2, slice(0, 2), slice(0, 0)), (6, slice(2, 3), slice(0, 1)),
+            (9, slice(3, 4), slice(1, 2))]
 
     def test_idle_is_asked_after_the_frame_before_is_stepped(self):
         stepped, asked = [], []
-        for frame in walk_frames([1, 5], lambda: asked.append(stepped[-1]) or len(stepped) > 2):
+        idle = lambda: asked.append(stepped[-1]) or len(stepped) > 2  # noqa: E731
+        for frame, _ in walk_frames(idle, np.array([1, 5])):
             stepped.append(frame)
         assert stepped == [1, 2, 3, 5] and asked == [1, 2, 3]
 
     def test_empty_and_below_one(self):
-        assert list(walk_frames(np.zeros(0, dtype=np.int64), lambda: False)) == []
-        assert list(walk_frames([-2, 0], lambda: False)) == []
-        assert list(walk_frames([-2, 0, 3], lambda: False)) == [1, 2, 3]
-        assert list(walk_frames([0, 3], lambda: True)) == [3]
+        none = np.zeros(0, dtype=np.int64)
+        assert list(walk_frames(lambda: False, none)) == []
+        assert list(walk_frames(lambda: False, np.array([-2, 0]), none)) == []
+        assert list(walk_frames(lambda: False, np.array([-2, 0, 3]), none)) == [
+            (1, slice(0, 0), slice(0, 0)), (2, slice(0, 0), slice(0, 0)),
+            (3, slice(2, 3), slice(0, 0))]
+        assert list(walk_frames(lambda: True, np.array([0, 3]))) == [(3, slice(1, 2))]
 
 
 _CELLS = ["1", "-1", "0", "3", "2.5", "-0.5", "0.9", "1.7", "nan", "inf", "1e309", "", " ", "x"]

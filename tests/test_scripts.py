@@ -111,18 +111,20 @@ def test_bench_ab_summary_of_canned_rows():
                 _bench_row("change", 20 + i, c, 0.5, track_change[i])]
         rows += pair if i % 2 == 0 else pair[::-1]  # the sides alternate going first
     rows.append(_bench_row("parent", 99, 5.0, 0.1, 9.0))  # no partner: left out
-    metrics = [("filter_s", "lower"), ("hota", "higher"), ("track_s", "lower"),
-               ("absent", "lower")]
+    metrics = [("filter_s", "lower", 0.25), ("hota", "higher", 0.25), ("track_s", "lower", 0.25),
+               ("absent", "lower", 0.25)]
     summary = bench_ab.summarize(rows, metrics)
     assert summary == {
         "workload": "w", "seeds": [20, 21, 22, 23, 24], "pairs": 5, "correct": True, "failed": 0,
         "filter_s": {"parent_median": 1.1, "parent_iqr": 0.2, "median": 0.9, "iqr": 0.2,
-                     "wins": 3, "change_pct": -18.2, "holds": False},
+                     "wins": 3, "change_pct": -18.2, "holds": False,
+                     "worse_beyond_bound": False},
         "hota": {"parent_median": 0.5, "parent_iqr": 0.0, "median": 0.5, "iqr": 0.0, "wins": 0,
-                 "change_pct": 0.0, "holds": False, "equal": True},
+                 "change_pct": 0.0, "holds": False, "worse_beyond_bound": False, "equal": True},
         # 5/5 wins and a gap of 0.4 against the parent's IQR of 0.2
         "track_s": {"parent_median": 2.2, "parent_iqr": 0.2, "median": 1.8, "iqr": 0.2,
-                    "wins": 5, "change_pct": -18.2, "holds": True},
+                    "wins": 5, "change_pct": -18.2, "holds": True,
+                    "worse_beyond_bound": False},
     }
     # a gap inside the parent's IQR does not hold, nor do 4 wins in 5
     changed = {row["seed"]: row["metrics"]["track_s"] for row in rows if row["side"] == "change"}
@@ -133,6 +135,20 @@ def test_bench_ab_summary_of_canned_rows():
         metric["value"] = track_change[seed - 20]
     changed[20]["value"] = 2.5
     assert _track_verdict(bench_ab, rows, metrics) == (4, False)
+    # worse by more than the bound, a fraction of the parent's median, on
+    # either side of "better": track_s 2.2 -> 2.8 is +27%, hota 0.5 -> 0.3 -40%
+    for seed, metric in changed.items():
+        metric["value"] = track_parent[seed - 20] + 0.6
+    hota = {row["seed"]: row["metrics"]["hota"] for row in rows if row["side"] == "change"}
+    for metric in hota.values():
+        metric["value"] = 0.3
+    summary = bench_ab.summarize(rows, metrics)
+    assert summary["track_s"]["worse_beyond_bound"] and summary["hota"]["worse_beyond_bound"]
+    assert not bench_ab.summarize(rows, [("track_s", "lower", 0.3), ("hota", "higher", 0.5)])[
+        "track_s"]["worse_beyond_bound"]
+    for metric in hota.values():
+        metric["value"] = 0.4  # -20%: inside the bound
+    assert not bench_ab.summarize(rows, metrics)["hota"]["worse_beyond_bound"]
     rows[3]["correct"], rows[3]["failed"] = False, 2
     assert bench_ab.summarize(rows, [])["failed"] == 2
     assert not bench_ab.summarize(rows, [])["correct"]
@@ -141,5 +157,5 @@ def test_bench_ab_summary_of_canned_rows():
 def test_bench_ab_reads_the_end_to_end_metrics():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     metrics = _bench_ab().end_to_end_metrics()
-    assert metrics == [(m["name"], m["better"]) for m in declared]
-    assert ("filter_s", "lower") in metrics and ("hota", "higher") in metrics
+    assert metrics == [(m["name"], m["better"], m["bound"]) for m in declared]
+    assert ("filter_s", "lower", 0.25) in metrics and ("hota", "higher", 0.25) in metrics

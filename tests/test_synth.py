@@ -448,7 +448,7 @@ class TestColumnsEqualPerDrawOracle:
         ref_gt = {}
         for frame, obj_id, box in gt:
             ref_gt.setdefault(frame, []).append((obj_id, box))
-        assert {f: boxes_at(got.gt, f) for f in got.gt.frame_rows} == ref_gt
+        assert {f: boxes_at(got.gt, f) for f in np.unique(got.gt.frame).tolist()} == ref_gt
         table = got.detections()
         for col, view in ((got.det_boxes, table.boxes), (got.det_conf, table.scores),
                           (got.embeddings, table.features)):
