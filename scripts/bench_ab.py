@@ -5,22 +5,24 @@ For each seed it runs ``python3 perfbench/run.py --workload W --seed N
 --seconds S --trace 0`` in the parent checkout and in this one, one after
 the other: the parent goes first in the first pair, this checkout in the
 second, and so on. Each run's last stdout line, the benchmark's JSON, is
-appended to ``--out`` as one JSON line, with the checkout's git revision,
-the side (``parent`` or ``change``), the workload and the seed. Then it
-prints one summary line: for each end-to-end metric of BENCHMARK.json, the
-parent's median and interquartile range, this checkout's median and
-interquartile range, the pairs that this checkout won (ties count for
-neither side), the change of the median in percent, with ``equal`` when
-every pair read the same, ``holds``: whether a gain on that metric is
-shown, that is this checkout won at least 9 in 10 of the pairs and the
-medians differ by more than the parent's interquartile range, and
-``worse_beyond_bound``: whether this checkout's median is worse than the
-parent's by more than the metric's ``bound`` (a fraction of the parent's
-median). The benchmark and BENCHMARK.json are only read, never edited.
+appended to ``--out`` as one JSON line, with the checkout's git revision
+(``--parent-rev`` for a parent checkout without ``.git``, such as a ``git
+archive`` export), the side (``parent`` or ``change``), the workload and
+the seed. Then it prints one summary line: for each end-to-end metric of
+BENCHMARK.json, the parent's median and interquartile range, this
+checkout's median and interquartile range, the pairs that this checkout
+won (ties count for neither side), the change of the median in percent,
+with ``equal`` when every pair read the same, ``holds``: whether a gain on
+that metric is shown, that is this checkout won at least 9 in 10 of the
+pairs and the medians differ by more than the parent's interquartile
+range, and ``worse_beyond_bound``: whether this checkout's median is worse
+than the parent's by more than the metric's ``bound`` (a fraction of the
+parent's median). The benchmark and BENCHMARK.json are only read, never
+edited.
 
 Usage:
-    python scripts/bench_ab.py --parent ../parent --workload prompts_multi \\
-        --seeds 20 21 22 --seconds 30 --out BENCH_label.json
+    python scripts/bench_ab.py --parent ../parent --parent-rev 1a2b3c4 \\
+        --workload prompts_multi --seeds 20 21 22 --seconds 30 --out BENCH_label.json
 """
 
 import argparse
@@ -42,10 +44,14 @@ def end_to_end_metrics(
     return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
-def git_rev(checkout: Path) -> str:
+def git_rev(checkout: Path, fallback: str = "unknown") -> str:
+    """The checkout's git revision, or ``fallback`` when it has no ``.git``
+    of its own (an exported copy) or git cannot name one."""
+    if not (checkout / ".git").exists():
+        return fallback
     proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else fallback
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -115,6 +121,8 @@ def summarize(rows: list[dict], metrics: list[tuple[str, str]]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="the parent checkout's root")
+    ap.add_argument("--parent-rev", default="unknown",
+                    help="the revision recorded for a parent checkout that has no .git")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=int, nargs="+")
     ap.add_argument("--seconds", required=True, type=float)
@@ -122,7 +130,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
-    revs = {side: git_rev(path) for side, path in checkouts.items()}
+    revs = {"parent": git_rev(checkouts["parent"], args.parent_rev), "change": git_rev(ROOT)}
     rows = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

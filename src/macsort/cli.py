@@ -94,9 +94,10 @@ def cmd_filter(args, cfg: RunConfig) -> int:
             stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)
         rows = np.concatenate(kept)
-        final = general.take(rows)
-        table = MotTable.from_uvwh(frame_col[rows], DETECTION_ID, final.boxes, final.scores)
-        write_detections(out / "filtered.txt", out / "filtered.emb", table, final.features)
+        table = MotTable.from_uvwh(frame_col[rows], DETECTION_ID, general.boxes[rows],
+                                   general.scores[rows])
+        write_detections(out / "filtered.txt", out / "filtered.emb", table, general.features,
+                         rows)
         counts = " ".join(
             f"{name}={sum(getattr(s, f'n_{name}') for s in stats)}"
             for name in ("general", "ie_tps", "dropped", "rescued", "rejected")

@@ -12,6 +12,19 @@ float32, the width the sidecar stores.
 
 The writers write WRITE_BLOCK_ROWS rows at a time, so that a file's text or
 float32 body is never held whole.
+
+Canonical text is built from digit arrays, not one float format per value,
+and is byte for byte what the ``%`` template _LINE prints. Frame and id are
+int64 magnitudes and a sign; x/y/z are truncated to int64, as int() does.
+A box or confidence value x with d decimals prints the digits of q =
+rint(s), s = fl(|x|·10^d), and a sign when x's sign bit is set (-0.001 is
+"-0.00"). fl(|x|·10^d) is within 2^-52·s of the exact product, so rint(s)
+can differ from the correct rounding of the exact product, which %.*f
+prints, only when s lies that close to a half-way point; such cells (2.675,
+k/8, confidences at k/20000) take their digits from "%.*f", and every other
+cell is exact as computed. A block holding a value out of the arrays' range
+(s >= 2^52, NaN or inf, x/y/z beyond int64, a frame or id of INT64_MIN) is
+formatted by _LINE.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ import threading
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -47,6 +60,10 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # catch_warnings swaps the process-wide filters: one parse at a time does so
 _WARNINGS_LOCK = threading.Lock()
 _LINE = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,%d,%d,%d\n"  # one line in canonical form
+# _LINE's fields as digit arrays build them: decimals and end of each field
+_DECIMALS = np.array([0, 0, 2, 2, 2, 2, 4, 0, 0, 0])
+_VAL_SCALE = 10.0 ** _DECIMALS[2:7]  # of the box and confidence fields
+_FIELD_END = np.array([ord(",")] * 9 + [ord("\n")], np.uint8)
 WRITE_BLOCK_ROWS = 1024
 
 
@@ -142,10 +159,70 @@ class MotTable:
 
     def to_text(self) -> str:
         """The rows in canonical form, in table order: boxes with two
-        decimals, confidence with four, x/y/z truncated by int()."""
+        decimals, confidence with four, x/y/z truncated by int(). Built as
+        digit arrays; a table holding a value out of their range is
+        formatted by the _LINE template (see the module docstring)."""
+        text = _digit_text(self)
+        if text is not None:
+            return text
         xyz = ([int(v) for v in col] for col in self.xyz.T.tolist())
         cols = self.frame.tolist(), self.id.tolist(), *self.ltwh.T.tolist(), self.conf.tolist()
         return (_LINE * len(self)) % tuple(chain.from_iterable(zip(*cols, *xyz)))
+
+
+@cache
+def _cell_template(digits: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The chars and keep mask of a line's 10 cells of ``digits`` digits, and
+    the slot of each digit, units first. A cell is a sign, the digits with a
+    point slot before the last four and one before the last two, and the
+    field's end: "-1234.56," has the digits 123456 with the second point
+    kept. The template keeps a field's point and end; the sign and the
+    digits are kept per row."""
+    chars = np.zeros((10, digits + 4), np.uint8)
+    keep = np.zeros(chars.shape, bool)
+    chars[:, 0] = ord("-")
+    chars[:, digits - 3] = chars[:, digits] = ord(".")
+    keep[:, digits - 3], keep[:, digits] = _DECIMALS == 4, _DECIMALS == 2
+    chars[:, -1], keep[:, -1] = _FIELD_END, True
+    chars.flags.writeable = keep.flags.writeable = False  # shared by every call
+    return chars, keep, [digits - j + (j < 4) + (j < 2) for j in range(digits)]
+
+
+def _digit_text(table: MotTable) -> str | None:
+    """``table``'s rows in canonical form, built as one (rows, 10 cells,
+    chars) array and a keep mask, or None when a value is out of the
+    arrays' range."""
+    ints = np.column_stack([table.frame, table.id]).astype(np.int64)
+    vals = np.column_stack([table.ltwh, table.conf]).astype(np.float64)
+    xyz = np.asarray(table.xyz, np.float64)
+    with np.errstate(over="ignore"):  # inf and NaN compare out of range
+        scaled = np.abs(vals) * _VAL_SCALE
+    if not ((scaled < 2.0**52).all() and (np.abs(xyz) < 2.0**63).all()
+            and (ints != INT64_MIN).all()):
+        return None
+    q = np.rint(scaled).astype(np.int64)
+    # within fl's error of a half-way point rint may round the other way
+    # than the exact product does: such cells take %.*f's digits
+    near = np.abs(scaled - np.floor(scaled) - 0.5) <= scaled * 2.0**-52
+    for row, col in np.argwhere(near).tolist():
+        text = "%.*f" % (int(_DECIMALS[col + 2]), abs(vals[row, col]))
+        q[row, col] = int(text.replace(".", ""))
+    whole = np.trunc(xyz).astype(np.int64)
+    mag = np.column_stack([np.abs(ints), q, np.abs(whole)])
+    top = int(mag.max(initial=0))
+    if top < 2**31:
+        mag = mag.astype(np.int32)  # its division is twice as fast
+    template, always, slots = _cell_template(max(len(str(top)), 5))
+    chars = np.empty((len(table), *template.shape), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    chars[:], keep[:] = template, always
+    keep[..., 0] = np.column_stack([ints < 0, np.signbit(vals), whole < 0])
+    for j, slot in enumerate(slots):  # a leading zero only where decimals need it
+        keep[..., slot] = (mag > 0) | (_DECIMALS >= j)
+        rest = mag // 10
+        chars[..., slot] = mag - rest * 10 + ord("0")
+        mag = rest
+    return chars[keep].tobytes().decode("ascii")
 
 
 def frame_order(frame: np.ndarray) -> slice | np.ndarray:
@@ -271,20 +348,23 @@ def write_mot(records, path: str | Path) -> None:
     _write_text(table.take(frame_order(table.frame)), path)
 
 
-def write_embeddings(embs: np.ndarray, path: str | Path) -> None:
-    """Write a (R, D) array as an EMB1 sidecar (values stored as float32),
-    converting one block of rows at a time."""
+def write_embeddings(embs: np.ndarray, path: str | Path, rows: np.ndarray | None = None) -> None:
+    """Write a (R, D) array, or its ``rows`` (an index array) in that order,
+    as an EMB1 sidecar (values stored as float32), gathering and converting
+    one block of rows at a time."""
     arr = np.atleast_2d(np.asarray(embs))
-    rows, dim = arr.shape
+    count, dim = arr.shape if rows is None else (len(rows), arr.shape[1])
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<i", dim))
-        fh.write(struct.pack("<q", rows))
-        for start in range(0, rows, WRITE_BLOCK_ROWS):
-            # its buffer, not a bytes copy of it; a float32 block is not copied
-            fh.write(np.ascontiguousarray(arr[start:start + WRITE_BLOCK_ROWS], dtype="<f4"))
+        fh.write(struct.pack("<q", count))
+        for start in range(0, count, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            # its buffer, not a bytes copy of it; a float32 slice is not copied
+            fh.write(np.ascontiguousarray(arr[block] if rows is None else arr[rows[block]],
+                                          dtype="<f4"))
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
@@ -319,19 +399,20 @@ def write_detections(
     emb_path: str | Path,
     records,
     embeddings: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> None:
     """Write an aligned detections CSV + sidecar pair.
 
     Records (a MotTable or a list of MotRecord) must already be in the
-    exact row order of the embedding matrix; both are written as given
+    exact row order of the embedding matrix, or of its ``rows`` when given
+    (an index array, gathered a block at a time); both are written as given
     (records additionally must be frame-sorted for the CSV to be canonical).
     """
-    if len(records) != len(embeddings):
-        raise SidecarMismatch(
-            f"{csv_path}: {len(records)} records vs {len(embeddings)} embedding rows"
-        )
+    n_embs = len(embeddings) if rows is None else len(rows)
+    if len(records) != n_embs:
+        raise SidecarMismatch(f"{csv_path}: {len(records)} records vs {n_embs} embedding rows")
     _write_text(MotTable.from_records(records), csv_path)
-    write_embeddings(embeddings, emb_path)
+    write_embeddings(embeddings, emb_path, rows)
 
 
 def _line_of(path: str | Path, row: int) -> int:

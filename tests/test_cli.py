@@ -481,11 +481,12 @@ class TestStageMemory:
     """``filter`` and ``track`` hold the general embeddings about once, as
     float32: the most memory either allocates stays below a multiple of the
     ``general.emb`` body. On this sequence (3.1 MiB body, every row above
-    the threshold) filter peaks at 2.04x and track at 0.89x. Float64 copies
+    the threshold) filter peaks at 1.47x and track at 0.90x. Float64 copies
     and whole-file text took them to 4.45x and 1.82x; a copy of the
-    embeddings that all pass the threshold takes filter to 2.45x."""
+    embeddings that all pass the threshold takes filter to 2.45x, and a
+    copy of the kept rows before writing them to 2.03x."""
 
-    @pytest.mark.parametrize("stage, bound", [("filter", 2.3), ("track", 1.2)])
+    @pytest.mark.parametrize("stage, bound", [("filter", 1.55), ("track", 1.2)])
     def test_peak_is_a_small_multiple_of_the_body(self, tmp_path, capsys, stage, bound):
         spec_path = tmp_path / "case.spec"
         write_spec(ScenarioSpec(seed=3, n_objects=30, n_frames=200, appearance_homogeneity=0.3,

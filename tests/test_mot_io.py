@@ -23,6 +23,8 @@ from macsort.geometry import BBox
 import macsort.mot_io
 from macsort.mot_io import (
     EMB_MAGIC,
+    INT64_MAX,
+    INT64_MIN,
     MotRecord,
     MotTable,
     _parse_line,
@@ -226,6 +228,21 @@ class TestStreamedWriters:
         header = EMB_MAGIC + struct.pack("<iq", 3, n)
         assert emb.read_bytes() == header + embs.astype("<f4").tobytes()
         assert np.array_equal(read_embeddings(emb), embs.astype(np.float32))
+
+    @pytest.mark.parametrize("n", [0, 1, B, 2 * B + 3])
+    def test_rows_are_gathered_a_block_at_a_time(self, tmp_path, monkeypatch, rng, n):
+        # the sidecar of embs[rows], without a whole copy of those rows
+        monkeypatch.setattr(macsort.mot_io, "WRITE_BLOCK_ROWS", self.B)
+        table = MotTable(np.ones(n, np.int64), np.full(n, -1), rng.uniform(1, 99, (n, 4)),
+                         rng.uniform(0, 1, n), np.full((n, 3), -1.0))
+        embs = rng.standard_normal((n + 3, 2)).astype(np.float32)
+        rows = rng.permutation(n + 3)[:n]
+        csv, emb = tmp_path / "d.txt", tmp_path / "d.emb"
+        write_detections(csv, emb, table, embs, rows)
+        assert csv.read_text(encoding="utf-8") == table.to_text()
+        assert emb.read_bytes() == EMB_MAGIC + struct.pack("<iq", 2, n) + embs[rows].tobytes()
+        with pytest.raises(SidecarMismatch, match=f"{n} records vs {n + 3} embedding rows"):
+            write_detections(csv, emb, table, embs)
 
 
 def _write_prompt(seq_dir, stem, rows, embs):
@@ -756,10 +773,28 @@ _TIE_FLOATS = st.one_of(
 )
 _XYZ = st.one_of(st.sampled_from([-1.0, -0.0, -0.5, 0.999, 2.7, -2.7, 1e300, -1e300]),
                  st.floats(-1e20, 1e20, allow_nan=False))
+# box values at the edge of the digit arrays' range (|x|·100 < 2^52) and
+# beyond it: a block holding one beyond it is formatted by the _LINE template
+_EDGE = 2.0**52 / 100
+_BOX_FLOATS = st.one_of(
+    _TIE_FLOATS,
+    st.sampled_from([_EDGE, np.nextafter(_EDGE, 0), np.nextafter(_EDGE, np.inf), -_EDGE,
+                     4.5e13 + 0.005, 1e15, -1e15, 1e300, 5e-324, -5e-324, math.inf,
+                     -math.inf, math.nan]),
+    st.floats(-1e16, 1e16),
+)
+# confidences at four-decimal ties
+_CONF = st.one_of(st.floats(0, 1), st.integers(0, 20000).map(lambda k: k / 20000),
+                  st.integers(0, 10**5 - 1).map(lambda k: k / 10**5 + 5e-5))
+# frames and ids at the int64 extremes
+_FRAMES = st.one_of(st.integers(1, 40), st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX]))
 _records = st.lists(
-    st.builds(
-        MotRecord, st.integers(1, 40), st.integers(-1, 9), _TIE_FLOATS, _TIE_FLOATS,
-        _TIE_FLOATS, _TIE_FLOATS, st.floats(0, 1), _XYZ, _XYZ, _XYZ,
+    st.one_of(
+        st.builds(MotRecord, _FRAMES, st.sampled_from([-1, INT64_MIN, INT64_MAX]), _BOX_FLOATS,
+                  _BOX_FLOATS, _BOX_FLOATS, _BOX_FLOATS, _CONF, _XYZ, _XYZ, _XYZ),
+        # results rows, whose confidence may lie outside [0, 1]
+        st.builds(MotRecord, _FRAMES, st.integers(1, 9), _TIE_FLOATS, _TIE_FLOATS, _TIE_FLOATS,
+                  _TIE_FLOATS, st.one_of(_CONF, st.floats(-1e6, 1e6)), _XYZ, _XYZ, _XYZ),
     ),
     max_size=30,
 )
@@ -768,11 +803,16 @@ _records = st.lists(
 class TestColumnarWriterOracle:
     """The columnar writers give the bytes of the per-record formatter."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(_records)
-    def test_write_mot_and_detections(self, records):
+    @settings(max_examples=300, deadline=None)
+    @given(_records, st.sampled_from([1024, 1, 2, 3]))
+    @example([MotRecord(1, -1, _EDGE, 2.675, 1.005, 0.015, 0.00025),
+              MotRecord(2, -1, 2.675, 1.005, 0.015, 0.125, 0.00035)], 2)
+    @example([MotRecord(INT64_MIN, 1, 1.0, 2.0, 3.0, 4.0, -0.00005),
+              MotRecord(INT64_MAX, 2, -0.005, 0.0, -0.0, 1.0, 7.5)], 1024)
+    def test_write_mot_and_detections(self, records, block_rows):
         want = "".join(format_record(r) + "\n" for r in sorted(records, key=lambda r: r.frame))
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(macsort.mot_io, "WRITE_BLOCK_ROWS", block_rows)
             p = Path(tmp) / "out.txt"
             for given_as in (records, MotTable.from_records(records)):
                 write_mot(given_as, p)

@@ -159,3 +159,32 @@ def test_bench_ab_reads_the_end_to_end_metrics():
     metrics = _bench_ab().end_to_end_metrics()
     assert metrics == [(m["name"], m["better"], m["bound"]) for m in declared]
     assert ("filter_s", "lower", 0.25) in metrics and ("hota", "higher", 0.25) in metrics
+
+
+def test_bench_ab_records_the_parent_rev_of_an_exported_checkout(tmp_path, monkeypatch):
+    # a parent without .git (a git archive export) is recorded as --parent-rev;
+    # the runs are stubbed, so no benchmark runs
+    bench_ab = _bench_ab()
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    ran = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        side = "parent" if checkout == parent.resolve() else "change"
+        ran.append((side, seed))
+        row = _bench_row(side, seed, 1.0 if side == "parent" else 0.9, 0.5, 2.0)
+        return {key: row[key] for key in ("exit", "correct", "attempted", "failed", "metrics")}
+
+    monkeypatch.setattr(bench_ab, "run_bench", run_bench)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--parent", str(parent), "--workload", "w", "--seeds", "20", "21", "--seconds", "1",
+            "--out", str(out)]
+    assert bench_ab.main([*argv, "--parent-rev", "1a2b3c4"]) == 0
+    assert ran == [("parent", 20), ("change", 20), ("change", 21), ("parent", 21)]
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["rev"] for row in rows if row["side"] == "parent"] == ["1a2b3c4"] * 2
+    assert [row["rev"] for row in rows if row["side"] == "change"] == [bench_ab.git_rev(ROOT)] * 2
+    out.unlink()
+    assert bench_ab.main(argv) == 0
+    assert {json.loads(line)["rev"] for line in out.read_text().splitlines()
+            if json.loads(line)["side"] == "parent"} == {"unknown"}
