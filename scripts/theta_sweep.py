@@ -16,7 +16,7 @@ from macsort.tracker import AssocConfig, track_sequence
 
 
 def run(scenario, cfg):
-    pred = TrackSequence.from_mot(track_sequence(scenario.det_frame, scenario.detections(), cfg))
+    pred = TrackSequence.from_mot(track_sequence(scenario.det_frame, scenario.detections, cfg))
     return evaluate(scenario.gt, pred)
 
 

@@ -163,9 +163,11 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     scenario = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_mot(scenario.gt_table(), out / "gt.txt")
-    write_detections(out / "general.txt", out / "general.emb", scenario.detection_table(),
-                     scenario.embeddings)
+    gt, dets = scenario.gt, scenario.detections
+    write_mot(MotTable.from_uvwh(gt.frame, gt.id, gt.boxes, 1.0), out / "gt.txt")
+    write_detections(out / "general.txt", out / "general.emb",
+                     MotTable.from_uvwh(scenario.det_frame, DETECTION_ID, dets.boxes, dets.scores),
+                     dets.features)
     write_spec(spec, out / "scenario.spec")
     print(
         f"[synth] {args.out_dir}: {spec.n_objects} objects x {spec.n_frames} frames, "

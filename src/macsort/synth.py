@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from .config import parse_key_values, read_utf8
 from .errors import SpecError
 from .geometry import first_unheld_box
 from .metrics import TrackSequence
-from .mot_io import DETECTION_ID, MotTable
 from .prompt_filter import PromptDetections
 
 _MASK64 = (1 << 64) - 1
@@ -139,34 +137,17 @@ class ScenarioSpec:
 
 @dataclass(eq=False)
 class Scenario:
-    """One generated sequence as columns, rows in frame order and boxes as
-    (u, v, w, h). Ground-truth row i is object ``gt_id[i]`` at frame
-    ``gt_frame[i]``; detection row i has embedding ``embeddings[i]``.
-    ``gt`` views the ground-truth rows as a TrackSequence, ``detections``
-    the detection rows as one PromptDetections table next to ``det_frame``."""
+    """One generated sequence as the tables the pipeline reads, boxes as
+    (u, v, w, h): the ground truth as a TrackSequence, and the detection
+    rows, in frame order, as one PromptDetections next to their frame
+    column ``det_frame``. Run it as ``track_sequence(scenario.det_frame,
+    scenario.detections, cfg)`` and score that with ``evaluate(scenario.gt,
+    ...)``."""
 
     spec: ScenarioSpec
-    gt_frame: np.ndarray  # (m,) int
-    gt_id: np.ndarray  # (m,) int
-    gt_boxes: np.ndarray  # (m, 4)
+    gt: TrackSequence
     det_frame: np.ndarray  # (r,) int
-    det_boxes: np.ndarray  # (r, 4)
-    det_conf: np.ndarray  # (r,)
-    embeddings: np.ndarray  # (r, embedding_dim)
-
-    def gt_table(self) -> MotTable:
-        return MotTable.from_uvwh(self.gt_frame, self.gt_id, self.gt_boxes, 1.0)
-
-    def detection_table(self) -> MotTable:
-        return MotTable.from_uvwh(self.det_frame, DETECTION_ID, self.det_boxes, self.det_conf)
-
-    def detections(self) -> PromptDetections:
-        """The detection rows as one table; it views the columns."""
-        return PromptDetections(self.det_boxes, self.embeddings, self.det_conf)
-
-    @cached_property
-    def gt(self) -> TrackSequence:
-        return TrackSequence(self.gt_frame, self.gt_id, self.gt_boxes, self.spec.n_frames)
+    detections: PromptDetections
 
 
 def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -265,24 +246,21 @@ def generate(spec: ScenarioSpec) -> Scenario:
     conf = np.concatenate([0.55 + 0.4 * draws[rows, cols, 5], 0.25 + 0.35 * clutter[:, 2]])
     sources = np.concatenate([embeddings, _unit_vectors_at(seed, [c + 3 for c in clutter_at], dim)])
     source_row = np.concatenate([emb_obj[rows, cols], n + np.arange(len(clutter_at))])
-    scenario = Scenario(
-        spec=spec,
-        gt_frame=np.repeat(np.arange(1, n_frames + 1), n),
-        gt_id=np.tile(np.arange(1, n + 1), n_frames),
-        gt_boxes=np.column_stack([x.ravel(), y.ravel(), np.full((x.size, 2), size)]),
-        det_frame=frames[order],
-        det_boxes=np.column_stack([u, v, np.full((len(u), 2), size)])[order],
-        det_conf=conf[order],
-        embeddings=sources[source_row[order]],
-    )
-    for name, frame, boxes in (("gt.txt", scenario.gt_frame, scenario.gt_boxes),
-                               ("general.txt", scenario.det_frame, scenario.det_boxes)):
+    gt = TrackSequence(np.repeat(np.arange(1, n_frames + 1), n),
+                       np.tile(np.arange(1, n + 1), n_frames),
+                       np.column_stack([x.ravel(), y.ravel(), np.full((x.size, 2), size)]),
+                       n_frames)
+    det_frame = frames[order]
+    detections = PromptDetections(np.column_stack([u, v, np.full((len(u), 2), size)])[order],
+                                  sources[source_row[order]], conf[order])
+    for name, frame, boxes in (("gt.txt", gt.frame, gt.boxes),
+                               ("general.txt", det_frame, detections.boxes)):
         bad = first_unheld_box(boxes)
         if bad is not None:
             raise SpecError(f"{name} row {bad + 1} (frame {frame[bad]}): the box overflows "
                             "float64 or has no extent at its position: speed_px, "
                             "detection_noise_px, box_size_px or the field size is too large")
-    return scenario
+    return Scenario(spec, gt, det_frame, detections)
 
 
 # -- spec (de)serialization: plain key=value text, read by config's reader --

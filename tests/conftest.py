@@ -46,7 +46,7 @@ def columns(per_frame):
 def frame_tables(scenario):
     """A synthetic scenario's detections as one table per frame,
     frames 1..n_frames; the tables view the columns."""
-    dets = scenario.detections()
+    dets = scenario.detections
     ends = np.searchsorted(scenario.det_frame, np.arange(scenario.spec.n_frames + 1), "right")
     return {frame: dets.take(slice(a, b))
             for frame, (a, b) in enumerate(zip(ends.tolist(), ends[1:].tolist()), start=1)}

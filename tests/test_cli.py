@@ -22,8 +22,9 @@ import macsort.cli
 from conftest import filter_frame
 from macsort.cli import _add_config_flags, _build_parser, _overrides_from_args, _worker_count, main
 from macsort.config import RunConfig, build_config, config_key
-from macsort.errors import InputError
+from macsort.errors import InputError, InvalidState
 from macsort.mot_io import (
+    DETECTION_ID,
     MotRecord,
     MotTable,
     read_embeddings,
@@ -169,6 +170,15 @@ class TestInputContract:
             capsys, [argv[0], str(synth_seq), *argv[1:]], f"NonFiniteEmbedding: {emb}: row 2 "
         )
         assert not (synth_seq / "filtered.emb").exists()
+        assert not (synth_seq / "results.txt").exists()
+
+    @pytest.mark.parametrize("argv", [["filter"], ["track", "--detections", "general"]])
+    def test_missing_sidecar(self, synth_seq, capsys, argv):
+        emb = synth_seq / "general.emb"
+        emb.unlink()
+        self._one_error_line(capsys, [argv[0], str(synth_seq), *argv[1:]],
+                             f"SidecarMismatch: {emb} missing for {synth_seq / 'general.txt'}")
+        assert not (synth_seq / "filtered.txt").exists()
         assert not (synth_seq / "results.txt").exists()
 
     @pytest.mark.parametrize("command", ["filter", "track"])
@@ -342,13 +352,14 @@ def _contract_dump() -> dict[str, bytes]:
     row, exclude rows on every third, and a copy of the general rows as
     ``dets``, the stem that ``track --detections dets`` reads."""
     scenario = generate(ScenarioSpec(seed=5, n_objects=3, n_frames=8, detection_noise_px=0.3))
-    table, embs = scenario.detection_table(), scenario.embeddings
+    gt, dets = scenario.gt, scenario.detections
+    table = MotTable.from_uvwh(scenario.det_frame, DETECTION_ID, dets.boxes, dets.scores)
     with tempfile.TemporaryDirectory() as tmp:
         seq = Path(tmp)
-        write_mot(scenario.gt_table(), seq / "gt.txt")
+        write_mot(MotTable.from_uvwh(gt.frame, gt.id, gt.boxes, 1.0), seq / "gt.txt")
         for stem, step in (("general", 1), ("include", 2), ("exclude", 3), ("dets", 1)):
             write_detections(seq / f"{stem}.txt", seq / f"{stem}.emb",
-                             table.take(slice(None, None, step)), embs[::step])
+                             table.take(slice(None, None, step)), dets.features[::step])
         return {path.name: path.read_bytes() for path in seq.iterdir()}
 
 
@@ -407,15 +418,21 @@ def _run_main(argv: list[str]) -> bool:
     return code == 0
 
 
+def _eval(seq: Path, *flags: str) -> None:
+    """``eval`` of ``seq``'s results.txt against its gt.txt; on exit 0 the
+    metrics JSON holds no NaN or Infinity."""
+    if _run_main(["eval", str(seq / "gt.txt"), str(seq / "results.txt"), *flags]):
+        text = (seq / "results.txt.metrics.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        json.loads(text)
+
+
 def _track_and_eval(seq: Path, *track_args: str) -> None:
     if not _run_main(["track", str(seq), *track_args]):
         return
     results = read_mot_lines(seq / "results.txt")
     assert np.isfinite(results.ltwh).all() and np.isfinite(results.conf).all()
-    if _run_main(["eval", str(seq / "gt.txt"), str(seq / "results.txt")]):
-        text = (seq / "results.txt.metrics.json").read_text()
-        assert "NaN" not in text and "Infinity" not in text
-        json.loads(text)
+    _eval(seq)
 
 
 class TestReaderContract:
@@ -442,6 +459,79 @@ class TestReaderContract:
             _track_and_eval(seq, "--detections", "dets")
 
 
+@functools.cache
+def _eval_pair() -> dict[str, bytes]:
+    """A valid gt and results pair as file name -> bytes: the contract
+    dump's ground truth, 8 frames of 3 objects, and ``track``'s results on
+    its detections."""
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = Path(tmp)
+        for name, data in _contract_dump().items():
+            (seq / name).write_bytes(data)
+        assert _run_main(["track", str(seq), "--detections", "dets"])
+        return {name: (seq / name).read_bytes() for name in ("gt.txt", "results.txt")}
+
+
+_EVAL_FILES = ["gt.txt", "results.txt"]
+# (kind, file, position, value); a position past the end wraps round
+_EVAL_MUTATIONS = st.one_of(
+    # one row's frame, outside the gt's frames 1..8
+    st.tuples(st.just("frame"), st.sampled_from(_EVAL_FILES), st.integers(0, 10**4),
+              st.sampled_from(["0", "-1", "9", "10000000", "9223372036854775807",
+                               "-9223372036854775808"])),
+    # one row written twice: its (frame, id) repeats
+    st.tuples(st.just("repeat"), st.sampled_from(_EVAL_FILES), st.integers(0, 10**4),
+              st.none()),
+    # one box or confidence cell
+    st.tuples(st.just("cell"), st.sampled_from(_EVAL_FILES), st.integers(0, 10**4),
+              st.sampled_from(["nan", "inf", "-inf", "1e309", "1e308", "-1e308", "4.5e15",
+                               "0", "-5", "5e-324"])),
+    # one row, or at position -1 every row, in 8 or 11 columns
+    st.tuples(st.just("columns"), st.sampled_from(_EVAL_FILES), st.integers(-1, 10**4),
+              st.sampled_from([8, 11])),
+    st.tuples(st.just("empty"), st.sampled_from(_EVAL_FILES), st.just(0), st.none()),
+)
+
+
+def _mutate_eval(path: Path, kind: str, at: int, value) -> None:
+    """Change one part of the MOT file at ``path``."""
+    lines = path.read_text().splitlines()
+    row = at % len(lines)
+    cells = lines[row].split(",")
+    if kind == "frame":
+        lines[row] = ",".join([value, *cells[1:]])
+    elif kind == "repeat":
+        lines.insert(row, lines[row])
+    elif kind == "cell":  # left, top, w, h or conf
+        cells[2 + at // len(lines) % 5] = value
+        lines[row] = ",".join(cells)
+    elif kind == "columns":
+        resize = lambda line: ",".join((line.split(",") + ["-1"] * 3)[:value])
+        lines = [resize(line) if at in (-1, i) else line for i, line in enumerate(lines)]
+    else:
+        lines = []
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+class TestEvalContract:
+    """``eval`` on a gt and results pair with one part changed: it exits 0
+    with a metrics JSON that holds no NaN or Infinity, or exits 2 with one
+    error line."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(mutation=_EVAL_MUTATIONS, sweep=st.booleans())
+    # the frame walk jumps over the empty frames up to the gt's last one
+    @example(mutation=("frame", "gt.txt", 0, "9223372036854775807"), sweep=False)
+    def test_one_changed_input(self, mutation, sweep):
+        kind, name, at, value = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            seq = Path(tmp)
+            for file, data in _eval_pair().items():
+                (seq / file).write_bytes(data)
+            _mutate_eval(seq / name, kind, at, value)
+            _eval(seq, *["--hota-sweep"] * sweep)
+
+
 class TestOSErrorExits2:
     """An OS error other than a missing file prints one line, not a traceback."""
 
@@ -466,6 +556,19 @@ class TestOSErrorExits2:
         taken.write_text("")
         argv = ["synth", str(synth_seq / "scenario.spec"), str(taken)]
         self._one_error_line(capsys, argv, "FileExistsError")
+
+
+class TestRuntimeErrorExits1:
+    """A toolkit error that is not an input error exits 1 with one line."""
+
+    def test_invalid_state(self, synth_seq, capsys, monkeypatch):
+        def drifted(*args):
+            raise InvalidState("track 3: scale <= 0")
+
+        monkeypatch.setattr(macsort.cli, "track_sequence", drifted)
+        assert main(["track", str(synth_seq)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["InvalidState: track 3: scale <= 0"]
+        assert not (synth_seq / "results.txt").exists()
 
 
 def _stage_peaks():
@@ -579,6 +682,23 @@ class TestParseCaptionsCommand:
         assert "bad.json" in captured.out
         assert "CaptionGrammarError" in captured.out
 
+    @pytest.mark.parametrize("doc, error", [
+        ('{"class_name": 5, "caption": "Track cars"}',
+         "SchemaError: annotation field 'class_name' must be a string"),
+        ('["Track cars"]', "SchemaError: annotation JSON must be an object"),
+        ('{"class_name": "", "caption": "Track cars"}',
+         "SchemaError: class_name must be non-empty"),
+        ('{"class_name": "car", "caption": ""}', "SchemaError: caption must be non-empty"),
+        ('{"class_name": "car", "class_synonyms": [""], "caption": "Track"}',
+         "CaptionGrammarError: empty class phrase in: 'Track'"),
+    ])
+    def test_invalid_annotation_listed(self, tmp_path, capsys, doc, error):
+        (tmp_path / "bad.json").write_text(doc)
+        assert main(["parse-captions", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"ERROR bad.json: {error}" in captured.out.splitlines()
+        assert captured.err.splitlines() == ["CaptionValidation: 1 invalid annotations"]
+
     def test_empty_directory_warns_exit_0(self, tmp_path, capsys):
         assert main(["parse-captions", str(tmp_path)]) == 0
         assert "warning" in capsys.readouterr().out
@@ -689,6 +809,8 @@ class TestConfigValuesExit2:
             ("track", "--iou-threshold", "nan"),
             ("track", "--min-hits", "1.5"),
             ("track", "--min-hits", "-5"),
+            ("track", "--iou-gate", "1.5"),
+            ("track", "--ema-alpha", "-0.1"),
         ],
     )
     def test_bad_flag_value(self, synth_seq, capsys, command, flag, value):

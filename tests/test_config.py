@@ -42,6 +42,10 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             build_config(p)
 
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown config key 'warp'$"):
+            build_config(overrides={"warp": 1})
+
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("lambda=0.5\nlambda=0.7\n")

@@ -73,6 +73,12 @@ class TestMatchFrame:
         kept = match_ids(gts, preds, 0.5, prev_matches={1: 10})
         assert kept == {1: 10}
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_outside_open_unit_rejected(self, threshold):
+        gts = [(1, BBox(0, 0, 10, 10))]
+        with pytest.raises(ValueError, match=r"^iou_threshold must be in \(0,1\), got "):
+            match_ids(gts, gts, threshold)
+
     def test_carry_over_dropped_below_threshold(self):
         gts = [(1, BBox(0, 0, 10, 10))]
         preds = [(10, BBox(9, 0, 10, 10)), (11, BBox(1, 0, 10, 10))]

@@ -171,6 +171,12 @@ class TestEmbeddings:
         write_embeddings(np.zeros((0, 7)), p)
         assert read_embeddings(p).shape == (0, 7)
 
+    def test_dimension_zero_rejected(self, tmp_path):
+        p = tmp_path / "flat.emb"
+        with pytest.raises(ValueError, match="^embedding dimension must be >= 1$"):
+            write_embeddings(np.zeros((2, 0)), p)
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.emb"
         p.write_bytes(b"NOPE" + b"\x00" * 12)

@@ -9,6 +9,7 @@ from macsort.prompt_filter import (
     MemoryBank,
     PromptDetections,
     TpodConfig,
+    ie_classify,
     ie_overlaps,
     lsm_classify,
     lsm_similarity_profile,
@@ -65,6 +66,11 @@ class TestIeClassify:
         exclude = dets([(6, 0, 10, 10)], [E1])
         tps, _ = ie_split(general, include, exclude)
         assert tps.tolist() == [0]
+
+    @pytest.mark.parametrize("threshold", [1.0, -0.1])
+    def test_threshold_outside_unit_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"^overlap_threshold must be in \[0,1\), got "):
+            ie_classify(np.zeros(1), np.zeros(1), threshold)
 
     def test_overlap_threshold_gates(self):
         general = dets([(0, 0, 10, 10)], [E1])
@@ -411,6 +417,11 @@ class TestMemoryBank:
             assert not memory.idle and memory.short[1].tolist() == [0.9]
         memory.update(np.zeros((0, 4)), np.zeros(0))  # the frame-0 row leaves the window
         assert memory.idle and n_rows(memory.short) == 0 and n_rows(memory.long) == 1
+
+    def test_update_in_another_dimension_raises(self):
+        memory = MemoryBank().update(np.ones((1, 4)), np.array([0.9]))
+        with pytest.raises(DimensionMismatch, match="^feature dims differ: 4 vs 3$"):
+            memory.update(np.ones((1, 3)), np.array([0.9]))
 
     @pytest.mark.parametrize("kappas", [(-1, 3), (0, 3), (9, 0), (9, -2)])
     def test_kappas_below_one_rejected(self, kappas):

@@ -63,8 +63,8 @@ class TestGenerate:
         spec = ScenarioSpec(n_objects=3, n_frames=10)
         scenario = generate(spec)
         for frame, dets in frame_tables(scenario).items():
-            _, gt_boxes = rows_at(scenario.gt, frame)
-            assert np.array_equal(dets.boxes, gt_boxes)
+            _, truth = rows_at(scenario.gt, frame)
+            assert np.array_equal(dets.boxes, truth)
 
     def test_full_homogeneity_gives_mu_one(self):
         spec = ScenarioSpec(appearance_homogeneity=1.0, n_objects=5, n_frames=3)
@@ -74,15 +74,16 @@ class TestGenerate:
     def test_same_seed_identical(self):
         spec = ScenarioSpec(seed=99, detection_noise_px=1.0, miss_rate=0.1, clutter_rate=0.1)
         a, b = generate(spec), generate(spec)
-        for col in ("det_frame", "det_boxes", "det_conf", "embeddings"):
-            assert np.array_equal(getattr(a, col), getattr(b, col))
+        assert np.array_equal(a.det_frame, b.det_frame)
+        for col in ("boxes", "scores", "features"):
+            assert np.array_equal(getattr(a.detections, col), getattr(b.detections, col))
 
     def test_different_seed_differs(self):
         base = dict(detection_noise_px=1.0)
         a = generate(ScenarioSpec(seed=1, **base))
         b = generate(ScenarioSpec(seed=2, **base))
-        n = min(len(a.det_boxes), len(b.det_boxes))
-        assert (a.det_boxes[:n] != b.det_boxes[:n]).any()
+        n = min(len(a.detections), len(b.detections))
+        assert (a.detections.boxes[:n] != b.detections.boxes[:n]).any()
 
     def test_occlusion_window_drops_detections(self):
         spec = ScenarioSpec(n_objects=2, n_frames=10, occlusion_windows=[(1, 4, 6)])
@@ -434,23 +435,21 @@ class TestColumnsEqualPerDrawOracle:
     def test_bit_equal_columns(self, spec):
         gt, detections = _ref_generate(spec)
         got = generate(spec)
-        assert got.gt_frame.tolist() == [f for f, _, _ in gt]
-        assert got.gt_id.tolist() == [i for _, i, _ in gt]
-        assert _bits(got.gt_boxes) == _bits([[b.u, b.v, b.w, b.h] for _, _, b in gt])
+        assert got.gt.frame.tolist() == [f for f, _, _ in gt]
+        assert got.gt.id.tolist() == [i for _, i, _ in gt]
+        assert _bits(got.gt.boxes) == _bits([[b.u, b.v, b.w, b.h] for _, _, b in gt])
+        assert got.gt.n_frames == spec.n_frames
         dets = [d for f in sorted(detections) for d in detections[f]]
+        table = got.detections
         assert got.det_frame.tolist() == [d.frame for d in dets]
-        assert _bits(got.det_boxes) == _bits(
+        assert _bits(table.boxes) == _bits(
             [[d.bbox.u, d.bbox.v, d.bbox.w, d.bbox.h] for d in dets])
-        assert _bits(got.det_conf) == _bits([d.confidence for d in dets])
-        assert got.embeddings.shape == (len(dets), spec.embedding_dim)
-        assert _bits(got.embeddings) == _bits([d.embedding for d in dets] or np.zeros((0, 1)))
-        # the object views
+        assert _bits(table.scores) == _bits([d.confidence for d in dets])
+        assert table.features.shape == (len(dets), spec.embedding_dim)
+        assert table.features.dtype == np.float64
+        assert _bits(table.features) == _bits([d.embedding for d in dets] or np.zeros((0, 1)))
+        # the gt table, frame by frame
         ref_gt = {}
         for frame, obj_id, box in gt:
             ref_gt.setdefault(frame, []).append((obj_id, box))
         assert {f: boxes_at(got.gt, f) for f in np.unique(got.gt.frame).tolist()} == ref_gt
-        table = got.detections()
-        for col, view in ((got.det_boxes, table.boxes), (got.det_conf, table.scores),
-                          (got.embeddings, table.features)):
-            assert view.shape == col.shape and _bits(view) == _bits(col)
-            assert np.shares_memory(view, col) or not col.size
