@@ -12,14 +12,18 @@ detection and association accuracies over thresholds 0.05..0.95.
 
 ``evaluate`` maps the gt and predicted ids to dense indices once per
 sequence and reads each frame that holds rows once, as slices of the
-sequences' columns. Each frame's IoU matrix is read once, into pair
-vectors: the (gt row, pred row, IoU) of every pair that clears the lowest
-threshold in use. The CLEAR matching, the identity overlaps and every
-threshold's higher-order matching work on those vectors; each matching
-passes its pairs to ``linear_assignment``, which builds a dense cost only
-for the solver, when some row or column holds two pairs. Each frame adds
-the identity and higher-order (gt index, predicted index) pairs as int64
-keys, counted once at the end.
+sequences' columns. The frame walk does only what depends on the frame
+before: it reads the frame's IoU matrix into the (gt row, pred row, IoU) of
+every pair that clears the lowest threshold in use, and matches the frame
+the CLEAR way, which keeps the previous frame's matches. It appends the
+matches and the pairs to two tables over the sequence. One pass over those
+tables computes the rest: true positives and coverage by counting, ID
+switches from the matches sorted by gt index, the identity overlaps from
+the pairs that clear the threshold, and each threshold's higher-order
+matching. At a threshold where no row or column of a frame holds two pairs,
+the frame's pairs are its matching; only the other (frame, threshold)
+cells go to ``linear_assignment``'s solver. Pairs are counted as int64
+(gt index, predicted index) keys, in (frame, gt row, pred row) order.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .config import CliConfig
 from .errors import FrameMismatch
 from .geometry import iou_matrix, nonzero_cells, uvwh_array
 from .mot_io import frame_order, walk_frames
-from .tracker import linear_assignment
+from .tracker import forced, linear_assignment
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
@@ -59,6 +63,11 @@ class TrackSequence:
         self.frame = frame[order]
         self.id = np.asarray(self.id, dtype=np.int64)[order]
         self.boxes = uvwh_array(self.boxes)[order]
+        # rows strictly increasing in (frame, id), as macsort writes them,
+        # repeat no pair
+        same_frame = self.frame[1:] == self.frame[:-1]
+        if (~same_frame | (self.id[1:] > self.id[:-1])).all():
+            return
         # a repeated pair is named at its first repeat in frame order
         key = np.lexsort((self.id, self.frame))
         frame, ids = self.frame[key], self.id[key]
@@ -129,13 +138,17 @@ def match_frame(
     the previous frame's matching: ``prev[g]`` is the pred index matched to
     gt index g, or -1, and no pred index appears twice. Pairs matched in
     the previous frame are kept while their IoU still clears the threshold;
-    the remainder is matched by maximum total IoU.
+    the remainder is matched by maximum total IoU. When no row and no
+    column holds two clearing pairs, the frame is forced: every clearing
+    pair is matched, in row-major order, whatever ``prev`` holds.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     gi, pi, iou = pairs
     clear = iou >= iou_threshold
     gi, pi, iou = gi[clear], pi[clear], iou[clear]
+    if forced(gi, pi):
+        return gt[gi], pred[pi]
     kept = pred[pi] == prev[gt[gi]]
     free_r, free_c = np.ones(len(gt), dtype=bool), np.ones(len(pred), dtype=bool)
     free_r[gi[kept]] = free_c[pi[kept]] = False
@@ -148,14 +161,63 @@ def match_frame(
     return gt[rows], pred[cols]
 
 
-def _pair_counts(keys: list[np.ndarray], n_pred: int) -> tuple[np.ndarray, ...]:
+def _pair_counts(keys: np.ndarray, n_pred: int) -> tuple[np.ndarray, ...]:
     """The (gt index, pred index, count) of each pair among ``keys`` (g *
     n_pred + p), in the order the pairs first occur."""
-    keys = np.concatenate([np.zeros(0, dtype=np.int64), *keys])
     pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     pairs = pairs[order]
     return pairs // n_pred, pairs % n_pred, counts[order]
+
+
+def _columns(rows: list[tuple], width: int) -> list[np.ndarray]:
+    """The ``width`` columns of a table appended one tuple of arrays at a
+    time, each joined into one array."""
+    return [np.concatenate([np.zeros(0, dtype=np.int64), *(row[k] for row in rows)])
+            for k in range(width)]
+
+
+def _switches(g: np.ndarray, p: np.ndarray) -> int:
+    """ID switches in a table of (gt index, pred index) matches in frame
+    order: the matches whose pred index differs from the same gt index's
+    match before."""
+    order = np.argsort(g, kind="stable")
+    g, p = g[order], p[order]
+    return int(((g[1:] == g[:-1]) & (p[1:] != p[:-1])).sum())
+
+
+def _contest_levels(rows: np.ndarray, iou: np.ndarray, frame: np.ndarray,
+                    n_frames: int) -> np.ndarray:
+    """Per frame, the largest threshold at which one of its rows holds two
+    pairs: the second-largest IoU of that row, 0 where no row holds two.
+    ``rows`` are row indices into the whole sequence, so a row belongs to
+    one frame, ``frame[i]``."""
+    twice = np.bincount(rows)[rows] > 1
+    rows, iou, frame = rows[twice], iou[twice], frame[twice]
+    order = np.lexsort((-iou, rows))
+    later = order[1:][rows[order[1:]] == rows[order[:-1]]]  # all but each row's largest
+    level = np.zeros(n_frames)
+    np.maximum.at(level, frame[later], iou[later])
+    return level
+
+
+def _hota_matches(alpha: float, gi: np.ndarray, pi: np.ndarray, iou: np.ndarray,
+                  contested: list[int], bounds: list[tuple[int, int, tuple[int, int]]]
+                  ) -> np.ndarray:
+    """The mask of the pairs in the HOTA matching at ``alpha``. Every pair
+    at ``alpha`` is matched, except in the ``contested`` frames: frame k's
+    pairs lie at ``bounds[k] = (start, stop, shape)`` with frame-local
+    (gi, pi), and ``linear_assignment`` picks its matching."""
+    kept = iou >= alpha
+    for k in contested:
+        start, stop, shape = bounds[k]
+        at = start + np.flatnonzero(kept[start:stop])
+        g, p = gi[at], pi[at]
+        r, c = linear_assignment(g, p, 1.0 - iou[at], shape)
+        hit = np.zeros(shape, dtype=bool)
+        hit[r, c] = True
+        kept[at] = hit[g, p]
+    return kept
 
 
 def _identity_scores(
@@ -234,42 +296,57 @@ def evaluate(
     gt_len = np.bincount(gt_index[start:], minlength=n_gt)  # boxes per gt index
     pred_len = np.bincount(pred_index, minlength=n_pred)  # boxes per pred index
 
-    covered = np.zeros(n_gt, dtype=np.int64)  # CLEAR matches per gt index
-    overlap_keys = []  # pairs that clear the threshold, per frame
-    hota_keys = [[] for _ in alphas]  # each threshold's HOTA matches, per frame
-    tp = idsw = 0
+    # the walk does what depends on the frame before: each frame's CLEAR
+    # matching, and the frame's pairs at the lowest threshold (every
+    # threshold is > 0, so they hold all that any threshold keeps), with
+    # frame-local rows. ``frames`` holds (pairs, first gt row, first pred
+    # row, gt rows, pred rows) for each frame that has pairs.
+    matches, pairs, frames = [], [], []
     prev = np.full(n_gt, -1)  # the previous frame's match per gt index
-    last_match = np.full(n_gt, -1)  # the latest match per gt index
+    prev_g = np.zeros(0, dtype=np.int64)  # the gt indices that hold one
     # a frame without rows only clears the carried-over matches: once none
     # is carried over, it is skipped
-    for f, gt_rows, pred_rows in walk_frames(lambda: (prev < 0).all(), gt.frame, pred.frame):
+    for _, gt_rows, pred_rows in walk_frames(lambda: not len(prev_g), gt.frame, pred.frame):
         g, p = gt_index[gt_rows], pred_index[pred_rows]
-
-        # every threshold is > 0, so the pairs at the lowest one hold all
-        # that any threshold keeps
+        gi = pi = np.zeros(0, dtype=np.intp)
+        iou = np.zeros(0)
         if len(g) and len(p):
             ious = iou_matrix(gt.boxes[gt_rows], pred.boxes[pred_rows])
             gi, pi = nonzero_cells(ious >= lowest)
             iou = ious[gi, pi]
-        else:
-            gi = pi = np.zeros(0, dtype=np.intp)
-            iou = np.zeros(0)
+            if len(gi):
+                pairs.append((gi, pi, iou))
+                frames.append((len(gi), gt_rows.start, pred_rows.start, len(g), len(p)))
         matched_g, matched_p = match_frame(g, p, (gi, pi, iou), iou_threshold, prev)
-        tp += len(matched_g)
-        covered[matched_g] += 1
-        before = last_match[matched_g]
-        idsw += int(((before >= 0) & (before != matched_p)).sum())
-        last_match[matched_g] = matched_p
-        prev = np.full(n_gt, -1)
+        prev[prev_g] = -1
         prev[matched_g] = matched_p
+        prev_g = matched_g
+        matches.append((matched_g, matched_p))
 
-        if len(gi):
-            clear = iou >= iou_threshold
-            overlap_keys.append(g[gi[clear]] * n_pred + p[pi[clear]])
-            for keys, alpha in zip(hota_keys, alphas):
-                clear = iou >= alpha
-                r, c = linear_assignment(gi[clear], pi[clear], 1.0 - iou[clear], (len(g), len(p)))
-                keys.append(g[r] * n_pred + p[c])
+    matched_g, matched_p = _columns(matches, 2)
+    tp = len(matched_g)
+    covered = np.bincount(matched_g, minlength=n_gt)  # CLEAR matches per gt index
+    idsw = _switches(matched_g, matched_p)
+
+    # each pair's frame among ``frames``, its rows in the sequence and its
+    # (gt index, pred index) key
+    gi, pi, iou = _columns(pairs, 3)
+    counts, gt_start, pred_start, m, n = np.array(frames, dtype=np.int64).reshape(-1, 5).T
+    frame = np.repeat(np.arange(len(frames)), counts)
+    gt_row, pred_row = gi + gt_start[frame], pi + pred_start[frame]
+    keys = gt_index[gt_row] * n_pred + pred_index[pred_row]
+    overlap = _pair_counts(keys[iou >= iou_threshold], n_pred)
+
+    # HOTA solves a frame only at the thresholds up to its contest level
+    level = np.maximum(_contest_levels(gt_row, iou, frame, len(frames)),
+                       _contest_levels(pred_row, iou, frame, len(frames)))
+    stops = np.cumsum(counts)
+    bounds = list(zip((stops - counts).tolist(), stops.tolist(), zip(m.tolist(), n.tolist())))
+    hota_pairs = [
+        _pair_counts(keys[_hota_matches(alpha, gi, pi, iou,
+                                        np.flatnonzero(level >= alpha).tolist(), bounds)], n_pred)
+        for alpha in alphas
+    ]
 
     fn = int(gt_len.sum()) - tp
     fp = int(pred_len.sum()) - tp
@@ -283,9 +360,9 @@ def evaluate(
     mt = int((coverage >= MT_COVERAGE).sum())
     ml = int((coverage <= ML_COVERAGE).sum())
 
-    idf1, idp, idr = _identity_scores(gt_len, pred_len, _pair_counts(overlap_keys, n_pred))
+    idf1, idp, idr = _identity_scores(gt_len, pred_len, overlap)
 
-    scores = [_hota_at(_pair_counts(keys, n_pred), gt_len, pred_len) for keys in hota_keys]
+    scores = [_hota_at(matched, gt_len, pred_len) for matched in hota_pairs]
     deta = float(np.mean([d for d, _ in scores]))
     assa = float(np.mean([a for _, a in scores]))
     hota = float(np.sqrt(deta * assa))

@@ -308,6 +308,13 @@ def build_cost_matrix(
                          (m, n))
 
 
+def forced(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """True when the distinct pairs (rows, cols) are their own one-to-one
+    assignment, as ``linear_assignment`` tests it: rows strictly ascending
+    (so, for row-major pairs, no row twice) and no column twice."""
+    return len(rows) < 2 or ((rows[1:] > rows[:-1]).all() and np.bincount(cols).max() == 1)
+
+
 def linear_assignment(rows: np.ndarray, cols: np.ndarray, cost: np.ndarray,
                       shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost one-to-one assignment among the distinct candidate
@@ -320,7 +327,7 @@ def linear_assignment(rows: np.ndarray, cols: np.ndarray, cost: np.ndarray,
     no column holds two of them, that is all of them, whatever they cost,
     and they are returned without solving.
     """
-    if len(rows) < 2 or ((rows[1:] > rows[:-1]).all() and np.bincount(cols).max() == 1):
+    if forced(rows, cols):
         return rows, cols
     big = float(np.abs(cost).sum() + np.abs(cost).max() + 1.0)
     dense = np.full(shape, big)

@@ -532,6 +532,44 @@ class TestEvalContract:
             _eval(seq, *["--hota-sweep"] * sweep)
 
 
+# the config values: path keys (str) are left out, they have no range
+_VALUE_FIELDS = [f for f in fields(RunConfig) if f.type != "str"]
+# in range, on each bound of some key (0, 1, 2, 90, 1e6), just outside one,
+# not finite, huge, not a number, empty, and a misspelt bool
+_CONFIG_VALUES = ["0", "-0.0", "1", "2", "3", "90", "1e6", "0.5", "45", "-1e-9", "1.000001",
+                  "2.000001", "90.00001", "1000000.1", "0.999999", "-1", "1e-300", "nan", "inf",
+                  "-inf", "1e308", "-1e308", "9223372036854775808", "x", "", "ture", "True",
+                  "off"]
+
+
+class TestConfigContract:
+    """``filter``, ``track`` and ``eval`` with one config key set to one
+    value, once in a ``--config`` file and once as its flag (a bool flag
+    takes no value): each run exits 0 with finite outputs and a metrics
+    JSON without NaN or Infinity, or exits 2 with one error line."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(field=st.sampled_from(_VALUE_FIELDS), value=st.sampled_from(_CONFIG_VALUES))
+    def test_one_config_value(self, field, value):
+        flag = next(flag for flag, f in macsort.cli._config_flags() if f.name == field.name)
+        with tempfile.TemporaryDirectory() as tmp:
+            seq = Path(tmp)
+            for name, data in {**_contract_dump(), **_eval_pair()}.items():
+                (seq / name).write_bytes(data)
+            config = seq / "run.config"
+            config.write_text(f"{config_key(field.name)}={value}\n")
+            flag_args = [flag] if field.type == "bool" else [flag, value]
+            for args in (["--config", str(config)], flag_args):
+                if _run_main(["filter", str(seq), *args]):
+                    read_embeddings(seq / "filtered.emb")  # raises on a non-finite row
+                    filtered = read_mot_lines(seq / "filtered.txt")
+                    assert np.isfinite(filtered.ltwh).all() and np.isfinite(filtered.conf).all()
+                if _run_main(["track", str(seq), "--detections", "dets", *args]):
+                    results = read_mot_lines(seq / "results.txt")
+                    assert np.isfinite(results.ltwh).all() and np.isfinite(results.conf).all()
+                _eval(seq, *args)
+
+
 class TestOSErrorExits2:
     """An OS error other than a missing file prints one line, not a traceback."""
 
@@ -587,10 +625,13 @@ class TestStageMemory:
     the threshold) filter peaks at 1.47x and track at 0.90x. Float64 copies
     and whole-file text took them to 4.45x and 1.82x; a copy of the
     embeddings that all pass the threshold takes filter to 2.45x, and a
-    copy of the kept rows before writing them to 2.03x."""
+    copy of the kept rows before writing them to 2.03x. ``eval`` reads no
+    embeddings: its peak is 4.56x the bytes of ``gt.txt`` and
+    ``results.txt`` (0.45 MiB). Scoring each frame inside the frame walk,
+    before ``evaluate`` kept its match and pair tables, gave 4.56x too."""
 
-    @pytest.mark.parametrize("stage, bound", [("filter", 1.55), ("track", 1.2)])
-    def test_peak_is_a_small_multiple_of_the_body(self, tmp_path, capsys, stage, bound):
+    @staticmethod
+    def _sequence(tmp_path) -> Path:
         spec_path = tmp_path / "case.spec"
         write_spec(ScenarioSpec(seed=3, n_objects=30, n_frames=200, appearance_homogeneity=0.3,
                                 detection_noise_px=1.0, miss_rate=0.05, clutter_rate=0.1,
@@ -598,11 +639,24 @@ class TestStageMemory:
                    spec_path)
         seq = tmp_path / "seq"
         assert main(["synth", str(spec_path), str(seq)]) == 0
+        return seq
+
+    @pytest.mark.parametrize("stage, bound", [("filter", 1.55), ("track", 1.2)])
+    def test_peak_is_a_small_multiple_of_the_body(self, tmp_path, capsys, stage, bound):
+        seq = self._sequence(tmp_path)
         if stage == "track":
             assert main(["filter", str(seq)]) == 0
         body = (seq / "general.emb").stat().st_size - 16
         peak = _stage_peaks().stage_peak(stage, str(seq))
         assert peak < bound * body, f"{stage} peak {peak / body:.2f}x the body"
+
+    def test_eval_peak_is_a_small_multiple_of_its_files(self, tmp_path, capsys):
+        seq = self._sequence(tmp_path)
+        assert main(["filter", str(seq)]) == 0 and main(["track", str(seq)]) == 0
+        gt, results = seq / "gt.txt", seq / "results.txt"
+        size = gt.stat().st_size + results.stat().st_size
+        peak = _stage_peaks().stage_peak("eval", str(gt), str(results))
+        assert peak < 4.7 * size, f"eval peak {peak / size:.2f}x its files"
 
 
 class TestTrackCommand:

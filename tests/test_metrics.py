@@ -86,6 +86,47 @@ class TestMatchFrame:
         assert got == {1: 11}
 
 
+class TestForcedFrame:
+    """A frame where no row and no column holds two pairs that clear the
+    threshold matches every such pair at once, without an assignment, as
+    the dict matcher does."""
+
+    @pytest.fixture(autouse=True)
+    def no_assignment(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a forced frame reached linear_assignment")
+
+        monkeypatch.setattr(macsort.metrics, "linear_assignment", unreachable)
+
+    @staticmethod
+    def match(gts, preds, thr, prev=None):
+        got = match_ids(gts, preds, thr, prev)
+        assert got == metrics_ref.match_frame(gts, preds, thr, prev)
+        return got
+
+    GTS = [(1, BBox(0, 0, 10, 10)), (2, BBox(40, 0, 10, 10))]
+    # pred 7 touches gt 1 below any threshold here (IoU 1/19); 6 is far off
+    PREDS = [(8, BBox(41, 0, 10, 10)), (9, BBox(1, 0, 10, 10)), (7, BBox(9, 0, 10, 10)),
+             (6, BBox(100, 0, 10, 10))]
+
+    def test_without_carry_over(self):
+        assert self.match(self.GTS, self.PREDS, 0.5) == {1: 9, 2: 8}
+
+    def test_with_carry_over(self):
+        # gt 1 keeps pred 9; gt 2's pred 6 is gone from it, so it takes 8
+        assert self.match(self.GTS, self.PREDS, 0.5, {1: 9, 2: 6}) == {1: 9, 2: 8}
+        # a carried-over pair below the threshold is dropped
+        assert self.match(self.GTS, self.PREDS, 0.5, {1: 7}) == {1: 9, 2: 8}
+
+    def test_pair_exactly_at_threshold(self):
+        gts = [(1, BBox(0, 0, 10, 10))]
+        preds = [(9, BBox(2.5, 0, 10, 10)), (10, BBox(5, 0, 10, 10))]  # IoU 0.6 and 1/3
+        assert iou_matrix([gts[0][1]], [preds[0][1]])[0, 0] == 0.6
+        for prev in (None, {1: 10}):
+            assert self.match(gts, preds, 0.6, prev) == {1: 9}
+            assert self.match(gts, preds, float(np.nextafter(0.6, 1.0)), prev) == {}
+
+
 class TestEvaluateOracles:
     def test_perfect_tracking(self):
         gt = seq(moving_gt())
@@ -679,6 +720,96 @@ class TestEvaluatorOracleCrowd:
         assert calls["solves"] > 3 * 4 and calls["sweeps"]
 
 
+def lanes_case(rng, n_frames=30, n_objects=4):
+    """Objects on lanes 100 px apart and predictions within 1.5 px of them,
+    which miss, trade ids and add far clutter: no frame holds two pairs in
+    one row or column, at any threshold of the sweep."""
+    gt, pred = [], []
+    pred_ids = list(range(10, 10 + n_objects))
+    for t in range(1, n_frames + 1):
+        if rng.random() < 0.2:
+            i, j = rng.choice(n_objects, 2, replace=False)
+            pred_ids[i], pred_ids[j] = pred_ids[j], pred_ids[i]
+        for k in range(n_objects):
+            u, v = 2.0 * t, 100.0 * k
+            gt.append((t, k + 1, (u, v, 10.0, 10.0)))
+            if rng.random() < 0.85:
+                du, dv = rng.uniform(-1.5, 1.5, 2)
+                pred.append((t, pred_ids[k], (u + du, v + dv, 10.0, 10.0)))
+        if rng.random() < 0.3:
+            pred.append((t, 99, (2.0 * t, -500.0, 10.0, 10.0)))
+    return rows_sequence(gt), rows_sequence(pred)
+
+
+def contested_case(rng, n_frames=10, n_objects=6):
+    """Every frame puts gt objects 1 and 2 on one box and a prediction on
+    it, which overlaps both at IoU 1: each frame is contested at every
+    threshold. The other objects drift near each other, and predictions
+    miss, trade ids and repeat a box under a second id."""
+    pos = rng.uniform(0, 30, (n_objects, 2))
+    pred_ids = rng.permutation(n_objects) + 50
+    gt, pred = [], []
+    for t in range(1, n_frames + 1):
+        pos += rng.normal(0, 1.5, pos.shape)
+        pos[1] = pos[0]
+        if rng.random() < 0.3:
+            i, j = rng.choice(n_objects, 2, replace=False)
+            pred_ids[[i, j]] = pred_ids[[j, i]]
+        for k in range(n_objects):
+            u, v = np.round(pos[k] * 2) / 2
+            gt.append((t, k + 1, (u, v, 12.0, 12.0)))
+            if k == 0 or rng.random() < 0.8:
+                du, dv = (0.0, 0.0) if k == 0 else rng.normal(0, 1.5, 2)
+                pred.append((t, int(pred_ids[k]), (u + du, v + dv, 12.0, 12.0)))
+                if rng.random() < 0.1:
+                    pred.append((t, 100 + k, (u + du, v + dv, 12.0, 12.0)))
+    return rows_sequence(gt), rows_sequence(pred)
+
+
+class TestSequenceTables:
+    """evaluate's higher-order matching solves only the (frame, threshold)
+    cells where a row or column holds two pairs."""
+
+    def test_no_contested_frame_solves_only_identity(self, monkeypatch):
+        solves = Counter()
+        solver = macsort.tracker.linear_sum_assignment
+
+        def counted(*args):
+            solves["calls"] += 1
+            return solver(*args)
+
+        monkeypatch.setattr(macsort.tracker, "linear_sum_assignment", counted)
+        rng = np.random.default_rng(41)
+        switches = 0
+        for gt, pred in [lanes_case(rng) for _ in range(8)]:
+            for thr in (0.3, 0.5, 0.7):
+                for sweep in (False, True):
+                    solves.clear()
+                    got = evaluate(gt, pred, thr, sweep)
+                    assert solves["calls"] == 1  # the identity assignment
+                    assert got == metrics_ref.evaluate(gt, pred, thr, sweep)
+                    switches += got.id_switches
+        assert switches > 0
+
+    def test_every_frame_contested_equals_dict_evaluator(self, monkeypatch):
+        solved = []
+        hota_matches = macsort.metrics._hota_matches
+
+        def recorded(alpha, gi, pi, iou, contested, bounds):
+            solved.append(contested == list(range(len(bounds))))
+            return hota_matches(alpha, gi, pi, iou, contested, bounds)
+
+        monkeypatch.setattr(macsort.metrics, "_hota_matches", recorded)
+        rng = np.random.default_rng(43)
+        for gt, pred in [contested_case(rng) for _ in range(12)]:
+            for thr in (0.3, 0.5, 0.7):
+                for sweep in (False, True):
+                    solved.clear()
+                    assert evaluate(gt, pred, thr, sweep) == metrics_ref.evaluate(
+                        gt, pred, thr, sweep)
+                    assert solved == [True] * (19 if sweep else 1)
+
+
 def shift_after(sequence, frame, by):
     """The sequence with every row after ``frame`` moved ``by`` frames on."""
     later = sequence.frame > frame
@@ -740,6 +871,26 @@ class TestTrackSequence:
         rng = np.random.default_rng(9)
         for _ in range(20):
             table = mot_table(rng, rng.integers(1, 7, 30), rng.integers(1, 6, 30))
+            frame, obj_id = first_repeat(table)
+            with pytest.raises(ValueError, match=f"^duplicate id {obj_id} in frame {frame}$"):
+                TrackSequence.from_mot(table)
+
+    def test_ids_in_any_order_within_a_frame_accepted(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            frame = np.sort(rng.integers(1, 7, 30))
+            ids = rng.permutation(30) + 1  # distinct, in no order within a frame
+            table = mot_table(rng, frame, ids)
+            sequence = TrackSequence.from_mot(table)
+            assert sequence.id.tolist() == ids.tolist()
+
+    def test_repeat_in_frame_and_id_order_named(self):
+        # rows sorted by (frame, id), as macsort writes them, with repeats
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            frame, ids = rng.integers(1, 7, 30), rng.integers(1, 6, 30)
+            order = np.lexsort((ids, frame))
+            table = mot_table(rng, frame[order], ids[order])
             frame, obj_id = first_repeat(table)
             with pytest.raises(ValueError, match=f"^duplicate id {obj_id} in frame {frame}$"):
                 TrackSequence.from_mot(table)
