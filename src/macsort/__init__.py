@@ -45,7 +45,6 @@ from .tracker import (
     Tracks,
     adaptive_weights,
     build_cost_matrix,
-    compute_mu_det,
     linear_assignment,
     track_sequence,
 )

@@ -77,7 +77,9 @@ def parse_annotation(raw: bytes | str) -> GmotAnnotation:
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
         obj = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal past Python's digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise JsonError(f"malformed annotation JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("root", "annotation JSON must be an object")

@@ -86,10 +86,10 @@ def cmd_filter(args, cfg: RunConfig) -> int:
         last, sides = read_prompt_dump_all(seq_dir, cfg.detection_threshold)
         max_inc, max_exc = ie_overlaps(*((frame, rows.boxes) for frame, rows in sides))
         frame_col, general = sides[0]
-        memory = MemoryBank(kappa1=cfg.kappa1, kappa2=cfg.kappa2)
+        memory = MemoryBank(tpod_cfg)
         kept, stats = [np.zeros(0, np.intp)], []
         for frame, at in walk_frames(lambda: memory.idle, frame_col):
-            res = tpod_frame(general.take(at), max_inc[at], max_exc[at], memory, frame, tpod_cfg)
+            res = tpod_frame(general.take(at), max_inc[at], max_exc[at], memory, frame)
             kept.append(at.start + res.rows)
             stats.append(res.stats)
         out = _out_dir(cfg, seq_dir)

@@ -33,15 +33,9 @@ SHORT_WINDOW_FRAMES = 3
 IE_MAX_PAIRS = 1 << 14
 
 
-def _check_kappas(kappa1: int, kappa2: int) -> None:
-    """The band sizes of TpodConfig and MemoryBank: both at least 1."""
-    if kappa1 < 1 or kappa2 < 1:
-        raise ValueError(f"kappa1 and kappa2 must be >= 1, got {kappa1} and {kappa2}")
-
-
 @dataclass
 class TpodConfig:
-    """Knobs for the per-frame filtering pipeline."""
+    """Knobs of the per-frame filter; a MemoryBank carries them to ``tpod_frame``."""
 
     kappa1: int = 9
     kappa2: int = 3
@@ -51,7 +45,9 @@ class TpodConfig:
     memory_from_ie_only: bool = False
 
     def __post_init__(self):
-        _check_kappas(self.kappa1, self.kappa2)
+        if self.kappa1 < 1 or self.kappa2 < 1:
+            raise ValueError(
+                f"kappa1 and kappa2 must be >= 1, got {self.kappa1} and {self.kappa2}")
         if not (0.0 <= self.detection_threshold <= 1.0):
             raise ValueError(
                 f"detection_threshold must be in [0, 1], got {self.detection_threshold}"
@@ -140,25 +136,22 @@ def _top_k(features: np.ndarray, scores: np.ndarray, k: int) -> Band:
 
 @dataclass
 class MemoryBank:
-    """Long/short bands of high-confidence true positives, each a Band.
+    """Long/short bands of high-confidence true positives, each a Band, and
+    the TpodConfig that sizes them and that ``tpod_frame`` reads.
 
-    The long band keeps the top kappa1 scores since the start of tracking;
-    the short band keeps the top kappa2 scores from the last three frames
-    (``window``, the accepted Bands of the last three updates). Bands are
-    ranked by score, ties broken by earlier frame, then lower in-frame
-    index: rows enter in that order, and the ranking is stable. The rows
-    are kept as given; ``tpod_frame`` gives unit feature rows, which
-    ``lsm_similarity_profile`` reads.
+    The long band keeps the top ``config.kappa1`` scores since the start of
+    tracking; the short band keeps the top ``config.kappa2`` scores from the
+    last three frames (``window``, the accepted Bands of the last three
+    updates). Bands are ranked by score, ties broken by earlier frame, then
+    lower in-frame index: rows enter in that order, and the ranking is
+    stable. The rows are kept as given; ``tpod_frame`` gives unit feature
+    rows, which ``lsm_similarity_profile`` reads.
     """
 
-    kappa1: int = TpodConfig.kappa1
-    kappa2: int = TpodConfig.kappa2
-    long: Band = (np.zeros((0, 1)), np.zeros(0))
-    short: Band = (np.zeros((0, 1)), np.zeros(0))
-    window: list[Band] = field(default_factory=list)
-
-    def __post_init__(self):
-        _check_kappas(self.kappa1, self.kappa2)
+    config: TpodConfig
+    long: Band = field(init=False, default=(np.zeros((0, 1)), np.zeros(0)))
+    short: Band = field(init=False, default=(np.zeros((0, 1)), np.zeros(0)))
+    window: list[Band] = field(init=False, default_factory=list)
 
     @property
     def usable(self) -> bool:
@@ -173,20 +166,10 @@ class MemoryBank:
     def update(self, features: np.ndarray, scores: np.ndarray) -> "MemoryBank":
         """Fold one frame's accepted true positives into both bands; frames
         are to come in ascending order."""
-        self.long = _top_k(*_concat_rows(self.long, (features, scores)), self.kappa1)
+        self.long = _top_k(*_concat_rows(self.long, (features, scores)), self.config.kappa1)
         self.window = [*self.window, (features, scores)][-SHORT_WINDOW_FRAMES:]
-        self.short = _top_k(*_concat_rows(*self.window), self.kappa2)
+        self.short = _top_k(*_concat_rows(*self.window), self.config.kappa2)
         return self
-
-
-@dataclass
-class LsmSimilarityProfile:
-    """Per-box and pooled feature similarity against the memory bands."""
-
-    sim_long: np.ndarray
-    sim_short: np.ndarray
-    sim_long_overall: float
-    sim_short_overall: float
 
 
 @dataclass(frozen=True)
@@ -194,7 +177,6 @@ class TpodFrameStats:
     n_general: int
     n_ie_tps: int
     n_dropped: int
-    n_unclassified: int
     n_rescued: int
     n_rejected: int
 
@@ -263,13 +245,13 @@ def ie_classify(
     return np.flatnonzero(tp_mask), np.flatnonzero(~tp_mask & ~exc_hit)
 
 
-def lsm_similarity_profile(memory: MemoryBank, unit_features: np.ndarray) -> LsmSimilarityProfile:
-    """Mean cosine similarity of each unclassified box against both bands,
-    from the boxes' unit feature rows (n, d) and the bands' unit rows.
-
-    Means run over the actual band occupancy (bands may hold fewer than
-    kappa entries early in a sequence); the pooled values are the means of
-    the per-box values.
+def lsm_similarity_profile(memory: MemoryBank,
+                           unit_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sim_long, sim_short)``: the mean cosine similarity of each
+    unclassified box against the long and the short band, from the boxes'
+    unit feature rows (n, d) and the bands' unit rows. Means run over the
+    actual band occupancy (bands may hold fewer than kappa entries early in
+    a sequence).
     """
     if not memory.usable:
         raise EmptyMemory("both memory bands must be non-empty")
@@ -278,26 +260,18 @@ def lsm_similarity_profile(memory: MemoryBank, unit_features: np.ndarray) -> Lsm
     band_dim, dim = memory.long[0].shape[1], unit_features.shape[1]
     if band_dim != dim:
         raise DimensionMismatch(f"embedding dims differ: {band_dim} vs {dim}")
-    sim_long, sim_short = (np.clip(band @ unit_features.T, -1.0, 1.0).mean(axis=0)
-                           for band, _ in (memory.long, memory.short))
-    return LsmSimilarityProfile(
-        sim_long=sim_long,
-        sim_short=sim_short,
-        sim_long_overall=float(sim_long.mean()),
-        sim_short_overall=float(sim_short.mean()),
-    )
+    return tuple(np.clip(band @ unit_features.T, -1.0, 1.0).mean(axis=0)
+                 for band, _ in (memory.long, memory.short))
 
 
-def lsm_classify(profile: LsmSimilarityProfile) -> np.ndarray:
+def lsm_classify(sim_long: np.ndarray, sim_short: np.ndarray) -> np.ndarray:
     """The boolean mask of the profiled boxes that are rejected as false
     positives; the rest are rescued as true positives.
 
-    A box is rejected only when strictly below the pooled similarity on
-    both the short and the long band.
+    A box is rejected only when strictly below the pooled similarity, the
+    mean over the profiled boxes, on both the short and the long band.
     """
-    return (profile.sim_short < profile.sim_short_overall) & (
-        profile.sim_long < profile.sim_long_overall
-    )
+    return (sim_short < sim_short.mean()) & (sim_long < sim_long.mean())
 
 
 @dataclass
@@ -312,10 +286,11 @@ def tpod_frame(
     max_exc: np.ndarray,
     memory: MemoryBank,
     frame: int,
-    config: TpodConfig | None = None,
 ) -> TpodFrameResult:
     """One frame of the full filtering pipeline: IE stage on the frame's
-    include/exclude maxima (``ie_overlaps``), then LSM stage.
+    include/exclude maxima (``ie_overlaps``), then LSM stage, each under
+    ``memory.config``. ``frame`` is the frame's number, for callers and
+    traces that log it; the filter reads only the rows.
 
     While the memory bands are still empty (cold start) unclassified boxes
     pass through as TPs by default, otherwise the memory could never fill.
@@ -323,14 +298,13 @@ def tpod_frame(
     in ``general``'s row order, returned as row indices into ``general``.
     The memory is updated in place with their unit feature rows.
     """
-    config = config or TpodConfig()
+    config = memory.config
     tp_rows, unclassified = ie_classify(max_inc, max_exc, config.overlap_threshold)
     unit = unit_rows(general.features)
     rescued = rejected = unclassified[:0]
     if len(unclassified):
         if memory.usable:
-            profile = lsm_similarity_profile(memory, unit[unclassified])
-            fp_mask = lsm_classify(profile)
+            fp_mask = lsm_classify(*lsm_similarity_profile(memory, unit[unclassified]))
             rescued, rejected = unclassified[~fp_mask], unclassified[fp_mask]
         elif config.cold_start_passthrough:
             rescued = unclassified
@@ -343,7 +317,6 @@ def tpod_frame(
         n_general=len(general),
         n_ie_tps=len(tp_rows),
         n_dropped=len(general) - len(tp_rows) - len(unclassified),
-        n_unclassified=len(unclassified),
         n_rescued=len(rescued),
         n_rejected=len(rejected),
     )

@@ -117,6 +117,10 @@ class ScenarioSpec:
                 raise SpecError(f"{f.name} must be finite, got {val}")
         if self.n_objects < 1 or self.n_frames < 1 or self.embedding_dim < 1:
             raise SpecError("n_objects, n_frames, embedding_dim must be >= 1")
+        # t_cross runs in float64, which holds every stagger up to 2^53 exactly
+        if abs(self.crossing_stagger) > 2**53:
+            raise SpecError(f"crossing_stagger must be in [-2^53, 2^53], got "
+                            f"{self.crossing_stagger}")
         if self.motion not in MOTION_MODELS:
             raise SpecError(f"unknown motion model {self.motion!r}")
         for name in ("appearance_homogeneity", "miss_rate", "clutter_rate"):
@@ -162,7 +166,7 @@ def _trajectories(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
         return np.broadcast_to(x, (len(t), n)), np.broadcast_to(y, (len(t), n))
     if spec.motion == "crossing":
         phi = math.pi * obj / n
-        t_cross = spec.n_frames // 2 + (obj - n // 2) * spec.crossing_stagger
+        t_cross = spec.n_frames // 2 + (obj - n // 2) * float(spec.crossing_stagger)
         d = spec.speed_px * (t - t_cross)
         return cx + d * _per_value(math.cos, phi), cy + d * _per_value(math.sin, phi)
     radius = min(spec.field_w, spec.field_h) / 4.0 + obj * spec.box_size_px

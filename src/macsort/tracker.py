@@ -136,19 +136,6 @@ def _mean_unit_length(unit: np.ndarray, theta_deg: float) -> float:
     return min(length, 1.0)  # no cosine exceeds 1; rounding may
 
 
-def compute_mu_det(embeddings: np.ndarray, theta_deg: float) -> float:
-    """Appearance homogeneity of one frame's detections: the mean cosine of
-    the embeddings to their mean.
-
-    Embeddings are row-normalized first (magnitudes carry no meaning under
-    cosine matching); zero rows stay zero and still count. Degenerate
-    inputs (fewer than two detections, or a zero mean vector) return
-    cos(theta) so the adaptive weights fall back to the neutral 1/1 split.
-    """
-    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    return _mean_unit_length(unit_rows(embeddings), theta_deg)
-
-
 def adaptive_weights(mu_det: float, theta_deg: float) -> tuple[float, float]:
     """Appearance weight w_aaw = (1 - mu_det)/(1 - cos theta), motion weight
     w_amc = 2 - w_aaw; they always sum to 2."""

@@ -137,8 +137,8 @@ def ie_split(general, include, exclude, *overlap_threshold):
                        *overlap_threshold)
 
 
-def filter_frame(general, include, exclude, memory, frame, config=None):
+def filter_frame(general, include, exclude, memory, frame):
     """tpod_frame on one frame's prompt sets, its maxima from ie_overlaps
     on that frame alone."""
     maxima = ie_overlaps(*frame_columns(general, include, exclude))
-    return tpod_frame(general, *maxima, memory, frame, config)
+    return tpod_frame(general, *maxima, memory, frame)

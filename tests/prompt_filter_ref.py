@@ -5,6 +5,7 @@ Also the memory bank as lists of entries, re-sorted on every update.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,7 +13,6 @@ from macsort.errors import DimensionMismatch, EmptyInput, EmptyMemory
 from macsort.geometry import iou_matrix, unit_rows
 from macsort.prompt_filter import (
     SHORT_WINDOW_FRAMES,
-    LsmSimilarityProfile,
     PromptDetections,
     TpodConfig,
     TpodFrameStats,
@@ -103,6 +103,15 @@ def ie_classify(general, include, exclude, overlap_threshold=TpodConfig.overlap_
     return subset(general, np.flatnonzero(tp_mask)), subset(general, np.flatnonzero(uncl_mask))
 
 
+class LsmSimilarityProfile(NamedTuple):
+    """Per-box and pooled feature similarity against the memory bands."""
+
+    sim_long: np.ndarray
+    sim_short: np.ndarray
+    sim_long_overall: float
+    sim_short_overall: float
+
+
 def lsm_similarity_profile(memory, unclassified):
     if not memory.long or not memory.short:
         raise EmptyMemory("both memory bands must be non-empty")
@@ -142,7 +151,6 @@ def tpod_frame(general, include, exclude, memory, frame, config=None):
         n_general=len(general),
         n_ie_tps=len(tps_ie),
         n_dropped=len(general) - len(tps_ie) - len(unclassified),
-        n_unclassified=len(unclassified),
         n_rescued=len(rescued),
         n_rejected=len(rejected),
     )

@@ -19,7 +19,7 @@ from conftest import (assign, cost_matrix, filter_frame, frame_tables, make_trac
                       rows_sequence)
 from macsort.captions import GmotAnnotation, parse_caption
 from macsort.cli import main
-from macsort.geometry import BBox
+from macsort.geometry import BBox, unit_rows
 from macsort.metrics import TrackSequence, evaluate
 from macsort.mot_io import MotTable
 from macsort.prompt_filter import (
@@ -31,8 +31,8 @@ from macsort.synth import ScenarioSpec, generate, write_spec
 from macsort.tracker import (
     AssocConfig,
     MacSort,
+    _mean_unit_length,
     adaptive_weights,
-    compute_mu_det,
 )
 from macsort.motion import kf_init, kf_predict_batch
 
@@ -104,7 +104,7 @@ def test_criterion_3_cost_matrix_reduction():
     while checked < 100:
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
         tracks, dets = _random_tracks_and_dets(rng, m, n, positive_embs=True)
-        mu = compute_mu_det(dets.features, 45.0)
+        mu = _mean_unit_length(unit_rows(dets.features), 45.0)
         if not (0.0 < mu < 0.999):
             continue
         theta = math.degrees(math.acos(mu))
@@ -145,7 +145,7 @@ def test_criterion_5_lsm_partition_and_bounds():
     rng = np.random.default_rng(202405)
     cfg = TpodConfig()
     for run in range(50):
-        memory = MemoryBank(kappa1=9, kappa2=3)
+        memory = MemoryBank(cfg)
         for frame in range(100):
             n = int(rng.integers(0, 7))
             general = PromptDetections(
@@ -164,7 +164,7 @@ def test_criterion_5_lsm_partition_and_bounds():
                 rng.standard_normal((int(k_e), 4)),
                 rng.uniform(0.2, 1.0, int(k_e)),
             ) if k_e else PromptDetections.empty(4)
-            res = filter_frame(general, include, exclude, memory, frame, cfg)
+            res = filter_frame(general, include, exclude, memory, frame)
             s = res.stats
             assert len(res.rows) + s.n_dropped + s.n_rejected == s.n_general
             assert s.n_ie_tps + s.n_rescued == len(res.rows)
@@ -175,21 +175,21 @@ def test_criterion_5_lsm_partition_and_bounds():
     # rescue scenario: feature-matching unclassified box is recovered
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
-    memory = MemoryBank()
+    memory = MemoryBank(cfg)
     for frame in (1, 2):
         seen = PromptDetections(
             [BBox(0, 0, 10, 10), BBox(40, 0, 10, 10)],
             np.stack([e1, e1]),
             np.array([0.9, 0.8]),
         )
-        filter_frame(seen, seen, PromptDetections.empty(4), memory, frame, cfg)
+        filter_frame(seen, seen, PromptDetections.empty(4), memory, frame)
     general = PromptDetections(
         [BBox(0, 0, 10, 10), BBox(300, 0, 10, 10)],
         np.stack([e1, e2]),
         np.array([0.9, 0.9]),
     )
     res = filter_frame(
-        general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
+        general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3
     )
     assert general.boxes[res.rows, 0].tolist() == [0]
     assert res.stats.n_rescued == 1 and res.stats.n_rejected == 1

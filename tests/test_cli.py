@@ -27,6 +27,7 @@ from macsort.mot_io import (
     DETECTION_ID,
     MotRecord,
     MotTable,
+    read_detections,
     read_embeddings,
     read_mot_lines,
     write_detections,
@@ -34,7 +35,7 @@ from macsort.mot_io import (
     write_mot,
 )
 from macsort.prompt_filter import MemoryBank, PromptDetections
-from macsort.synth import ScenarioSpec, generate, write_spec
+from macsort.synth import ScenarioSpec, generate, read_spec, write_spec
 import prompt_filter_ref as ref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -418,6 +419,13 @@ def _run_main(argv: list[str]) -> bool:
     return code == 0
 
 
+def _check_filtered(seq: Path) -> None:
+    """``filter``'s outputs in ``seq`` are finite."""
+    read_embeddings(seq / "filtered.emb")  # raises on a non-finite row
+    filtered = read_mot_lines(seq / "filtered.txt")
+    assert np.isfinite(filtered.ltwh).all() and np.isfinite(filtered.conf).all()
+
+
 def _eval(seq: Path, *flags: str) -> None:
     """``eval`` of ``seq``'s results.txt against its gt.txt; on exit 0 the
     metrics JSON holds no NaN or Infinity."""
@@ -452,9 +460,7 @@ class TestReaderContract:
                 (seq / name).write_bytes(data)
             _mutate(seq, *mutation)
             if _run_main(["filter", str(seq)]):
-                read_embeddings(seq / "filtered.emb")  # raises on a non-finite row
-                filtered = read_mot_lines(seq / "filtered.txt")
-                assert np.isfinite(filtered.ltwh).all() and np.isfinite(filtered.conf).all()
+                _check_filtered(seq)
                 _track_and_eval(seq)
             _track_and_eval(seq, "--detections", "dets")
 
@@ -561,13 +567,131 @@ class TestConfigContract:
             flag_args = [flag] if field.type == "bool" else [flag, value]
             for args in (["--config", str(config)], flag_args):
                 if _run_main(["filter", str(seq), *args]):
-                    read_embeddings(seq / "filtered.emb")  # raises on a non-finite row
-                    filtered = read_mot_lines(seq / "filtered.txt")
-                    assert np.isfinite(filtered.ltwh).all() and np.isfinite(filtered.conf).all()
+                    _check_filtered(seq)
                 if _run_main(["track", str(seq), "--detections", "dets", *args]):
                     results = read_mot_lines(seq / "results.txt")
                     assert np.isfinite(results.ltwh).all() and np.isfinite(results.conf).all()
                 _eval(seq, *args)
+
+
+_ANNOTATION = {
+    "class_name": "car", "class_synonyms": ["automobile"], "definition": "a road vehicle",
+    "include_attributes": ["white"], "exclude_attributes": ["red"],
+    "caption": "Track white cars while excluding red cars", "track_path": "gt.txt",
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.sampled_from([0, -1, 2**63, 1e308, -0.0, float("nan"), float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+_CAPTION_WORDS = ["Track", "track", "while", "excluding", "white", "red", "car", "cars", "CARS",
+                  "automobile", "automobiles", "scar", "s", "\t", "\u00e9", "\u2028", "\ud800"]
+# whole documents: empty, not an object, a byte-order mark, UTF-16, NaN, and
+# two that json cannot hold: nesting deeper than the recursion limit and an
+# integer literal past Python's 4,300-digit limit
+_RAW_ANNOTATIONS = [b"", b"null", b"[]", b'"car"', b"{", b"\xef\xbb\xbf{}", b"\xff\xfe{\x00}\x00",
+                    b"NaN", b"[" * 200_000, b"1" * 4301,
+                    b'{"class_name": "car", "caption": ' + b"9" * 5000 + b"}"]
+# (kind, field or position, value); a position past the end wraps round
+_ANNOTATION_CHANGES = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from(list(_ANNOTATION)), _JSON_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(list(_ANNOTATION)), st.none()),
+    # a caption or class name of template words
+    st.tuples(st.just("value"), st.sampled_from(["caption", "class_name"]),
+              st.lists(st.sampled_from(_CAPTION_WORDS), max_size=8).map(" ".join)),
+    st.tuples(st.just("cut"), st.integers(0, 10**4), st.none()),
+    st.tuples(st.just("byte"), st.integers(0, 10**4), st.integers(0, 255)),
+    st.tuples(st.just("raw"), st.none(), st.sampled_from(_RAW_ANNOTATIONS)),
+)
+
+
+def _annotation_bytes(kind: str, at, value) -> bytes:
+    """The annotation document with one part changed."""
+    doc = dict(_ANNOTATION)
+    if kind == "value":
+        doc[at] = value
+    elif kind == "drop":
+        del doc[at]
+    elif kind == "raw":
+        return value
+    data = json.dumps(doc).encode()
+    if kind == "cut":
+        return data[:at % (len(data) + 1)]
+    if kind == "byte":
+        at %= len(data)
+        return data[:at] + bytes([value]) + data[at + 1:]
+    return data
+
+
+class TestAnnotationContract:
+    """An annotation JSON with one part changed, read by ``parse-captions``
+    and by ``filter --annotation-file``: each exits 0, ``filter`` with
+    finite outputs, or exits 2 with one error line."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(change=_ANNOTATION_CHANGES)
+    @example(change=("raw", None, b"[" * 200_000))  # raised RecursionError
+    @example(change=("raw", None, b"1" * 4301))  # raised ValueError: Exceeds the limit
+    def test_one_changed_annotation(self, change):
+        with tempfile.TemporaryDirectory() as tmp:
+            ann_dir, seq = Path(tmp) / "ann", Path(tmp) / "seq"
+            ann_dir.mkdir()
+            seq.mkdir()
+            ann = ann_dir / "a.json"
+            ann.write_bytes(_annotation_bytes(*change))
+            _run_main(["parse-captions", str(ann_dir)])
+            for name, data in _contract_dump().items():
+                (seq / name).write_bytes(data)
+            if _run_main(["filter", str(seq), "--annotation-file", str(ann)]):
+                _check_filtered(seq)
+
+
+_SPEC_BASE = {"seed": "5", "n_objects": "3", "n_frames": "6", "embedding_dim": "4",
+              "motion": "crossing", "detection_noise_px": "0.3", "miss_rate": "0.1",
+              "clutter_rate": "0.2"}
+_SPEC_FLOATS = ["0", "0.5", "1", "-1", "1.000001", "0.004", "0.005", "24", "1e6", "1e154",
+                "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "x", ""]
+_HUGE_INT = "1" + "0" * 30
+# each key's pool; the size keys are small or invalid, never a large allocation
+_SPEC_VALUES = {
+    "seed": ["0", "-1", "18446744073709551616", _HUGE_INT, "x"],
+    "n_objects": ["1", "2", "5", "0", "-2", "1.5", ""],
+    "n_frames": ["1", "3", "8", "0", "-1", "x"],
+    "embedding_dim": ["1", "3", "0", "-3", ""],
+    "motion": ["linear", "crossing", "circular", "spiral", ""],
+    "occlusion_windows": ["", "1:1:2", "1:2:1", "9:1:1", "1:0:1", "1:1:99", "1:1:2;2:3:4", "x",
+                          "1:1"],
+    "crossing_stagger": ["3", "0", "-7", "9007199254740992", "9007199254740993", _HUGE_INT,
+                         "-" + _HUGE_INT, "x"],
+    "embedding_swap_frame": ["", "1", "3", "0", "-1", _HUGE_INT],
+    **{f.name: _SPEC_FLOATS for f in fields(ScenarioSpec) if f.type == "float"},
+}
+_SPEC_CHANGES = st.lists(st.sampled_from(sorted(_SPEC_VALUES)), min_size=1, max_size=3,
+                         unique=True).flatmap(
+    lambda keys: st.tuples(*(st.tuples(st.just(k), st.sampled_from(_SPEC_VALUES[k]))
+                             for k in keys)))
+
+
+class TestSpecContract:
+    """``synth`` on a small scenario spec with one to three keys set: it
+    exits 0 with files that the readers of ``track`` and ``eval`` accept,
+    or exits 2 with one error line."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(changes=_SPEC_CHANGES)
+    @example(changes=(("crossing_stagger", _HUGE_INT),))  # raised OverflowError
+    def test_one_changed_spec(self, changes):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec, out = Path(tmp) / "case.spec", Path(tmp) / "out"
+            spec.write_text("".join(f"{key}={value}\n"
+                                    for key, value in {**_SPEC_BASE, **dict(changes)}.items()))
+            if _run_main(["synth", str(spec), str(out)]):
+                gt = macsort.cli._read_track_file(out / "gt.txt")
+                frame, dets = read_detections(out, "general")
+                assert np.isfinite(gt.boxes).all() and np.isfinite(dets.boxes).all()
+                assert np.isfinite(dets.features).all() and np.isfinite(dets.scores).all()
+                read_spec(out / "scenario.spec")
 
 
 class TestOSErrorExits2:
@@ -1083,10 +1207,10 @@ def _filter_every_frame(seq):
     per_stem = [_frame_sets(seq / stem, threshold) for stem in ("general", "include", "exclude")]
     last = max(max(sets, default=0) for sets in per_stem)
     empty = PromptDetections.empty(3)
-    memory, kept, stats = MemoryBank(), [], []
+    memory, kept, stats = MemoryBank(RunConfig().tpod_config()), [], []
     for frame in range(1, last + 1):
         general, include, exclude = (sets.get(frame, empty) for sets in per_stem)
-        res = filter_frame(general, include, exclude, memory, frame, RunConfig().tpod_config())
+        res = filter_frame(general, include, exclude, memory, frame)
         kept.append(ref.subset(general, res.rows))
         stats.append(res.stats)
     rows = ref.concat(*kept, empty)

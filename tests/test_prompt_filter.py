@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,7 +212,7 @@ class TestIeOverlaps:
 
 
 def full_memory(feature=E1, n_frames=2):
-    memory = MemoryBank(kappa1=9, kappa2=3)
+    memory = MemoryBank(TpodConfig(kappa1=9, kappa2=3))
     for _ in range(n_frames):
         memory.update(np.array([feature] * 3), np.array([0.9, 0.8, 0.7]))
     return memory
@@ -227,36 +229,36 @@ def n_rows(band):
 class TestLsmProfile:
     def test_identical_features_give_one(self):
         memory = full_memory()
-        profile = lsm_similarity_profile(memory, np.array([E1]))
-        assert profile.sim_long[0] == pytest.approx(1.0)
-        assert profile.sim_short[0] == pytest.approx(1.0)
-        assert profile.sim_long_overall == pytest.approx(1.0)
-        assert profile.sim_short_overall == pytest.approx(1.0)
+        sim_long, sim_short = lsm_similarity_profile(memory, np.array([E1]))
+        assert sim_long.tolist() == pytest.approx([1.0])
+        assert sim_short.tolist() == pytest.approx([1.0])
 
     def test_orthogonal_pair_means(self):
         memory = full_memory()
-        profile = lsm_similarity_profile(memory, np.array([E1, E2]))
-        assert profile.sim_long == pytest.approx([1.0, 0.0])
-        assert profile.sim_long_overall == pytest.approx(0.5)
-        assert profile.sim_short == pytest.approx([1.0, 0.0])
-        assert profile.sim_short_overall == pytest.approx(0.5)
+        sim_long, sim_short = lsm_similarity_profile(memory, np.array([E1, E2]))
+        assert sim_long == pytest.approx([1.0, 0.0])
+        assert sim_short == pytest.approx([1.0, 0.0])
 
     def test_single_box_equals_aggregate(self):
+        """A box alone is its own pool's mean, so it is never below it."""
         memory = full_memory()
-        profile = lsm_similarity_profile(memory, np.array([E2]))
-        assert profile.sim_long_overall == profile.sim_long[0]
-        assert profile.sim_short_overall == profile.sim_short[0]
+        sim_long, sim_short = lsm_similarity_profile(memory, np.array([E2]))
+        assert sim_long.shape == sim_short.shape == (1,)
+        assert lsm_classify(sim_long, sim_short).tolist() == [False]
 
     def test_aggregate_is_mean_of_per_box(self, rng):
+        """lsm_classify cuts each band at the mean of the profiled boxes: a
+        box is rejected exactly when strictly below it on both bands."""
         memory = full_memory()
         feats = rng.standard_normal((5, 4))
-        profile = lsm_similarity_profile(memory, feats)
-        assert profile.sim_long_overall == pytest.approx(profile.sim_long.mean())
-        assert profile.sim_short_overall == pytest.approx(profile.sim_short.mean())
+        sim_long, sim_short = lsm_similarity_profile(memory, feats)
+        want = [long < sim_long.mean() and short < sim_short.mean()
+                for long, short in zip(sim_long.tolist(), sim_short.tolist())]
+        assert lsm_classify(sim_long, sim_short).tolist() == want
 
     def test_empty_memory_raises(self):
         with pytest.raises(EmptyMemory):
-            lsm_similarity_profile(MemoryBank(), np.array([E1]))
+            lsm_similarity_profile(MemoryBank(TpodConfig()), np.array([E1]))
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInput):
@@ -272,17 +274,17 @@ class TestLsmClassify:
     def test_single_box_is_tp(self):
         memory = full_memory()
         profile = lsm_similarity_profile(memory, np.array([E2]))  # dissimilar, but alone
-        assert lsm_classify(profile).tolist() == [False]
+        assert lsm_classify(*profile).tolist() == [False]
 
     def test_orthogonal_pair_split(self):
         memory = full_memory()
         profile = lsm_similarity_profile(memory, np.array([E1, E2]))
-        assert lsm_classify(profile).tolist() == [False, True]
+        assert lsm_classify(*profile).tolist() == [False, True]
 
     def test_shared_feature_all_tp(self):
         memory = full_memory()
         profile = lsm_similarity_profile(memory, np.array([E2] * 4))
-        assert lsm_classify(profile).tolist() == [False] * 4
+        assert lsm_classify(*profile).tolist() == [False] * 4
 
 
 def tagged(frame, scores):
@@ -329,7 +331,7 @@ class TestPromptDetections:
 
 class TestMemoryBank:
     def test_top_k_selection(self, rng):
-        memory = MemoryBank(kappa1=9, kappa2=3)
+        memory = MemoryBank(TpodConfig(kappa1=9, kappa2=3))
         scores = rng.permutation(np.linspace(0.1, 0.9, 12))
         memory.update(np.array([E1] * 12), scores)
         assert n_rows(memory.long) == 9
@@ -339,7 +341,7 @@ class TestMemoryBank:
         assert memory.short[1].tolist() == pytest.approx(top[:3])
 
     def test_short_window_eviction(self):
-        memory = MemoryBank()
+        memory = MemoryBank(TpodConfig())
         memory.update(*tagged(0, [0.99]))
         for f in (1, 2, 3):
             memory.update(*tagged(f, [0.5]))
@@ -347,20 +349,20 @@ class TestMemoryBank:
         assert (0, 0) in frame_index(memory.long)  # long keeps the best
 
     def test_long_stable_when_full_of_better(self):
-        memory = MemoryBank(kappa1=3)
+        memory = MemoryBank(TpodConfig(kappa1=3))
         memory.update(*tagged(0, [0.9, 0.8, 0.7]))
         before = memory.long[1].tolist(), frame_index(memory.long)
         memory.update(*tagged(1, [0.1]))
         assert (memory.long[1].tolist(), frame_index(memory.long)) == before
 
     def test_tie_break_earlier_frame_lower_index(self):
-        memory = MemoryBank(kappa1=2)
+        memory = MemoryBank(TpodConfig(kappa1=2))
         memory.update(*tagged(3, [0.5, 0.5]))
         memory.update(*tagged(4, [0.5]))
         assert frame_index(memory.long) == [(3, 0), (3, 1)]
 
     def test_bounds_always_hold(self, rng):
-        memory, sizes = MemoryBank(kappa1=9, kappa2=3), []
+        memory, sizes = MemoryBank(TpodConfig(kappa1=9, kappa2=3)), []
         for f in range(40):
             n = int(rng.integers(0, 6))
             memory.update(rng.standard_normal((n, 4)), rng.uniform(0, 1, n))
@@ -374,7 +376,8 @@ class TestMemoryBank:
         rng = np.random.default_rng(5)
         for _ in range(30):
             kappa1, kappa2 = (int(k) for k in rng.integers(1, 8, 2))
-            memory, entries = MemoryBank(kappa1, kappa2), ref.RefMemoryBank(kappa1, kappa2)
+            memory = MemoryBank(TpodConfig(kappa1, kappa2))
+            entries = ref.RefMemoryBank(kappa1, kappa2)
             for frame in range(1, 25):
                 n = int(rng.choice([0, 0, 1, 2, 4, 6]))  # empty frames are common
                 features, scores = rng.standard_normal((n, 3)), rng.choice([0.3, 0.6, 0.9], n)
@@ -393,7 +396,7 @@ class TestMemoryBank:
         """Whenever the bank is idle, an update with no rows leaves both
         bands and the window's rows as they are: the frame walk may skip it."""
         rng = np.random.default_rng(seed)
-        memory = MemoryBank(kappa1, kappa2)
+        memory = MemoryBank(TpodConfig(kappa1, kappa2))
 
         def rows(memory):  # long, short, then the window's entries that hold rows
             window = [band for band in memory.window if len(band[1])]
@@ -409,7 +412,7 @@ class TestMemoryBank:
                 assert rows(memory) == before
 
     def test_update_without_rows_changes_a_bank_that_is_not_idle(self):
-        memory = MemoryBank(kappa2=1)
+        memory = MemoryBank(TpodConfig(kappa2=1))
         assert memory.idle
         memory.update(*tagged(0, [0.9]))
         for _ in range(2):
@@ -419,23 +422,23 @@ class TestMemoryBank:
         assert memory.idle and n_rows(memory.short) == 0 and n_rows(memory.long) == 1
 
     def test_update_in_another_dimension_raises(self):
-        memory = MemoryBank().update(np.ones((1, 4)), np.array([0.9]))
+        memory = MemoryBank(TpodConfig()).update(np.ones((1, 4)), np.array([0.9]))
         with pytest.raises(DimensionMismatch, match="^feature dims differ: 4 vs 3$"):
             memory.update(np.ones((1, 3)), np.array([0.9]))
 
     @pytest.mark.parametrize("kappas", [(-1, 3), (0, 3), (9, 0), (9, -2)])
     def test_kappas_below_one_rejected(self, kappas):
+        """A bank's band sizes are its config's, checked when the config is built."""
         message = f"kappa1 and kappa2 must be >= 1, got {kappas[0]} and {kappas[1]}"
-        for make in (MemoryBank, TpodConfig):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                make(*kappas)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MemoryBank(TpodConfig(*kappas))
 
 
 class TestTpodFrame:
     def test_cold_start_passthrough(self):
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
-        res = filter_frame(general, empty, empty, MemoryBank(), 0)
+        res = filter_frame(general, empty, empty, MemoryBank(TpodConfig()), 0)
         assert res.rows.tolist() == [0, 1, 2]
         assert res.stats.n_dropped == 0
 
@@ -443,7 +446,7 @@ class TestTpodFrame:
         general = dets(spaced_boxes(3), [E1, E1, E2])
         empty = PromptDetections.empty(4)
         cfg = TpodConfig(cold_start_passthrough=False)
-        res = filter_frame(general, empty, empty, MemoryBank(), 0, cfg)
+        res = filter_frame(general, empty, empty, MemoryBank(cfg), 0)
         assert len(res.rows) == 0
         assert res.stats.n_rejected == 3
 
@@ -451,7 +454,7 @@ class TestTpodFrame:
         general = dets([(0, 0, 10, 10), (100, 0, 10, 10)], [E1, E1])
         include = dets([(1, 0, 10, 10)], [E1])
         exclude = dets([(101, 0, 10, 10)], [E1])
-        res = filter_frame(general, include, exclude, MemoryBank(), 0)
+        res = filter_frame(general, include, exclude, MemoryBank(TpodConfig()), 0)
         assert general.boxes[res.rows, 0].tolist() == [0]
         assert res.stats.n_dropped == 1
 
@@ -459,34 +462,42 @@ class TestTpodFrame:
         # frames 1..2 fill the memory with E1 cars via include overlap;
         # frame 3 has an unclassified true car (E1) next to clutter (E2):
         # the car is rescued, the clutter rejected
-        memory = MemoryBank()
-        cfg = TpodConfig()
+        memory = MemoryBank(TpodConfig())
         for frame in (1, 2):
             general = dets(spaced_boxes(2), [E1, E1], [0.9, 0.8])
             include = dets(spaced_boxes(2), [E1, E1], [0.9, 0.8])
-            res = filter_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
+            res = filter_frame(general, include, PromptDetections.empty(4), memory, frame)
             assert res.rows.tolist() == [0, 1]
         general = dets([(0, 0, 10, 10), (300, 0, 10, 10)], [E1, E2])
         res = filter_frame(
-            general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3, cfg
+            general, PromptDetections.empty(4), PromptDetections.empty(4), memory, 3
         )
         assert general.boxes[res.rows, 0].tolist() == [0]
         assert res.stats.n_rescued == 1
         assert res.stats.n_rejected == 1
 
+    def test_bands_hold_the_config_sizes(self):
+        """The bank's config sizes the bands that tpod_frame fills: five
+        frames of three true positives under kappa1=2, kappa2=1 leave 2 and 1
+        rows, not the default 9 and 3."""
+        memory = MemoryBank(TpodConfig(kappa1=2, kappa2=1))
+        for frame in range(1, 6):
+            general = dets(spaced_boxes(3), [E1, E1, E2], [0.9, 0.8, 0.7])
+            filter_frame(general, general, PromptDetections.empty(4), memory, frame)
+            assert n_rows(memory.long) <= 2 and n_rows(memory.short) <= 1
+        assert (n_rows(memory.long), n_rows(memory.short)) == (2, 1)
+
     def test_memory_from_ie_only_flag(self):
-        cfg = TpodConfig(memory_from_ie_only=True)
-        memory = MemoryBank()
+        memory = MemoryBank(TpodConfig(memory_from_ie_only=True))
         general = dets(spaced_boxes(2), [E1, E2], [0.9, 0.8])
         include = dets([(0, 0, 10, 10)], [E1])
-        filter_frame(general, include, PromptDetections.empty(4), memory, 0, cfg)
+        filter_frame(general, include, PromptDetections.empty(4), memory, 0)
         # passthrough box excluded from memory: only the IE TP is stored
         assert n_rows(memory.long) == 1
         assert memory.long[1].tolist() == [0.9]
 
     def test_partition_every_frame_random(self, rng):
-        memory = MemoryBank()
-        cfg = TpodConfig()
+        memory = MemoryBank(TpodConfig())
         for frame in range(30):
             n = int(rng.integers(1, 7))
             general = dets(
@@ -499,7 +510,7 @@ class TestTpodFrame:
                 [(u, v, 10, 10) for u, v in rng.uniform(0, 100, (m, 2))],
                 rng.standard_normal((m, 4)),
             ) if m else PromptDetections.empty(4)
-            res = filter_frame(general, include, PromptDetections.empty(4), memory, frame, cfg)
+            res = filter_frame(general, include, PromptDetections.empty(4), memory, frame)
             s = res.stats
             assert len(res.rows) + s.n_dropped + s.n_rejected == s.n_general
 
@@ -591,13 +602,14 @@ class TestTpodFrameOracle:
             dim = int(rng.integers(2, 6))
             prototypes = rng.standard_normal((3, dim))
             kappa1, kappa2 = (int(k) for k in rng.integers(1, 10, 2))
-            memory, want_memory = MemoryBank(kappa1, kappa2), ref.MemoryBank(kappa1, kappa2)
+            memory = MemoryBank(replace(config, kappa1=kappa1, kappa2=kappa2))
+            want_memory = ref.MemoryBank(kappa1, kappa2)
             for frame in range(1, 31):
                 general, include, exclude = (
                     random_prompt(rng, int(rng.choice(sizes)), dim, prototypes)
                     for sizes in ([0, 0, 1, 3, 6, 9], [0, 0, 1, 2, 4], [0, 0, 0, 1, 2])
                 )
-                got = filter_frame(general, include, exclude, memory, frame, config)
+                got = filter_frame(general, include, exclude, memory, frame)
                 want = ref.tpod_frame(general, include, exclude, want_memory, frame, config)
                 for col in ("boxes", "features", "scores"):
                     a, b = getattr(general, col)[got.rows], getattr(want.final_tps, col)

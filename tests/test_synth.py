@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 from conftest import OTHER_LINE_BREAKS, boxes_at, frame_tables
 from metrics_ref import rows_at
 from macsort.errors import SpecError
-from macsort.geometry import BBox
+from macsort.geometry import BBox, unit_rows
 from macsort.synth import (
     MOTION_MODELS,
     ScenarioSpec,
@@ -27,7 +27,7 @@ from macsort.synth import (
     read_spec,
     write_spec,
 )
-from macsort.tracker import compute_mu_det
+from macsort.tracker import _mean_unit_length
 from motion_ref import Detection
 from synth_ref import SplitMix64
 
@@ -69,7 +69,7 @@ class TestGenerate:
     def test_full_homogeneity_gives_mu_one(self):
         spec = ScenarioSpec(appearance_homogeneity=1.0, n_objects=5, n_frames=3)
         scenario = generate(spec)
-        assert compute_mu_det(frame_tables(scenario)[1].features, 45.0) == pytest.approx(1.0)
+        assert _mean_unit_length(unit_rows(frame_tables(scenario)[1].features), 45.0) == pytest.approx(1.0)
 
     def test_same_seed_identical(self):
         spec = ScenarioSpec(seed=99, detection_noise_px=1.0, miss_rate=0.1, clutter_rate=0.1)
@@ -149,7 +149,7 @@ class TestGenerate:
                 )
                 scenario = generate(spec)
                 hs.append(h)
-                mus.append(compute_mu_det(frame_tables(scenario)[1].features, 45.0))
+                mus.append(_mean_unit_length(unit_rows(frame_tables(scenario)[1].features), 45.0))
         rho = spearmanr(hs, mus).statistic
         assert rho > 0.95
 

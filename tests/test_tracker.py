@@ -37,9 +37,9 @@ from macsort.tracker import (
     AssocConfig,
     MacSort,
     Tracks,
+    _mean_unit_length,
     adaptive_weights,
     build_cost_matrix,
-    compute_mu_det,
     linear_assignment,
     track_sequence,
 )
@@ -81,7 +81,7 @@ def mu_det_by_definition(embeddings, theta_deg):
 
 class TestMuDet:
     def test_equals_the_definition(self, rng):
-        """compute_mu_det takes the length of the mean unit row, which is
+        """_mean_unit_length takes the length of the mean unit row, which is
         the mean cosine to the mean's direction."""
         base = rng.standard_normal((7, 5))
         cases = [np.zeros((0, 5)), base[:1], base, base * 1e-3, np.repeat(base[:1], 5, axis=0)]
@@ -95,31 +95,31 @@ class TestMuDet:
                   np.stack([E1, np.zeros(4)]), np.stack([E1, E1, -E1])]
         for embs in cases:
             for theta in (45.0, 70.0):
-                assert compute_mu_det(embs, theta) == pytest.approx(
+                assert _mean_unit_length(unit_rows(embs), theta) == pytest.approx(
                     mu_det_by_definition(embs, theta), abs=1e-12, rel=0)
 
     def test_identical_features(self):
-        assert compute_mu_det(np.stack([E1, E1, E1]), 45.0) == pytest.approx(1.0)
+        assert _mean_unit_length(unit_rows(np.stack([E1, E1, E1])), 45.0) == pytest.approx(1.0)
 
     def test_two_orthogonal(self):
-        got = compute_mu_det(np.stack([E1, E2]), 45.0)
+        got = _mean_unit_length(unit_rows(np.stack([E1, E2])), 45.0)
         assert got == pytest.approx(0.70711, abs=1e-5)
 
     def test_single_detection_neutral(self):
-        assert compute_mu_det(E1[None, :], 45.0) == pytest.approx(COS45)
+        assert _mean_unit_length(unit_rows(E1[None, :]), 45.0) == pytest.approx(COS45)
 
     def test_empty_neutral(self):
-        assert compute_mu_det(np.zeros((0, 4)), 60.0) == pytest.approx(
+        assert _mean_unit_length(unit_rows(np.zeros((0, 4))), 60.0) == pytest.approx(
             math.cos(math.radians(60.0))
         )
 
     def test_zero_mean_neutral(self):
-        assert compute_mu_det(np.stack([E1, -E1]), 45.0) == pytest.approx(COS45)
+        assert _mean_unit_length(unit_rows(np.stack([E1, -E1])), 45.0) == pytest.approx(COS45)
 
     def test_scale_invariant(self, rng):
         embs = rng.standard_normal((6, 8))
-        base = compute_mu_det(embs, 45.0)
-        assert compute_mu_det(embs * 37.5, 45.0) == pytest.approx(base, abs=1e-12)
+        base = _mean_unit_length(unit_rows(embs), 45.0)
+        assert _mean_unit_length(unit_rows(embs * 37.5), 45.0) == pytest.approx(base, abs=1e-12)
 
 
 class TestAdaptiveWeights:
